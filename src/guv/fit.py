@@ -275,6 +275,12 @@ def fit_scene(
                 "random-white-biased background requires masks on every view"
             )
     cfg = render_cfg if render_cfg is not None else RenderConfig()
+    grid_h, grid_w = np.shape(anchors)[:2]
+    if cfg.knn_k > grid_h * grid_w:
+        raise InvalidArgumentError(
+            f"knn_k={cfg.knn_k} exceeds the {grid_h}x{grid_w} = "
+            f"{grid_h * grid_w} Gaussians of the anchor grid"
+        )
     wts = weights if weights is not None else LossWeights()
 
     rng = np.random.default_rng(config.seed)

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
 import struct
 import sys
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,9 +39,8 @@ from .errors import (CheckFailureError, FormatError, GuvError,
 from .fit import FitConfig, PosedView, fit_scene, random_decoder, _decode_rows, _uv_coords
 from .grad import ParamSet, fd_check
 from .losses import total_loss
-from .render import (RenderMLP, _knn_for_samples, march_rays_core, psnr,
-                     render_image, sample_distances)
-from .spatial import brute_force_knn, build_index, knn_query
+from .render import (RenderMLP, _knn_for_samples, _sample_d2, march_rays_core,
+                     psnr, render_image, sample_distances)
 
 AVATAR_MAGIC = b"GUV1"
 ANCHOR_MAGIC = b"GUVA"
@@ -97,6 +94,11 @@ def _unpack_container(data: bytes, magic: bytes, path) -> tuple[dict, np.ndarray
         raise FormatError(f"{path}: header is not valid JSON: {e}") from e
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header must be a JSON object")
+    if (len(data) - 8 - hlen) % 4:
+        raise FormatError(
+            f"{path}: body has {len(data) - 8 - hlen} bytes at offset "
+            f"{8 + hlen}, not a whole number of float32 values"
+        )
     body = np.frombuffer(data, dtype="<f4", offset=8 + hlen)
     return header, body, 8 + hlen
 
@@ -796,27 +798,37 @@ def check_grad(seed: int = 1) -> list[str]:
 
 def check_knn(seed: int = 0, grid: int = 32, n_queries: int = 1000,
               k: int = 8) -> list[str]:
+    """The renderer's KNN on ray samples against an exhaustive (d2, id)
+    lexsort of the same distance rows."""
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, size=(grid, grid, 3))
-    # duplicated centers force distance ties, exercising the index tie rule
-    flat = pts.reshape(-1, 3)
-    flat[100:110] = flat[200:210]
-    normals = rng.standard_normal((grid, grid, 3))
-    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
-    avatar = init_from_anchors(pts, normals, np.full((grid, grid), 0.1),
-                               plane_size=1, channels=1)
-    index = build_index(avatar)
     n_centers = grid * grid
-    queries = rng.uniform(-1.2, 1.2, size=(n_queries, 3))
-    queries[:20] = flat[rng.integers(n_centers, size=20)]
-    for qi, q in enumerate(queries):
-        got = knn_query(index, q, k)
-        want = brute_force_knn(avatar, q, k)
-        if not np.array_equal(got, want):
-            raise CheckFailureError(
-                f"knn mismatch on query {qi}: grid {got.tolist()} vs "
-                f"brute force {want.tolist()}"
-            )
+    # centers on a coarse lattice, plus a duplicated run: exact d2 ties,
+    # many of them straddling the k-th place
+    centers = rng.integers(-4, 5, size=(n_centers, 3)) * 0.25
+    centers[100:110] = centers[200:210]
+    # half the queries sit on lattice points (axis rays from a lattice
+    # origin, lattice steps), the other half anywhere
+    origin = np.array([-1.25, 0.5, 0.0])
+    dirs = rng.standard_normal((n_queries, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    t = rng.uniform(0.0, 2.5, size=(n_queries, 1))
+    axis = np.eye(3)[rng.integers(3, size=n_queries)]
+    on_lattice = np.arange(n_queries) % 2 == 0
+    dirs[on_lattice] = axis[on_lattice]
+    t[on_lattice] = rng.integers(0, 11, size=(on_lattice.sum(), 1)) * 0.25
+    got = _knn_for_samples(centers, origin, dirs, t, k).reshape(n_queries, k)
+    delta0 = centers - origin
+    proj = np.sum(dirs[:, None, :] * delta0[None, :, :], axis=-1)
+    d2 = _sample_d2(np.sum(delta0 * delta0, axis=-1), proj, t).reshape(n_queries, -1)
+    ids = np.broadcast_to(np.arange(n_centers), d2.shape)
+    want = np.lexsort((ids, d2))[:, :k]
+    bad = np.flatnonzero(np.any(got != want, axis=1))
+    if bad.size:
+        qi = int(bad[0])
+        raise CheckFailureError(
+            f"knn mismatch on query {qi}: renderer {got[qi].tolist()} vs "
+            f"brute force {want[qi].tolist()}"
+        )
     return [f"knn: PASS ({n_queries} queries over {n_centers} centers, "
             f"k={k}, exact)"]
 
@@ -963,6 +975,11 @@ def cmd_diffuse(args) -> int:
     denoiser = _parse_denoiser(args.denoiser, schedule)
     rng = np.random.default_rng(args.seed)
     if args.action == "sample":
+        if args.channels is not None:
+            raise InvalidArgumentError(
+                "--channels selects what inpaint keeps; sample takes "
+                "--payload-channels"
+            )
         if bool(args.like) == bool(args.anchors):
             raise InvalidArgumentError(
                 "sample needs exactly one of --like AVATAR or --anchors GRID"
@@ -976,12 +993,7 @@ def cmd_diffuse(args) -> int:
             h, w = template.height, template.width
         else:
             anchors, normals, scales = load_anchor_grid(args.anchors)
-            try:
-                s, c = args.plane_size, int(args.channels)
-            except ValueError as e:
-                raise InvalidArgumentError(
-                    f"--channels must be an integer for sample: {e}"
-                ) from e
+            s, c = args.plane_size, args.payload_channels
             h, w = anchors.shape[:2]
         shape = (h * s, w * s, 9 + 3 * c)
         values = reverse_sample(schedule, denoiser, shape, rng,
@@ -1002,11 +1014,7 @@ def cmd_diffuse(args) -> int:
                 f"mask {grid.shape} does not match avatar grid "
                 f"{(template.height, template.width)}"
             )
-        if args.channels not in ("geo", "tex", "both"):
-            raise InvalidArgumentError(
-                f"inpaint --channels must be geo|tex|both, got {args.channels!r}"
-            )
-        mask = channel_mask(grid, _selector(args.channels), s, c)
+        mask = channel_mask(grid, _selector(args.channels or "both"), s, c)
         values = inpaint_sample(schedule, denoiser, known.values, mask, rng,
                                 step_count=args.step_count)
     from .diffusion import UVTensor
@@ -1084,8 +1092,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--like", help="avatar supplying dims + anchors")
     q.add_argument("--anchors", help="anchor grid for sample output")
     q.add_argument("--plane-size", type=int, default=8)
-    q.add_argument("--channels", default="both",
-                   help="sample: payload channel count; inpaint: geo|tex|both")
+    q.add_argument("--payload-channels", type=int, default=8,
+                   help="sample --anchors: payload channel count")
+    q.add_argument("--channels", choices=("geo", "tex", "both"), default=None,
+                   help="inpaint: channels the --mask keeps (default both)")
     q.add_argument("--mask", help="P5 mask of texels to keep (inpaint)")
     q.add_argument("--out", required=True)
     q.add_argument("--seed", type=int, default=0)

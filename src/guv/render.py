@@ -32,9 +32,10 @@ from . import grad as g
 from .core import (Camera, RenderConfig, TriPlanePayload, UVAvatar, _frozen,
                    _rotation_entries)
 from .errors import InvalidArgumentError
-from .spatial import UniformGridIndex, knn_query, nearest_k_batch
+from .spatial import knn_select, nearest_k_batch
 
 _ALPHA_CAP = 1.0 - 1e-4  # keeps transmittance positive and log1p finite
+_KNN_BLOCK_ROWS = 512    # (ray, sample) rows per block of the KNN distance matrix
 
 
 @dataclass(frozen=True)
@@ -233,22 +234,42 @@ def _shade(arrays: dict, mlp_arrays: dict, xdiff, idx: np.ndarray,
     return color, alpha, gsum
 
 
+def _sample_d2(s0: np.ndarray, proj: np.ndarray, t: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances (R, J, N) from sample points origin + t * dir to
+    the centers, s0 - 2 t proj + t^2, built in place in out.
+
+    s0: (N,) squared |center - origin|; proj: (R, N) dir . (center - origin).
+    """
+    out = np.multiply(2.0 * t[:, :, None], proj[:, None, :], out=out)
+    np.subtract(s0, out, out=out)
+    out += (t * t)[:, :, None]
+    return out
+
+
 def _knn_for_samples(centers_val: np.ndarray, origin: np.ndarray,
                      dirs: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
     """Neighbor ids (R, J, K) for sample points origin + t * dir.
 
     Distances are expanded around (center - origin) so the selection is
-    bit-stable under joint scene/camera translation; ties break by ascending
-    texel index via stable argsort, matching the spatial module's rule.
+    bit-stable under joint scene/camera translation; spatial.knn_select
+    picks the K nearest with ties broken by ascending texel index. Rays go
+    through in blocks of about _KNN_BLOCK_ROWS distance rows, all sharing
+    one buffer.
     """
     delta0 = centers_val - origin                      # (N, 3)
     s0 = np.sum(delta0 * delta0, axis=-1)              # (N,)
-    proj = np.sum(dirs[:, None, :] * delta0[None, :, :], axis=-1)  # (R, N)
-    d2 = s0[None, None, :] - 2.0 * t[:, :, None] * proj[:, None, :] \
-        + (t * t)[:, :, None]                          # (R, J, N)
-    r, j, n = d2.shape
-    idx = np.argsort(d2.reshape(r * j, n), axis=1, kind="stable")[:, :k]
-    return idx.reshape(r, j, k)
+    r, j = t.shape
+    n = s0.shape[0]
+    step = max(1, _KNN_BLOCK_ROWS // j)
+    buf = np.empty((min(step, r), j, n))
+    idx = np.empty((r, j, k), dtype=np.int64)
+    for a in range(0, r, step):
+        b = min(a + step, r)
+        proj = np.sum(dirs[a:b, None, :] * delta0[None, :, :], axis=-1)
+        d2 = _sample_d2(s0, proj, t[a:b], out=buf[:b - a])
+        idx[a:b] = knn_select(d2.reshape(-1, n), k).reshape(b - a, j, k)
+    return idx
 
 
 def march_rays_core(arrays: dict, mlp_arrays: dict, origin: np.ndarray,
@@ -316,16 +337,16 @@ def sample_distances(near: float, far: float, jitter: np.ndarray) -> np.ndarray:
     return near + (far - near) * (np.arange(j) + jitter) / j
 
 
-def blend_point(avatar: UVAvatar, mlp: RenderMLP, x, cfg: RenderConfig,
-                index: UniformGridIndex) -> tuple[np.ndarray, float]:
+def blend_point(avatar: UVAvatar, mlp: RenderMLP, x,
+                cfg: RenderConfig) -> tuple[np.ndarray, float]:
     """(blended color, blended opacity) of a single world point.
 
     The scalar reference for the kernel: direct x - mu arithmetic, neighbors
-    from the grid index.
+    from nearest_k_batch on that one point.
     """
     x = np.asarray(x, dtype=np.float64)
-    idx = knn_query(index, x, cfg.knn_k)
     arrays = avatar_arrays(avatar)
+    idx = nearest_k_batch(arrays["centers"], x, cfg.knn_k)[0]
     xdiff = x[None, :] - arrays["centers"][idx]
     color, alpha, _ = _shade(arrays, mlp_arrays(mlp), xdiff, idx, cfg,
                              avatar.plane_size, avatar.channels)
@@ -333,8 +354,8 @@ def blend_point(avatar: UVAvatar, mlp: RenderMLP, x, cfg: RenderConfig,
 
 
 def march_ray(avatar: UVAvatar, mlp: RenderMLP, origin, direction,
-              cfg: RenderConfig, index: UniformGridIndex, near: float,
-              far: float, jitter: np.ndarray | None = None
+              cfg: RenderConfig, near: float, far: float,
+              jitter: np.ndarray | None = None
               ) -> tuple[np.ndarray, float, float]:
     """(color, depth, alpha) of one ray; bit-equal to the matching
     render_image pixel when given that pixel's jitter row.

@@ -1,13 +1,13 @@
-"""K-nearest-Gaussian queries over the UV grid's centers.
+"""K-nearest-Gaussian selection over the UV grid's centers.
 
-Two interchangeable paths: a uniform voxel grid with expanding-ring search
-(the production single-point query) and an exhaustive scan (the oracle).
-Both order results by ascending squared Euclidean distance with ties broken
-by ascending flat texel index (h * W + w), so renders are bit-reproducible.
+One production routine, `knn_select`, picks the k smallest entries of each
+row of a squared-distance matrix; the renderer, the fitting loss and the
+single-point reference all build their distance rows and call it. An
+exhaustive per-point scan, `brute_force_knn`, is the oracle. Both order
+results by ascending squared Euclidean distance with ties broken by
+ascending flat texel index (h * W + w), so renders are bit-reproducible.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,152 +15,61 @@ from .core import UVAvatar
 from .errors import InvalidArgumentError
 
 
-def _flat_centers(avatar: UVAvatar) -> np.ndarray:
-    return avatar.centers.reshape(-1, 3)
-
-
-def _ordered_by_distance(d2: np.ndarray, k: int) -> np.ndarray:
-    """First k indices by (squared distance, index) lexicographic order."""
-    n = d2.shape[0]
-    return np.lexsort((np.arange(n), d2))[:k]
-
-
-@dataclass
-class UniformGridIndex:
-    """Voxel hash over Gaussian centers; immutable after build."""
-
-    cell_size: float
-    origin: np.ndarray                       # min corner of the occupied box
-    cells: dict = field(repr=False)          # (i, j, k) -> int64 array of texel ids
-    centers: np.ndarray = field(repr=False)  # (N, 3) flat copy
-    lo: np.ndarray = field(repr=False)       # occupied integer-cell bounds
-    hi: np.ndarray = field(repr=False)
-
-    @property
-    def count(self) -> int:
-        return self.centers.shape[0]
-
-
-def build_index(avatar: UVAvatar, cell_size: float | None = None) -> UniformGridIndex:
-    """Index all H*W centers. cell_size defaults to 2x the median
-    nearest-neighbor spacing (clamped away from zero for degenerate scenes)."""
-    centers = _flat_centers(avatar).copy()
-    if not np.all(np.isfinite(centers)):
-        raise InvalidArgumentError("centers must be finite")
-    n = centers.shape[0]
-    if cell_size is None:
-        if n > 1:
-            d2 = np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
-            np.fill_diagonal(d2, np.inf)
-            med = float(np.median(np.sqrt(d2.min(axis=1))))
-        else:
-            med = 0.0
-        extent = float(np.max(centers.max(axis=0) - centers.min(axis=0))) if n > 1 else 0.0
-        cell_size = 2.0 * med if med > 0 else max(extent, 1.0)
-    if not cell_size > 0:
-        raise InvalidArgumentError("cell_size must be positive")
-    origin = centers.min(axis=0)
-    coords = np.floor((centers - origin) / cell_size).astype(np.int64)
-    cells: dict = {}
-    for idx in range(n):
-        key = (int(coords[idx, 0]), int(coords[idx, 1]), int(coords[idx, 2]))
-        cells.setdefault(key, []).append(idx)
-    cells = {key: np.array(ids, dtype=np.int64) for key, ids in cells.items()}
-    return UniformGridIndex(
-        cell_size=float(cell_size),
-        origin=origin,
-        cells=cells,
-        centers=centers,
-        lo=coords.min(axis=0),
-        hi=coords.max(axis=0),
-    )
-
-
-def _ring_cells(index: UniformGridIndex, base: np.ndarray, ring: int):
-    """Occupied cells at exactly Chebyshev distance `ring` from base."""
-    lo = np.maximum(base - ring, index.lo)
-    hi = np.minimum(base + ring, index.hi)
-    if np.any(lo > hi):
-        return
-    for i in range(lo[0], hi[0] + 1):
-        for j in range(lo[1], hi[1] + 1):
-            for k in range(lo[2], hi[2] + 1):
-                if max(abs(i - base[0]), abs(j - base[1]), abs(k - base[2])) != ring:
-                    continue
-                ids = index.cells.get((i, j, k))
-                if ids is not None:
-                    yield ids
-
-
-def knn_query(index: UniformGridIndex, x, k: int) -> np.ndarray:
-    """K nearest texel indices to x, ascending distance, index-tiebroken.
-
-    Rings expand until every unscanned cell is provably farther than the
-    current k-th best: a point in a cell at Chebyshev ring m lies at least
-    (m-1) * cell_size away from any point inside the base cell.
-    """
-    if k > index.count:
-        raise InvalidArgumentError(f"k={k} exceeds {index.count} indexed Gaussians")
+def _check_k(k: int, n: int) -> None:
+    if k > n:
+        raise InvalidArgumentError(f"k={k} exceeds {n} Gaussians")
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    base = np.floor((x - index.origin) / index.cell_size).astype(np.int64)
-    max_ring = int(np.max(np.maximum(np.abs(base - index.lo), np.abs(index.hi - base)))) + 1
-    found_ids: list[np.ndarray] = []
-    found_d2: list[np.ndarray] = []
-    count = 0
-    ring = 0
-    while ring <= max_ring:
-        for ids in _ring_cells(index, base, ring):
-            diff = index.centers[ids] - x
-            found_ids.append(ids)
-            found_d2.append(np.sum(diff * diff, axis=-1))
-            count += ids.shape[0]
-        if count >= k:
-            d2 = np.concatenate(found_d2)
-            ids = np.concatenate(found_ids)
-            kth = np.sort(d2)[k - 1]
-            # unscanned points sit at distance >= ring * cell_size; stop only
-            # when they cannot beat or tie (ties could still win by index)
-            if (ring * index.cell_size) ** 2 > kth:
-                order = np.lexsort((ids, d2))[:k]
-                return ids[order]
-        ring += 1
-    d2 = np.concatenate(found_d2)
-    ids = np.concatenate(found_ids)
-    order = np.lexsort((ids, d2))[:k]
-    return ids[order]
+
+
+def knn_select(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column ids of the k smallest entries of each row of d2, shape (M, k),
+    ordered by (value, column); equal to
+    np.argsort(d2, axis=1, kind="stable")[:, :k] bit for bit.
+
+    argpartition finds each row's k smallest values and lexsort orders
+    them. Their ids are the stable sort's only when exactly k entries are
+    <= the k-th value; rows where a tie straddles the k-th place (or the
+    k-th value is NaN) fall back to a stable sort of that row.
+    """
+    n = d2.shape[1]
+    _check_k(k, n)
+    if k == n:
+        return np.argsort(d2, axis=1, kind="stable")
+    picks = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    vals = np.take_along_axis(d2, picks, axis=1)
+    order = np.lexsort((picks, vals))
+    picks = np.take_along_axis(picks, order, axis=1)
+    kth = np.take_along_axis(vals, order[:, -1:], axis=1)
+    tied = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) != k)
+    if tied.size:
+        picks[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return picks
 
 
 def brute_force_knn(avatar: UVAvatar, x, k: int) -> np.ndarray:
-    """Exhaustive-scan oracle with the same ordering contract as knn_query."""
-    centers = _flat_centers(avatar)
-    if k > centers.shape[0]:
-        raise InvalidArgumentError(f"k={k} exceeds {centers.shape[0]} Gaussians")
-    if k < 1:
-        raise InvalidArgumentError("k must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    diff = centers - x
+    """Exhaustive-scan oracle: the first k texel ids by (d², id)."""
+    centers = avatar.centers.reshape(-1, 3)
+    n = centers.shape[0]
+    _check_k(k, n)
+    diff = centers - np.asarray(x, dtype=np.float64)
     d2 = np.sum(diff * diff, axis=-1)
-    return _ordered_by_distance(d2, k)
+    return np.lexsort((np.arange(n), d2))[:k]
 
 
 def nearest_k_batch(centers: np.ndarray, points: np.ndarray, k: int,
                     chunk: int = 4096) -> np.ndarray:
-    """Vectorized KNN for many query points at once, shape (M, k).
+    """KNN for many query points at once, shape (M, k).
 
-    Same ordering rule as knn_query (stable sort = ascending-index ties).
-    Used by the renderer, where N <= 1024 makes the distance matrix cheaper
-    than per-point traversal; chunked to bound peak memory.
+    Distances come from direct point-minus-center differences; selection
+    is knn_select's. Chunked over points to bound peak memory.
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    n = centers.shape[0]
-    if k > n:
-        raise InvalidArgumentError(f"k={k} exceeds {n} Gaussians")
+    _check_k(k, centers.shape[0])
     out = np.empty((points.shape[0], k), dtype=np.int64)
     for start in range(0, points.shape[0], chunk):
         p = points[start:start + chunk]
         d2 = np.sum((p[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
-        out[start:start + chunk] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[start:start + chunk] = knn_select(d2, k)
     return out

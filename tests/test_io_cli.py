@@ -97,6 +97,23 @@ class TestAvatarContainer:
         with pytest.raises(FormatError, match="expected"):
             load_avatar(chopped)
 
+    def test_partial_float_body_is_format_error(self, tmp_path, random_avatar,
+                                                capsys):
+        p = tmp_path / "a.guv"
+        save_avatar(random_avatar, p)
+        data = p.read_bytes()
+        (hlen,) = struct.unpack("<I", data[4:8])
+        body = len(data) - 8 - hlen
+        for cut in (1, 2, 3):
+            short = tmp_path / f"cut{cut}.guv"
+            short.write_bytes(data[:-cut])
+            with pytest.raises(FormatError, match=f"body has {body - cut} bytes"):
+                load_avatar(short)
+        rc = main(["render", str(short), "--camera", str(tmp_path / "c.json"),
+                   "--out", str(tmp_path / "x.ppm")])
+        assert rc == 2
+        assert "not a whole number of float32" in capsys.readouterr().err
+
     def test_header_must_be_json_object(self, tmp_path):
         p = tmp_path / "a.guv"
         hb = b"[1,2]"
@@ -143,6 +160,16 @@ class TestAnchorContainer:
         assert n.shape == (4, 4, 3)
         assert s.shape == (4, 4)
         assert p.read_bytes()[:4] == ANCHOR_MAGIC
+
+    def test_partial_float_body_is_format_error(self, tmp_path, random_avatar):
+        p = tmp_path / "g.guva"
+        save_anchor_grid(random_avatar.anchors, random_avatar.anchor_normals,
+                         random_avatar.anchor_scales, p)
+        data = p.read_bytes()
+        for cut in (1, 2, 3):
+            p.write_bytes(data[:-cut])
+            with pytest.raises(FormatError, match="float32"):
+                load_anchor_grid(p)
 
     def _write(self, path, anchors, normals, scales):
         save_anchor_grid(anchors, normals, scales, path)
@@ -514,6 +541,14 @@ class TestCli:
         assert load_avatar(out).plane_size == 1
         assert "vector" in capsys.readouterr().out
 
+    def test_fit_k_exceeding_gaussians_exits_two(self, cli_dataset, tmp_path,
+                                                 capsys):
+        rc = main(["fit", str(cli_dataset), "--out", str(tmp_path / "x.guv"),
+                   "--iters", "1", "--patch", "8", "--k", "100"])
+        assert rc == 2
+        assert "knn_k=100 exceeds" in capsys.readouterr().err
+        assert not (tmp_path / "x.guv").exists()
+
     def test_render_command(self, cli_dataset, cli_fit, tmp_path, capsys):
         img = tmp_path / "v.ppm"
         depth = tmp_path / "v.pgm"
@@ -580,7 +615,7 @@ class TestCli:
         rc = main(["diffuse", "sample",
                    "--anchors", str(cli_dataset / "anchors.guva"),
                    "--steps", "8", "--step-count", "4",
-                   "--plane-size", "2", "--channels", "4",
+                   "--plane-size", "2", "--payload-channels", "4",
                    "--denoiser", "analytic:0.1,0.3",
                    "--out", str(out), "--seed", "3"])
         assert rc == 0
@@ -589,6 +624,28 @@ class TestCli:
         assert (avatar.plane_size, avatar.channels) == (2, 4)
         assert avatar.radii.min() >= 1e-5 - 1e-12
         assert avatar.radii.max() <= 0.15 + 1e-6
+
+    def test_diffuse_sample_readme_example(self, cli_dataset, tmp_path,
+                                           capsys):
+        # the README line, on the test dataset's 4x4 anchor grid
+        out = tmp_path / "sample.guv"
+        rc = main(["diffuse", "sample",
+                   "--anchors", str(cli_dataset / "anchors.guva"),
+                   "--steps", "200", "--denoiser", "analytic:0.0,0.5",
+                   "--out", str(out)])
+        assert rc == 0
+        avatar = load_avatar(out)
+        assert (avatar.height, avatar.width) == (4, 4)
+        assert (avatar.plane_size, avatar.channels) == (8, 8)
+
+    def test_diffuse_sample_rejects_inpaint_channels(self, cli_dataset,
+                                                     tmp_path, capsys):
+        rc = main(["diffuse", "sample",
+                   "--anchors", str(cli_dataset / "anchors.guva"),
+                   "--channels", "geo", "--steps", "4",
+                   "--out", str(tmp_path / "x.guv")])
+        assert rc == 2
+        assert "--payload-channels" in capsys.readouterr().err
 
     def test_diffuse_sample_needs_exactly_one_template(self, cli_dataset,
                                                        cli_fit, tmp_path,

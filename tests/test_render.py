@@ -15,7 +15,6 @@ from guv.render import (RenderMLP, RenderOutput, avatar_arrays, blend_point,
                         mlp_forward, point_influences, psnr, random_mlp,
                         render_image, sample_distances, sample_triplane,
                         stratified_jitter)
-from guv.spatial import build_index
 
 
 def _single_gaussian_avatar(center=(0.0, 0.0, 0.0), radii=(1.0, 1.0, 1.0),
@@ -125,17 +124,16 @@ class TestBlendPoint:
         avatar = _single_gaussian_avatar()
         mlp = _zero_mlp()
         cfg = RenderConfig(knn_k=1)
-        index = build_index(avatar)
         # influence 1 at Mahalanobis^2 = 2 ln eta
         x = np.array([math.sqrt(2.0 * math.log(5.0)), 0.0, 0.0])
-        color, alpha = blend_point(avatar, mlp, x, cfg, index)
+        color, alpha = blend_point(avatar, mlp, x, cfg)
         np.testing.assert_allclose(color, 0.5 / (1.0 + 1e-6), rtol=1e-12)
         assert abs(alpha - 0.5) < 1e-9
 
     def test_far_point_decays_to_empty(self):
         avatar = _single_gaussian_avatar(radii=(0.1, 0.1, 0.1))
         color, alpha = blend_point(avatar, _zero_mlp(), [30.0, 0.0, 0.0],
-                                   RenderConfig(knn_k=1), build_index(avatar))
+                                   RenderConfig(knn_k=1))
         assert alpha == 0.0
 
     def test_two_colocated_gaussians_double_opacity(self):
@@ -145,9 +143,8 @@ class TestBlendPoint:
                                    np.ones((1, 2)), plane_size=2)
         avatar = avatar.replace(radii=np.ones((1, 2, 3)))
         cfg = RenderConfig(knn_k=2)
-        index = build_index(avatar, cell_size=1.0)
         x = np.array([1.2, 0.0, 0.0])
-        color, alpha = blend_point(avatar, _zero_mlp(), x, cfg, index)
+        color, alpha = blend_point(avatar, _zero_mlp(), x, cfg)
         pose = avatar.pose_at(0, 0)
         from guv.core import rbf_influence
         gval = rbf_influence(pose, x)
@@ -214,37 +211,35 @@ class TestMarchRay:
     def _scene(self, rng):
         avatar = _single_gaussian_avatar(radii=(0.2, 0.2, 0.2), payload_value=0.3)
         mlp = random_mlp(rng, alpha_bias=1.0)
-        index = build_index(avatar)
-        return avatar, mlp, index
+        return avatar, mlp
 
     def test_empty_space_renders_background(self, rng):
         avatar = _single_gaussian_avatar(center=(100.0, 100.0, 100.0),
                                          radii=(0.1, 0.1, 0.1))
         cfg = RenderConfig(knn_k=1)
         color, depth, alpha = march_ray(avatar, _zero_mlp(), [0, 0, -1],
-                                        [0.0, 0.0, 1.0], cfg,
-                                        build_index(avatar), 0.5, 1.5)
+                                        [0.0, 0.0, 1.0], cfg, 0.5, 1.5)
         np.testing.assert_array_equal(color, [1.0, 1.0, 1.0])
         assert alpha == 0.0 and depth == 0.0
 
     def test_requires_unit_direction(self, rng):
-        avatar, mlp, index = self._scene(rng)
+        avatar, mlp = self._scene(rng)
         with pytest.raises(InvalidArgumentError):
             march_ray(avatar, mlp, [0, 0, -1], [0.0, 0.0, 2.0],
-                      RenderConfig(knn_k=1), index, 0.5, 1.5)
+                      RenderConfig(knn_k=1), 0.5, 1.5)
 
     def test_jitter_length_validated(self, rng):
-        avatar, mlp, index = self._scene(rng)
+        avatar, mlp = self._scene(rng)
         with pytest.raises(InvalidArgumentError):
             march_ray(avatar, mlp, [0, 0, -1], [0.0, 0.0, 1.0],
-                      RenderConfig(knn_k=1, samples_per_ray=8), index, 0.5, 1.5,
+                      RenderConfig(knn_k=1, samples_per_ray=8), 0.5, 1.5,
                       jitter=np.full(4, 0.5))
 
     def test_knn_k_capped_by_count(self, rng):
-        avatar, mlp, index = self._scene(rng)
+        avatar, mlp = self._scene(rng)
         with pytest.raises(InvalidArgumentError):
             march_ray(avatar, mlp, [0, 0, -1], [0.0, 0.0, 1.0],
-                      RenderConfig(knn_k=2), index, 0.5, 1.5)
+                      RenderConfig(knn_k=2), 0.5, 1.5)
 
     def test_opaque_gaussian_on_axis_matches_point_blend(self):
         avatar = _single_gaussian_avatar(radii=(0.15, 0.15, 0.15),
@@ -254,8 +249,7 @@ class TestMarchRay:
         camera = lookat_camera(np.array([0.0, -1.0, 0.0]), np.zeros(3),
                                width=9, height=9, fx=12.0, near=0.5, far=1.5)
         out = render_image(avatar, mlp, camera, cfg)
-        point_color, _ = blend_point(avatar, mlp, np.zeros(3), cfg,
-                                     build_index(avatar))
+        point_color, _ = blend_point(avatar, mlp, np.zeros(3), cfg)
         center = out.color[4, 4]
         assert np.max(np.abs(center - point_color)) < 0.02
         assert out.alpha[4, 4] > 0.99
@@ -277,11 +271,10 @@ class TestRenderImage:
         out = render_image(avatar, mlp, camera, cfg, seed=11, chunk=7)
         jit = stratified_jitter(camera.height, camera.width,
                                 cfg.samples_per_ray, seed=11)
-        index = build_index(avatar)
         for i, j in ((0, 0), (2, 3), (5, 4), (3, 1)):
             origin, direction = camera.ray(i, j)
             color, depth, alpha = march_ray(avatar, mlp, origin, direction,
-                                            cfg, index, camera.near,
+                                            cfg, camera.near,
                                             camera.far, jitter=jit[i, j])
             np.testing.assert_array_equal(out.color[i, j], color)
             assert out.depth[i, j] == depth

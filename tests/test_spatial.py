@@ -1,11 +1,14 @@
-"""Grid-index KNN against the exhaustive oracle, including the tie rule."""
+"""Production KNN selection against the exhaustive oracle, including the
+tie rule."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guv.core import init_from_anchors
 from guv.errors import InvalidArgumentError
-from guv.spatial import (brute_force_knn, build_index, knn_query,
-                         nearest_k_batch)
+from guv.render import _KNN_BLOCK_ROWS, _knn_for_samples, _sample_d2
+from guv.spatial import brute_force_knn, knn_select, nearest_k_batch
 
 
 def _avatar_from_centers(centers):
@@ -48,82 +51,121 @@ class TestBruteForce:
             brute_force_knn(avatar, np.zeros(3), 0)
 
 
-class TestBuildIndex:
-    def test_single_gaussian_occupies_one_cell(self):
-        index = build_index(_avatar_from_centers([[0.3, 0.3, 0.3]]))
-        assert len(index.cells) == 1
-        assert index.count == 1
+def _query(avatar, x, k):
+    """One point through the production path: nearest_k_batch + knn_select."""
+    return nearest_k_batch(avatar.centers, x, k)[0]
 
-    def test_indexes_every_gaussian(self, rng):
-        index = build_index(_random_avatar(rng, 1024))
-        assert index.count == 1024
-        total = sum(ids.size for ids in index.cells.values())
-        assert total == 1024
 
-    def test_rebuild_relocates_a_moved_center(self, rng):
-        avatar = _random_avatar(rng, 16)
-        moved = avatar.centers.copy()
-        moved[0, 3] = [50.0, 50.0, 50.0]
-        index = build_index(avatar.replace(centers=moved), cell_size=1.0)
-        far_cells = [key for key, ids in index.cells.items() if 3 in ids]
-        assert len(far_cells) == 1
-        assert index.cells[far_cells[0]].tolist() == [3]
+@st.composite
+def _tied_rows(draw):
+    """(d2, k): small-integer rows (many ties) with extra columns set to each
+    row's k-th smallest value, so ties straddle the k-th place."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    values = draw(st.lists(st.integers(0, 5), min_size=m * n, max_size=m * n))
+    d2 = np.asarray(values, dtype=np.float64).reshape(m, n) * 0.5
+    for row in d2:
+        cols = draw(st.lists(st.integers(0, n - 1), max_size=n))
+        row[cols] = np.sort(row)[k - 1]
+    return d2, k
 
-    def test_rejects_nonpositive_cell_size(self, rng):
+
+class TestKnnSelect:
+    @given(_tied_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_stable_argsort_with_boundary_ties(self, case):
+        d2, k = case
+        np.testing.assert_array_equal(
+            knn_select(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
+
+    def test_distinct_rows(self, rng):
+        d2 = rng.uniform(size=(50, 200))
+        for k in (1, 3, 8, 199, 200):
+            np.testing.assert_array_equal(
+                knn_select(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
+
+    def test_nan_rows_fall_back_to_stable_sort(self):
+        d2 = np.array([[np.nan, 1.0, np.nan, 0.0],
+                       [2.0, np.nan, 1.0, 1.0]])
+        for k in (1, 2, 3, 4):
+            np.testing.assert_array_equal(
+                knn_select(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
+
+    def test_k_bounds(self, rng):
+        d2 = rng.uniform(size=(3, 4))
         with pytest.raises(InvalidArgumentError):
-            build_index(_random_avatar(rng, 4), cell_size=0.0)
+            knn_select(d2, 5)
+        with pytest.raises(InvalidArgumentError):
+            knn_select(d2, 0)
+
+    def test_ray_samples_match_lexsort_across_blocks(self, rng):
+        # enough (ray, sample) rows for several distance blocks; duplicated
+        # centers give exact d2 ties
+        centers = rng.uniform(-1, 1, size=(300, 3))
+        centers[10:40] = centers[100:130]
+        origin = np.array([0.1, -2.0, 0.3])
+        dirs = rng.standard_normal((70, 3))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        t = rng.uniform(0.5, 3.5, size=(70, 32))
+        assert t.size > 2 * _KNN_BLOCK_ROWS
+        delta0 = centers - origin
+        proj = np.sum(dirs[:, None, :] * delta0[None, :, :], axis=-1)
+        d2 = _sample_d2(np.sum(delta0 * delta0, axis=-1), proj, t).reshape(-1, 300)
+        ids = np.broadcast_to(np.arange(300), d2.shape)
+        for k in (1, 3, 8):
+            want = np.lexsort((ids, d2))[:, :k]
+            got = _knn_for_samples(centers, origin, dirs, t, k)
+            np.testing.assert_array_equal(got.reshape(-1, k), want)
 
 
 class TestKnnQuery:
+    """Single-point queries through the production selection."""
+
     def test_line_of_centers(self):
         avatar = _avatar_from_centers([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
-        index = build_index(avatar)
-        np.testing.assert_array_equal(knn_query(index, [0.1, 0.0, 0.0], 2),
+        np.testing.assert_array_equal(_query(avatar, [0.1, 0.0, 0.0], 2),
                                       [0, 1])
 
     def test_k_equals_n_returns_all_sorted(self, rng):
         avatar = _random_avatar(rng, 12)
-        index = build_index(avatar)
         x = rng.uniform(-1, 1, 3)
-        got = knn_query(index, x, 12)
+        got = _query(avatar, x, 12)
         d2 = np.sum((avatar.centers.reshape(-1, 3) - x) ** 2, axis=-1)
         np.testing.assert_array_equal(got, np.lexsort((np.arange(12), d2)))
 
     def test_matches_brute_force_on_random_scenes(self, rng):
-        # small cell sizes force multi-ring searches; ties planted by
-        # duplicating centers
+        # ties planted by duplicating centers
         for scene in range(4):
             centers = rng.uniform(-1, 1, size=(200, 3))
             centers[50:60] = centers[100:110]
             avatar = _avatar_from_centers(centers)
-            for cell in (None, 0.05, 0.7):
-                index = build_index(avatar, cell_size=cell)
-                for _ in range(40):
-                    x = rng.uniform(-1.5, 1.5, 3)
-                    k = int(rng.integers(1, 8))
-                    np.testing.assert_array_equal(
-                        knn_query(index, x, k), brute_force_knn(avatar, x, k)
-                    )
+            for _ in range(120):
+                x = rng.uniform(-1.5, 1.5, 3)
+                k = int(rng.integers(1, 8))
+                np.testing.assert_array_equal(
+                    _query(avatar, x, k), brute_force_knn(avatar, x, k)
+                )
 
     def test_query_far_outside_indexed_box(self, rng):
         avatar = _random_avatar(rng, 30)
-        index = build_index(avatar, cell_size=0.1)
         x = np.array([40.0, -3.0, 12.0])
-        np.testing.assert_array_equal(knn_query(index, x, 3),
+        np.testing.assert_array_equal(_query(avatar, x, 3),
                                       brute_force_knn(avatar, x, 3))
 
     def test_tie_rule_on_exact_duplicates(self):
         avatar = _avatar_from_centers([[0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 1, 1]])
-        index = build_index(avatar, cell_size=0.5)
-        np.testing.assert_array_equal(knn_query(index, [0.0, 0.0, 0.0], 3),
+        np.testing.assert_array_equal(_query(avatar, [0.0, 0.0, 0.0], 3),
                                       [0, 1, 2])
+        np.testing.assert_array_equal(_query(avatar, [0.0, 0.0, 0.0], 2),
+                                      [0, 1])
 
     def test_k_bounds(self, rng):
-        index = build_index(_random_avatar(rng, 4))
+        avatar = _random_avatar(rng, 4)
         with pytest.raises(InvalidArgumentError):
-            knn_query(index, np.zeros(3), 5)
+            _query(avatar, np.zeros(3), 5)
         with pytest.raises(InvalidArgumentError):
-            knn_query(index, np.zeros(3), 0)
+            _query(avatar, np.zeros(3), 0)
 
 
 class TestNearestKBatch:
