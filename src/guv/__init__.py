@@ -1,8 +1,7 @@
 """UV-grid Gaussian avatars: differentiable rendering, multi-view fitting,
 diffusion on UV tensors, and UV-space editing, with bit-exact file formats."""
 
-from .core import (Camera, GaussianPose, RenderConfig, TriPlanePayload,
-                   UVAvatar, init_from_anchors, rbf_influence,
+from .core import (Camera, RenderConfig, UVAvatar, init_from_anchors,
                    rotation_matrix)
 from .diffusion import (DiffusionSchedule, UVTensor, cosine_schedule,
                         denoiser_loss, denormalize_avatar, inpaint_sample,
@@ -19,8 +18,8 @@ from .render import RenderMLP, RenderOutput, march_ray, psnr, render_image
 __version__ = "0.1.0"
 
 __all__ = [
-    "Camera", "GaussianPose", "RenderConfig", "TriPlanePayload", "UVAvatar",
-    "init_from_anchors", "rbf_influence", "rotation_matrix",
+    "Camera", "RenderConfig", "UVAvatar", "init_from_anchors",
+    "rotation_matrix",
     "DiffusionSchedule", "UVTensor", "cosine_schedule", "denoiser_loss",
     "denormalize_avatar", "inpaint_sample", "normalize_avatar", "q_sample",
     "reverse_sample",

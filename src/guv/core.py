@@ -1,15 +1,16 @@
-"""Domain types and the Gaussian-primitive algebra.
+"""Domain types and the Euler-rotation algebra.
 
 A scene is an H x W UV grid of anisotropic 3D Gaussians. Each texel carries a
 pose (center, intrinsic-XYZ Euler rotation, three axis radii acting as
 standard deviations) plus a local tri-plane feature payload sampled inside the
-Gaussian's +-3-sigma cube. Everything here is pure float64 numpy; all types
-are immutable value objects (arrays are defensively copied and frozen).
+Gaussian's +-3-sigma cube; the influence kernel and the tri-plane lookup
+that evaluate them live in render. Everything here is pure float64 numpy;
+all types are immutable value objects (arrays are defensively copied and
+frozen).
 """
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,45 +26,6 @@ def _frozen(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:
         raise InvalidArgumentError(f"{name}: contains non-finite values")
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True)
-class GaussianPose:
-    """One Gaussian: center mu, Euler angles (radians), axis radii (std-devs)."""
-
-    center: np.ndarray
-    rotation: np.ndarray
-    radii: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _frozen(self.center, (3,), "center"))
-        object.__setattr__(self, "rotation", _frozen(self.rotation, (3,), "rotation"))
-        object.__setattr__(self, "radii", _frozen(self.radii, (3,), "radii"))
-        if np.any(self.radii <= 0):
-            raise InvalidArgumentError(f"radii must be positive, got {self.radii}")
-
-
-@dataclass(frozen=True)
-class TriPlanePayload:
-    """Three square S x S x C feature planes queried bilinearly in the local cube."""
-
-    planes: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.planes, dtype=np.float64)
-        if arr.ndim != 4 or arr.shape[0] != 3 or arr.shape[1] != arr.shape[2]:
-            raise InvalidArgumentError(
-                f"planes: expected shape (3, S, S, C), got {arr.shape}"
-            )
-        object.__setattr__(self, "planes", _frozen(arr, arr.shape, "planes"))
-
-    @property
-    def size(self) -> int:
-        return self.planes.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.planes.shape[3]
 
 
 @dataclass(frozen=True)
@@ -135,12 +97,6 @@ class UVAvatar:
     @property
     def count(self) -> int:
         return self.height * self.width
-
-    def pose_at(self, h: int, w: int) -> GaussianPose:
-        return GaussianPose(self.centers[h, w], self.rotations[h, w], self.radii[h, w])
-
-    def payload_at(self, h: int, w: int) -> TriPlanePayload:
-        return TriPlanePayload(self.payloads[h, w])
 
     def replace(self, **arrays) -> "UVAvatar":
         return dataclasses.replace(self, **arrays)
@@ -322,32 +278,6 @@ def align_z_to_normals(normals: np.ndarray) -> np.ndarray:
     anti = (s2 <= 1e-24) & (cos < 0)
     out[anti] = np.diag([1.0, -1.0, -1.0])
     return out
-
-
-def precision_matrix(pose: GaussianPose) -> np.ndarray:
-    """Sigma^-1 = R diag(radii^-2) R^T, the SPD matrix in the influence exponent."""
-    r = rotation_matrix(pose.rotation)
-    return (r * pose.radii[None, :] ** -2) @ r.T
-
-
-def rbf_influence(pose: GaussianPose, x, eta: float = 5.0, tau: float = 1.0) -> float:
-    """Scaled anisotropic Gaussian influence of a primitive at world point x.
-
-    g = eta * exp(-(1/(2 tau)) (x-mu)^T Sigma^-1 (x-mu)); eta bounds g at the
-    center, tau controls falloff hardness.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d = x - pose.center
-    m = d @ precision_matrix(pose) @ d
-    return float(eta * math.exp(-m / (2.0 * tau)))
-
-
-def world_to_local(pose: GaussianPose, x) -> np.ndarray:
-    """Map a world point into the Gaussian's [-1, 1]^3 cube (+-3 radii extent)."""
-    x = np.asarray(x, dtype=np.float64)
-    r = rotation_matrix(pose.rotation)
-    u = (r.T @ (x - pose.center)) / (3.0 * pose.radii)
-    return np.clip(u, -1.0, 1.0)
 
 
 def init_from_anchors(

@@ -22,6 +22,7 @@ from .render import RenderMLP, march_rays_core, random_mlp, sample_distances
 
 Z_DIM = 512
 DECODER_HIDDEN = 128
+_DECODER_WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 @dataclass(frozen=True)
@@ -182,9 +183,7 @@ def decode_payloads(decoder: LatentDecoder) -> np.ndarray:
     Deterministic; texel (h, w) depends only on (z, h, w).
     """
     uv = _uv_coords(decoder.grid_height, decoder.grid_width)
-    weights = {"dec_w1": decoder.w1, "dec_b1": decoder.b1,
-               "dec_w2": decoder.w2, "dec_b2": decoder.b2,
-               "dec_w3": decoder.w3, "dec_b3": decoder.b3}
+    weights = {"dec_" + k: getattr(decoder, k) for k in _DECODER_WEIGHTS}
     rows = _decode_rows(decoder.z, weights, uv, decoder.plane_size,
                         decoder.channels)
     s, c = decoder.plane_size, decoder.channels
@@ -237,6 +236,84 @@ def _mlp_from_groups(groups: dict) -> RenderMLP:
                      w2=groups["w2"], b2=groups["b2"])
 
 
+def fit_params(avatar: UVAvatar, mlp: RenderMLP,
+               decoder: LatentDecoder | None = None,
+               config: FitConfig = FitConfig()) -> ParamSet:
+    """The objective's parameter groups, copied: the avatar's pose grids,
+    the shading head, then either the avatar's payloads as free entries
+    (decoder None) or the decoder's code and weights. Rates come from
+    config."""
+    groups = {"centers": avatar.centers.copy(),
+              "rotations": avatar.rotations.copy(),
+              "radii": avatar.radii.copy()}
+    lrs = dict.fromkeys(groups, config.lr_gaussians)
+    for name in ("w1", "b1", "w2", "b2"):
+        groups[name] = getattr(mlp, name).copy()
+        lrs[name] = config.lr_mlp
+    if decoder is None:
+        groups["payloads"] = avatar.payloads.copy()
+        lrs["payloads"] = config.lr_payload
+    else:
+        groups["z"] = decoder.z.copy()
+        lrs["z"] = config.lr_z
+        for name in _DECODER_WEIGHTS:
+            groups["dec_" + name] = getattr(decoder, name).copy()
+            lrs["dec_" + name] = config.lr_decoder
+    return ParamSet(groups, lrs)
+
+
+@dataclass(frozen=True)
+class Batch:
+    """One batch of rays and what the objective compares them with.
+
+    t: (R, J) sample distances along dirs (R, 3) from origin. targets:
+    color (R, 3), optional depth and mask (R,). anchors: the (H, W, 3) rest
+    grid of the mesh loss. idx: frozen (R, J, K) neighbor ids, or None to
+    select them from the current centers.
+    """
+
+    origin: np.ndarray
+    dirs: np.ndarray
+    t: np.ndarray
+    cfg: RenderConfig
+    targets: dict
+    anchors: np.ndarray
+    plane_size: int
+    channels: int
+    weights: LossWeights = LossWeights()
+    idx: np.ndarray | None = None
+
+
+def objective(leaves: dict, batch: Batch):
+    """The fitting objective, (total, breakdown) of total_loss on the batch
+    rendered from leaves, the groups of fit_params as tape variables or
+    plain arrays. Payloads are free entries or decoded from z."""
+    h, w = np.shape(batch.anchors)[:2]
+    n = h * w
+    s, c = batch.plane_size, batch.channels
+    if "payloads" in leaves:
+        rows = g.reshape(leaves["payloads"], (n * 3 * s * s, c))
+    else:
+        dec_w = {k: leaves[k] for k in leaves if k.startswith("dec_")}
+        rows = _decode_rows(leaves["z"], dec_w, _uv_coords(h, w), s, c)
+    arrays = {
+        "centers": g.reshape(leaves["centers"], (n, 3)),
+        "rotations": g.reshape(leaves["rotations"], (n, 3)),
+        "radii": g.reshape(leaves["radii"], (n, 3)),
+        "payload_flat": rows,
+    }
+    mlp_vars = {k: leaves[k] for k in ("w1", "b1", "w2", "b2")}
+    color, depth, alpha, mean_influ = march_rays_core(
+        arrays, mlp_vars, batch.origin, batch.dirs, batch.t, batch.cfg, s,
+        idx=batch.idx,
+    )
+    outputs = {"color": color, "depth": depth, "alpha": alpha}
+    scene = {"centers": leaves["centers"], "rotations": leaves["rotations"],
+             "radii": leaves["radii"], "anchors": batch.anchors}
+    return total_loss(outputs, batch.targets, scene, z=leaves.get("z"),
+                      weights=batch.weights, mean_influence=mean_influ)
+
+
 def fit_scene(
     views,
     anchors: np.ndarray,
@@ -287,49 +364,13 @@ def fit_scene(
     avatar0 = init_from_anchors(anchors, anchor_normals, anchor_scales,
                                 plane_size, channels)
     mlp0 = random_mlp(rng, alpha_bias=config.mlp_alpha_bias)
-    h, w = avatar0.height, avatar0.width
-    n = h * w
-    s, c = plane_size, channels
-
-    groups = {
-        "centers": avatar0.centers.copy(),
-        "rotations": avatar0.rotations.copy(),
-        "radii": avatar0.radii.copy(),
-        "w1": mlp0.w1.copy(), "b1": mlp0.b1.copy(),
-        "w2": mlp0.w2.copy(), "b2": mlp0.b2.copy(),
-    }
-    lrs = {
-        "centers": config.lr_gaussians, "rotations": config.lr_gaussians,
-        "radii": config.lr_gaussians,
-        "w1": config.lr_mlp, "b1": config.lr_mlp,
-        "w2": config.lr_mlp, "b2": config.lr_mlp,
-    }
-    decoder0 = None
-    uv = None
-    if mode == "direct":
-        groups["payloads"] = avatar0.payloads.copy()
-        lrs["payloads"] = config.lr_payload
-    else:
-        decoder0 = random_decoder(rng, h, w, s, c)
-        uv = _uv_coords(h, w)
-        groups["z"] = decoder0.z.copy()
-        lrs["z"] = config.lr_z
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            groups["dec_" + name] = getattr(decoder0, name).copy()
-            lrs["dec_" + name] = config.lr_decoder
-    params = ParamSet(groups, lrs)
+    decoder0 = (random_decoder(rng, grid_h, grid_w, plane_size, channels)
+                if mode == "latent" else None)
+    params = fit_params(avatar0, mlp0, decoder0, config)
     state = adamw_state(params)
 
     dir_grids = [v.camera.ray_directions() for v in views]
-    origins = [v.camera.origin for v in views]
-
     captured: dict = {}
-
-    def payload_rows(leaves: dict):
-        if mode == "direct":
-            return g.reshape(leaves["payloads"], (n * 3 * s * s, c))
-        dec_w = {k: leaves[k] for k in leaves if k.startswith("dec_")}
-        return _decode_rows(leaves["z"], dec_w, uv, s, c)
 
     history: list[float] = []
     for it in range(config.iterations):
@@ -338,9 +379,7 @@ def fit_scene(
         window = (slice(top, top + config.patch_size),
                   slice(left, left + config.patch_size))
         dirs = dir_grids[view_i][window].reshape(-1, 3)
-        origin = origins[view_i]
-        r_count = dirs.shape[0]
-        jitter = rng.uniform(size=(r_count, cfg.samples_per_ray))
+        jitter = rng.uniform(size=(dirs.shape[0], cfg.samples_per_ray))
         t = sample_distances(view.camera.near, view.camera.far, jitter)
 
         patch_img = view.image[window].reshape(-1, 3)
@@ -360,28 +399,12 @@ def fit_scene(
                 view.image[window], view.mask[window], bg
             ).reshape(-1, 3)
 
+        batch = Batch(origin=view.camera.origin, dirs=dirs, t=t, cfg=cfg_it,
+                      targets=tgts, anchors=anchors, plane_size=plane_size,
+                      channels=channels, weights=wts)
+
         def evaluator(leaves: dict):
-            scene = {
-                "centers": leaves["centers"],
-                "rotations": leaves["rotations"],
-                "radii": leaves["radii"],
-                "anchors": anchors,
-            }
-            arrays = {
-                "centers": g.reshape(leaves["centers"], (n, 3)),
-                "rotations": g.reshape(leaves["rotations"], (n, 3)),
-                "radii": g.reshape(leaves["radii"], (n, 3)),
-                "payload_flat": payload_rows(leaves),
-            }
-            mlp_vars = {k: leaves[k] for k in ("w1", "b1", "w2", "b2")}
-            color, depth, alpha, mean_influ = march_rays_core(
-                arrays, mlp_vars, origin, dirs, t, cfg_it, s, c
-            )
-            outputs = {"color": color, "depth": depth, "alpha": alpha}
-            tot, breakdown = total_loss(
-                outputs, tgts, scene, z=leaves.get("z"), weights=wts,
-                mean_influence=mean_influ,
-            )
+            tot, breakdown = objective(leaves, batch)
             captured["loss"] = float(g.value(tot))
             captured["breakdown"] = {k: float(g.value(v))
                                      for k, v in breakdown.items()}
@@ -404,12 +427,9 @@ def fit_scene(
     final_groups = params.groups
     decoder = None
     if mode == "latent":
-        decoder = LatentDecoder(
-            z=final_groups["z"],
-            w1=final_groups["dec_w1"], b1=final_groups["dec_b1"],
-            w2=final_groups["dec_w2"], b2=final_groups["dec_b2"],
-            w3=final_groups["dec_w3"], b3=final_groups["dec_b3"],
-            grid_height=h, grid_width=w, plane_size=s, channels=c,
+        decoder = dataclasses.replace(
+            decoder0, z=final_groups["z"],
+            **{k: final_groups["dec_" + k] for k in _DECODER_WEIGHTS},
         )
         payloads = decode_payloads(decoder)
     else:

@@ -582,29 +582,6 @@ def default_step(theta: float) -> float:
     return 1e-5 * max(1.0, abs(theta))
 
 
-def finite_diff(loss_evaluator, params: ParamSet, h: float | None = None) -> ParamSet:
-    """Central-difference gradient (L(t+h) - L(t-h)) / 2h per scalar.
-
-    h=None uses the per-scalar default 1e-5 * max(1, |theta|). Exhaustive,
-    meant for small parameter sets; use fd_check for sampled verification.
-    """
-    work = {k: v.copy() for k, v in params.groups.items()}
-    grads = {k: np.zeros_like(v) for k, v in params.groups.items()}
-    for name, arr in work.items():
-        flat = arr.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            theta = flat[i]
-            hi = default_step(theta) if h is None else h
-            flat[i] = theta + hi
-            fp = _eval_plain(loss_evaluator, work)
-            flat[i] = theta - hi
-            fm = _eval_plain(loss_evaluator, work)
-            flat[i] = theta
-            gflat[i] = (fp - fm) / (2.0 * hi)
-    return ParamSet(grads, dict(params.lrs))
-
-
 @dataclass
 class FDGroupReport:
     checked: int = 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -28,19 +29,19 @@ from pathlib import Path
 
 import numpy as np
 
-from . import grad as g
-from .core import Camera, RenderConfig, UVAvatar, init_from_anchors
+from .core import (Camera, RenderConfig, UVAvatar, align_z_to_normals,
+                   euler_from_matrix, init_from_anchors)
 from .diffusion import (DiffusionSchedule, analytic_gauss_denoiser, channel_mask,
                         cosine_schedule, denormalize_avatar, inpaint_sample,
                         normalize_avatar, reverse_sample, transition_params)
 from .edit import UVMask, apply_expression_offset, region_transfer
 from .errors import (CheckFailureError, FormatError, GuvError,
                      InvalidArgumentError, UnsupportedVersionError)
-from .fit import FitConfig, PosedView, fit_scene, random_decoder, _decode_rows, _uv_coords
-from .grad import ParamSet, fd_check
-from .losses import total_loss
-from .render import (RenderMLP, _knn_for_samples, _sample_d2, march_rays_core,
-                     psnr, render_image, sample_distances)
+from .fit import (Batch, FitConfig, PosedView, fit_params, fit_scene, objective,
+                  random_decoder)
+from .grad import fd_check
+from .render import (RenderMLP, _knn_for_samples, _sample_d2, psnr,
+                     render_image, sample_distances)
 
 AVATAR_MAGIC = b"GUV1"
 ANCHOR_MAGIC = b"GUVA"
@@ -90,7 +91,7 @@ def _unpack_container(data: bytes, magic: bytes, path) -> tuple[dict, np.ndarray
         raise FormatError(f"{path}: truncated header at byte {len(data)}")
     try:
         header = json.loads(data[8:8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"{path}: header is not valid JSON: {e}") from e
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header must be a JSON object")
@@ -107,6 +108,25 @@ def _require_keys(header: dict, keys: tuple, path) -> None:
     missing = [k for k in keys if k not in header]
     if missing:
         raise FormatError(f"{path}: header missing keys {missing}")
+
+
+def _header_dims(header: dict, keys: tuple, path) -> list[int]:
+    """The named header values, each required to be a positive JSON integer."""
+    for k in keys:
+        v = header[k]
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise FormatError(
+                f"{path}: header {k} must be a positive integer, got {v!r}"
+            )
+    return [header[k] for k in keys]
+
+
+def _read_json(path):
+    """The parsed document of a UTF-8 JSON file."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise FormatError(f"{path}: not valid JSON: {e}") from e
 
 
 def save_avatar(avatar: UVAvatar, path) -> None:
@@ -130,7 +150,7 @@ def load_avatar(path) -> UVAvatar:
             f"{path}: version {header['version']}, this build reads "
             f"{FORMAT_VERSION}"
         )
-    h, w, sx, sy, c = (int(header[k]) for k in ("H", "W", "Sx", "Sy", "C"))
+    h, w, sx, sy, c = _header_dims(header, ("H", "W", "Sx", "Sy", "C"), path)
     if sx != sy:
         raise FormatError(f"{path}: non-square planes Sx={sx} Sy={sy} unsupported")
     n = h * w
@@ -174,7 +194,7 @@ def load_anchor_grid(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"{path}: version {header['version']}, this build reads "
             f"{FORMAT_VERSION}"
         )
-    h, w = int(header["H"]), int(header["W"])
+    h, w = _header_dims(header, ("H", "W"), path)
     n = h * w
     counts = [3 * n, 3 * n, n]
     if body.size != sum(counts):
@@ -223,10 +243,9 @@ def save_mlp(mlp: RenderMLP, path) -> None:
 
 
 def load_mlp(path) -> RenderMLP:
-    try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: not valid JSON: {e}") from e
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object")
     _require_keys(doc, ("version", "w1", "b1", "w2", "b2"), path)
     if doc["version"] != FORMAT_VERSION:
         raise UnsupportedVersionError(
@@ -237,7 +256,7 @@ def load_mlp(path) -> RenderMLP:
                          b1=np.array(doc["b1"], dtype=np.float64),
                          w2=np.array(doc["w2"], dtype=np.float64),
                          b2=np.array(doc["b2"], dtype=np.float64))
-    except InvalidArgumentError as e:
+    except (InvalidArgumentError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: {e}") from e
 
 
@@ -379,6 +398,12 @@ _CAMERA_KEYS = ("fx", "fy", "cx", "cy", "width", "height", "near", "far",
                 "cam_to_world")
 
 
+def _is_number(v) -> bool:
+    """A JSON number that float64 holds: no bool, NaN, infinity or overflow."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
 def save_cameras(cameras, path) -> None:
     docs = []
     for cam in cameras:
@@ -392,11 +417,9 @@ def save_cameras(cameras, path) -> None:
 
 
 def load_cameras(path) -> list[Camera]:
-    """Strict parse: every entry must have exactly the documented fields."""
-    try:
-        docs = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: not valid JSON: {e}") from e
+    """Strict parse: every entry must have exactly the documented fields,
+    width and height JSON integers, the others finite numbers."""
+    docs = _read_json(path)
     if not isinstance(docs, list):
         raise FormatError(f"{path}: expected a JSON array of cameras")
     cams = []
@@ -409,18 +432,26 @@ def load_cameras(path) -> list[Camera]:
             raise FormatError(f"{path}: camera {i} missing fields {missing}")
         if unknown:
             raise FormatError(f"{path}: camera {i} has unknown fields {unknown}")
-        m = np.asarray(doc["cam_to_world"], dtype=np.float64)
-        if m.shape != (16,):
+        fields = {}
+        for k in _CAMERA_KEYS[:-1]:
+            v = doc[k]
+            integer = k in ("width", "height")
+            if not _is_number(v) or (integer and not isinstance(v, int)):
+                kind = "an integer" if integer else "a finite number"
+                raise FormatError(
+                    f"{path}: camera {i} field {k} must be {kind}, got {v!r}"
+                )
+            fields[k] = v if integer else float(v)
+        m = doc["cam_to_world"]
+        if not isinstance(m, list) or len(m) != 16 or not all(map(_is_number, m)):
             raise FormatError(
                 f"{path}: camera {i} cam_to_world must be 16 numbers"
             )
-        cams.append(Camera(
-            fx=float(doc["fx"]), fy=float(doc["fy"]),
-            cx=float(doc["cx"]), cy=float(doc["cy"]),
-            width=int(doc["width"]), height=int(doc["height"]),
-            near=float(doc["near"]), far=float(doc["far"]),
-            cam_to_world=m.reshape(4, 4),
-        ))
+        m = np.asarray(m, dtype=np.float64).reshape(4, 4)
+        try:
+            cams.append(Camera(**fields, cam_to_world=m))
+        except InvalidArgumentError as e:
+            raise FormatError(f"{path}: camera {i}: {e}") from e
     return cams
 
 
@@ -548,18 +579,13 @@ def toy_reference_scene(kind: str, grid: int = 8, seed: int = 0
     normals = _f32(normals)
     # f32 rounding perturbs unit length by ~1e-7, inside the 1e-6 contract
     scales = _f32(np.full((grid, grid), 1.1 * math.pi * _SPHERE_RADIUS / grid))
-    rotations = _f32(euler_rotations_for(normals))
+    rotations = _f32(euler_from_matrix(align_z_to_normals(normals)))
     radii = np.stack([scales, scales, scales / 2.0], axis=-1)
     payloads = _f32(_toy_payload(grid, grid, 8, 8, hue, checker))
     avatar = UVAvatar(centers=anchors, rotations=rotations, radii=radii,
                       payloads=payloads, anchors=anchors,
                       anchor_normals=normals, anchor_scales=scales)
     return avatar, reference_mlp()
-
-
-def euler_rotations_for(normals: np.ndarray) -> np.ndarray:
-    from .core import align_z_to_normals, euler_from_matrix
-    return euler_from_matrix(align_z_to_normals(normals))
 
 
 def camera_ring(views: int, resolution: int) -> list[Camera]:
@@ -630,10 +656,7 @@ def load_dataset(path) -> ToyDataset:
     root = Path(path)
     cams = load_cameras(root / "cameras.json")
     anchors, normals, scales = load_anchor_grid(root / "anchors.guva")
-    try:
-        manifest = json.loads((root / "manifest.json").read_text("utf-8"))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{root}/manifest.json: not valid JSON: {e}") from e
+    manifest = _read_json(root / "manifest.json")
     views = []
     for i, cam in enumerate(cams):
         img = read_ppm(root / f"img_{i:03d}.ppm")
@@ -669,39 +692,12 @@ def evaluate_psnr(avatar: UVAvatar, mlp: RenderMLP, views,
 # ---------------------------------------------------------------------------
 
 
-def _oracle_scene(seed: int = 0, plane_size: int = 2):
-    """Tiny random scene for gradient checking: 8 Gaussians, 4x4 patch,
-    random photometric/depth/mask targets so every loss term is active."""
-    rng = np.random.default_rng(seed)
-    h, w = 2, 4
-    dirs = rng.standard_normal((h, w, 3))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    anchors = 0.2 * dirs
-    scales = 0.12 * (0.75 + 0.5 * rng.uniform(size=(h, w)))
-    avatar = init_from_anchors(anchors, dirs, scales, plane_size, 8)
-    centers = avatar.centers + 0.02 * rng.standard_normal((h, w, 3))
-    rotations = avatar.rotations + 0.1 * rng.standard_normal((h, w, 3))
-    radii = avatar.radii * (0.9 + 0.2 * rng.uniform(size=(h, w, 3)))
-    payloads = 0.5 * rng.standard_normal(avatar.payloads.shape)
-    cam = lookat_camera((0.9, 0.15, 0.1), (0.0, 0.0, 0.0), 4, 4,
-                        fx=4.5, near=0.5, far=1.4)
-    targets = {
-        "color": rng.uniform(size=(16, 3)),
-        "depth": rng.uniform(0.7, 1.2, size=16),
-        "mask": (rng.uniform(size=16) > 0.35).astype(np.float64),
-    }
-    cfg = RenderConfig(samples_per_ray=8)
-    jitter = rng.uniform(size=(16, cfg.samples_per_ray))
-    t = sample_distances(cam.near, cam.far, jitter)
-    scene = {"anchors": anchors, "centers": centers, "rotations": rotations,
-             "radii": radii, "payloads": payloads}
-    return scene, cam, targets, cfg, t, rng
-
-
 def run_gradient_oracle(mode: str = "direct", seed: int = 0,
                         subsample: dict | None = None,
                         rel_tol: float = 1e-4) -> dict:
-    """fd_check on the full fitting objective over a tiny random scene.
+    """fd_check of fit.objective, the objective fit_scene runs, on a tiny
+    random scene: 8 Gaussians, a 4x4 patch, and random photometric, depth
+    and mask targets so every loss term is active.
 
     mode selects how payloads are parameterized: free entries ("direct") or
     latent code + decoder ("latent", which also activates the code prior).
@@ -712,66 +708,51 @@ def run_gradient_oracle(mode: str = "direct", seed: int = 0,
     """
     if mode not in ("direct", "latent"):
         raise InvalidArgumentError(f"unknown oracle mode {mode!r}")
-    s = 2
-    scene0, cam, targets, cfg, t, rng = _oracle_scene(seed, plane_size=s)
-    h, w = scene0["centers"].shape[:2]
-    n = h * w
-    mlp0 = RenderMLP(
+    rng = np.random.default_rng(seed)
+    h, w, s = 2, 4, 2
+    normals = rng.standard_normal((h, w, 3))
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    scales = 0.12 * (0.75 + 0.5 * rng.uniform(size=(h, w)))
+    avatar = init_from_anchors(0.2 * normals, normals, scales, s, 8)
+    avatar = avatar.replace(
+        centers=avatar.centers + 0.02 * rng.standard_normal((h, w, 3)),
+        rotations=avatar.rotations + 0.1 * rng.standard_normal((h, w, 3)),
+        radii=avatar.radii * (0.9 + 0.2 * rng.uniform(size=(h, w, 3))),
+        payloads=0.5 * rng.standard_normal(avatar.payloads.shape),
+    )
+    cam = lookat_camera((0.9, 0.15, 0.1), (0.0, 0.0, 0.0), 4, 4,
+                        fx=4.5, near=0.5, far=1.4)
+    targets = {
+        "color": rng.uniform(size=(16, 3)),
+        "depth": rng.uniform(0.7, 1.2, size=16),
+        "mask": (rng.uniform(size=16) > 0.35).astype(np.float64),
+    }
+    cfg = RenderConfig(samples_per_ray=8)
+    t = sample_distances(cam.near, cam.far,
+                         rng.uniform(size=(16, cfg.samples_per_ray)))
+    mlp = RenderMLP(
         w1=0.6 * rng.standard_normal((8, 32)), b1=0.1 * rng.standard_normal(32),
         w2=0.6 * rng.standard_normal((32, 4)), b2=0.1 * rng.standard_normal(4),
     )
-    groups = {
-        "centers": scene0["centers"].copy(),
-        "rotations": scene0["rotations"].copy(),
-        "radii": scene0["radii"].copy(),
-        "w1": mlp0.w1.copy(), "b1": mlp0.b1.copy(),
-        "w2": mlp0.w2.copy(), "b2": mlp0.b2.copy(),
-    }
-    uv = _uv_coords(h, w)
-    if mode == "direct":
-        groups["payloads"] = scene0["payloads"].copy()
-    else:
-        dec = random_decoder(rng, h, w, s, 8)
-        groups["z"] = rng.standard_normal(dec.z.size) * 0.5
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            groups["dec_" + name] = getattr(dec, name).copy()
-        groups["dec_w3"] = 0.3 * rng.standard_normal(dec.w3.shape)
-    params = ParamSet(groups, {k: 1.0 for k in groups})
-    dirs = cam.ray_directions().reshape(-1, 3)
-    origin = cam.origin
-    anchors = scene0["anchors"]
-    idx0 = _knn_for_samples(scene0["centers"].reshape(n, 3), origin, dirs, t,
-                            cfg.knn_k)
-
-    def evaluator(leaves: dict):
-        scene = {"centers": leaves["centers"], "rotations": leaves["rotations"],
-                 "radii": leaves["radii"], "anchors": anchors}
-        if mode == "direct":
-            rows = g.reshape(leaves["payloads"], (n * 3 * s * s, 8))
-        else:
-            dec_w = {k: leaves[k] for k in leaves if k.startswith("dec_")}
-            rows = _decode_rows(leaves["z"], dec_w, uv, s, 8)
-        arrays = {
-            "centers": g.reshape(leaves["centers"], (n, 3)),
-            "rotations": g.reshape(leaves["rotations"], (n, 3)),
-            "radii": g.reshape(leaves["radii"], (n, 3)),
-            "payload_flat": rows,
-        }
-        mlp_vars = {k: leaves[k] for k in ("w1", "b1", "w2", "b2")}
-        color, depth, alpha, mean_influ = march_rays_core(
-            arrays, mlp_vars, origin, dirs, t, cfg, s, 8, idx=idx0
+    decoder = None
+    if mode == "latent":
+        decoder = random_decoder(rng, h, w, s, 8)
+        decoder = dataclasses.replace(
+            decoder, z=0.5 * rng.standard_normal(decoder.z.size),
+            w3=0.3 * rng.standard_normal(decoder.w3.shape),
         )
-        outputs = {"color": color, "depth": depth, "alpha": alpha}
-        tot, _ = total_loss(outputs, targets, scene, z=leaves.get("z"),
-                            mean_influence=mean_influ)
-        return tot
-
+    dirs = cam.ray_directions().reshape(-1, 3)
+    idx0 = _knn_for_samples(avatar.centers.reshape(-1, 3), cam.origin, dirs,
+                            t, cfg.knn_k)
+    batch = Batch(origin=cam.origin, dirs=dirs, t=t, cfg=cfg, targets=targets,
+                  anchors=avatar.anchors, plane_size=s, channels=8, idx=idx0)
     if subsample is None:
         subsample = {"payloads": 64, "w1": 64, "w2": 64, "z": 32,
                      "dec_w1": 32, "dec_w2": 32, "dec_w3": 32,
                      "dec_b1": 16, "dec_b2": 16, "dec_b3": 16}
-    return fd_check(evaluator, params, rel_tol=rel_tol, subsample=subsample,
-                    rng=np.random.default_rng(seed + 1))
+    return fd_check(lambda leaves: objective(leaves, batch)[0],
+                    fit_params(avatar, mlp, decoder), rel_tol=rel_tol,
+                    subsample=subsample, rng=np.random.default_rng(seed + 1))
 
 
 def check_grad(seed: int = 1) -> list[str]:

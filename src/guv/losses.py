@@ -15,21 +15,17 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from . import grad as g
-from .core import RenderConfig
-from .errors import InvalidArgumentError
-from .render import point_influences
-
 import numpy as np
+
+from . import grad as g
+from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Default weights of the full objective; identity defaults to 0 because
-    the pretrained recognition network it needs is out of scope."""
+    """Default weights of the full objective."""
 
     depth: float = 0.1
-    identity: float = 0.0
     coverage: float = 0.001
     silhouette: float = 1.0
     volume: float = 1.0
@@ -38,8 +34,8 @@ class LossWeights:
     code: float = 1e-4
 
     def __post_init__(self):
-        for name in ("depth", "identity", "coverage", "silhouette", "volume",
-                     "tv", "mesh", "code"):
+        for name in ("depth", "coverage", "silhouette", "volume", "tv", "mesh",
+                     "code"):
             if getattr(self, name) < 0:
                 raise InvalidArgumentError(f"loss weight {name} must be >= 0")
 
@@ -88,22 +84,6 @@ def silhouette_loss(alpha, target_mask, weight: float = 1.0):
     return g.mul(g.mean(g.mul(diff, diff)), weight)
 
 
-def coverage_loss(arrays_or_avatar, sample_points, cfg: RenderConfig,
-                  weight: float = 0.001):
-    """weight * mean over points of the average K-nearest influence.
-
-    Penalizing raw influence at sample locations keeps Gaussians compact.
-    Accepts a UVAvatar or a kernel-layout arrays dict (tape variables during
-    fitting, where the same quantity is usually reused from the ray march).
-    """
-    from .render import avatar_arrays
-    from .core import UVAvatar
-    arrays = (avatar_arrays(arrays_or_avatar)
-              if isinstance(arrays_or_avatar, UVAvatar) else arrays_or_avatar)
-    influ = point_influences(arrays, sample_points, cfg)
-    return g.mul(g.mean(g.sum(influ, axis=-1)), weight / cfg.knn_k)
-
-
 def volume_loss(radii, weight: float = 1.0):
     """weight * mean ellipsoid volume (4 pi / 3) r1 r2 r3 over texels."""
     r = radii
@@ -140,16 +120,15 @@ def total_loss(
     z=None,
     weights: LossWeights = LossWeights(),
     mean_influence=None,
-    coverage_points=None,
-    coverage_cfg: RenderConfig | None = None,
     pixel_weight=None,
 ):
     """Full objective: reconstruction + regularizers + latent prior.
 
     outputs: color/depth/alpha (rendered); targets: color, optional depth and
     mask; scene: centers/rotations/radii/anchors as (H, W, ...) grids.
-    Coverage comes from mean_influence (reused ray-sample influences) or from
-    coverage_points + coverage_cfg; omitted if neither is given.
+    Coverage is weights.coverage * mean_influence, the mean K-nearest
+    influence at the ray samples that the render kernel returns; omitted
+    when mean_influence is None.
     Returns (total, breakdown); total is the sum of breakdown entries in
     fixed key order.
     """
@@ -168,12 +147,6 @@ def total_loss(
         )
     if mean_influence is not None:
         breakdown["coverage"] = g.mul(mean_influence, weights.coverage)
-    elif coverage_points is not None:
-        if coverage_cfg is None:
-            raise InvalidArgumentError("coverage_points requires coverage_cfg")
-        breakdown["coverage"] = coverage_loss(scene_arrays(scene),
-                                              coverage_points, coverage_cfg,
-                                              weights.coverage)
     breakdown["volume"] = volume_loss(scene["radii"], weights.volume)
     breakdown["tv"] = tv_loss(scene["centers"], scene["rotations"],
                               scene["radii"], weights.tv)
@@ -186,17 +159,3 @@ def total_loss(
         if key in breakdown:
             total = breakdown[key] if total is None else g.add(total, breakdown[key])
     return total, breakdown
-
-
-def scene_arrays(scene: dict) -> dict:
-    """Kernel-layout views of a scene dict's grids (for coverage_loss)."""
-    c = scene["centers"]
-    h, w = g.value(c).shape[:2]
-    out = {
-        "centers": g.reshape(c, (h * w, 3)),
-        "rotations": g.reshape(scene["rotations"], (h * w, 3)),
-        "radii": g.reshape(scene["radii"], (h * w, 3)),
-    }
-    if "payload_flat" in scene:
-        out["payload_flat"] = scene["payload_flat"]
-    return out

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad as g
-from .core import (Camera, RenderConfig, TriPlanePayload, UVAvatar, _frozen,
-                   _rotation_entries)
+from .core import Camera, RenderConfig, UVAvatar, _frozen, _rotation_entries
 from .errors import InvalidArgumentError
-from .spatial import knn_select, nearest_k_batch
+from .spatial import knn_select
 
 _ALPHA_CAP = 1.0 - 1e-4  # keeps transmittance positive and log1p finite
 _KNN_BLOCK_ROWS = 512    # (ray, sample) rows per block of the KNN distance matrix
@@ -88,35 +87,6 @@ class RenderOutput:
             raise InvalidArgumentError("alpha must lie in [0, 1]")
 
 
-def sample_triplane(payload: TriPlanePayload, u) -> np.ndarray:
-    """Sum of the three bilinear plane samples at local point u in [-1,1]^3.
-
-    Planes are sampled align-corners style: u=-1 maps to node 0, u=+1 to node
-    S-1, so node positions reproduce stored features exactly. Plane/coordinate
-    pairing: plane 0 reads (u_x, u_y), plane 1 (u_x, u_z), plane 2 (u_y, u_z).
-    """
-    u = np.asarray(u, dtype=np.float64)
-    planes = payload.planes
-    s = payload.size
-    out = np.zeros(payload.channels)
-    for p, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
-        if s == 1:
-            out = out + planes[p, 0, 0]
-            continue
-        pa = (u[a] + 1.0) / 2.0 * (s - 1)
-        pb = (u[b] + 1.0) / 2.0 * (s - 1)
-        ia = min(int(np.floor(pa)), s - 2)
-        ib = min(int(np.floor(pb)), s - 2)
-        fa, fb = pa - ia, pb - ib
-        out = out + (
-            (1 - fa) * (1 - fb) * planes[p, ia, ib]
-            + (1 - fa) * fb * planes[p, ia, ib + 1]
-            + fa * (1 - fb) * planes[p, ia + 1, ib]
-            + fa * fb * planes[p, ia + 1, ib + 1]
-        )
-    return out
-
-
 def mlp_forward(mlp_or_arrays, feature):
     """(color in (0,1)^3, opacity in (0,1)) for (..., 8) features.
 
@@ -136,8 +106,7 @@ def mlp_forward(mlp_or_arrays, feature):
     return sig[..., 0:3], sig[..., 3]
 
 
-def _triplane_features(payload_flat, n_planes_stride: int, s: int, channels: int,
-                       idx: np.ndarray, u0, u1, u2):
+def _triplane_features(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
     """Bilinear tri-plane samples for gathered neighbors.
 
     payload_flat: (N*3*S*S, C) rows (tape variable or ndarray), row order
@@ -174,57 +143,32 @@ def _triplane_features(payload_flat, n_planes_stride: int, s: int, channels: int
     return feat
 
 
-def _local_frames(arrays: dict, xdiff, idx: np.ndarray):
-    """Rotate gathered offsets into each neighbor's local frame.
-
-    Returns (y0, y1, y2, r0, r1, r2): frame coordinates and radii, all with
-    the leading shape of idx.
-    """
-    rot = g.take(arrays["rotations"], idx)
-    rad = g.take(arrays["radii"], idx)
-    a, b, c = rot[..., 0], rot[..., 1], rot[..., 2]
-    e = _rotation_entries(g.cos(a), g.sin(a), g.cos(b), g.sin(b), g.cos(c), g.sin(c))
-    dx, dy, dz = xdiff[..., 0], xdiff[..., 1], xdiff[..., 2]
-    # y = R^T (x - mu): column i of R dotted with the offset
-    y0 = e[0] * dx + e[3] * dy + e[6] * dz
-    y1 = e[1] * dx + e[4] * dy + e[7] * dz
-    y2 = e[2] * dx + e[5] * dy + e[8] * dz
-    return y0, y1, y2, rad[..., 0], rad[..., 1], rad[..., 2]
-
-
-def _influence_from_frames(y0, y1, y2, r0, r1, r2, cfg: RenderConfig):
-    z0, z1, z2 = y0 / r0, y1 / r1, y2 / r2
-    maha = z0 * z0 + z1 * z1 + z2 * z2
-    return g.mul(g.exp(g.mul(maha, -1.0 / (2.0 * cfg.tau))), cfg.eta)
-
-
-def point_influences(arrays: dict, points: np.ndarray, cfg: RenderConfig,
-                     idx: np.ndarray | None = None):
-    """Influences g_k of the K nearest Gaussians at each point, (..., K)."""
-    points = np.asarray(points, dtype=np.float64)
-    if idx is None:
-        flat = points.reshape(-1, 3)
-        idx = nearest_k_batch(g.value(arrays["centers"]), flat, cfg.knn_k)
-        idx = idx.reshape(points.shape[:-1] + (cfg.knn_k,))
-    xdiff = g.sub(points[..., None, :], g.take(arrays["centers"], idx))
-    y0, y1, y2, r0, r1, r2 = _local_frames(arrays, xdiff, idx)
-    return _influence_from_frames(y0, y1, y2, r0, r1, r2, cfg)
-
-
 def _shade(arrays: dict, mlp_arrays: dict, xdiff, idx: np.ndarray,
-           cfg: RenderConfig, s: int, channels: int):
+           cfg: RenderConfig, s: int):
     """Blend the K gathered Gaussians at each query point.
 
     arrays: centers/rotations/radii/payload_flat (tape variables or ndarrays).
     xdiff: (..., K, 3) point-minus-center offsets. idx: (..., K) neighbor ids.
     Returns (color (..., 3), alpha (...,), influence_sum (...,)).
     """
-    y0, y1, y2, r0, r1, r2 = _local_frames(arrays, xdiff, idx)
-    influence = _influence_from_frames(y0, y1, y2, r0, r1, r2, cfg)
+    rot = g.take(arrays["rotations"], idx)
+    rad = g.take(arrays["radii"], idx)
+    a, b, c = rot[..., 0], rot[..., 1], rot[..., 2]
+    e = _rotation_entries(g.cos(a), g.sin(a), g.cos(b), g.sin(b), g.cos(c), g.sin(c))
+    dx, dy, dz = xdiff[..., 0], xdiff[..., 1], xdiff[..., 2]
+    # y = R^T (x - mu), the offset in the neighbor's local frame: column i
+    # of R dotted with the offset
+    y0 = e[0] * dx + e[3] * dy + e[6] * dz
+    y1 = e[1] * dx + e[4] * dy + e[7] * dz
+    y2 = e[2] * dx + e[5] * dy + e[8] * dz
+    r0, r1, r2 = rad[..., 0], rad[..., 1], rad[..., 2]
+    z0, z1, z2 = y0 / r0, y1 / r1, y2 / r2
+    maha = z0 * z0 + z1 * z1 + z2 * z2
+    influence = g.mul(g.exp(g.mul(maha, -1.0 / (2.0 * cfg.tau))), cfg.eta)
     u0 = g.clip(y0 / (3.0 * r0), -1.0, 1.0)
     u1 = g.clip(y1 / (3.0 * r1), -1.0, 1.0)
     u2 = g.clip(y2 / (3.0 * r2), -1.0, 1.0)
-    feat = _triplane_features(arrays["payload_flat"], 3, s, channels, idx, u0, u1, u2)
+    feat = _triplane_features(arrays["payload_flat"], s, idx, u0, u1, u2)
     color_k, opacity_k = mlp_forward(mlp_arrays, feat)
     gsum = g.sum(influence, axis=-1)
     ghat = g.div(influence, g.reshape(g.add(gsum, cfg.epsilon),
@@ -274,9 +218,9 @@ def _knn_for_samples(centers_val: np.ndarray, origin: np.ndarray,
 
 def march_rays_core(arrays: dict, mlp_arrays: dict, origin: np.ndarray,
                     dirs: np.ndarray, t: np.ndarray, cfg: RenderConfig,
-                    s: int, channels: int, idx: np.ndarray | None = None):
+                    s: int, idx: np.ndarray | None = None):
     """Render a batch of rays; the shared kernel behind march_ray,
-    render_image, and the fitting loss.
+    render_image, and the fitting objective (fit.objective).
 
     arrays holds centers (N,3), rotations (N,3), radii (N,3), payload_flat
     (N*3*S*S, C), tape variables or ndarrays. t: (R, J) sample distances.
@@ -290,7 +234,7 @@ def march_rays_core(arrays: dict, mlp_arrays: dict, origin: np.ndarray,
     delta0_k = g.take(delta0, idx)                     # (R, J, K, 3)
     tdir = t[:, :, None] * dirs[:, None, :]            # (R, J, 3) constant
     xdiff = g.sub(tdir[:, :, None, :], delta0_k)       # x - mu, grouped form
-    color_j, alpha_j, gsum = _shade(arrays, mlp_arrays, xdiff, idx, cfg, s, channels)
+    color_j, alpha_j, gsum = _shade(arrays, mlp_arrays, xdiff, idx, cfg, s)
     log_t = g.cumsum(g.log1p(g.neg(alpha_j)), axis=-1)  # (R, J)
     shifted = g.concatenate(
         [np.zeros((r_count, 1)), log_t[:, : j_count - 1]], axis=-1
@@ -337,22 +281,6 @@ def sample_distances(near: float, far: float, jitter: np.ndarray) -> np.ndarray:
     return near + (far - near) * (np.arange(j) + jitter) / j
 
 
-def blend_point(avatar: UVAvatar, mlp: RenderMLP, x,
-                cfg: RenderConfig) -> tuple[np.ndarray, float]:
-    """(blended color, blended opacity) of a single world point.
-
-    The scalar reference for the kernel: direct x - mu arithmetic, neighbors
-    from nearest_k_batch on that one point.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    arrays = avatar_arrays(avatar)
-    idx = nearest_k_batch(arrays["centers"], x, cfg.knn_k)[0]
-    xdiff = x[None, :] - arrays["centers"][idx]
-    color, alpha, _ = _shade(arrays, mlp_arrays(mlp), xdiff, idx, cfg,
-                             avatar.plane_size, avatar.channels)
-    return color, float(alpha)
-
-
 def march_ray(avatar: UVAvatar, mlp: RenderMLP, origin, direction,
               cfg: RenderConfig, near: float, far: float,
               jitter: np.ndarray | None = None
@@ -376,7 +304,7 @@ def march_ray(avatar: UVAvatar, mlp: RenderMLP, origin, direction,
     t = sample_distances(near, far, jitter[None, :])
     color, depth, alpha, _ = march_rays_core(
         avatar_arrays(avatar), mlp_arrays(mlp), origin, direction[None, :],
-        t, cfg, avatar.plane_size, avatar.channels,
+        t, cfg, avatar.plane_size,
     )
     return color[0], float(depth[0]), float(alpha[0])
 
@@ -401,31 +329,13 @@ def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
         sl = slice(start, start + chunk)
         t = sample_distances(camera.near, camera.far, jit[sl])
         c, d, a, _ = march_rays_core(arrays, marrays, origin, dirs[sl], t, cfg,
-                                     avatar.plane_size, avatar.channels)
+                                     avatar.plane_size)
         color[sl], depth[sl], alpha[sl] = c, d, a
     return RenderOutput(
         color=color.reshape(h, w, 3),
         depth=depth.reshape(h, w),
         alpha=alpha.reshape(h, w),
     )
-
-
-def composite_ray(colors: np.ndarray, alphas: np.ndarray, ts: np.ndarray,
-                  background) -> tuple[np.ndarray, float, float]:
-    """Front-to-back compositing of per-sample (color, alpha, depth) lists.
-
-    The closed-form view of the kernel's composite stage (cumulative product
-    transmittance); used directly in tests of the compositing arithmetic.
-    """
-    colors = np.asarray(colors, dtype=np.float64)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    ts = np.asarray(ts, dtype=np.float64)
-    trans = np.concatenate([[1.0], np.cumprod(1.0 - alphas)[:-1]])
-    w = trans * alphas
-    acc = float(np.clip(np.sum(w), 0.0, 1.0))
-    color = w @ colors + (1.0 - acc) * np.asarray(background, dtype=np.float64)
-    depth = float(np.sum(w * ts))
-    return color, depth, acc
 
 
 def psnr(image, reference) -> float:

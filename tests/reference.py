@@ -1,0 +1,226 @@
+"""Scalar reference implementations the tests compare the library against.
+
+Each one restates a piece of the vectorized pipeline one point, one
+Gaussian or one scalar at a time, with direct x - mu arithmetic:
+
+- GaussianPose / TriPlanePayload, one texel's pose and payload, with
+  pose_at / payload_at to read them off an avatar;
+- precision_matrix, rbf_influence, world_to_local: the influence kernel and
+  the local-cube map of one Gaussian;
+- sample_triplane, blend_point, composite_ray: one payload lookup, one
+  blended world point, one composited ray;
+- point_influences: the K nearest influences at many points, from
+  brute_force_knn and rbf_influence;
+- finite_diff: the exhaustive central-difference gradient;
+- brute_force_knn and nearest_k_batch: the exhaustive KNN oracle and the
+  point-query path through knn_select.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from guv.core import RenderConfig, UVAvatar, _frozen, rotation_matrix
+from guv.errors import InvalidArgumentError
+from guv.grad import ParamSet, default_step, value
+from guv.render import RenderMLP, _shade, avatar_arrays, mlp_arrays
+from guv.spatial import _check_k, knn_select
+
+
+@dataclass(frozen=True)
+class GaussianPose:
+    """One Gaussian: center mu, Euler angles (radians), axis radii (std-devs)."""
+
+    center: np.ndarray
+    rotation: np.ndarray
+    radii: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", _frozen(self.center, (3,), "center"))
+        object.__setattr__(self, "rotation", _frozen(self.rotation, (3,), "rotation"))
+        object.__setattr__(self, "radii", _frozen(self.radii, (3,), "radii"))
+        if np.any(self.radii <= 0):
+            raise InvalidArgumentError(f"radii must be positive, got {self.radii}")
+
+
+@dataclass(frozen=True)
+class TriPlanePayload:
+    """Three square S x S x C feature planes queried bilinearly in the local cube."""
+
+    planes: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.planes, dtype=np.float64)
+        if arr.ndim != 4 or arr.shape[0] != 3 or arr.shape[1] != arr.shape[2]:
+            raise InvalidArgumentError(
+                f"planes: expected shape (3, S, S, C), got {arr.shape}"
+            )
+        object.__setattr__(self, "planes", _frozen(arr, arr.shape, "planes"))
+
+    @property
+    def size(self) -> int:
+        return self.planes.shape[1]
+
+    @property
+    def channels(self) -> int:
+        return self.planes.shape[3]
+
+
+def pose_at(avatar: UVAvatar, h: int, w: int) -> GaussianPose:
+    return GaussianPose(avatar.centers[h, w], avatar.rotations[h, w],
+                        avatar.radii[h, w])
+
+
+def payload_at(avatar: UVAvatar, h: int, w: int) -> TriPlanePayload:
+    return TriPlanePayload(avatar.payloads[h, w])
+
+
+def precision_matrix(pose: GaussianPose) -> np.ndarray:
+    """Sigma^-1 = R diag(radii^-2) R^T, the SPD matrix in the influence exponent."""
+    r = rotation_matrix(pose.rotation)
+    return (r * pose.radii[None, :] ** -2) @ r.T
+
+
+def rbf_influence(pose: GaussianPose, x, eta: float = 5.0, tau: float = 1.0) -> float:
+    """Scaled anisotropic Gaussian influence of a primitive at world point x.
+
+    g = eta * exp(-(1/(2 tau)) (x-mu)^T Sigma^-1 (x-mu)); eta bounds g at the
+    center, tau controls falloff hardness.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    d = x - pose.center
+    m = d @ precision_matrix(pose) @ d
+    return float(eta * math.exp(-m / (2.0 * tau)))
+
+
+def world_to_local(pose: GaussianPose, x) -> np.ndarray:
+    """Map a world point into the Gaussian's [-1, 1]^3 cube (+-3 radii extent)."""
+    x = np.asarray(x, dtype=np.float64)
+    r = rotation_matrix(pose.rotation)
+    u = (r.T @ (x - pose.center)) / (3.0 * pose.radii)
+    return np.clip(u, -1.0, 1.0)
+
+
+def sample_triplane(payload: TriPlanePayload, u) -> np.ndarray:
+    """Sum of the three bilinear plane samples at local point u in [-1,1]^3.
+
+    Planes are sampled align-corners style: u=-1 maps to node 0, u=+1 to node
+    S-1, so node positions reproduce stored features exactly. Plane/coordinate
+    pairing: plane 0 reads (u_x, u_y), plane 1 (u_x, u_z), plane 2 (u_y, u_z).
+    """
+    u = np.asarray(u, dtype=np.float64)
+    planes = payload.planes
+    s = payload.size
+    out = np.zeros(payload.channels)
+    for p, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
+        if s == 1:
+            out = out + planes[p, 0, 0]
+            continue
+        pa = (u[a] + 1.0) / 2.0 * (s - 1)
+        pb = (u[b] + 1.0) / 2.0 * (s - 1)
+        ia = min(int(np.floor(pa)), s - 2)
+        ib = min(int(np.floor(pb)), s - 2)
+        fa, fb = pa - ia, pb - ib
+        out = out + (
+            (1 - fa) * (1 - fb) * planes[p, ia, ib]
+            + (1 - fa) * fb * planes[p, ia, ib + 1]
+            + fa * (1 - fb) * planes[p, ia + 1, ib]
+            + fa * fb * planes[p, ia + 1, ib + 1]
+        )
+    return out
+
+
+def brute_force_knn(avatar: UVAvatar, x, k: int) -> np.ndarray:
+    """Exhaustive-scan oracle: the first k texel ids by (d², id)."""
+    centers = avatar.centers.reshape(-1, 3)
+    n = centers.shape[0]
+    _check_k(k, n)
+    diff = centers - np.asarray(x, dtype=np.float64)
+    d2 = np.sum(diff * diff, axis=-1)
+    return np.lexsort((np.arange(n), d2))[:k]
+
+
+def nearest_k_batch(centers: np.ndarray, points: np.ndarray, k: int,
+                    chunk: int = 4096) -> np.ndarray:
+    """KNN for many query points at once, shape (M, k).
+
+    Distances come from direct point-minus-center differences; selection
+    is knn_select's. Chunked over points to bound peak memory.
+    """
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    _check_k(k, centers.shape[0])
+    out = np.empty((points.shape[0], k), dtype=np.int64)
+    for start in range(0, points.shape[0], chunk):
+        p = points[start:start + chunk]
+        d2 = np.sum((p[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
+        out[start:start + chunk] = knn_select(d2, k)
+    return out
+
+
+def point_influences(avatar: UVAvatar, points, cfg: RenderConfig) -> np.ndarray:
+    """Influences of the K nearest Gaussians at each point, (M, K), from
+    brute_force_knn and rbf_influence one point and one Gaussian at a time."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    w = avatar.width
+    out = np.empty((points.shape[0], cfg.knn_k))
+    for i, x in enumerate(points):
+        for j, nid in enumerate(brute_force_knn(avatar, x, cfg.knn_k)):
+            pose = pose_at(avatar, nid // w, nid % w)
+            out[i, j] = rbf_influence(pose, x, cfg.eta, cfg.tau)
+    return out
+
+
+def blend_point(avatar: UVAvatar, mlp: RenderMLP, x,
+                cfg: RenderConfig) -> tuple[np.ndarray, float]:
+    """(blended color, blended opacity) of a single world point: direct
+    x - mu arithmetic, neighbors from nearest_k_batch on that one point,
+    then the kernel's shading stage."""
+    x = np.asarray(x, dtype=np.float64)
+    arrays = avatar_arrays(avatar)
+    idx = nearest_k_batch(arrays["centers"], x, cfg.knn_k)[0]
+    xdiff = x[None, :] - arrays["centers"][idx]
+    color, alpha, _ = _shade(arrays, mlp_arrays(mlp), xdiff, idx, cfg,
+                             avatar.plane_size)
+    return color, float(alpha)
+
+
+def composite_ray(colors: np.ndarray, alphas: np.ndarray, ts: np.ndarray,
+                  background) -> tuple[np.ndarray, float, float]:
+    """Front-to-back compositing of per-sample (color, alpha, depth) lists
+    with cumulative-product transmittance, the closed form of the kernel's
+    log1p/cumsum/exp composite stage."""
+    colors = np.asarray(colors, dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    ts = np.asarray(ts, dtype=np.float64)
+    trans = np.concatenate([[1.0], np.cumprod(1.0 - alphas)[:-1]])
+    w = trans * alphas
+    acc = float(np.clip(np.sum(w), 0.0, 1.0))
+    color = w @ colors + (1.0 - acc) * np.asarray(background, dtype=np.float64)
+    depth = float(np.sum(w * ts))
+    return color, depth, acc
+
+
+def finite_diff(loss_evaluator, params: ParamSet, h: float | None = None) -> ParamSet:
+    """Central-difference gradient (L(t+h) - L(t-h)) / 2h per scalar.
+
+    h=None uses fd_check's per-scalar step 1e-5 * max(1, |theta|).
+    Exhaustive, meant for small parameter sets.
+    """
+    work = {k: v.copy() for k, v in params.groups.items()}
+    grads = {k: np.zeros_like(v) for k, v in params.groups.items()}
+    for name, arr in work.items():
+        flat = arr.reshape(-1)
+        gflat = grads[name].reshape(-1)
+        for i in range(flat.size):
+            theta = flat[i]
+            hi = default_step(theta) if h is None else h
+            flat[i] = theta + hi
+            fp = float(value(loss_evaluator(work)))
+            flat[i] = theta - hi
+            fm = float(value(loss_evaluator(work)))
+            flat[i] = theta
+            gflat[i] = (fp - fm) / (2.0 * hi)
+    return ParamSet(grads, dict(params.lrs))

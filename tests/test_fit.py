@@ -1,8 +1,10 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
+from guv import fit as guv_fit
 from guv import grad as g
 from guv.core import RenderConfig, init_from_anchors
 from guv.errors import InvalidArgumentError, NumericFailureError
@@ -17,7 +19,7 @@ from guv.fit import (
     random_decoder,
     sample_patch,
 )
-from guv.io_cli import lookat_camera
+from guv.io_cli import lookat_camera, run_gradient_oracle
 from guv.losses import mesh_loss, tv_loss, volume_loss
 from guv.render import random_mlp, render_image
 
@@ -335,3 +337,31 @@ class TestMeshDominance:
             dists.append(float(np.linalg.norm(params.groups["centers"] - anchors)))
         assert dists[-1] < 0.55 * dists[0]
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
+
+
+class TestObjective:
+    def test_gradient_oracle_and_fit_run_the_same_objective(self, rng,
+                                                            monkeypatch):
+        """Every loss the gradient oracle and fit_scene evaluate goes
+        through fit.objective, wherever a module bound that name."""
+        original = guv_fit.objective
+        calls = []
+
+        def counting(leaves, batch):
+            calls.append(batch)
+            return original(leaves, batch)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("guv") and getattr(module, "objective", None) is original:
+                monkeypatch.setattr(module, "objective", counting)
+        reports = run_gradient_oracle("direct", seed=1,
+                                      subsample={"payloads": 4, "w1": 4, "w2": 4})
+        probed = sum(r.checked + r.excluded for r in reports.values())
+        # one taped pass, one base value, two central-difference probes each
+        assert len(calls) == 2 + 2 * probed
+        assert all(b.idx is not None for b in calls)
+
+        calls.clear()
+        res = _fit(_toy_views(rng), rng, 1)
+        assert len(calls) == 1 and calls[0].idx is None
+        assert res.final_breakdown is not None

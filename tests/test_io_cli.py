@@ -1,12 +1,16 @@
+import functools
 import json
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from guv.core import Camera, RenderConfig
-from guv.errors import (FormatError, InvalidArgumentError,
+from guv.errors import (FormatError, GuvError, InvalidArgumentError,
                         UnsupportedVersionError)
 from guv.io_cli import (
     ANCHOR_MAGIC,
@@ -123,6 +127,10 @@ class TestAvatarContainer:
         p.write_bytes(AVATAR_MAGIC + struct.pack("<I", 3) + b"{{{")
         with pytest.raises(FormatError, match="not valid JSON"):
             load_avatar(p)
+        hb = b"[" * 100_000
+        p.write_bytes(AVATAR_MAGIC + struct.pack("<I", len(hb)) + hb)
+        with pytest.raises(FormatError, match="not valid JSON"):
+            load_avatar(p)
 
     def test_missing_keys_and_version(self, tmp_path):
         def container(header):
@@ -147,6 +155,25 @@ class TestAvatarContainer:
         with pytest.raises(FormatError, match="non-square"):
             load_avatar(p)
 
+    @pytest.mark.parametrize("bad", [{"H": "abc"}, {"H": None}, {"H": -1},
+                                     {"H": 0, "W": 0}, {"Sx": 2.5, "Sy": 2.5},
+                                     {"C": True}])
+    def test_header_dims_must_be_positive_integers(self, tmp_path, capsys,
+                                                   bad):
+        header = {"H": 1, "W": 1, "Sx": 1, "Sy": 1, "C": 1,
+                  "version": FORMAT_VERSION, **bad}
+        hb = json.dumps(header).encode()
+        p = tmp_path / "a.guv"
+        p.write_bytes(AVATAR_MAGIC + struct.pack("<I", len(hb)) + hb)
+        key = next(iter(bad))
+        want = f"header {key} must be a positive integer"
+        with pytest.raises(FormatError, match=want):
+            load_avatar(p)
+        rc = main(["render", str(p), "--camera", str(tmp_path / "c.json"),
+                   "--out", str(tmp_path / "x.ppm")])
+        assert rc == 2
+        assert want in capsys.readouterr().err
+
 
 class TestAnchorContainer:
     def test_round_trip(self, tmp_path, random_avatar):
@@ -170,6 +197,18 @@ class TestAnchorContainer:
             p.write_bytes(data[:-cut])
             with pytest.raises(FormatError, match="float32"):
                 load_anchor_grid(p)
+
+    def test_header_dims_must_be_positive_integers(self, tmp_path, capsys):
+        for bad in ("abc", None, -1, 0):
+            hb = json.dumps({"H": bad, "W": 1, "version": FORMAT_VERSION}).encode()
+            p = tmp_path / "g.guva"
+            p.write_bytes(ANCHOR_MAGIC + struct.pack("<I", len(hb)) + hb)
+            with pytest.raises(FormatError, match="header H must be a positive"):
+                load_anchor_grid(p)
+            rc = main(["diffuse", "sample", "--anchors", str(p), "--steps", "2",
+                       "--out", str(tmp_path / "x.guv")])
+            assert rc == 2
+            assert "header H must be a positive" in capsys.readouterr().err
 
     def _write(self, path, anchors, normals, scales):
         save_anchor_grid(anchors, normals, scales, path)
@@ -222,6 +261,28 @@ class TestMlpJson:
         p = tmp_path / "m.json"
         p.write_text("{broken")
         with pytest.raises(FormatError, match="not valid JSON"):
+            load_mlp(p)
+        p.write_bytes(b'{"version": "\xff"}')
+        with pytest.raises(FormatError, match="utf-8"):
+            load_mlp(p)
+        for doc in ("5", "[1]"):
+            p.write_text(doc)
+            with pytest.raises(FormatError, match="JSON object"):
+                load_mlp(p)
+        p.write_text("[" * 100_000)
+        with pytest.raises(FormatError, match="not valid JSON"):
+            load_mlp(p)
+
+    def test_non_numeric_weights_become_format_error(self, tmp_path):
+        doc = {"version": FORMAT_VERSION, "w1": [["a"] * 32] * 8,
+               "b1": [0.0] * 32, "w2": [[0.0] * 4] * 32, "b2": [0.0] * 4}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_mlp(p)
+        doc["w1"] = [[0.0], [0.0, 1.0]]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
             load_mlp(p)
 
     def test_missing_key(self, tmp_path):
@@ -401,6 +462,57 @@ class TestCameraJson:
         with pytest.raises(FormatError, match="not an object"):
             load_cameras(p)
 
+    def test_non_utf8_is_format_error(self, tmp_path, capsys, random_avatar):
+        p = tmp_path / "c.json"
+        p.write_bytes(b"[\xff]")
+        with pytest.raises(FormatError, match="not valid JSON.*utf-8"):
+            load_cameras(p)
+        avatar = tmp_path / "a.guv"
+        save_avatar(random_avatar, avatar)
+        save_mlp(make_render_mlp(np.random.default_rng(0)), mlp_sibling(avatar))
+        rc = main(["render", str(avatar), "--camera", str(p),
+                   "--out", str(tmp_path / "x.ppm")])
+        assert rc == 2
+        assert "c.json: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, bad, kind", [
+        ("fx", "abc", "a finite number"), ("cx", None, "a finite number"),
+        ("near", float("nan"), "a finite number"), ("far", True, "a finite number"),
+        ("fy", 10 ** 400, "a finite number"),
+        ("width", 8.5, "an integer"), ("height", "8", "an integer"),
+    ])
+    def test_fields_must_be_numbers(self, tmp_path, capsys, random_avatar,
+                                    key, bad, kind):
+        p = tmp_path / "c.json"
+        save_cameras(camera_ring(2, 8), p)
+        docs = json.loads(p.read_text())
+        docs[1][key] = bad
+        p.write_text(json.dumps(docs))
+        want = f"camera 1 field {key} must be {kind}"
+        with pytest.raises(FormatError, match=want):
+            load_cameras(p)
+        avatar = tmp_path / "a.guv"
+        save_avatar(random_avatar, avatar)
+        save_mlp(make_render_mlp(np.random.default_rng(0)), mlp_sibling(avatar))
+        rc = main(["render", str(avatar), "--camera", str(p),
+                   "--out", str(tmp_path / "x.ppm")])
+        assert rc == 2
+        assert want in capsys.readouterr().err
+
+    def test_invalid_camera_names_index(self, tmp_path):
+        p = tmp_path / "c.json"
+        save_cameras(camera_ring(2, 8), p)
+        docs = json.loads(p.read_text())
+        docs[1]["near"], docs[1]["far"] = 2.0, 1.0
+        p.write_text(json.dumps(docs))
+        with pytest.raises(FormatError, match="camera 1: require 0 < near < far"):
+            load_cameras(p)
+        for bad in (["a"] * 16, ["1"] * 16, [[1.0] * 4] * 4, None):
+            docs[1]["cam_to_world"] = bad
+            p.write_text(json.dumps(docs))
+            with pytest.raises(FormatError, match="camera 1 cam_to_world"):
+                load_cameras(p)
+
     def test_matrix_must_have_16_entries(self, tmp_path):
         cams = camera_ring(1, 8)
         p = tmp_path / "c.json"
@@ -496,6 +608,13 @@ class TestToyDataset:
         with pytest.raises(InvalidArgumentError, match="kind"):
             generate_toy_dataset("cube", tmp_path / "x", views=1,
                                  resolution=8, grid=4)
+
+    def test_non_utf8_manifest_is_format_error(self, tmp_path):
+        out = tmp_path / "ds"
+        generate_toy_dataset("sphere", out, views=1, resolution=4, grid=2)
+        (out / "manifest.json").write_bytes(b'{"kind": "\xe9"}')
+        with pytest.raises(FormatError, match="manifest.json: not valid JSON"):
+            load_dataset(out)
 
     def test_needs_at_least_one_view(self, tmp_path):
         with pytest.raises(InvalidArgumentError, match="views"):
@@ -692,3 +811,62 @@ class TestCli:
         rc = main(["check", "grad", "--seed", "0"])
         assert rc == 4
         assert "gradient mismatch" in capsys.readouterr().err
+
+
+_LOADERS = {"avatar": load_avatar, "anchors": load_anchor_grid,
+            "cameras": load_cameras, "mlp": load_mlp}
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_bytes(kind: str) -> bytes:
+    """A small file in the format each loader reads."""
+    rng = np.random.default_rng(4)
+    avatar = make_avatar(rng, h=2, w=3, plane_size=2, channels=2)
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "f"
+        if kind == "avatar":
+            save_avatar(avatar, p)
+        elif kind == "anchors":
+            save_anchor_grid(avatar.anchors, avatar.anchor_normals,
+                             avatar.anchor_scales, p)
+        elif kind == "cameras":
+            save_cameras(camera_ring(2, 8), p)
+        else:
+            save_mlp(make_render_mlp(rng), p)
+        return p.read_bytes()
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """data with a few bytes replaced, deleted or inserted (positions biased
+    toward the header), then possibly truncated."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 6))):
+        hi = max(len(out) - 1, 0)
+        pos = draw(st.one_of(st.integers(0, min(hi, 96)), st.integers(0, hi)))
+        op = draw(st.sampled_from(("set", "del", "ins")))
+        if op == "ins":
+            out.insert(pos, draw(st.integers(0, 255)))
+        elif out and op == "del":
+            del out[pos]
+        elif out:
+            out[pos] = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        out = out[:draw(st.integers(0, len(out)))]
+    return bytes(out)
+
+
+class TestMutatedFiles:
+    @pytest.mark.parametrize("kind", sorted(_LOADERS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_only_guv_errors_escape(self, kind, data):
+        blob = data.draw(_mutated(_saved_bytes(kind)))
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "f"
+            p.write_bytes(blob)
+            try:
+                _LOADERS[kind](p)
+            except GuvError:
+                pass

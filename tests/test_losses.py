@@ -10,26 +10,25 @@ from guv.errors import InvalidArgumentError
 from guv.losses import (
     LossWeights,
     code_loss,
-    coverage_loss,
     depth_loss,
     l1_loss,
     mesh_loss,
-    scene_arrays,
     silhouette_loss,
     total_loss,
     tv_loss,
     volume_loss,
 )
-from guv.render import avatar_arrays
+from guv.render import (avatar_arrays, march_rays_core, mlp_arrays,
+                        sample_distances)
 
-from conftest import make_avatar
+from conftest import make_avatar, make_render_mlp, random_unit
+from reference import point_influences
 
 
 class TestLossWeights:
     def test_defaults(self):
         w = LossWeights()
         assert w.depth == 0.1
-        assert w.identity == 0.0
         assert w.coverage == 0.001
         assert w.silhouette == 1.0
         assert w.volume == 1.0
@@ -132,9 +131,10 @@ class TestSilhouetteLoss:
         assert g.value(silhouette_loss(a, m, weight=0.0)) == 0.0
 
 
-def _influence_scene(g_values):
-    """Gaussians with unit radii placed so their influences at the origin
-    are exactly g_values (d = sqrt(-2 ln(g / eta)) with eta=5, tau=1)."""
+def _influence_arrays(g_values):
+    """Kernel arrays of Gaussians with unit radii placed so their influences
+    at the origin are exactly g_values (d = sqrt(-2 ln(g / eta)) with eta=5,
+    tau=1); payloads and the shading head play no part in coverage."""
     dists = np.sqrt(-2.0 * np.log(np.asarray(g_values) / 5.0))
     centers = np.zeros((len(dists), 3))
     centers[:, 0] = dists
@@ -142,37 +142,67 @@ def _influence_scene(g_values):
         "centers": centers,
         "rotations": np.zeros((len(dists), 3)),
         "radii": np.ones((len(dists), 3)),
+        "payload_flat": np.zeros((len(dists) * 3, 8)),
     }
 
 
+def _coverage(arrays, origin, dirs, t, cfg):
+    """The coverage term fitting runs: the kernel's mean K-nearest influence
+    at the ray samples (payloads of size 1), weighted by total_loss."""
+    mlp = mlp_arrays(make_render_mlp(np.random.default_rng(3)))
+    color, depth, alpha, mean_influence = march_rays_core(
+        arrays, mlp, np.asarray(origin, dtype=np.float64), dirs, t, cfg, 1)
+    outputs = {"color": color, "depth": depth, "alpha": alpha}
+    n = arrays["centers"].shape[0]
+    scene = {"centers": arrays["centers"].reshape(1, n, 3),
+             "rotations": arrays["rotations"].reshape(1, n, 3),
+             "radii": arrays["radii"].reshape(1, n, 3),
+             "anchors": arrays["centers"].reshape(1, n, 3)}
+    _, breakdown = total_loss(outputs, {"color": color}, scene,
+                              mean_influence=mean_influence)
+    return g.value(breakdown["coverage"])
+
+
 class TestCoverageLoss:
+    """The coverage term on the path fitting takes: mean_influence from the
+    render kernel, weighted in total_loss."""
+
     def test_quoted_arithmetic(self):
-        arrays = _influence_scene([0.1, 0.2, 0.3])
-        cfg = RenderConfig(knn_k=3)
-        pts = np.zeros((1, 3))
-        got = g.value(coverage_loss(arrays, pts, cfg, weight=0.001))
+        # one sample at the origin, where the three influences are exact
+        arrays = _influence_arrays([0.1, 0.2, 0.3])
+        got = _coverage(arrays, [0.0, 0.0, -1.0], np.array([[0.0, 0.0, 1.0]]),
+                        np.array([[1.0]]), RenderConfig(knn_k=3, samples_per_ray=1))
         assert got == pytest.approx(2e-4, rel=1e-10)
 
     def test_far_points_vanish(self):
-        arrays = _influence_scene([0.1, 0.2, 0.3])
-        cfg = RenderConfig(knn_k=3)
-        pts = np.array([[500.0, 0.0, 0.0]])
-        assert g.value(coverage_loss(arrays, pts, cfg)) < 1e-20
+        arrays = _influence_arrays([0.1, 0.2, 0.3])
+        cfg = RenderConfig(knn_k=3, samples_per_ray=4)
+        t = sample_distances(0.5, 1.5, np.full((1, 4), 0.5))
+        got = _coverage(arrays, [500.0, 0.0, -1.0],
+                        np.array([[0.0, 0.0, 1.0]]), t, cfg)
+        assert got < 1e-20
 
     def test_eta_scaling_doubles(self, rng):
-        arrays = _influence_scene([0.1, 0.2, 0.3])
-        pts = rng.normal(scale=0.5, size=(5, 3))
-        lo = g.value(coverage_loss(arrays, pts, RenderConfig(knn_k=3, eta=5.0)))
-        hi = g.value(coverage_loss(arrays, pts, RenderConfig(knn_k=3, eta=10.0)))
+        arrays = _influence_arrays([0.1, 0.2, 0.3])
+        dirs = random_unit(rng, (5, 3))
+        t = sample_distances(0.2, 1.8, rng.uniform(size=(5, 6)))
+        origin = [0.0, 0.0, -1.0]
+        lo = _coverage(arrays, origin, dirs, t,
+                       RenderConfig(knn_k=3, samples_per_ray=6, eta=5.0))
+        hi = _coverage(arrays, origin, dirs, t,
+                       RenderConfig(knn_k=3, samples_per_ray=6, eta=10.0))
         assert hi == pytest.approx(2.0 * lo, rel=1e-12)
 
-    def test_accepts_avatar(self, rng):
-        avatar = make_avatar(rng, h=2, w=2)
-        cfg = RenderConfig(knn_k=2)
-        pts = rng.normal(scale=0.2, size=(6, 3))
-        via_avatar = g.value(coverage_loss(avatar, pts, cfg))
-        via_arrays = g.value(coverage_loss(avatar_arrays(avatar), pts, cfg))
-        assert via_avatar == via_arrays
+    def test_matches_pointwise_reference(self, rng):
+        avatar = make_avatar(rng, h=2, w=3, plane_size=1)
+        cfg = RenderConfig(knn_k=2, samples_per_ray=5)
+        origin = np.array([0.1, -0.9, 0.2])
+        dirs = random_unit(rng, (4, 3))
+        t = sample_distances(0.4, 1.6, rng.uniform(size=(4, 5)))
+        points = origin + t[:, :, None] * dirs[:, None, :]
+        want = 0.001 * np.mean(point_influences(avatar, points, cfg).sum(-1)) / 2
+        got = _coverage(avatar_arrays(avatar), origin, dirs, t, cfg)
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestVolumeLoss:
@@ -357,16 +387,6 @@ class TestTotalLoss:
         assert g.value(breakdown["coverage"]) == pytest.approx(0.001 * 0.62,
                                                                rel=1e-12)
 
-    def test_coverage_points_path(self, rng):
-        outputs, targets = _random_io(rng)
-        scene = _random_scene(rng)
-        cfg = RenderConfig(knn_k=2)
-        pts = rng.normal(scale=0.2, size=(5, 3))
-        _, breakdown = total_loss(outputs, targets, scene,
-                                  coverage_points=pts, coverage_cfg=cfg)
-        want = g.value(coverage_loss(scene_arrays(scene), pts, cfg, 0.001))
-        assert g.value(breakdown["coverage"]) == want
-
     def test_depth_without_mask_rejected(self, rng):
         outputs, targets = _random_io(rng)
         targets = dict(targets)
@@ -374,12 +394,6 @@ class TestTotalLoss:
         scene = _random_scene(rng)
         with pytest.raises(InvalidArgumentError, match="mask"):
             total_loss(outputs, targets, scene)
-
-    def test_coverage_points_without_cfg_rejected(self, rng):
-        outputs, targets = _random_io(rng)
-        scene = _random_scene(rng)
-        with pytest.raises(InvalidArgumentError, match="coverage_cfg"):
-            total_loss(outputs, targets, scene, coverage_points=np.zeros((2, 3)))
 
     def test_no_optional_terms(self, rng):
         outputs = {"color": rng.uniform(size=(3, 3, 3)),
@@ -391,23 +405,6 @@ class TestTotalLoss:
         assert set(breakdown) == {"l1", "volume", "tv", "mesh"}
         want = sum(g.value(t) for t in breakdown.values())
         assert g.value(total) == pytest.approx(want, abs=1e-15)
-
-
-class TestSceneArrays:
-    def test_reshapes_grids(self, rng):
-        scene = _random_scene(rng, h=2, w=3)
-        arrays = scene_arrays(scene)
-        np.testing.assert_array_equal(arrays["centers"],
-                                      scene["centers"].reshape(6, 3))
-        np.testing.assert_array_equal(arrays["radii"],
-                                      scene["radii"].reshape(6, 3))
-        assert "payload_flat" not in arrays
-
-    def test_passes_payload_through(self, rng):
-        scene = _random_scene(rng)
-        scene["payload_flat"] = rng.normal(size=(4 * 3 * 2 * 2, 8))
-        arrays = scene_arrays(scene)
-        assert arrays["payload_flat"] is scene["payload_flat"]
 
 
 def _pset(groups):
@@ -449,17 +446,22 @@ class TestGradientChecks:
             lambda p: silhouette_loss(p["alpha"], mask), params))
 
     def test_coverage(self, rng):
-        pts = rng.normal(scale=0.5, size=(4, 3))
-        cfg = RenderConfig(knn_k=4)  # K = N: no selection boundary
+        # the kernel's mean influence; K = N: no selection boundary
+        cfg = RenderConfig(knn_k=4, samples_per_ray=3)
+        dirs = random_unit(rng, (2, 3))
+        t = sample_distances(0.5, 1.5, rng.uniform(size=(2, 3)))
+        mlp = mlp_arrays(make_render_mlp(rng))
+        payload = np.zeros((4 * 3, 8))
         params = _pset({
             "centers": rng.normal(scale=0.3, size=(4, 3)),
             "rotations": rng.uniform(-0.5, 0.5, size=(4, 3)),
             "radii": rng.uniform(0.3, 0.6, size=(4, 3)),
         })
         self._assert_clean(g.fd_check(
-            lambda p: coverage_loss(
+            lambda p: march_rays_core(
                 {"centers": p["centers"], "rotations": p["rotations"],
-                 "radii": p["radii"]}, pts, cfg), params))
+                 "radii": p["radii"], "payload_flat": payload}, mlp,
+                np.array([0.0, 0.0, -1.0]), dirs, t, cfg, 1)[3], params))
 
     def test_volume(self, rng):
         params = _pset({"radii": rng.uniform(0.05, 0.15, size=(2, 2, 3))})

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from guv import grad as g
-from guv.core import (Camera, GaussianPose, RenderConfig, TriPlanePayload,
-                      UVAvatar, init_from_anchors)
+from guv.core import Camera, RenderConfig, init_from_anchors
 from guv.errors import InvalidArgumentError
 from guv.grad import ParamSet, gradients
 from guv.io_cli import lookat_camera
-from guv.render import (RenderMLP, RenderOutput, avatar_arrays, blend_point,
-                        composite_ray, march_ray, march_rays_core, mlp_arrays,
-                        mlp_forward, point_influences, psnr, random_mlp,
-                        render_image, sample_distances, sample_triplane,
-                        stratified_jitter)
+from guv.render import (RenderMLP, RenderOutput, march_ray, march_rays_core,
+                        mlp_arrays, mlp_forward, psnr, random_mlp,
+                        render_image, sample_distances, stratified_jitter)
+
+from reference import (TriPlanePayload, blend_point, composite_ray,
+                       point_influences, pose_at, rbf_influence,
+                       sample_triplane)
 
 
 def _single_gaussian_avatar(center=(0.0, 0.0, 0.0), radii=(1.0, 1.0, 1.0),
@@ -145,8 +146,7 @@ class TestBlendPoint:
         cfg = RenderConfig(knn_k=2)
         x = np.array([1.2, 0.0, 0.0])
         color, alpha = blend_point(avatar, _zero_mlp(), x, cfg)
-        pose = avatar.pose_at(0, 0)
-        from guv.core import rbf_influence
+        pose = pose_at(avatar, 0, 0)
         gval = rbf_influence(pose, x)
         assert abs(alpha - min(2.0 * gval * 0.5, 1.0 - 1e-4)) < 1e-12
         np.testing.assert_allclose(color, 0.5 * 2 * gval / (2 * gval + 1e-6),
@@ -155,9 +155,8 @@ class TestBlendPoint:
     def test_blend_weights_sum_below_one(self, rng, random_avatar,
                                          random_render_mlp):
         cfg = RenderConfig(knn_k=3)
-        arrays = avatar_arrays(random_avatar)
         pts = rng.uniform(-0.3, 0.3, size=(40, 3))
-        influ = point_influences(arrays, pts, cfg)
+        influ = point_influences(random_avatar, pts, cfg)
         ghat = influ / (influ.sum(-1, keepdims=True) + cfg.epsilon)
         assert np.all(ghat.sum(-1) <= 1.0)
 
@@ -368,7 +367,7 @@ class TestPayloadGradientFlow:
             }
             color, _, _, _ = march_rays_core(
                 arrays, mlp_arrays(mlp), np.array([0.0, 0.0, -1.0]), dirs, t,
-                RenderConfig(knn_k=2, samples_per_ray=6), 2, 8,
+                RenderConfig(knn_k=2, samples_per_ray=6), 2,
             )
             d = g.sub(color, target)
             return g.sum(g.mul(d, d))

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from guv.core import init_from_anchors
 from guv.errors import InvalidArgumentError
 from guv.render import _KNN_BLOCK_ROWS, _knn_for_samples, _sample_d2
-from guv.spatial import brute_force_knn, knn_select, nearest_k_batch
+from guv.spatial import knn_select
+
+from reference import brute_force_knn, nearest_k_batch
 
 
 def _avatar_from_centers(centers):
