@@ -1,11 +1,15 @@
 """Reverse-mode differentiation on a recorded operation tape, plus the
 finite-difference oracle and the AdamW optimizer.
 
-The tape works on whole ndarrays, not scalars: every op computes its forward
-value with numpy and appends one backward closure. Creation order is a valid
-topological order, so backward is a single reversed sweep. Every op also has
-an ndarray fast path: code written against these functions (the renderer,
-the losses) runs unchanged on plain arrays when no gradient is wanted.
+The tape works on whole ndarrays, not scalars. `_op` is the one way to
+define an op: an op computes its forward value with numpy and hands `_op`
+that value plus one (input, vjp) pair per input; `_op` appends one backward
+entry that adds each vjp of the output gradient to its Var input. Fused ops
+with a hand-written backward go through `_op` the same way. Creation order
+is a valid topological order, so backward is a single reversed sweep. Every
+op also has an ndarray fast path (`_op` returns the forward value when no
+input is a Var): code written against these functions (the renderer, the
+losses) runs unchanged on plain arrays when no gradient is wanted.
 
 Non-differentiable points use fixed subgradients: clip and relu take 0 at
 their kinks, absolute uses sign with sign(0) = 0. Reduction order is fixed
@@ -86,10 +90,6 @@ def value(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _is_var(*xs) -> bool:
-    return any(isinstance(x, Var) for x in xs)
-
-
 def _add_grad(v: Var, g: np.ndarray) -> None:
     g = _unbroadcast(g, v.value.shape)
     v.grad = g if v.grad is None else v.grad + g
@@ -107,10 +107,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(name, a, b, fwd, bwd_a, bwd_b):
-    va, vb = value(a), value(b)
-    out_val = fwd(va, vb)
-    if not _is_var(a, b):
+def _op(name: str, out_val: np.ndarray, *inputs):
+    """Record one tape op: out_val is its forward value and each input is an
+    (x, vjp) pair, vjp mapping the output gradient to x's gradient.
+
+    With no Var among the inputs, out_val comes back as it is (the ndarray
+    fast path). Otherwise the output is wrapped in a Var and one backward is
+    recorded that adds vjp(out.grad) to each Var input, in argument order.
+    """
+    live = [(x, vjp) for x, vjp in inputs if isinstance(x, Var)]
+    if not live:
         return out_val
     out = Var(out_val)
 
@@ -118,82 +124,69 @@ def _binary(name, a, b, fwd, bwd_a, bwd_b):
         g = out.grad
         if g is None:
             return
-        if isinstance(a, Var):
-            _add_grad(a, bwd_a(g, va, vb, out_val))
-        if isinstance(b, Var):
-            _add_grad(b, bwd_b(g, va, vb, out_val))
+        for x, vjp in live:
+            _add_grad(x, vjp(g))
 
     _record(name, out, backward)
     return out
 
 
 def add(a, b):
-    return _binary("add", a, b, lambda x, y: x + y,
-                   lambda g, x, y, o: g, lambda g, x, y, o: g)
+    return _op("add", value(a) + value(b), (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b):
-    return _binary("sub", a, b, lambda x, y: x - y,
-                   lambda g, x, y, o: g, lambda g, x, y, o: -g)
+    return _op("sub", value(a) - value(b), (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b):
-    return _binary("mul", a, b, lambda x, y: x * y,
-                   lambda g, x, y, o: g * y, lambda g, x, y, o: g * x)
+    va, vb = value(a), value(b)
+    return _op("mul", va * vb, (a, lambda g: g * vb), (b, lambda g: g * va))
 
 
 def div(a, b):
-    return _binary("div", a, b, lambda x, y: x / y,
-                   lambda g, x, y, o: g / y, lambda g, x, y, o: -g * x / (y * y))
-
-
-def _unary(name, x, fwd, bwd):
-    vx = value(x)
-    out_val = fwd(vx)
-    if not isinstance(x, Var):
-        return out_val
-    out = Var(out_val)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _add_grad(x, bwd(g, vx, out_val))
-
-    _record(name, out, backward)
-    return out
+    va, vb = value(a), value(b)
+    return _op("div", va / vb, (a, lambda g: g / vb),
+               (b, lambda g: -g * va / (vb * vb)))
 
 
 def neg(x):
-    return _unary("neg", x, lambda v: -v, lambda g, v, o: -g)
+    return _op("neg", -value(x), (x, lambda g: -g))
 
 
 def exp(x):
-    return _unary("exp", x, np.exp, lambda g, v, o: g * o)
+    o = np.exp(value(x))
+    return _op("exp", o, (x, lambda g: g * o))
 
 
 def log(x):
-    return _unary("log", x, np.log, lambda g, v, o: g / v)
+    v = value(x)
+    return _op("log", np.log(v), (x, lambda g: g / v))
 
 
 def log1p(x):
-    return _unary("log1p", x, np.log1p, lambda g, v, o: g / (1.0 + v))
+    v = value(x)
+    return _op("log1p", np.log1p(v), (x, lambda g: g / (1.0 + v)))
 
 
 def sqrt(x):
-    return _unary("sqrt", x, np.sqrt, lambda g, v, o: g * (0.5 / o))
+    o = np.sqrt(value(x))
+    return _op("sqrt", o, (x, lambda g: g * (0.5 / o)))
 
 
 def sin(x):
-    return _unary("sin", x, np.sin, lambda g, v, o: g * np.cos(v))
+    v = value(x)
+    return _op("sin", np.sin(v), (x, lambda g: g * np.cos(v)))
 
 
 def cos(x):
-    return _unary("cos", x, np.cos, lambda g, v, o: -g * np.sin(v))
+    v = value(x)
+    return _op("cos", np.cos(v), (x, lambda g: -g * np.sin(v)))
 
 
 def tanh(x):
-    return _unary("tanh", x, np.tanh, lambda g, v, o: g * (1.0 - o * o))
+    o = np.tanh(value(x))
+    return _op("tanh", o, (x, lambda g: g * (1.0 - o * o)))
 
 
 def _sigmoid_val(v: np.ndarray) -> np.ndarray:
@@ -206,45 +199,31 @@ def _sigmoid_val(v: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x):
-    return _unary("sigmoid", x, lambda v: _sigmoid_val(np.asarray(v, dtype=np.float64)),
-                  lambda g, v, o: g * o * (1.0 - o))
+    o = _sigmoid_val(value(x))
+    return _op("sigmoid", o, (x, lambda g: g * o * (1.0 - o)))
 
 
 def relu(x):
-    return _unary("relu", x, lambda v: np.maximum(v, 0.0),
-                  lambda g, v, o: g * (v > 0))
+    v = value(x)
+    return _op("relu", np.maximum(v, 0.0), (x, lambda g: g * (v > 0)))
 
 
 def absolute(x):
-    return _unary("abs", x, np.abs, lambda g, v, o: g * np.sign(v))
+    v = value(x)
+    return _op("abs", np.abs(v), (x, lambda g: g * np.sign(v)))
 
 
 def clip(x, lo: float, hi: float):
-    return _unary("clip", x, lambda v: np.clip(v, lo, hi),
-                  lambda g, v, o: g * ((v > lo) & (v < hi)))
+    v = value(x)
+    return _op("clip", np.clip(v, lo, hi), (x, lambda g: g * ((v > lo) & (v < hi))))
 
 
 def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name
     vx = value(x)
-    out_val = np.sum(vx, axis=axis, keepdims=keepdims)
-    if not isinstance(x, Var):
-        return out_val
-    out = Var(out_val)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if axis is None:
-            _add_grad(x, np.broadcast_to(g, vx.shape).copy())
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _add_grad(x, np.broadcast_to(gg, vx.shape).copy())
-
-    _record("sum", out, backward)
-    return out
+    expand = axis is not None and not keepdims
+    return _op("sum", np.sum(vx, axis=axis, keepdims=keepdims),
+               (x, lambda g: np.broadcast_to(np.expand_dims(g, axis) if expand else g,
+                                             vx.shape).copy()))
 
 
 def mean(x, axis=None, keepdims=False):
@@ -260,42 +239,15 @@ def mean(x, axis=None, keepdims=False):
 
 
 def cumsum(x, axis: int = -1):
-    vx = value(x)
-    out_val = np.cumsum(vx, axis=axis)
-    if not isinstance(x, Var):
-        return out_val
-    out = Var(out_val)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _add_grad(x, np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis))
-
-    _record("cumsum", out, backward)
-    return out
+    return _op("cumsum", np.cumsum(value(x), axis=axis),
+               (x, lambda g: np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis)))
 
 
 def matmul(a, b):
     """2-D matrix product; used by the latent decoder (BLAS is fine there,
     no cross-batch bit-equality contract covers decoder outputs)."""
     va, vb = value(a), value(b)
-    out_val = va @ vb
-    if not _is_var(a, b):
-        return out_val
-    out = Var(out_val)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if isinstance(a, Var):
-            _add_grad(a, g @ vb.T)
-        if isinstance(b, Var):
-            _add_grad(b, va.T @ g)
-
-    _record("matmul", out, backward)
-    return out
+    return _op("matmul", va @ vb, (a, lambda g: g @ vb.T), (b, lambda g: va.T @ g))
 
 
 def matmul_last(x, w):
@@ -312,196 +264,93 @@ def matmul_last(x, w):
     i, o = vw.shape
     x2 = vx.reshape(-1, i)
     out_val = np.einsum("ni,io->no", x2, vw, optimize=False).reshape(vx.shape[:-1] + (o,))
-    if not _is_var(x, w):
-        return out_val
-    out = Var(out_val)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        g2 = g.reshape(-1, o)
-        if isinstance(x, Var):
-            _add_grad(x, np.einsum("no,io->ni", g2, vw, optimize=False).reshape(vx.shape))
-        if isinstance(w, Var):
-            _add_grad(w, np.einsum("ni,no->io", x2, g2, optimize=False))
-
-    _record("matmul_last", out, backward)
-    return out
+    return _op("matmul_last", out_val,
+               (x, lambda g: np.einsum("no,io->ni", g.reshape(-1, o), vw,
+                                       optimize=False).reshape(vx.shape)),
+               (w, lambda g: np.einsum("ni,no->io", x2, g.reshape(-1, o), optimize=False)))
 
 
 def mixdown(weights, values):
     """Weighted sum over a stack axis: (..., k) weights with (..., k, c)
     values -> (..., c). Same fixed-loop einsum guarantees as matmul_last."""
     vw, vv = value(weights), value(values)
-    out_val = np.einsum("...k,...kc->...c", vw, vv, optimize=False)
-    if not _is_var(weights, values):
-        return out_val
-    out = Var(out_val)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if isinstance(weights, Var):
-            _add_grad(weights, np.einsum("...c,...kc->...k", g, vv, optimize=False))
-        if isinstance(values, Var):
-            _add_grad(values, vw[..., None] * g[..., None, :])
-
-    _record("mixdown", out, backward)
-    return out
+    return _op("mixdown", np.einsum("...k,...kc->...c", vw, vv, optimize=False),
+               (weights, lambda g: np.einsum("...c,...kc->...k", g, vv, optimize=False)),
+               (values, lambda g: vw[..., None] * g[..., None, :]))
 
 
 def take(x, indices):
     """Gather rows along axis 0; indices may have any shape."""
     idx = np.asarray(indices)
     vx = value(x)
-    out_val = vx[idx]
-    if not isinstance(x, Var):
-        return out_val
-    out = Var(out_val)
+    return _op("take", vx[idx], (x, lambda g: _scatter_rows(g, idx, vx.shape)))
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        flat_idx = idx.reshape(-1)
-        tail = int(np.prod(vx.shape[1:], dtype=np.int64)) if vx.ndim > 1 else 1
-        gflat = g.reshape(flat_idx.size, tail)
-        acc = np.zeros((vx.shape[0], tail))
-        for c in range(tail):
-            acc[:, c] = np.bincount(flat_idx, weights=gflat[:, c],
-                                    minlength=vx.shape[0])
-        _add_grad(x, acc.reshape(vx.shape))
 
-    _record("take", out, backward)
-    return out
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape: tuple) -> np.ndarray:
+    """take's VJP: sum the rows of g into a zero array of `shape` at idx,
+    one bincount per trailing column."""
+    flat_idx = idx.reshape(-1)
+    tail = int(np.prod(shape[1:], dtype=np.int64)) if len(shape) > 1 else 1
+    gflat = g.reshape(flat_idx.size, tail)
+    acc = np.zeros((shape[0], tail))
+    for c in range(tail):
+        acc[:, c] = np.bincount(flat_idx, weights=gflat[:, c], minlength=shape[0])
+    return acc.reshape(shape)
 
 
 def getitem(x, key):
     vx = value(x)
-    out_val = vx[key]
-    if not isinstance(x, Var):
-        return out_val
-    out = Var(out_val)
-    advanced = isinstance(key, np.ndarray) or (
-        isinstance(key, tuple) and any(isinstance(k, np.ndarray) for k in key)
-    )
+    return _op("getitem", vx[key], (x, lambda g: _scatter_key(g, key, vx)))
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        acc = np.zeros_like(vx)
-        if advanced:
-            np.add.at(acc, key, g)
-        else:
-            acc[key] += g
-        _add_grad(x, acc)
 
-    _record("getitem", out, backward)
-    return out
+def _scatter_key(g: np.ndarray, key, vx: np.ndarray) -> np.ndarray:
+    """getitem's VJP: g added into zeros shaped like vx at key; advanced
+    (array) keys go through np.add.at so repeated positions accumulate."""
+    acc = np.zeros_like(vx)
+    if isinstance(key, np.ndarray) or (
+            isinstance(key, tuple) and any(isinstance(k, np.ndarray) for k in key)):
+        np.add.at(acc, key, g)
+    else:
+        acc[key] += g
+    return acc
 
 
 def reshape(x, shape):
     vx = value(x)
-    out_val = vx.reshape(shape)
-    if not isinstance(x, Var):
-        return out_val
-    out = Var(out_val)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _add_grad(x, g.reshape(vx.shape))
-
-    _record("reshape", out, backward)
-    return out
+    return _op("reshape", vx.reshape(shape), (x, lambda g: g.reshape(vx.shape)))
 
 
 def transpose(x, axes):
-    vx = value(x)
-    out_val = np.transpose(vx, axes)
-    if not isinstance(x, Var):
-        return out_val
-    out = Var(out_val)
     inv = np.argsort(np.asarray(axes))
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _add_grad(x, np.transpose(g, inv))
-
-    _record("transpose", out, backward)
-    return out
+    return _op("transpose", np.transpose(value(x), axes),
+               (x, lambda g: np.transpose(g, inv)))
 
 
 def broadcast_to(x, shape):
-    vx = value(x)
-    out_val = np.broadcast_to(vx, shape).copy()
-    if not isinstance(x, Var):
-        return out_val
-    out = Var(out_val)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _add_grad(x, g)  # _add_grad unbroadcasts
-
-    _record("broadcast_to", out, backward)
-    return out
+    # _add_grad unbroadcasts, so the VJP is the identity
+    return _op("broadcast_to", np.broadcast_to(value(x), shape).copy(), (x, lambda g: g))
 
 
 def stack(xs, axis: int = -1):
-    vals = [value(x) for x in xs]
-    out_val = np.stack(vals, axis=axis)
-    if not _is_var(*xs):
-        return out_val
-    out = Var(out_val)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        for i, x in enumerate(xs):
-            if isinstance(x, Var):
-                _add_grad(x, np.take(g, i, axis=axis))
-
-    _record("stack", out, backward)
-    return out
+    return _op("stack", np.stack([value(x) for x in xs], axis=axis),
+               *[(x, lambda g, i=i: np.take(g, i, axis=axis)) for i, x in enumerate(xs)])
 
 
 def concatenate(xs, axis: int = -1):
     vals = [value(x) for x in xs]
     out_val = np.concatenate(vals, axis=axis)
-    if not _is_var(*xs):
-        return out_val
-    out = Var(out_val)
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        for i, x in enumerate(xs):
-            if isinstance(x, Var):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(offsets[i], offsets[i + 1])
-                _add_grad(x, g[tuple(sl)])
-
-    _record("concatenate", out, backward)
-    return out
+    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
+    lead = (slice(None),) * (axis % out_val.ndim)
+    return _op("concatenate", out_val, *[
+        (x, lambda g, lo=lo, hi=hi: g[lead + (slice(lo, hi),)])
+        for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])])
 
 
 def where(cond, a, b):
     """Select with a constant (non-differentiated) condition array."""
     cond = np.asarray(cond, dtype=bool)
-    return _binary("where", a, b, lambda x, y: np.where(cond, x, y),
-                   lambda g, x, y, o: g * cond, lambda g, x, y, o: g * (~cond))
+    return _op("where", np.where(cond, value(a), value(b)),
+               (a, lambda g: g * cond), (b, lambda g: g * (~cond)))
 
 
 # ---------------------------------------------------------------------------

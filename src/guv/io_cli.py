@@ -31,9 +31,10 @@ import numpy as np
 
 from .core import (Camera, RenderConfig, UVAvatar, align_z_to_normals,
                    euler_from_matrix, init_from_anchors)
-from .diffusion import (DiffusionSchedule, analytic_gauss_denoiser, channel_mask,
-                        cosine_schedule, denormalize_avatar, inpaint_sample,
-                        normalize_avatar, reverse_sample, transition_params)
+from .diffusion import (DiffusionSchedule, UVTensor, analytic_gauss_denoiser,
+                        channel_mask, cosine_schedule, denormalize_avatar,
+                        inpaint_sample, normalize_avatar, reverse_sample,
+                        transition_params)
 from .edit import UVMask, apply_expression_offset, region_transfer
 from .errors import (CheckFailureError, FormatError, GuvError,
                      InvalidArgumentError, UnsupportedVersionError)
@@ -79,7 +80,11 @@ def _pack_container(magic: bytes, header: dict, arrays: list[np.ndarray]) -> byt
     return magic + struct.pack("<I", len(hb)) + hb + body
 
 
-def _unpack_container(data: bytes, magic: bytes, path) -> tuple[dict, np.ndarray, int]:
+def _read_container(path, magic: bytes, dim_keys: tuple
+                    ) -> tuple[list[int], np.ndarray, int]:
+    """(header dims, float32 body, body offset) of a .guv/.guva file; the
+    header must hold dim_keys as positive integers and the current version."""
+    data = Path(path).read_bytes()
     if data[:4] != magic:
         raise FormatError(
             f"{path}: bad magic {data[:4]!r}, expected {magic.decode()!r}"
@@ -100,8 +105,28 @@ def _unpack_container(data: bytes, magic: bytes, path) -> tuple[dict, np.ndarray
             f"{path}: body has {len(data) - 8 - hlen} bytes at offset "
             f"{8 + hlen}, not a whole number of float32 values"
         )
+    _require_keys(header, dim_keys + ("version",), path)
+    _check_version(header, path)
     body = np.frombuffer(data, dtype="<f4", offset=8 + hlen)
-    return header, body, 8 + hlen
+    return _header_dims(header, dim_keys, path), body, 8 + hlen
+
+
+def _split_body(body: np.ndarray, body_off: int, counts: list[int], path
+                ) -> list[np.ndarray]:
+    """The body as float64 arrays of the given sizes, in order."""
+    if body.size != sum(counts):
+        raise FormatError(
+            f"{path}: body has {body.size * 4} bytes at offset {body_off}, "
+            f"expected {sum(counts) * 4}"
+        )
+    return np.split(body.astype(np.float64), np.cumsum(counts)[:-1])
+
+
+def _check_version(doc: dict, path) -> None:
+    if doc["version"] != FORMAT_VERSION:
+        raise UnsupportedVersionError(
+            f"{path}: version {doc['version']}, this build reads {FORMAT_VERSION}"
+        )
 
 
 def _require_keys(header: dict, keys: tuple, path) -> None:
@@ -142,26 +167,13 @@ def save_avatar(avatar: UVAvatar, path) -> None:
 
 
 def load_avatar(path) -> UVAvatar:
-    data = Path(path).read_bytes()
-    header, body, body_off = _unpack_container(data, AVATAR_MAGIC, path)
-    _require_keys(header, ("H", "W", "Sx", "Sy", "C", "version"), path)
-    if header["version"] != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: version {header['version']}, this build reads "
-            f"{FORMAT_VERSION}"
-        )
-    h, w, sx, sy, c = _header_dims(header, ("H", "W", "Sx", "Sy", "C"), path)
+    (h, w, sx, sy, c), body, body_off = _read_container(
+        path, AVATAR_MAGIC, ("H", "W", "Sx", "Sy", "C"))
     if sx != sy:
         raise FormatError(f"{path}: non-square planes Sx={sx} Sy={sy} unsupported")
     n = h * w
-    counts = [3 * n, 3 * n, 3 * n, 3 * n * sx * sy * c, 3 * n, 3 * n, n]
-    want = sum(counts)
-    if body.size != want:
-        raise FormatError(
-            f"{path}: body has {body.size * 4} bytes at offset {body_off}, "
-            f"expected {want * 4}"
-        )
-    parts = np.split(body.astype(np.float64), np.cumsum(counts)[:-1])
+    parts = _split_body(body, body_off,
+                        [3 * n, 3 * n, 3 * n, 3 * n * sx * sy * c, 3 * n, 3 * n, n], path)
     return UVAvatar(
         centers=parts[0].reshape(h, w, 3),
         rotations=parts[1].reshape(h, w, 3),
@@ -186,26 +198,12 @@ def save_anchor_grid(anchors, normals, scales, path) -> None:
 def load_anchor_grid(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(anchors, normals, scales) grids; rejects non-finite entries (naming
     the texel), non-unit normals, and non-positive scales."""
-    data = Path(path).read_bytes()
-    header, body, body_off = _unpack_container(data, ANCHOR_MAGIC, path)
-    _require_keys(header, ("H", "W", "version"), path)
-    if header["version"] != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: version {header['version']}, this build reads "
-            f"{FORMAT_VERSION}"
-        )
-    h, w = _header_dims(header, ("H", "W"), path)
+    (h, w), body, body_off = _read_container(path, ANCHOR_MAGIC, ("H", "W"))
     n = h * w
-    counts = [3 * n, 3 * n, n]
-    if body.size != sum(counts):
-        raise FormatError(
-            f"{path}: body has {body.size * 4} bytes at offset {body_off}, "
-            f"expected {sum(counts) * 4}"
-        )
-    parts = np.split(body.astype(np.float64), np.cumsum(counts)[:-1])
-    anchors = parts[0].reshape(h, w, 3)
-    normals = parts[1].reshape(h, w, 3)
-    scales = parts[2].reshape(h, w)
+    anchors, normals, scales = _split_body(body, body_off, [3 * n, 3 * n, n], path)
+    anchors = anchors.reshape(h, w, 3)
+    normals = normals.reshape(h, w, 3)
+    scales = scales.reshape(h, w)
     for name, arr in (("anchors", anchors), ("normals", normals),
                       ("scales", scales)):
         bad = ~np.isfinite(arr)
@@ -247,10 +245,7 @@ def load_mlp(path) -> RenderMLP:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object")
     _require_keys(doc, ("version", "w1", "b1", "w2", "b2"), path)
-    if doc["version"] != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: version {doc['version']}, this build reads {FORMAT_VERSION}"
-        )
+    _check_version(doc, path)
     try:
         return RenderMLP(w1=np.array(doc["w1"], dtype=np.float64),
                          b1=np.array(doc["b1"], dtype=np.float64),
@@ -337,6 +332,8 @@ def _read_pnm(path) -> tuple[str, int, int, int, np.ndarray, list[str]]:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as e:
         raise FormatError(f"{path}: non-numeric header token: {e}") from e
+    if w < 1 or h < 1:
+        raise FormatError(f"{path}: image size {w}x{h}, width and height must be >= 1")
     channels = 3 if magic == "P6" else 1
     if maxval == 255:
         dtype, itemsize = np.uint8, 1
@@ -355,13 +352,17 @@ def _read_pnm(path) -> tuple[str, int, int, int, np.ndarray, list[str]]:
     return magic, w, h, maxval, raster.reshape(shape), comments
 
 
-def _comment_scale(comments: list[str]) -> float:
+def _comment_scale(comments: list[str], path) -> float:
     for c in comments:
         if c.startswith("scale "):
             try:
-                return float(c[6:])
+                scale = float(c[6:])
             except ValueError as e:
-                raise FormatError(f"bad scale comment {c!r}") from e
+                raise FormatError(f"{path}: bad scale comment {c!r}") from e
+            if not (math.isfinite(scale) and scale > 0):
+                raise FormatError(
+                    f"{path}: bad scale comment {c!r}, the scale must be finite and > 0")
+            return scale
     return 1.0
 
 
@@ -378,7 +379,7 @@ def read_pgm(path) -> tuple[np.ndarray, float]:
     magic, _, _, maxval, raster, comments = _read_pnm(path)
     if magic != "P5":
         raise FormatError(f"{path}: expected P5 grayscale image, got {magic}")
-    scale = _comment_scale(comments)
+    scale = _comment_scale(comments, path)
     return raster.astype(np.float64) / maxval * scale, scale
 
 
@@ -560,6 +561,9 @@ def toy_reference_scene(kind: str, grid: int = 8, seed: int = 0
     """
     if kind not in TOY_KINDS:
         raise InvalidArgumentError(f"kind must be one of {TOY_KINDS}, got {kind!r}")
+    if grid < 1 or (kind == "two-lobe" and grid % 2):
+        raise InvalidArgumentError(
+            f"grid must be >= 1 (and even for two-lobe), got {grid}")
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
     if kind == "two-lobe":
@@ -950,6 +954,10 @@ def _parse_denoiser(spec: str, schedule: DiffusionSchedule):
 
 
 def cmd_diffuse(args) -> int:
+    for flag, size in (("--plane-size", args.plane_size),
+                       ("--payload-channels", args.payload_channels)):
+        if size < 1:
+            raise InvalidArgumentError(f"{flag} must be >= 1, got {size}")
     if args.schedule != "cosine":
         raise InvalidArgumentError(f"unknown schedule {args.schedule!r}")
     schedule = cosine_schedule(args.steps)
@@ -998,7 +1006,6 @@ def cmd_diffuse(args) -> int:
         mask = channel_mask(grid, _selector(args.channels or "both"), s, c)
         values = inpaint_sample(schedule, denoiser, known.values, mask, rng,
                                 step_count=args.step_count)
-    from .diffusion import UVTensor
     tensor = UVTensor(values=np.clip(values, -1.0, 1.0), plane_size=s)
     avatar = denormalize_avatar(tensor, anchors, normals, scales)
     save_avatar(avatar, args.out)

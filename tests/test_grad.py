@@ -226,6 +226,102 @@ class TestShapeOps:
         _check_op(loss, x0)
 
 
+# the name each public op records on the tape (absolute records "abs")
+_OP_NAMES = ["add", "sub", "mul", "div", "neg", "exp", "log", "log1p", "sqrt",
+             "sin", "cos", "tanh", "sigmoid", "relu", "abs", "clip", "sum",
+             "cumsum", "matmul", "matmul_last", "mixdown", "take", "getitem",
+             "reshape", "transpose", "broadcast_to", "stack", "concatenate",
+             "where"]
+
+_Y = np.array([[0.3, 0.7, 1.2], [0.5, 0.9, 1.4]])
+
+# each op called with its differentiated input x, of _Y's shape
+_OPS = {
+    "add": lambda x: g.add(x, _Y),
+    "sub": lambda x: g.sub(_Y, x),
+    "mul": lambda x: g.mul(x, _Y),
+    "div": lambda x: g.div(_Y, x),
+    "neg": g.neg,
+    "exp": g.exp,
+    "log": g.log,
+    "log1p": g.log1p,
+    "sqrt": g.sqrt,
+    "sin": g.sin,
+    "cos": g.cos,
+    "tanh": g.tanh,
+    "sigmoid": g.sigmoid,
+    "relu": g.relu,
+    "abs": g.absolute,
+    "clip": lambda x: g.clip(x, 0.4, 1.0),
+    "sum": lambda x: g.sum(x, axis=1),
+    "cumsum": g.cumsum,
+    "matmul": lambda x: g.matmul(x, _Y.T),
+    "matmul_last": lambda x: g.matmul_last(x, _Y.T),
+    "mixdown": lambda x: g.mixdown(x, np.stack([_Y] * 4, axis=-1)),
+    "take": lambda x: g.take(x, [1, 0, 1]),
+    "getitem": lambda x: g.getitem(x, (slice(None), 1)),
+    "reshape": lambda x: g.reshape(x, (3, 2)),
+    "transpose": lambda x: g.transpose(x, (1, 0)),
+    "broadcast_to": lambda x: g.broadcast_to(x, (4, 2, 3)),
+    "stack": lambda x: g.stack([x, _Y], axis=0),
+    "concatenate": lambda x: g.concatenate([_Y, x], axis=1),
+    "where": lambda x: g.where(_Y > 0.8, x, _Y),
+}
+
+
+def _recorded(build_loss, x0):
+    """(tape op names recorded by build_loss(x), gradient of its sum)."""
+    names = []
+
+    def loss(leaves):
+        out = build_loss(leaves["x"])
+        names.extend(name for name, _, _ in g._ACTIVE[-1].ops)
+        return g.sum(out)
+
+    grads = gradients(loss, ParamSet({"x": np.array(x0)}, {"x": 1.0}))
+    return names, grads.groups["x"]
+
+
+class TestOpProtocol:
+    """Every op is a forward value plus one VJP per input, recorded once."""
+
+    def test_table_covers_every_documented_name(self):
+        assert list(_OPS) == _OP_NAMES
+        assert len(_OP_NAMES) == 29
+
+    def test_plain_arrays_return_ndarrays_and_record_nothing(self):
+        def loss(leaves):
+            for name, op in _OPS.items():
+                out = op(_Y.copy())
+                assert isinstance(out, np.ndarray), name
+                assert g._ACTIVE[-1].ops == [], name
+            return g.sum(leaves["x"])
+
+        gradients(loss, ParamSet({"x": _Y.copy()}, {"x": 1.0}))
+
+    @pytest.mark.parametrize("name", _OP_NAMES)
+    def test_var_input_records_one_entry_under_its_name(self, name):
+        names, grad = _recorded(_OPS[name], _Y)
+        assert names == [name]
+        assert grad.shape == _Y.shape
+
+    def test_aliased_inputs_accumulate_exactly(self):
+        w = np.array([[0.25, -1.5, 2.0], [3.0, 0.125, -0.75]])
+        w2 = np.array([[1.5, -0.5, 0.25], [2.0, -3.0, 0.5]])
+        cond = np.array([[True, False, True], [False, False, True]])
+        _, grad = _recorded(lambda x: g.mul(x, x), w)
+        np.testing.assert_array_equal(grad, 2.0 * w)
+        _, grad = _recorded(
+            lambda x: g.mul(g.stack([x, x], axis=0), np.stack([w, w2])), _Y)
+        np.testing.assert_array_equal(grad, w + w2)
+        _, grad = _recorded(
+            lambda x: g.mul(g.concatenate([x, x], axis=1),
+                            np.concatenate([w, w2], axis=1)), _Y)
+        np.testing.assert_array_equal(grad, w + w2)
+        _, grad = _recorded(lambda x: g.mul(g.where(cond, x, x), w), _Y)
+        np.testing.assert_array_equal(grad, w * cond + w * ~cond)
+
+
 class TestGradients:
     def test_quadratic_gradient_is_exact(self, rng):
         x0 = rng.standard_normal((4, 3))

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -419,6 +420,40 @@ class TestPnmParsing:
         with pytest.raises(FormatError, match="maxval 100"):
             read_pgm(p)
 
+    @pytest.mark.parametrize("blob, reader", [
+        (b"P6\n-1 -1\n255\n" + bytes(3), read_ppm),
+        (b"P5\n-2 -3\n255\n" + bytes(6), read_pgm),
+        (b"P5\n-2 -3\n255\n" + bytes(6), read_mask),
+        (b"P5\n0 4\n255\n", read_pgm),
+    ])
+    def test_non_positive_dimensions(self, tmp_path, blob, reader):
+        p = tmp_path / "x.pnm"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError, match=r"x\.pnm: image size .*must be >= 1"):
+            reader(p)
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", "0", "-1.5"])
+    def test_bad_scale_comment_names_path(self, tmp_path, value):
+        p = tmp_path / "d.pgm"
+        p.write_bytes(f"P5\n# scale {value}\n1 1\n255\n".encode() + bytes([7]))
+        with pytest.raises(FormatError, match=r"d\.pgm: bad scale comment"):
+            read_pgm(p)
+
+    @pytest.mark.parametrize("argv", [
+        ["edit", "{fit}", "--transfer", "{fit}", "--mask", "{mask}",
+         "--out", "{out}"],
+        ["diffuse", "inpaint", "--like", "{fit}", "--mask", "{mask}",
+         "--steps", "4", "--out", "{out}"],
+    ])
+    def test_negative_mask_dimensions_exit_two(self, cli_fit, tmp_path, capsys,
+                                               argv):
+        mask = tmp_path / "m.pgm"
+        mask.write_bytes(b"P5\n-2 -3\n255\n" + bytes(6))
+        names = {"fit": cli_fit, "mask": mask, "out": tmp_path / "x.guv"}
+        rc = main([a.format(**names) for a in argv])
+        assert rc == 2
+        assert "m.pgm: image size -2x-3" in capsys.readouterr().err
+
 
 class TestCameraJson:
     def test_round_trip_exact(self, tmp_path):
@@ -805,6 +840,25 @@ class TestCli:
         assert "sampler oracle: PASS" in out
         assert "transitions" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["diffuse", "sample", "--anchors", "{anchors}", "--payload-channels", "0"],
+         "--payload-channels must be >= 1, got 0"),
+        (["diffuse", "sample", "--anchors", "{anchors}", "--payload-channels", "-1"],
+         "--payload-channels must be >= 1, got -1"),
+        (["diffuse", "sample", "--anchors", "{anchors}", "--plane-size", "0"],
+         "--plane-size must be >= 1, got 0"),
+        (["dataset", "sphere", "--grid", "0"], "grid must be >= 1"),
+        (["dataset", "two-lobe", "--grid", "3"], "even for two-lobe), got 3"),
+    ])
+    def test_sizes_below_one_exit_two(self, cli_dataset, tmp_path, capsys,
+                                      argv, message):
+        out = tmp_path / "out"
+        rc = main([a.format(anchors=cli_dataset / "anchors.guva") for a in argv]
+                  + ["--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_check_grad_bad_seed_exits_four(self, capsys):
         # seed 0 parks a scalar on a clip/relu slope break that the one-sided
         # detector cannot see, so the suite must report a check failure
@@ -813,13 +867,39 @@ class TestCli:
         assert "gradient mismatch" in capsys.readouterr().err
 
 
+@functools.lru_cache(maxsize=None)
+def _toy_files() -> dict:
+    """{file name: bytes} of a tiny generated dataset."""
+    with tempfile.TemporaryDirectory() as d:
+        generate_toy_dataset("sphere", d, views=1, resolution=4, grid=2)
+        return {p.name: p.read_bytes() for p in Path(d).iterdir()}
+
+
+def _load_dataset_with(name: str):
+    """A loader that puts the file at its path in place of the tiny
+    dataset's file `name` and loads the dataset."""
+    def load(path):
+        root = Path(path).parent / "ds"
+        root.mkdir()
+        for n, data in _toy_files().items():
+            (root / n).write_bytes(Path(path).read_bytes() if n == name else data)
+        return load_dataset(root)
+    return load
+
+
+_DATASET_FILES = {"dataset-manifest": "manifest.json",
+                  "dataset-image": "img_000.ppm", "dataset-depth": "depth_000.pgm"}
 _LOADERS = {"avatar": load_avatar, "anchors": load_anchor_grid,
-            "cameras": load_cameras, "mlp": load_mlp}
+            "cameras": load_cameras, "mlp": load_mlp, "ppm": read_ppm,
+            "pgm": read_pgm, "mask": read_mask,
+            **{k: _load_dataset_with(n) for k, n in _DATASET_FILES.items()}}
 
 
 @functools.lru_cache(maxsize=None)
 def _saved_bytes(kind: str) -> bytes:
     """A small file in the format each loader reads."""
+    if kind in _DATASET_FILES:
+        return _toy_files()[_DATASET_FILES[kind]]
     rng = np.random.default_rng(4)
     avatar = make_avatar(rng, h=2, w=3, plane_size=2, channels=2)
     with tempfile.TemporaryDirectory() as d:
@@ -831,17 +911,33 @@ def _saved_bytes(kind: str) -> bytes:
                              avatar.anchor_scales, p)
         elif kind == "cameras":
             save_cameras(camera_ring(2, 8), p)
+        elif kind == "ppm":
+            write_ppm(rng.uniform(size=(2, 3, 3)), p)
+        elif kind == "pgm":
+            write_depth_pgm(rng.uniform(size=(2, 3)), p, scale=2.5)
+        elif kind == "mask":
+            write_alpha_pgm(rng.uniform(size=(3, 2)), p)
         else:
             save_mlp(make_render_mlp(rng), p)
         return p.read_bytes()
 
 
+def _seed_files(kind: str) -> list:
+    """The files mutation starts from: the saved file and, for images, the
+    same file with width and height negated, a header whose raster size
+    still matches and which random byte edits would hardly ever reach."""
+    data = _saved_bytes(kind)
+    if data.startswith((b"P5", b"P6")):
+        return [data, re.sub(rb"\n(\d+) (\d+)\n", rb"\n-\1 -\2\n", data, count=1)]
+    return [data]
+
+
 @st.composite
 def _mutated(draw, data: bytes) -> bytes:
-    """data with a few bytes replaced, deleted or inserted (positions biased
-    toward the header), then possibly truncated."""
+    """data with up to six bytes replaced, deleted or inserted (positions
+    biased toward the header), then possibly truncated."""
     out = bytearray(data)
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(0, 6))):
         hi = max(len(out) - 1, 0)
         pos = draw(st.one_of(st.integers(0, min(hi, 96)), st.integers(0, hi)))
         op = draw(st.sampled_from(("set", "del", "ins")))
@@ -862,7 +958,7 @@ class TestMutatedFiles:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_only_guv_errors_escape(self, kind, data):
-        blob = data.draw(_mutated(_saved_bytes(kind)))
+        blob = data.draw(_mutated(data.draw(st.sampled_from(_seed_files(kind)))))
         with tempfile.TemporaryDirectory() as d:
             p = Path(d) / "f"
             p.write_bytes(blob)
