@@ -78,8 +78,9 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise InvalidArgumentError("iterations must be >= 0")
+        if self.iterations < 1:
+            raise InvalidArgumentError(
+                f"iterations must be >= 1, got {self.iterations}")
         if self.patch_size < 1:
             raise InvalidArgumentError("patch_size must be >= 1")
         for name in ("lr_z", "lr_decoder", "lr_gaussians", "lr_mlp", "lr_payload"):

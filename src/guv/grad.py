@@ -283,7 +283,8 @@ def take(x, indices):
     """Gather rows along axis 0; indices may have any shape."""
     idx = np.asarray(indices)
     vx = value(x)
-    return _op("take", vx[idx], (x, lambda g: _scatter_rows(g, idx, vx.shape)))
+    return _op("take", np.take(vx, idx, axis=0),
+               (x, lambda g: _scatter_rows(g, idx, vx.shape)))
 
 
 def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape: tuple) -> np.ndarray:

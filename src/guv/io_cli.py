@@ -784,9 +784,11 @@ def check_grad(seed: int = 1) -> list[str]:
 def check_knn(seed: int = 0, grid: int = 32, n_queries: int = 1000,
               k: int = 8) -> list[str]:
     """The renderer's KNN on ray samples against an exhaustive (d2, id)
-    lexsort of the same distance rows."""
+    lexsort of the same distance rows: n_queries rays of one sample each,
+    then 64 whole rays of 32 samples."""
     rng = np.random.default_rng(seed)
     n_centers = grid * grid
+    n_rays, samples = 64, 32
     # centers on a coarse lattice, plus a duplicated run: exact d2 ties,
     # many of them straddling the k-th place
     centers = rng.integers(-4, 5, size=(n_centers, 3)) * 0.25
@@ -801,21 +803,32 @@ def check_knn(seed: int = 0, grid: int = 32, n_queries: int = 1000,
     on_lattice = np.arange(n_queries) % 2 == 0
     dirs[on_lattice] = axis[on_lattice]
     t[on_lattice] = rng.integers(0, 11, size=(on_lattice.sum(), 1)) * 0.25
-    got = _knn_for_samples(centers, origin, dirs, t, k).reshape(n_queries, k)
+    # whole rays: half step along a lattice axis by half a lattice step, so
+    # every sample sits on or midway between lattice points; half go
+    # anywhere through the lattice
+    ray_dirs = rng.standard_normal((n_rays, 3))
+    ray_dirs /= np.linalg.norm(ray_dirs, axis=-1, keepdims=True)
+    ray_t = np.sort(rng.uniform(0.0, 3.0, size=(n_rays, samples)), axis=-1)
+    on_axis = np.arange(n_rays) % 2 == 0
+    ray_dirs[on_axis] = np.eye(3)[rng.integers(3, size=on_axis.sum())]
+    ray_t[on_axis] = np.arange(samples) * 0.125
     delta0 = centers - origin
-    proj = np.sum(dirs[:, None, :] * delta0[None, :, :], axis=-1)
-    d2 = _sample_d2(np.sum(delta0 * delta0, axis=-1), proj, t).reshape(n_queries, -1)
-    ids = np.broadcast_to(np.arange(n_centers), d2.shape)
-    want = np.lexsort((ids, d2))[:, :k]
-    bad = np.flatnonzero(np.any(got != want, axis=1))
-    if bad.size:
-        qi = int(bad[0])
-        raise CheckFailureError(
-            f"knn mismatch on query {qi}: renderer {got[qi].tolist()} vs "
-            f"brute force {want[qi].tolist()}"
-        )
-    return [f"knn: PASS ({n_queries} queries over {n_centers} centers, "
-            f"k={k}, exact)"]
+    s0 = np.sum(delta0 * delta0, axis=-1)
+    for what, qdirs, qt in (("query", dirs, t), ("ray sample", ray_dirs, ray_t)):
+        got = _knn_for_samples(centers, origin, qdirs, qt, k).reshape(-1, k)
+        proj = np.sum(qdirs[:, None, :] * delta0[None, :, :], axis=-1)
+        d2 = _sample_d2(s0, proj, qt).reshape(-1, n_centers)
+        ids = np.broadcast_to(np.arange(n_centers), d2.shape)
+        want = np.lexsort((ids, d2))[:, :k]
+        bad = np.flatnonzero(np.any(got != want, axis=1))
+        if bad.size:
+            qi = int(bad[0])
+            raise CheckFailureError(
+                f"knn mismatch on {what} {qi}: renderer {got[qi].tolist()} vs "
+                f"brute force {want[qi].tolist()}"
+            )
+    return [f"knn: PASS ({n_queries + n_rays * samples} queries over "
+            f"{n_centers} centers, k={k}, exact)"]
 
 
 def check_diffusion(seed: int = 7) -> list[str]:
@@ -878,9 +891,9 @@ def cmd_fit(args) -> int:
     save_avatar(result.avatar, args.out)
     save_mlp(result.mlp, mlp_sibling(args.out))
     score = evaluate_psnr(result.avatar, result.mlp, ds.views, cfg)
-    last = result.loss_history[-1] if len(result.loss_history) else float("nan")
     print(f"fit: {args.mode}/{args.payload} k={args.k} iters={args.iters} "
-          f"final_loss={last:.6f} train_psnr={score:.2f}dB -> {args.out}")
+          f"final_loss={result.loss_history[-1]:.6f} "
+          f"train_psnr={score:.2f}dB -> {args.out}")
     return 0
 
 
@@ -1029,6 +1042,25 @@ def cmd_dataset(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag >= low: argparse names the flag in
+    its message and exits 2."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="guv",
@@ -1040,13 +1072,13 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("fit", help="fit an avatar to a dataset directory")
     q.add_argument("dataset")
     q.add_argument("--out", required=True)
-    q.add_argument("--iters", type=int, default=300)
+    q.add_argument("--iters", type=_positive_int, default=300)
     q.add_argument("--mode", choices=("direct", "latent"), default="direct")
     q.add_argument("--k", type=int, default=3)
     q.add_argument("--payload", choices=("triplane", "vector"),
                    default="triplane")
     q.add_argument("--patch", type=int, default=16)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.set_defaults(func=cmd_fit)
 
     q = sub.add_parser("render", help="render a view of a saved avatar")
@@ -1057,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--depth")
     q.add_argument("--alpha")
     q.add_argument("--mlp")
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.set_defaults(func=cmd_render)
 
     q = sub.add_parser("edit", help="region transfer or expression offset")
@@ -1086,12 +1118,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inpaint: channels the --mask keeps (default both)")
     q.add_argument("--mask", help="P5 mask of texels to keep (inpaint)")
     q.add_argument("--out", required=True)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.set_defaults(func=cmd_diffuse)
 
     q = sub.add_parser("check", help="run an oracle self-check suite")
     q.add_argument("suite", choices=sorted(_CHECKS))
-    q.add_argument("--seed", type=int, default=None,
+    q.add_argument("--seed", type=_seed, default=None,
                    help="override the suite's pinned scene seed")
     q.set_defaults(func=cmd_check)
 
@@ -1099,9 +1131,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("kind", choices=TOY_KINDS)
     q.add_argument("--out", required=True)
     q.add_argument("--views", type=int, default=16)
-    q.add_argument("--resolution", type=int, default=32)
+    q.add_argument("--resolution", type=_positive_int, default=32)
     q.add_argument("--grid", type=int, default=8)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.set_defaults(func=cmd_dataset)
     return p
 

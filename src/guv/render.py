@@ -196,10 +196,12 @@ def _knn_for_samples(centers_val: np.ndarray, origin: np.ndarray,
     """Neighbor ids (R, J, K) for sample points origin + t * dir.
 
     Distances are expanded around (center - origin) so the selection is
-    bit-stable under joint scene/camera translation; spatial.knn_select
-    picks the K nearest with ties broken by ascending texel index. Rays go
-    through in blocks of about _KNN_BLOCK_ROWS distance rows, all sharing
-    one buffer.
+    bit-stable under joint scene/camera translation. Rays go through in
+    blocks of about _KNN_BLOCK_ROWS distance rows, all sharing one buffer;
+    spatial.knn_select bounds each row's K-th distance by the largest of K
+    interleaved column-group minima, masks the row down to the entries at
+    or under the bound, and sorts those by (distance, texel index), so
+    ties break by ascending texel index.
     """
     delta0 = centers_val - origin                      # (N, 3)
     s0 = np.sum(delta0 * delta0, axis=-1)              # (N,)

@@ -25,21 +25,32 @@ def knn_select(d2: np.ndarray, k: int) -> np.ndarray:
     ordered by (value, column); equal to
     np.argsort(d2, axis=1, kind="stable")[:, :k] bit for bit.
 
-    argpartition finds each row's k smallest values and lexsort orders
-    them. Their ids are the stable sort's only when exactly k entries are
-    <= the k-th value; rows where a tie straddles the k-th place (or the
-    k-th value is NaN) fall back to a stable sort of that row.
+    Bound and mask: deal each row's columns into k interleaved groups (the
+    columns j with j mod k == i). The k group minima are k distinct
+    entries, so the largest of them is >= the row's k-th smallest value.
+    Every entry <= that bound survives, so every entry tied at the k-th
+    place does too. Each row's few survivors, kept in column order and
+    padded with +inf, take a stable sort, whose first k are the answer. A
+    NaN anywhere in a row makes its bound NaN; that row keeps no survivors
+    and takes the stable sort of the whole row.
     """
-    n = d2.shape[1]
+    m, n = d2.shape
     _check_k(k, n)
     if k == n:
         return np.argsort(d2, axis=1, kind="stable")
-    picks = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    vals = np.take_along_axis(d2, picks, axis=1)
-    order = np.lexsort((picks, vals))
-    picks = np.take_along_axis(picks, order, axis=1)
-    kth = np.take_along_axis(vals, order[:, -1:], axis=1)
-    tied = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) != k)
-    if tied.size:
-        picks[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    bound = d2[:, 0::k].min(axis=1)
+    for i in range(1, k):
+        np.maximum(bound, d2[:, i::k].min(axis=1), out=bound)
+    rows, cols = np.divmod(np.flatnonzero(d2 <= bound[:, None]), n)
+    counts = np.bincount(rows, minlength=m)
+    first = np.cumsum(counts) - counts
+    vals = np.full((m, max(k, counts.max(initial=0))), np.inf)
+    vals[rows, np.arange(rows.size) - first[rows]] = d2[rows, cols]
+    order = np.argsort(vals, axis=1, kind="stable")[:, :k]
+    nan_rows = np.isnan(bound)
+    full = ~nan_rows
+    picks = np.empty((m, k), dtype=np.int64)
+    picks[full] = cols[first[full, None] + order[full]]
+    if nan_rows.any():
+        picks[nan_rows] = np.argsort(d2[nan_rows], axis=1, kind="stable")[:, :k]
     return picks

@@ -84,6 +84,8 @@ class TestFitConfig:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError, match="iterations"):
             FitConfig(iterations=-1)
+        with pytest.raises(InvalidArgumentError, match="iterations must be >= 1"):
+            FitConfig(iterations=0)
         with pytest.raises(InvalidArgumentError, match="patch_size"):
             FitConfig(patch_size=0)
         with pytest.raises(InvalidArgumentError, match="lr_mlp"):
@@ -214,10 +216,13 @@ class TestCompositeBackground:
 
 @pytest.mark.filterwarnings("ignore:depth_loss")
 class TestFitScene:
-    def test_zero_iterations_returns_init(self, rng):
+    def test_zero_rates_return_init(self, rng):
+        # one step at zero learning rates leaves the seeded initial state
         views = _toy_views(rng)
         anchors, normals, scales = _sphere_anchors(np.random.default_rng(8), 2, 2)
-        cfg = FitConfig(iterations=0, patch_size=4, seed=5)
+        cfg = FitConfig(iterations=1, patch_size=4, seed=5, lr_z=0.0,
+                        lr_decoder=0.0, lr_gaussians=0.0, lr_mlp=0.0,
+                        lr_payload=0.0)
         res = fit_scene(views, anchors, normals, scales, cfg,
                         render_cfg=FAST_RENDER, plane_size=2, channels=8)
         ref = init_from_anchors(anchors, normals, scales, 2, 8)
@@ -228,7 +233,7 @@ class TestFitScene:
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(res.mlp, name),
                                           getattr(ref_mlp, name), err_msg=name)
-        assert res.loss_history.size == 0
+        assert res.loss_history.size == 1
         assert res.decoder is None
 
     def test_seed_gives_bit_identical_history(self, rng):

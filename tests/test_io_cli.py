@@ -859,6 +859,36 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "{ds}", "--iters", "0"], "argument --iters: must be >= 1, got 0"),
+        (["fit", "{ds}", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        (["render", "{fit}", "--camera", "{ds}/cameras.json", "--seed", "-1"],
+         "argument --seed: must be >= 0, got -1"),
+        (["diffuse", "sample", "--like", "{fit}", "--seed", "-3"],
+         "argument --seed: must be >= 0, got -3"),
+        (["dataset", "sphere", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        (["dataset", "sphere", "--seed", "x"],
+         "argument --seed: expected an integer, got 'x'"),
+        (["dataset", "sphere", "--resolution", "0"],
+         "argument --resolution: must be >= 1, got 0"),
+    ])
+    def test_flag_out_of_range_exits_two_naming_flag(self, cli_dataset, cli_fit,
+                                                     tmp_path, capsys, argv,
+                                                     message):
+        out = tmp_path / "out"
+        argv = [a.format(ds=cli_dataset, fit=cli_fit) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_check_negative_seed_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "knn", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
     def test_check_grad_bad_seed_exits_four(self, capsys):
         # seed 0 parks a scalar on a clip/relu slope break that the one-sided
         # detector cannot see, so the suite must report a check failure

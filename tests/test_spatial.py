@@ -2,7 +2,7 @@
 tie rule."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from guv.core import init_from_anchors
@@ -58,16 +58,30 @@ def _query(avatar, x, k):
     return nearest_k_batch(avatar.centers, x, k)[0]
 
 
+_SPECIAL = (np.nan, np.inf, -np.inf)
+
+
 @st.composite
 def _tied_rows(draw):
-    """(d2, k): small-integer rows (many ties) with extra columns set to each
-    row's k-th smallest value, so ties straddle the k-th place."""
+    """(d2, k): small-integer rows (many ties), k drawn from {1, 2, 3, n-1,
+    n} or anywhere in [1, n]. Each row is plain, constant, or holds a few
+    NaN/+-inf entries; then extra columns are set to its k-th smallest
+    value, so ties straddle the k-th place."""
     n = draw(st.integers(1, 24))
     m = draw(st.integers(1, 6))
-    k = draw(st.integers(1, n))
+    k = draw(st.sampled_from([1, 2, 3, n - 1, n]) | st.integers(1, n))
+    assume(1 <= k <= n)
     values = draw(st.lists(st.integers(0, 5), min_size=m * n, max_size=m * n))
     d2 = np.asarray(values, dtype=np.float64).reshape(m, n) * 0.5
     for row in d2:
+        kind = draw(st.sampled_from(["plain", "constant", "special"]))
+        if kind == "constant":
+            row[:] = row[0]
+        elif kind == "special":
+            for col, value in draw(st.lists(
+                    st.tuples(st.integers(0, n - 1), st.sampled_from(_SPECIAL)),
+                    min_size=1, max_size=3)):
+                row[col] = value
         cols = draw(st.lists(st.integers(0, n - 1), max_size=n))
         row[cols] = np.sort(row)[k - 1]
     return d2, k
