@@ -159,19 +159,9 @@ def exp(x):
     return _op("exp", o, (x, lambda g: g * o))
 
 
-def log(x):
-    v = value(x)
-    return _op("log", np.log(v), (x, lambda g: g / v))
-
-
 def log1p(x):
     v = value(x)
     return _op("log1p", np.log1p(v), (x, lambda g: g / (1.0 + v)))
-
-
-def sqrt(x):
-    o = np.sqrt(value(x))
-    return _op("sqrt", o, (x, lambda g: g * (0.5 / o)))
 
 
 def sin(x):
@@ -182,11 +172,6 @@ def sin(x):
 def cos(x):
     v = value(x)
     return _op("cos", np.cos(v), (x, lambda g: -g * np.sin(v)))
-
-
-def tanh(x):
-    o = np.tanh(value(x))
-    return _op("tanh", o, (x, lambda g: g * (1.0 - o * o)))
 
 
 def _sigmoid_val(v: np.ndarray) -> np.ndarray:
@@ -321,12 +306,6 @@ def reshape(x, shape):
     return _op("reshape", vx.reshape(shape), (x, lambda g: g.reshape(vx.shape)))
 
 
-def transpose(x, axes):
-    inv = np.argsort(np.asarray(axes))
-    return _op("transpose", np.transpose(value(x), axes),
-               (x, lambda g: np.transpose(g, inv)))
-
-
 def broadcast_to(x, shape):
     # _add_grad unbroadcasts, so the VJP is the identity
     return _op("broadcast_to", np.broadcast_to(value(x), shape).copy(), (x, lambda g: g))
@@ -345,13 +324,6 @@ def concatenate(xs, axis: int = -1):
     return _op("concatenate", out_val, *[
         (x, lambda g, lo=lo, hi=hi: g[lead + (slice(lo, hi),)])
         for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])])
-
-
-def where(cond, a, b):
-    """Select with a constant (non-differentiated) condition array."""
-    cond = np.asarray(cond, dtype=bool)
-    return _op("where", np.where(cond, value(a), value(b)),
-               (a, lambda g: g * cond), (b, lambda g: g * (~cond)))
 
 
 # ---------------------------------------------------------------------------

@@ -785,7 +785,7 @@ def check_knn(seed: int = 0, grid: int = 32, n_queries: int = 1000,
               k: int = 8) -> list[str]:
     """The renderer's KNN on ray samples against an exhaustive (d2, id)
     lexsort of the same distance rows: n_queries rays of one sample each,
-    then 64 whole rays of 32 samples."""
+    64 whole rays of 32 samples, and 64 more through near-ties."""
     rng = np.random.default_rng(seed)
     n_centers = grid * grid
     n_rays, samples = 64, 32
@@ -812,12 +812,20 @@ def check_knn(seed: int = 0, grid: int = 32, n_queries: int = 1000,
     on_axis = np.arange(n_rays) % 2 == 0
     ray_dirs[on_axis] = np.eye(3)[rng.integers(3, size=on_axis.sum())]
     ray_t[on_axis] = np.arange(samples) * 0.125
-    delta0 = centers - origin
-    s0 = np.sum(delta0 * delta0, axis=-1)
-    for what, qdirs, qt in (("query", dirs, t), ("ray sample", ray_dirs, ray_t)):
-        got = _knn_for_samples(centers, origin, qdirs, qt, k).reshape(-1, k)
+    # near-ties: samples 12.5 along x, centers 87.5 beyond them near the far
+    # pole of that sphere: d2 equal up to float64 rounding, ~1e-3 in float32
+    polar, azim = rng.uniform(0.0, 0.05, n_centers), rng.uniform(0.0, 2 * np.pi, n_centers)
+    shell = origin + [12.5, 0, 0] + 87.5 * np.stack(
+        [np.cos(polar), np.sin(polar) * np.cos(azim), np.sin(polar) * np.sin(azim)], axis=-1)
+    shell[-10:] = shell[:10]
+    near_t = 12.5 + rng.uniform(-1e-7, 1e-7, size=(n_rays, samples))
+    for what, c, qdirs, qt in (
+            ("query", centers, dirs, t), ("ray sample", centers, ray_dirs, ray_t),
+            ("near-tie ray sample", shell, np.tile(np.eye(3)[0], (n_rays, 1)), near_t)):
+        got = _knn_for_samples(c, origin, qdirs, qt, k).reshape(-1, k)
+        delta0 = c - origin
         proj = np.sum(qdirs[:, None, :] * delta0[None, :, :], axis=-1)
-        d2 = _sample_d2(s0, proj, qt).reshape(-1, n_centers)
+        d2 = _sample_d2(np.sum(delta0 * delta0, axis=-1), proj, qt).reshape(-1, n_centers)
         ids = np.broadcast_to(np.arange(n_centers), d2.shape)
         want = np.lexsort((ids, d2))[:, :k]
         bad = np.flatnonzero(np.any(got != want, axis=1))
@@ -827,7 +835,7 @@ def check_knn(seed: int = 0, grid: int = 32, n_queries: int = 1000,
                 f"knn mismatch on {what} {qi}: renderer {got[qi].tolist()} vs "
                 f"brute force {want[qi].tolist()}"
             )
-    return [f"knn: PASS ({n_queries + n_rays * samples} queries over "
+    return [f"knn: PASS ({n_queries + 2 * n_rays * samples} queries over "
             f"{n_centers} centers, k={k}, exact)"]
 
 
@@ -906,10 +914,9 @@ def cmd_render(args) -> int:
         )
     mlp = load_mlp(mlp_path)
     cams = load_cameras(args.camera)
-    if not (0 <= args.view < len(cams)):
-        raise InvalidArgumentError(
-            f"view {args.view} out of range: camera file has {len(cams)}"
-        )
+    if args.view >= len(cams):
+        raise InvalidArgumentError(f"view {args.view} out of range: camera "
+                                   f"file has {len(cams)}")
     cam = cams[args.view]
     frame = render_image(avatar, mlp, cam, RenderConfig(), seed=args.seed)
     write_ppm(frame.color, args.out)
@@ -967,10 +974,6 @@ def _parse_denoiser(spec: str, schedule: DiffusionSchedule):
 
 
 def cmd_diffuse(args) -> int:
-    for flag, size in (("--plane-size", args.plane_size),
-                       ("--payload-channels", args.payload_channels)):
-        if size < 1:
-            raise InvalidArgumentError(f"{flag} must be >= 1, got {size}")
     if args.schedule != "cosine":
         raise InvalidArgumentError(f"unknown schedule {args.schedule!r}")
     schedule = cosine_schedule(args.steps)
@@ -1058,7 +1061,7 @@ def _int_at_least(low: int):
 
 
 _positive_int = _int_at_least(1)
-_seed = _int_at_least(0)
+_non_negative_int = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1074,22 +1077,22 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", required=True)
     q.add_argument("--iters", type=_positive_int, default=300)
     q.add_argument("--mode", choices=("direct", "latent"), default="direct")
-    q.add_argument("--k", type=int, default=3)
+    q.add_argument("--k", type=_positive_int, default=3)
     q.add_argument("--payload", choices=("triplane", "vector"),
                    default="triplane")
-    q.add_argument("--patch", type=int, default=16)
-    q.add_argument("--seed", type=_seed, default=0)
+    q.add_argument("--patch", type=_positive_int, default=16)
+    q.add_argument("--seed", type=_non_negative_int, default=0)
     q.set_defaults(func=cmd_fit)
 
     q = sub.add_parser("render", help="render a view of a saved avatar")
     q.add_argument("avatar")
     q.add_argument("--camera", required=True)
-    q.add_argument("--view", type=int, default=0)
+    q.add_argument("--view", type=_non_negative_int, default=0)
     q.add_argument("--out", required=True)
     q.add_argument("--depth")
     q.add_argument("--alpha")
     q.add_argument("--mlp")
-    q.add_argument("--seed", type=_seed, default=0)
+    q.add_argument("--seed", type=_non_negative_int, default=0)
     q.set_defaults(func=cmd_render)
 
     q = sub.add_parser("edit", help="region transfer or expression offset")
@@ -1105,35 +1108,35 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("diffuse", help="sample or inpaint a UV tensor")
     q.add_argument("action", choices=("sample", "inpaint"))
     q.add_argument("--schedule", default="cosine")
-    q.add_argument("--steps", type=int, default=1000)
-    q.add_argument("--step-count", type=int, default=None,
+    q.add_argument("--steps", type=_positive_int, default=1000)
+    q.add_argument("--step-count", type=_positive_int, default=None,
                    help="reverse steps (default: all)")
     q.add_argument("--denoiser", default="analytic:0.0,0.5")
     q.add_argument("--like", help="avatar supplying dims + anchors")
     q.add_argument("--anchors", help="anchor grid for sample output")
-    q.add_argument("--plane-size", type=int, default=8)
-    q.add_argument("--payload-channels", type=int, default=8,
+    q.add_argument("--plane-size", type=_positive_int, default=8)
+    q.add_argument("--payload-channels", type=_positive_int, default=8,
                    help="sample --anchors: payload channel count")
     q.add_argument("--channels", choices=("geo", "tex", "both"), default=None,
                    help="inpaint: channels the --mask keeps (default both)")
     q.add_argument("--mask", help="P5 mask of texels to keep (inpaint)")
     q.add_argument("--out", required=True)
-    q.add_argument("--seed", type=_seed, default=0)
+    q.add_argument("--seed", type=_non_negative_int, default=0)
     q.set_defaults(func=cmd_diffuse)
 
     q = sub.add_parser("check", help="run an oracle self-check suite")
     q.add_argument("suite", choices=sorted(_CHECKS))
-    q.add_argument("--seed", type=_seed, default=None,
+    q.add_argument("--seed", type=_non_negative_int, default=None,
                    help="override the suite's pinned scene seed")
     q.set_defaults(func=cmd_check)
 
     q = sub.add_parser("dataset", help="generate a toy dataset directory")
     q.add_argument("kind", choices=TOY_KINDS)
     q.add_argument("--out", required=True)
-    q.add_argument("--views", type=int, default=16)
+    q.add_argument("--views", type=_positive_int, default=16)
     q.add_argument("--resolution", type=_positive_int, default=32)
-    q.add_argument("--grid", type=int, default=8)
-    q.add_argument("--seed", type=_seed, default=0)
+    q.add_argument("--grid", type=_positive_int, default=8)
+    q.add_argument("--seed", type=_non_negative_int, default=0)
     q.set_defaults(func=cmd_dataset)
     return p
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from guv import render
 from guv.core import UVAvatar, init_from_anchors
 from guv.render import RenderMLP
 
@@ -49,3 +50,17 @@ def random_avatar():
 @pytest.fixture
 def random_render_mlp():
     return make_render_mlp(np.random.default_rng(2))
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Counts the renderer KNN's calls of its dense float64 _sample_d2 path."""
+    calls = []
+    sample_d2 = render._sample_d2
+
+    def counted(*args):
+        calls.append(1)
+        return sample_d2(*args)
+
+    monkeypatch.setattr(render, "_sample_d2", counted)
+    return calls

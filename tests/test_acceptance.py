@@ -218,8 +218,8 @@ def test_grid_knn_matches_brute_force(report):
     elapsed = time.perf_counter() - t0
     report("knn oracle",
            bool(lines),
-           f"1000 queries + 64 rays x 32 samples over 1024 centers exact "
-           f"incl. ties, {elapsed:.0f}s")
+           f"1000 queries + 64 rays x 32 samples + 64 near-tie rays over "
+           f"1024 centers exact incl. ties, {elapsed:.0f}s")
 
 
 def test_editing_contracts(report):

@@ -259,12 +259,14 @@ class TestFitScene:
         last = float(np.mean(res.loss_history[-5:]))
         assert last < first
 
-    def test_divergence_names_iteration(self, rng):
-        # lr large enough that squared center distances overflow float64
+    def test_divergence_names_iteration(self, rng, dense_calls):
+        # lr large enough that squared center distances overflow float64;
+        # the KNN then leaves its float32 prefilter for the dense path
         views = _toy_views(rng)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericFailureError, match="iteration"):
                 _fit(views, rng, 5, lr_gaussians=1e200)
+        assert dense_calls
 
     def test_latent_mode_payloads_come_from_decoder(self, rng):
         views = _toy_views(rng)

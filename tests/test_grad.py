@@ -61,12 +61,9 @@ class TestElementwiseOps:
     def test_unary_chain(self):
         _check_op(lambda x: g.sum(g.mul(g.neg(x), self.w)), self._x())
         _check_op(lambda x: g.sum(g.mul(g.exp(x), self.w)), self._x())
-        _check_op(lambda x: g.sum(g.mul(g.log(x), self.w)), self._x(0.5, 2.0))
         _check_op(lambda x: g.sum(g.mul(g.log1p(x), self.w)), self._x(-0.5, 0.5))
-        _check_op(lambda x: g.sum(g.mul(g.sqrt(x), self.w)), self._x(0.5, 2.0))
         _check_op(lambda x: g.sum(g.mul(g.sin(x), self.w)), self._x(-3, 3))
         _check_op(lambda x: g.sum(g.mul(g.cos(x), self.w)), self._x(-3, 3))
-        _check_op(lambda x: g.sum(g.mul(g.tanh(x), self.w)), self._x(-2, 2))
         _check_op(lambda x: g.sum(g.mul(g.sigmoid(x), self.w)), self._x(-4, 4))
 
     def test_kinked_ops_away_from_kinks(self):
@@ -192,28 +189,21 @@ class TestShapeOps:
         _check_op(lambda x: g.sum(g.mul(x[idx], w2)),
                   self.rng.standard_normal((5, 4)))
 
-    def test_reshape_transpose_broadcast(self):
+    def test_reshape_broadcast(self):
         w = self.rng.standard_normal(12)
         _check_op(lambda x: g.sum(g.mul(g.reshape(x, (12,)), w)),
-                  self.rng.standard_normal((3, 4)))
-        w2 = self.rng.standard_normal((4, 3))
-        _check_op(lambda x: g.sum(g.mul(g.transpose(x, (1, 0)), w2)),
                   self.rng.standard_normal((3, 4)))
         w3 = self.rng.standard_normal((5, 3))
         _check_op(lambda x: g.sum(g.mul(g.broadcast_to(x, (5, 3)), w3)),
                   self.rng.standard_normal(3))
 
-    def test_stack_concatenate_where(self):
+    def test_stack_concatenate(self):
         w = self.rng.standard_normal((3, 2))
         w6 = self.rng.standard_normal(6)
-        w3 = self.rng.standard_normal(3)
         y = self.rng.standard_normal(3)
         _check_op(lambda x: g.sum(g.mul(g.stack([x, y], axis=-1), w)),
                   self.rng.standard_normal(3))
         _check_op(lambda x: g.sum(g.mul(g.concatenate([x, y], axis=0), w6)),
-                  self.rng.standard_normal(3))
-        cond = np.array([True, False, True])
-        _check_op(lambda x: g.sum(g.mul(g.where(cond, x, y), w3)),
                   self.rng.standard_normal(3))
 
     def test_var_operator_sugar(self):
@@ -227,11 +217,10 @@ class TestShapeOps:
 
 
 # the name each public op records on the tape (absolute records "abs")
-_OP_NAMES = ["add", "sub", "mul", "div", "neg", "exp", "log", "log1p", "sqrt",
-             "sin", "cos", "tanh", "sigmoid", "relu", "abs", "clip", "sum",
-             "cumsum", "matmul", "matmul_last", "mixdown", "take", "getitem",
-             "reshape", "transpose", "broadcast_to", "stack", "concatenate",
-             "where"]
+_OP_NAMES = ["add", "sub", "mul", "div", "neg", "exp", "log1p", "sin", "cos",
+             "sigmoid", "relu", "abs", "clip", "sum", "cumsum", "matmul",
+             "matmul_last", "mixdown", "take", "getitem", "reshape",
+             "broadcast_to", "stack", "concatenate"]
 
 _Y = np.array([[0.3, 0.7, 1.2], [0.5, 0.9, 1.4]])
 
@@ -243,12 +232,9 @@ _OPS = {
     "div": lambda x: g.div(_Y, x),
     "neg": g.neg,
     "exp": g.exp,
-    "log": g.log,
     "log1p": g.log1p,
-    "sqrt": g.sqrt,
     "sin": g.sin,
     "cos": g.cos,
-    "tanh": g.tanh,
     "sigmoid": g.sigmoid,
     "relu": g.relu,
     "abs": g.absolute,
@@ -261,11 +247,9 @@ _OPS = {
     "take": lambda x: g.take(x, [1, 0, 1]),
     "getitem": lambda x: g.getitem(x, (slice(None), 1)),
     "reshape": lambda x: g.reshape(x, (3, 2)),
-    "transpose": lambda x: g.transpose(x, (1, 0)),
     "broadcast_to": lambda x: g.broadcast_to(x, (4, 2, 3)),
     "stack": lambda x: g.stack([x, _Y], axis=0),
     "concatenate": lambda x: g.concatenate([_Y, x], axis=1),
-    "where": lambda x: g.where(_Y > 0.8, x, _Y),
 }
 
 
@@ -287,7 +271,7 @@ class TestOpProtocol:
 
     def test_table_covers_every_documented_name(self):
         assert list(_OPS) == _OP_NAMES
-        assert len(_OP_NAMES) == 29
+        assert len(_OP_NAMES) == 24
 
     def test_plain_arrays_return_ndarrays_and_record_nothing(self):
         def loss(leaves):
@@ -308,7 +292,6 @@ class TestOpProtocol:
     def test_aliased_inputs_accumulate_exactly(self):
         w = np.array([[0.25, -1.5, 2.0], [3.0, 0.125, -0.75]])
         w2 = np.array([[1.5, -0.5, 0.25], [2.0, -3.0, 0.5]])
-        cond = np.array([[True, False, True], [False, False, True]])
         _, grad = _recorded(lambda x: g.mul(x, x), w)
         np.testing.assert_array_equal(grad, 2.0 * w)
         _, grad = _recorded(
@@ -318,8 +301,6 @@ class TestOpProtocol:
             lambda x: g.mul(g.concatenate([x, x], axis=1),
                             np.concatenate([w, w2], axis=1)), _Y)
         np.testing.assert_array_equal(grad, w + w2)
-        _, grad = _recorded(lambda x: g.mul(g.where(cond, x, x), w), _Y)
-        np.testing.assert_array_equal(grad, w * cond + w * ~cond)
 
 
 class TestGradients:
@@ -368,9 +349,9 @@ class TestGradients:
         assert np.array_equal(runs[0], runs[1])
 
     def test_non_finite_loss_names_first_bad_op(self):
-        params = ParamSet({"x": np.array([-1.0])}, {"x": 1.0})
-        with pytest.raises(NumericFailureError, match="log"):
-            gradients(lambda leaves: g.sum(g.log(leaves["x"])), params)
+        params = ParamSet({"x": np.array([-2.0])}, {"x": 1.0})
+        with pytest.raises(NumericFailureError, match="log1p"):
+            gradients(lambda leaves: g.sum(g.log1p(leaves["x"])), params)
 
     def test_rejects_non_scalar_and_non_var_losses(self):
         params = ParamSet({"x": np.ones(3)}, {"x": 1.0})

@@ -840,23 +840,11 @@ class TestCli:
         assert "sampler oracle: PASS" in out
         assert "transitions" in out
 
-    @pytest.mark.parametrize("argv, message", [
-        (["diffuse", "sample", "--anchors", "{anchors}", "--payload-channels", "0"],
-         "--payload-channels must be >= 1, got 0"),
-        (["diffuse", "sample", "--anchors", "{anchors}", "--payload-channels", "-1"],
-         "--payload-channels must be >= 1, got -1"),
-        (["diffuse", "sample", "--anchors", "{anchors}", "--plane-size", "0"],
-         "--plane-size must be >= 1, got 0"),
-        (["dataset", "sphere", "--grid", "0"], "grid must be >= 1"),
-        (["dataset", "two-lobe", "--grid", "3"], "even for two-lobe), got 3"),
-    ])
-    def test_sizes_below_one_exit_two(self, cli_dataset, tmp_path, capsys,
-                                      argv, message):
+    def test_odd_two_lobe_grid_exits_two(self, tmp_path, capsys):
         out = tmp_path / "out"
-        rc = main([a.format(anchors=cli_dataset / "anchors.guva") for a in argv]
-                  + ["--out", str(out)])
+        rc = main(["dataset", "two-lobe", "--grid", "3", "--out", str(out)])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        assert "even for two-lobe), got 3" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -871,6 +859,22 @@ class TestCli:
          "argument --seed: expected an integer, got 'x'"),
         (["dataset", "sphere", "--resolution", "0"],
          "argument --resolution: must be >= 1, got 0"),
+        (["fit", "{ds}", "--k", "0"], "argument --k: must be >= 1, got 0"),
+        (["fit", "{ds}", "--patch", "0"], "argument --patch: must be >= 1, got 0"),
+        (["render", "{fit}", "--camera", "{ds}/cameras.json", "--view", "-1"],
+         "argument --view: must be >= 0, got -1"),
+        (["dataset", "sphere", "--views", "0"], "argument --views: must be >= 1, got 0"),
+        (["dataset", "sphere", "--grid", "0"], "argument --grid: must be >= 1, got 0"),
+        (["diffuse", "sample", "--anchors", "{ds}/anchors.guva", "--steps", "0"],
+         "argument --steps: must be >= 1, got 0"),
+        (["diffuse", "sample", "--anchors", "{ds}/anchors.guva", "--step-count", "0"],
+         "argument --step-count: must be >= 1, got 0"),
+        (["diffuse", "sample", "--anchors", "{ds}/anchors.guva", "--plane-size", "0"],
+         "argument --plane-size: must be >= 1, got 0"),
+        (["diffuse", "sample", "--anchors", "{ds}/anchors.guva",
+          "--payload-channels", "0"], "argument --payload-channels: must be >= 1, got 0"),
+        (["diffuse", "sample", "--anchors", "{ds}/anchors.guva",
+          "--payload-channels", "-1"], "argument --payload-channels: must be >= 1, got -1"),
     ])
     def test_flag_out_of_range_exits_two_naming_flag(self, cli_dataset, cli_fit,
                                                      tmp_path, capsys, argv,

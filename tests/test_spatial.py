@@ -121,18 +121,75 @@ class TestKnnSelect:
         centers = rng.uniform(-1, 1, size=(300, 3))
         centers[10:40] = centers[100:130]
         origin = np.array([0.1, -2.0, 0.3])
-        dirs = rng.standard_normal((70, 3))
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-        t = rng.uniform(0.5, 3.5, size=(70, 32))
+        dirs, t = _rays(rng, 70, 0.5, 3.5)
         assert t.size > 2 * _KNN_BLOCK_ROWS
-        delta0 = centers - origin
-        proj = np.sum(dirs[:, None, :] * delta0[None, :, :], axis=-1)
-        d2 = _sample_d2(np.sum(delta0 * delta0, axis=-1), proj, t).reshape(-1, 300)
-        ids = np.broadcast_to(np.arange(300), d2.shape)
         for k in (1, 3, 8):
-            want = np.lexsort((ids, d2))[:, :k]
             got = _knn_for_samples(centers, origin, dirs, t, k)
-            np.testing.assert_array_equal(got.reshape(-1, k), want)
+            np.testing.assert_array_equal(got.reshape(-1, k),
+                                          _lexsort_knn(centers, origin, dirs, t, k))
+
+
+def _rays(rng, count, t_lo, t_hi):
+    """count random unit directions with 32 sample distances each."""
+    dirs = rng.standard_normal((count, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    return dirs, rng.uniform(t_lo, t_hi, size=(count, 32))
+
+
+def _lexsort_knn(centers, origin, dirs, t, k):
+    """Exhaustive (d2, id) order of the dense float64 distance rows."""
+    delta0 = centers - origin
+    proj = np.sum(dirs[:, None, :] * delta0[None, :, :], axis=-1)
+    d2 = _sample_d2(np.sum(delta0 * delta0, axis=-1), proj, t)
+    d2 = d2.reshape(-1, centers.shape[0])
+    return np.lexsort((np.broadcast_to(np.arange(d2.shape[1]), d2.shape), d2))[:, :k]
+
+
+class TestSampleKnn:
+    """The renderer's float32 prefilter against the dense float64 order."""
+
+    def test_float32_near_ties_match_lexsort(self, rng, dense_calls):
+        # every sample sits 12.5 from the origin on one axis, and the
+        # centers on a sphere of radius 87.5 around it, within 0.05 rad of
+        # the far pole, so |center - origin| ~ 100: all d2 are equal up to
+        # float64 rounding, and float32 rounds s0 ~ 1e4 and 2 t proj ~ 2500
+        # to ~1e-3 apart. A rank's near-ties straddle the k-th place in
+        # every row; the slack (M ~ 1.25e4 against t^2 ~ 156) must keep
+        # them. The last 20 centers duplicate the first 20 exactly.
+        axis = np.array([1.0, 0.0, 0.0])
+        polar = rng.uniform(0.0, 0.05, 300)
+        azimuth = rng.uniform(0.0, 2 * np.pi, 300)
+        pole = np.stack([np.cos(polar), np.sin(polar) * np.cos(azimuth),
+                         np.sin(polar) * np.sin(azimuth)], axis=-1)
+        centers = 12.5 * axis + 87.5 * pole
+        centers[280:] = centers[:20]
+        origin = np.zeros(3)
+        dirs = np.tile(axis, (70, 1))
+        t = 12.5 + rng.uniform(-1e-7, 1e-7, size=(70, 32))
+        assert t.size > 2 * _KNN_BLOCK_ROWS
+        for k in (1, 3, 8):
+            got = _knn_for_samples(centers, origin, dirs, t, k)
+            np.testing.assert_array_equal(got.reshape(-1, k),
+                                          _lexsort_knn(centers, origin, dirs, t, k))
+        assert dense_calls == []
+
+    @pytest.mark.parametrize("scale, bad", [(1.0, np.inf), (1.0, -np.inf),
+                                            (1.0, np.nan), (1e20, 0.5)])
+    def test_non_finite_or_huge_centers_take_the_dense_path(
+            self, rng, dense_calls, scale, bad):
+        # centers at ~1e20 square past float32's range; the result must be
+        # the dense order, not a selection from overflowed float32 rows
+        centers = rng.uniform(-1, 1, size=(40, 3))
+        centers[7, 1] = bad
+        centers *= scale
+        origin = np.array([0.1, -2.0, 0.3])
+        dirs, t = _rays(rng, 20, 0.5, 3.5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for k in (1, 3):
+                got = _knn_for_samples(centers, origin, dirs, t, k)
+                want = _lexsort_knn(centers, origin, dirs, t, k)
+                np.testing.assert_array_equal(got.reshape(-1, k), want)
+        assert len(dense_calls) == 4
 
 
 class TestKnnQuery:
