@@ -335,7 +335,9 @@ def fit_scene(
     AdamW step on the full objective. render_cfg overrides sampling/blending
     (in particular the neighbor count K for ablations); plane_size=1 is the
     feature-vector ablation. Divergence raises with the iteration index.
-    Fixed config.seed gives a bit-identical loss history.
+    Fixed config.seed gives a bit-identical loss history; in latent mode
+    only at a fixed BLAS thread count, since the decoder's matmul rounds
+    differently with the thread count.
     """
     if mode not in ("direct", "latent"):
         raise InvalidArgumentError(f"mode must be 'direct' or 'latent', got {mode!r}")

@@ -12,8 +12,10 @@ input is a Var): code written against these functions (the renderer, the
 losses) runs unchanged on plain arrays when no gradient is wanted.
 
 Non-differentiable points use fixed subgradients: clip and relu take 0 at
-their kinks, absolute uses sign with sign(0) = 0. Reduction order is fixed
-and single-threaded, so gradients are bit-reproducible.
+their kinks, absolute uses sign with sign(0) = 0. Every op but matmul
+reduces in a fixed single-threaded order, so gradients are bit-reproducible
+except in latent mode: the decoder's matmul is a BLAS product whose
+rounding can change with the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -183,11 +185,6 @@ def _sigmoid_val(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x):
-    o = _sigmoid_val(value(x))
-    return _op("sigmoid", o, (x, lambda g: g * o * (1.0 - o)))
-
-
 def relu(x):
     v = value(x)
     return _op("relu", np.maximum(v, 0.0), (x, lambda g: g * (v > 0)))
@@ -235,29 +232,12 @@ def matmul(a, b):
     return _op("matmul", va @ vb, (a, lambda g: g @ vb.T), (b, lambda g: va.T @ g))
 
 
-def matmul_last(x, w):
-    """Batched product contracting the last axis of x with 2-D w:
-    (..., i) x (i, o) -> (..., o).
-
-    einsum with optimize=False runs one fixed single-threaded C loop, never
-    BLAS, so outputs are bit-reproducible and independent of the leading
-    batch shape; the render kernel's cross-batch bit-equality contract
-    depends on this. Forward bits match the explicit multiply + sum they
-    replace; dx/dw roundings may differ from that form at the 1e-15 level.
-    """
-    vx, vw = value(x), value(w)
-    i, o = vw.shape
-    x2 = vx.reshape(-1, i)
-    out_val = np.einsum("ni,io->no", x2, vw, optimize=False).reshape(vx.shape[:-1] + (o,))
-    return _op("matmul_last", out_val,
-               (x, lambda g: np.einsum("no,io->ni", g.reshape(-1, o), vw,
-                                       optimize=False).reshape(vx.shape)),
-               (w, lambda g: np.einsum("ni,no->io", x2, g.reshape(-1, o), optimize=False)))
-
-
 def mixdown(weights, values):
     """Weighted sum over a stack axis: (..., k) weights with (..., k, c)
-    values -> (..., c). Same fixed-loop einsum guarantees as matmul_last."""
+    values -> (..., c). einsum with optimize=False runs one fixed
+    single-threaded C loop, never BLAS, so each output is bit-reproducible
+    and independent of the leading batch shape; the render kernel's
+    cross-batch bit-equality contract depends on this."""
     vw, vv = value(weights), value(values)
     return _op("mixdown", np.einsum("...k,...kc->...c", vw, vv, optimize=False),
                (weights, lambda g: np.einsum("...c,...kc->...k", g, vv, optimize=False)),
@@ -269,19 +249,17 @@ def take(x, indices):
     idx = np.asarray(indices)
     vx = value(x)
     return _op("take", np.take(vx, idx, axis=0),
-               (x, lambda g: _scatter_rows(g, idx, vx.shape)))
+               (x, lambda g: _bincount_rows(g, idx, vx.shape)))
 
 
-def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape: tuple) -> np.ndarray:
-    """take's VJP: sum the rows of g into a zero array of `shape` at idx,
-    one bincount per trailing column."""
-    flat_idx = idx.reshape(-1)
-    tail = int(np.prod(shape[1:], dtype=np.int64)) if len(shape) > 1 else 1
-    gflat = g.reshape(flat_idx.size, tail)
-    acc = np.zeros((shape[0], tail))
-    for c in range(tail):
-        acc[:, c] = np.bincount(flat_idx, weights=gflat[:, c], minlength=shape[0])
-    return acc.reshape(shape)
+def _bincount_rows(g: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """Scatter-add along axis 0, take's VJP: the rows of g summed into a zero
+    array of `shape` at `rows`. One flat bincount over row * C + c adds each
+    bin's entries in the order of rows, as a bincount per column would."""
+    c = int(np.prod(shape[1:], dtype=np.int64))
+    flat = (rows.reshape(-1, 1) * c + np.arange(c)).reshape(-1)
+    return np.bincount(flat, weights=g.reshape(-1),
+                       minlength=shape[0] * c).reshape(shape)
 
 
 def getitem(x, key):
@@ -311,11 +289,6 @@ def broadcast_to(x, shape):
     return _op("broadcast_to", np.broadcast_to(value(x), shape).copy(), (x, lambda g: g))
 
 
-def stack(xs, axis: int = -1):
-    return _op("stack", np.stack([value(x) for x in xs], axis=axis),
-               *[(x, lambda g, i=i: np.take(g, i, axis=axis)) for i, x in enumerate(xs)])
-
-
 def concatenate(xs, axis: int = -1):
     vals = [value(x) for x in xs]
     out_val = np.concatenate(vals, axis=axis)
@@ -324,6 +297,126 @@ def concatenate(xs, axis: int = -1):
     return _op("concatenate", out_val, *[
         (x, lambda g, lo=lo, hi=hi: g[lead + (slice(lo, hi),)])
         for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])])
+
+
+# ---------------------------------------------------------------------------
+# Fused render-kernel ops: one tape entry each, whose VJPs repeat the backward
+# sweep of the primitive chain they replace, so the bits stay the same.
+# ---------------------------------------------------------------------------
+
+
+def _shared(grads):
+    """grads(g), a fused op's input gradients, computed once per output
+    gradient g and shared by the op's VJPs."""
+    memo = [None, None]
+
+    def get(g):
+        if memo[0] is not g:
+            memo[:] = g, grads(g)
+        return memo[1]
+    return get
+
+
+def shading_mlp(feat, w1, b1, w2, b2):
+    """sigmoid(relu(feat w1 + b1) w2 + b2) for (..., i) features, the
+    shading head as one op.
+
+    Both products run feature-major, einsum "in,io->on" on the contiguous
+    transposes: the same sequential fixed-loop sum over i as the row-major
+    "ni,io->no", so the same bits, with the long row axis innermost. The
+    VJPs make the row-major einsum calls of the chain matmul, bias, relu,
+    matmul, bias, sigmoid; _add_grad unbroadcasts the bias gradients.
+    """
+    vf, vw1, vb1, vw2, vb2 = (value(x) for x in (feat, w1, b1, w2, b2))
+    lead, (i, m), o = vf.shape[:-1], vw1.shape, vw2.shape[1]
+    f2 = vf.reshape(-1, i)
+    h_t = np.maximum(np.einsum("in,io->on", np.ascontiguousarray(f2.T), vw1,
+                               optimize=False) + vb1.reshape(-1, 1), 0.0)
+    a2_t = np.einsum("in,io->on", h_t, vw2, optimize=False) + vb2.reshape(-1, 1)
+    out = _sigmoid_val(np.ascontiguousarray(a2_t.T)).reshape(lead + (o,))
+
+    def grads(g):
+        go = g * out * (1.0 - out)
+        h = np.ascontiguousarray(h_t.T)
+        ga = np.einsum("no,io->ni", go.reshape(-1, o), vw2, optimize=False) * (h > 0)
+        return (np.einsum("no,io->ni", ga, vw1, optimize=False).reshape(vf.shape),
+                np.einsum("ni,no->io", f2, ga, optimize=False), ga.reshape(lead + (m,)),
+                np.einsum("ni,no->io", h, go.reshape(-1, o), optimize=False), go)
+
+    shared = _shared(grads)
+    return _op("shading_mlp", out, *((x, lambda g, k=k: shared(g)[k])
+                                     for k, x in enumerate((feat, w1, b1, w2, b2))))
+
+
+_PLANE_AXES = ((0, 1), (0, 2), (1, 2))  # the local axes each plane spans
+
+
+def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
+    """Sum of the three bilinear plane samples of the gathered tri-planes,
+    (..., C), as one op.
+
+    payload_flat: (N*3*S*S, C) rows in order ((n*3 + plane)*S + i)*S + j.
+    idx: (...) int neighbor ids. u0, u1, u2: local coordinates in [-1, 1]
+    of idx's shape; plane 0 spans (u0, u1), plane 1 (u0, u2), plane 2
+    (u1, u2), align-corners. With s == 1 each plane is one row and the u's
+    are not inputs.
+
+    The forward makes the numpy calls of the per-plane chain (corner take,
+    bilinear weights, mixdown einsum, (p0 + p1) + p2). The VJPs replay its
+    backward sweep: planes 2, 1, 0; the payload gradient (S2 + S1) + S0,
+    each S one flat bincount; each u's gradient the sum of its two planes'
+    (gf (s-1)) 0.5 in sweep order.
+    """
+    vp = value(payload_flat)
+    us = [value(u) for u in (u0, u1, u2)]
+    planes = []  # per plane: rows, then for s > 1 weights, corners, fa, fb
+    feat = None
+    for p, (a, b) in enumerate(_PLANE_AXES):
+        if s == 1:
+            rows = idx * 3 + p
+            contrib = np.take(vp, rows, axis=0)
+            planes.append((rows,))
+        else:
+            pa = ((us[a] + 1.0) * 0.5) * float(s - 1)
+            pb = ((us[b] + 1.0) * 0.5) * float(s - 1)
+            ia = np.clip(np.floor(pa), 0, s - 2).astype(np.int64)
+            ib = np.clip(np.floor(pb), 0, s - 2).astype(np.int64)
+            fa, fb = pa - ia.astype(np.float64), pb - ib.astype(np.float64)
+            r00 = (((idx * 3 + p) * s) + ia) * s + ib
+            rows = np.stack([r00, r00 + 1, r00 + s, r00 + s + 1], axis=-1)
+            corners = np.take(vp, rows, axis=0)
+            one_fa, one_fb = 1.0 - fa, 1.0 - fb
+            wts = np.stack([one_fa * one_fb, one_fa * fb, fa * one_fb, fa * fb], axis=-1)
+            contrib = np.einsum("...k,...kc->...c", wts, corners, optimize=False)
+            planes.append((rows, wts, corners, fa, fb))
+        feat = contrib if feat is None else feat + contrib
+
+    def grads(g):
+        dp, du = None, {}
+        for p in (2, 1, 0):
+            if s == 1:
+                part = _bincount_rows(g, planes[p][0], vp.shape)
+            else:
+                rows, wts, corners, fa, fb = planes[p]
+                part = _bincount_rows(wts[..., None] * g[..., None, :], rows, vp.shape)
+                gw = np.einsum("...c,...kc->...k", g, corners, optimize=False)
+                one_fa, one_fb = 1.0 - fa, 1.0 - fb
+                g_one_fa = gw[..., 1] * fb + gw[..., 0] * one_fb
+                g_one_fb = gw[..., 2] * fa + gw[..., 0] * one_fa
+                g_fa = (gw[..., 3] * fb + gw[..., 2] * one_fb) + -g_one_fa
+                g_fb = (gw[..., 3] * fa + gw[..., 1] * one_fa) + -g_one_fb
+                a, b = _PLANE_AXES[p]
+                for axis, gf in ((b, g_fb), (a, g_fa)):
+                    gu = (gf * float(s - 1)) * 0.5
+                    du[axis] = gu if axis not in du else du[axis] + gu
+            dp = part if dp is None else dp + part
+        return dp, du
+
+    shared = _shared(grads)
+    u_inputs = [] if s == 1 else [(u, lambda g, k=k: shared(g)[1][k])
+                                  for k, u in enumerate((u0, u1, u2))]
+    return _op("triplane_sample", feat, (payload_flat, lambda g: shared(g)[0]),
+               *u_inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ FORMAT_VERSION = 1
 def _atomic_write(path, data: bytes) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".guv-tmp-")
     try:
         with os.fdopen(fd, "wb") as f:

@@ -13,7 +13,10 @@ contracts shape the implementation:
 - march_ray and render_image share one vectorized kernel whose contractions
   run through fixed-loop einsum (optimize=False, never BLAS) or explicit
   multiply + sum over fixed-length trailing axes (8, 32, K, J), so per-pixel
-  results are independent of batch shape.
+  results are independent of batch shape. The shading MLP (grad.shading_mlp)
+  runs feature-major, einsum "in,io->on" on transposed features: each
+  output is still the sequential sum over i that "ni,io->no" makes, so the
+  bits do not change, and the long row axis is the inner loop.
 - World positions are only ever used as (center - origin) and t * direction,
   never origin + t * direction - center, so jointly translating scene and
   camera by a float-exact vector leaves every intermediate bit-identical.
@@ -91,56 +94,19 @@ def mlp_forward(mlp_or_arrays, feature):
     """(color in (0,1)^3, opacity in (0,1)) for (..., 8) features.
 
     Accepts a RenderMLP or a dict with w1/b1/w2/b2 entries (tape variables
-    during fitting). Matrix products go through the fixed-loop batched
-    matmul so results are independent of batch shape.
+    during fitting). One grad.shading_mlp op; its fixed-loop products make
+    results independent of batch shape.
     """
-    if isinstance(mlp_or_arrays, RenderMLP):
-        w1, b1, w2, b2 = (mlp_or_arrays.w1, mlp_or_arrays.b1,
-                          mlp_or_arrays.w2, mlp_or_arrays.b2)
-    else:
-        w1, b1, w2, b2 = (mlp_or_arrays[k] for k in ("w1", "b1", "w2", "b2"))
-    f = feature if isinstance(feature, g.Var) else np.asarray(feature, dtype=np.float64)
-    h = g.relu(g.matmul_last(f, w1) + b1)
-    out = g.matmul_last(h, w2) + b2
-    sig = g.sigmoid(out)
+    arrays = (mlp_arrays(mlp_or_arrays) if isinstance(mlp_or_arrays, RenderMLP)
+              else mlp_or_arrays)
+    sig = g.shading_mlp(feature, *(arrays[k] for k in ("w1", "b1", "w2", "b2")))
     return sig[..., 0:3], sig[..., 3]
 
 
 def _triplane_features(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
-    """Bilinear tri-plane samples for gathered neighbors.
-
-    payload_flat: (N*3*S*S, C) rows (tape variable or ndarray), row order
-    ((n*3 + plane)*S + i)*S + j. idx: (..., ) int neighbor ids. u0,u1,u2:
-    local coordinates, same leading shape. Returns (..., C).
-    """
-    feat = None
-    for p, (ua, ub) in enumerate(((u0, u1), (u0, u2), (u1, u2))):
-        if s == 1:
-            rows = idx * 3 + p
-            contrib = g.take(payload_flat, rows)
-        else:
-            pa = g.mul(g.mul(g.add(ua, 1.0), 0.5), float(s - 1))
-            pb = g.mul(g.mul(g.add(ub, 1.0), 0.5), float(s - 1))
-            ia = np.clip(np.floor(g.value(pa)), 0, s - 2).astype(np.int64)
-            ib = np.clip(np.floor(g.value(pb)), 0, s - 2).astype(np.int64)
-            fa = g.sub(pa, ia.astype(np.float64))
-            fb = g.sub(pb, ib.astype(np.float64))
-            base = (idx * 3 + p) * s
-            r00 = (base + ia) * s + ib
-            r01 = (base + ia) * s + ib + 1
-            r10 = (base + ia + 1) * s + ib
-            r11 = (base + ia + 1) * s + ib + 1
-            corners = g.take(payload_flat, np.stack([r00, r01, r10, r11], axis=-1))
-            one_fa = g.sub(1.0, fa)
-            one_fb = g.sub(1.0, fb)
-            weights = g.stack(
-                [g.mul(one_fa, one_fb), g.mul(one_fa, fb),
-                 g.mul(fa, one_fb), g.mul(fa, fb)],
-                axis=-1,
-            )
-            contrib = g.mixdown(weights, corners)
-        feat = contrib if feat is None else g.add(feat, contrib)
-    return feat
+    """Bilinear tri-plane samples (..., C) of the gathered neighbors: one
+    grad.triplane_sample op, tape variables or ndarrays alike."""
+    return g.triplane_sample(payload_flat, s, idx, u0, u1, u2)
 
 
 def _shade(arrays: dict, mlp_arrays: dict, xdiff, idx: np.ndarray,

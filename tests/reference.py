@@ -13,7 +13,10 @@ Gaussian or one scalar at a time, with direct x - mu arithmetic:
   brute_force_knn and rbf_influence;
 - finite_diff: the exhaustive central-difference gradient;
 - brute_force_knn and nearest_k_batch: the exhaustive KNN oracle and the
-  point-query path through knn_select.
+  point-query path through knn_select;
+- matmul_last, sigmoid and stack, tape primitives, and mlp_chain and
+  triplane_chain, the primitive compositions that grad.shading_mlp and
+  grad.triplane_sample fuse: their oracle, value and gradient, bit for bit.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ import numpy as np
 
 from guv.core import RenderConfig, UVAvatar, _frozen, rotation_matrix
 from guv.errors import InvalidArgumentError
+from guv import grad as g
 from guv.grad import ParamSet, default_step, value
 from guv.render import RenderMLP, _shade, avatar_arrays, mlp_arrays
 from guv.spatial import _check_k, knn_select
@@ -224,3 +228,64 @@ def finite_diff(loss_evaluator, params: ParamSet, h: float | None = None) -> Par
             flat[i] = theta
             gflat[i] = (fp - fm) / (2.0 * hi)
     return ParamSet(grads, dict(params.lrs))
+
+
+def matmul_last(x, w):
+    """(..., i) x (i, o) -> (..., o) as one tape op: fixed-loop einsum,
+    never BLAS, so independent of the leading batch shape."""
+    vx, vw = value(x), value(w)
+    i, o = vw.shape
+    x2 = vx.reshape(-1, i)
+    out_val = np.einsum("ni,io->no", x2, vw, optimize=False).reshape(vx.shape[:-1] + (o,))
+    return g._op("matmul_last", out_val,
+                 (x, lambda gr: np.einsum("no,io->ni", gr.reshape(-1, o), vw,
+                                          optimize=False).reshape(vx.shape)),
+                 (w, lambda gr: np.einsum("ni,no->io", x2, gr.reshape(-1, o),
+                                          optimize=False)))
+
+
+def sigmoid(x):
+    o = g._sigmoid_val(value(x))
+    return g._op("sigmoid", o, (x, lambda gr: gr * o * (1.0 - o)))
+
+
+def stack(xs, axis: int = -1):
+    return g._op("stack", np.stack([value(x) for x in xs], axis=axis),
+                 *[(x, lambda gr, i=i: np.take(gr, i, axis=axis))
+                   for i, x in enumerate(xs)])
+
+
+def mlp_chain(feat, w1, b1, w2, b2):
+    """The shading head as the primitive chain matmul, bias, relu, matmul,
+    bias, sigmoid: (..., 4)."""
+    h = g.relu(matmul_last(feat, w1) + b1)
+    return sigmoid(matmul_last(h, w2) + b2)
+
+
+def triplane_chain(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
+    """The tri-plane lookup as the per-plane primitive chain: corner take,
+    bilinear weights, mixdown, summed over planes as (p0 + p1) + p2."""
+    feat = None
+    for p, (ua, ub) in enumerate(((u0, u1), (u0, u2), (u1, u2))):
+        if s == 1:
+            contrib = g.take(payload_flat, idx * 3 + p)
+        else:
+            pa = g.mul(g.mul(g.add(ua, 1.0), 0.5), float(s - 1))
+            pb = g.mul(g.mul(g.add(ub, 1.0), 0.5), float(s - 1))
+            ia = np.clip(np.floor(g.value(pa)), 0, s - 2).astype(np.int64)
+            ib = np.clip(np.floor(g.value(pb)), 0, s - 2).astype(np.int64)
+            fa = g.sub(pa, ia.astype(np.float64))
+            fb = g.sub(pb, ib.astype(np.float64))
+            base = (idx * 3 + p) * s
+            r00 = (base + ia) * s + ib
+            r01 = (base + ia) * s + ib + 1
+            r10 = (base + ia + 1) * s + ib
+            r11 = (base + ia + 1) * s + ib + 1
+            corners = g.take(payload_flat, np.stack([r00, r01, r10, r11], axis=-1))
+            one_fa = g.sub(1.0, fa)
+            one_fb = g.sub(1.0, fb)
+            weights = stack([g.mul(one_fa, one_fb), g.mul(one_fa, fb),
+                             g.mul(fa, one_fb), g.mul(fa, fb)], axis=-1)
+            contrib = g.mixdown(weights, corners)
+        feat = contrib if feat is None else g.add(feat, contrib)
+    return feat

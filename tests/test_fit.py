@@ -6,6 +6,7 @@ import pytest
 
 from guv import fit as guv_fit
 from guv import grad as g
+from guv import render
 from guv.core import RenderConfig, init_from_anchors
 from guv.errors import InvalidArgumentError, NumericFailureError
 from guv.fit import (
@@ -21,9 +22,10 @@ from guv.fit import (
 )
 from guv.io_cli import lookat_camera, run_gradient_oracle
 from guv.losses import mesh_loss, tv_loss, volume_loss
-from guv.render import random_mlp, render_image
+from guv.render import random_mlp, render_image, sample_distances
 
 from conftest import make_avatar, make_render_mlp, random_unit
+from reference import mlp_chain, triplane_chain
 
 
 def _ring_cameras(count, size, distance=1.2):
@@ -372,3 +374,53 @@ class TestObjective:
         res = _fit(_toy_views(rng), rng, 1)
         assert len(calls) == 1 and calls[0].idx is None
         assert res.final_breakdown is not None
+
+    @pytest.mark.parametrize("case", ["triplane", "vector", "k1", "latent"])
+    def test_fused_kernel_matches_the_primitive_chains(self, rng, monkeypatch,
+                                                       case):
+        """gradients(fit.objective) through the fused shading head and
+        tri-plane lookup equals, group by group and bit for bit, the same
+        objective with both stages run as the primitive chains they fuse."""
+        s = 1 if case == "vector" else 3
+        avatar = make_avatar(rng, h=2, w=3, plane_size=s)
+        decoder = None
+        if case == "latent":
+            decoder = random_decoder(rng, 2, 3, s, 8)
+            decoder = dataclasses.replace(
+                decoder, w3=0.3 * rng.standard_normal(decoder.w3.shape))
+        cam = lookat_camera((0.9, 0.15, 0.1), (0.0, 0.0, 0.0), 3, 3,
+                            fx=3.5, near=0.5, far=1.4)
+        cfg = RenderConfig(knn_k=1 if case == "k1" else 3, samples_per_ray=6)
+        batch = guv_fit.Batch(
+            origin=cam.origin, dirs=cam.ray_directions().reshape(-1, 3),
+            t=sample_distances(cam.near, cam.far, rng.uniform(size=(9, 6))),
+            cfg=cfg, anchors=avatar.anchors, plane_size=s, channels=8,
+            targets={"color": rng.uniform(size=(9, 3)),
+                     "depth": rng.uniform(0.7, 1.2, size=9),
+                     "mask": (rng.uniform(size=9) > 0.35).astype(np.float64)})
+        params = guv_fit.fit_params(avatar, make_render_mlp(rng), decoder)
+
+        def grads():
+            return g.gradients(lambda leaves: guv_fit.objective(leaves, batch)[0],
+                               params).groups
+
+        fused = grads()
+        calls = []
+
+        def chain_mlp_forward(arrays, feature):
+            calls.append("mlp")
+            sig = mlp_chain(feature, *(arrays[k] for k in ("w1", "b1", "w2", "b2")))
+            return sig[..., 0:3], sig[..., 3]
+
+        def chain_triplane(*args):
+            calls.append("triplane")
+            return triplane_chain(*args)
+
+        monkeypatch.setattr(render, "mlp_forward", chain_mlp_forward)
+        monkeypatch.setattr(render, "_triplane_features", chain_triplane)
+        chained = grads()
+        assert calls == ["triplane", "mlp"]
+        assert set(fused) == set(chained)
+        for name in fused:
+            np.testing.assert_array_equal(fused[name], chained[name], err_msg=name)
+        assert np.any(fused["w1"] != 0.0) and np.any(fused["centers"] != 0.0)

@@ -7,7 +7,8 @@ from guv.errors import InvalidArgumentError, NumericFailureError
 from guv.grad import (AdamWState, FDGroupReport, ParamSet, adamw_state,
                       adamw_step, fd_check, gradients)
 
-from reference import finite_diff
+from reference import (finite_diff, matmul_last, mlp_chain, sigmoid, stack,
+                       triplane_chain)
 
 
 def _check_op(build_loss, x0, rtol=1e-6, atol=1e-9):
@@ -64,7 +65,7 @@ class TestElementwiseOps:
         _check_op(lambda x: g.sum(g.mul(g.log1p(x), self.w)), self._x(-0.5, 0.5))
         _check_op(lambda x: g.sum(g.mul(g.sin(x), self.w)), self._x(-3, 3))
         _check_op(lambda x: g.sum(g.mul(g.cos(x), self.w)), self._x(-3, 3))
-        _check_op(lambda x: g.sum(g.mul(g.sigmoid(x), self.w)), self._x(-4, 4))
+        _check_op(lambda x: g.sum(g.mul(sigmoid(x), self.w)), self._x(-4, 4))
 
     def test_kinked_ops_away_from_kinks(self):
         x = self._x(0.2, 1.0) * np.sign(self.rng.standard_normal((3, 4)))
@@ -122,11 +123,11 @@ class TestShapeOps:
     def test_matmul_last_matches_explicit_form(self):
         x = self.rng.standard_normal((5, 2, 8))
         w = self.rng.standard_normal((8, 4))
-        got = g.matmul_last(x, w)
+        got = matmul_last(x, w)
         ref = (x[..., :, None] * w).sum(axis=-2)
         np.testing.assert_array_equal(got, ref)
         # per-element results must not depend on the batch around them
-        single = g.matmul_last(x[3, 1], w)
+        single = matmul_last(x[3, 1], w)
         np.testing.assert_array_equal(single, got[3, 1])
 
     def test_matmul_last_both_sides(self):
@@ -135,7 +136,7 @@ class TestShapeOps:
         m = self.rng.standard_normal((3, 2, 3))
 
         def loss(leaves):
-            return g.sum(g.mul(g.matmul_last(leaves["x"], leaves["w"]), m))
+            return g.sum(g.mul(matmul_last(leaves["x"], leaves["w"]), m))
 
         params = ParamSet({"x": x0, "w": w0}, {"x": 1.0, "w": 1.0})
         analytic = gradients(loss, params)
@@ -201,7 +202,7 @@ class TestShapeOps:
         w = self.rng.standard_normal((3, 2))
         w6 = self.rng.standard_normal(6)
         y = self.rng.standard_normal(3)
-        _check_op(lambda x: g.sum(g.mul(g.stack([x, y], axis=-1), w)),
+        _check_op(lambda x: g.sum(g.mul(stack([x, y], axis=-1), w)),
                   self.rng.standard_normal(3))
         _check_op(lambda x: g.sum(g.mul(g.concatenate([x, y], axis=0), w6)),
                   self.rng.standard_normal(3))
@@ -218,11 +219,16 @@ class TestShapeOps:
 
 # the name each public op records on the tape (absolute records "abs")
 _OP_NAMES = ["add", "sub", "mul", "div", "neg", "exp", "log1p", "sin", "cos",
-             "sigmoid", "relu", "abs", "clip", "sum", "cumsum", "matmul",
-             "matmul_last", "mixdown", "take", "getitem", "reshape",
-             "broadcast_to", "stack", "concatenate"]
+             "relu", "abs", "clip", "sum", "cumsum", "matmul", "mixdown",
+             "take", "getitem", "reshape", "broadcast_to", "concatenate",
+             "shading_mlp", "triplane_sample"]
 
 _Y = np.array([[0.3, 0.7, 1.2], [0.5, 0.9, 1.4]])
+_RNG = np.random.default_rng(11)
+_MLP = (_RNG.standard_normal((3, 5)), _RNG.standard_normal(5),
+        _RNG.standard_normal((5, 4)), _RNG.standard_normal(4))
+_PAYLOAD = _RNG.standard_normal((2 * 3 * 2 * 2, 4))   # N=2, S=2, C=4
+_IDX = np.array([[0, 1, 0], [1, 1, 0]])
 
 # each op called with its differentiated input x, of _Y's shape
 _OPS = {
@@ -235,21 +241,21 @@ _OPS = {
     "log1p": g.log1p,
     "sin": g.sin,
     "cos": g.cos,
-    "sigmoid": g.sigmoid,
     "relu": g.relu,
     "abs": g.absolute,
     "clip": lambda x: g.clip(x, 0.4, 1.0),
     "sum": lambda x: g.sum(x, axis=1),
     "cumsum": g.cumsum,
     "matmul": lambda x: g.matmul(x, _Y.T),
-    "matmul_last": lambda x: g.matmul_last(x, _Y.T),
     "mixdown": lambda x: g.mixdown(x, np.stack([_Y] * 4, axis=-1)),
     "take": lambda x: g.take(x, [1, 0, 1]),
     "getitem": lambda x: g.getitem(x, (slice(None), 1)),
     "reshape": lambda x: g.reshape(x, (3, 2)),
     "broadcast_to": lambda x: g.broadcast_to(x, (4, 2, 3)),
-    "stack": lambda x: g.stack([x, _Y], axis=0),
     "concatenate": lambda x: g.concatenate([_Y, x], axis=1),
+    "shading_mlp": lambda x: g.shading_mlp(x, *_MLP),
+    "triplane_sample": lambda x: g.triplane_sample(_PAYLOAD, 2, _IDX, x,
+                                                   -0.5 * _Y, _Y - 1.0),
 }
 
 
@@ -271,7 +277,7 @@ class TestOpProtocol:
 
     def test_table_covers_every_documented_name(self):
         assert list(_OPS) == _OP_NAMES
-        assert len(_OP_NAMES) == 24
+        assert len(_OP_NAMES) == 23
 
     def test_plain_arrays_return_ndarrays_and_record_nothing(self):
         def loss(leaves):
@@ -295,12 +301,154 @@ class TestOpProtocol:
         _, grad = _recorded(lambda x: g.mul(x, x), w)
         np.testing.assert_array_equal(grad, 2.0 * w)
         _, grad = _recorded(
-            lambda x: g.mul(g.stack([x, x], axis=0), np.stack([w, w2])), _Y)
+            lambda x: g.mul(g.reshape(g.concatenate([x, x], axis=0), (2, 2, 3)),
+                            np.stack([w, w2])), _Y)
         np.testing.assert_array_equal(grad, w + w2)
+        # one fused op, three aliased inputs: with dyadic data every sum is
+        # exact, so the order the VJPs add in cannot show
+        payload = (np.arange(2 * 3 * 3 * 3 * 2).reshape(-1, 2) - 40.0) / 16.0
+        u = np.array([[-1.0, -0.5, 0.25], [0.5, 0.75, 1.0]])
+        names, grad = _recorded(
+            lambda x: g.triplane_sample(payload, 3, _IDX, x, x, x), u)
+        _, want = _recorded(lambda x: triplane_chain(payload, 3, _IDX, x, x, x), u)
+        assert names == ["triplane_sample"]
+        np.testing.assert_array_equal(grad, want)
         _, grad = _recorded(
             lambda x: g.mul(g.concatenate([x, x], axis=1),
                             np.concatenate([w, w2], axis=1)), _Y)
         np.testing.assert_array_equal(grad, w + w2)
+
+
+def _mlp_inputs(rng, lead, kinks=True):
+    """Shading-head inputs; with kinks, pre-activations exactly on the ReLU
+    kink: zero feature rows meet zero biases."""
+    feat = rng.standard_normal(lead + (8,))
+    b1 = 0.1 * rng.standard_normal(32)
+    if kinks:
+        feat.reshape(-1, 8)[::3] = 0.0
+        b1[::4] = 0.0
+    return {"feat": feat, "w1": 0.6 * rng.standard_normal((8, 32)), "b1": b1,
+            "w2": 0.6 * rng.standard_normal((32, 4)),
+            "b2": 0.1 * rng.standard_normal(4)}
+
+
+def _triplane_inputs(rng, lead, s, n=5, c=8, kinks=True):
+    """Tri-plane inputs; with kinks, coordinates include u = -1, u = +1 and
+    every cell edge (u = 2j/(s-1) - 1 lands exactly on node j)."""
+    edges = 2.0 * np.arange(s) / max(s - 1, 1) - 1.0
+    inputs = {"payload_flat": rng.standard_normal((n * 3 * s * s, c))}
+    for k in range(3):
+        u = rng.uniform(-1.0, 1.0, size=lead)
+        if kinks:
+            flat = u.reshape(-1)
+            picks = rng.integers(0, flat.size, size=max(1, flat.size // 3))
+            flat[picks] = rng.choice(np.concatenate([edges, [-1.0, 1.0]]),
+                                     size=picks.size)
+        inputs[f"u{k}"] = u
+    return inputs, rng.integers(0, n, size=lead)
+
+
+def _run(op, inputs: dict, m):
+    """op's output on the inputs as tape leaves, and the gradient of
+    sum(op * m) for every input."""
+    got = {}
+
+    def loss(leaves):
+        y = op(**leaves)
+        got["y"] = g.value(y)
+        return g.sum(g.mul(y, m))
+
+    grads = gradients(loss, ParamSet(inputs, dict.fromkeys(inputs, 1.0)))
+    return got["y"], grads.groups
+
+
+def _assert_same(op, ref, inputs, m):
+    y, grads = _run(op, inputs, m)
+    y_ref, grads_ref = _run(ref, inputs, m)
+    np.testing.assert_array_equal(y, y_ref)
+    for name in inputs:
+        np.testing.assert_array_equal(grads[name], grads_ref[name], err_msg=name)
+
+
+class TestFusedOps:
+    """shading_mlp and triplane_sample against the primitive chains they
+    fuse (tests/reference.py): the same value and gradients, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_shading_mlp_is_the_chain_bit_for_bit(self, rng, k):
+        inputs = _mlp_inputs(rng, (4, 5, k))
+        a1 = inputs["feat"] @ inputs["w1"] + inputs["b1"]
+        assert np.any(a1 == 0.0)
+        _assert_same(g.shading_mlp, mlp_chain, inputs,
+                     rng.standard_normal((4, 5, k, 4)))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("s", [1, 2, 8])
+    def test_triplane_sample_is_the_chain_bit_for_bit(self, rng, s, k):
+        inputs, idx = _triplane_inputs(rng, (4, 5, k), s)
+        if s == 1:
+            inputs = {"payload_flat": inputs["payload_flat"]}
+        u = {f"u{j}": inputs.get(f"u{j}", np.zeros(idx.shape)) for j in range(3)}
+
+        def bind(fn):
+            return lambda payload_flat, **us: fn(payload_flat, s, idx, **{**u, **us})
+
+        _assert_same(bind(g.triplane_sample), bind(triplane_chain), inputs,
+                     rng.standard_normal((4, 5, k, 8)))
+
+    @pytest.mark.parametrize("n", [1, 96, 24_576])
+    def test_rows_match_the_whole_batch(self, rng, n):
+        """Each row's output and input gradient, computed alone, equals its
+        row of the whole batch (every row when n <= 96, else 64 of them)."""
+        mlp = _mlp_inputs(rng, (n,))
+        tri, idx = _triplane_inputs(rng, (n,), 8)
+        m_mlp = rng.standard_normal((n, 4))
+        m_tri = rng.standard_normal((n, 8))
+
+        def mlp_op(feat):
+            return g.shading_mlp(feat, *(mlp[k] for k in ("w1", "b1", "w2", "b2")))
+
+        def tri_op(rows):
+            return lambda u0, u1, u2: g.triplane_sample(tri["payload_flat"], 8,
+                                                        idx[rows], u0, u1, u2)
+
+        everything = slice(None)
+        y_mlp, gr_mlp = _run(mlp_op, {"feat": mlp["feat"]}, m_mlp)
+        us = {k: tri[k] for k in ("u0", "u1", "u2")}
+        y_tri, gr_tri = _run(tri_op(everything), us, m_tri)
+        rows = range(n) if n <= 96 else rng.choice(n, size=64, replace=False)
+        for i in rows:
+            r = slice(i, i + 1)
+            y, gr = _run(mlp_op, {"feat": mlp["feat"][r]}, m_mlp[r])
+            np.testing.assert_array_equal(y, y_mlp[r])
+            np.testing.assert_array_equal(gr["feat"], gr_mlp["feat"][r])
+            y, gr = _run(tri_op(r), {k: v[r] for k, v in us.items()}, m_tri[r])
+            np.testing.assert_array_equal(y, y_tri[r])
+            for k in us:
+                np.testing.assert_array_equal(gr[k], gr_tri[k][r])
+
+    def test_shading_mlp_fd_check(self, rng):
+        inputs = _mlp_inputs(rng, (3, 2, 3), kinks=False)
+        m = rng.standard_normal((3, 2, 3, 4))
+        report = fd_check(lambda leaves: g.sum(g.mul(g.shading_mlp(**leaves), m)),
+                          ParamSet(inputs, dict.fromkeys(inputs, 1.0)))
+        for name, rep in report.items():
+            assert rep.failures == [] and rep.checked > 0, name
+
+    @pytest.mark.parametrize("s", [1, 2, 8])
+    def test_triplane_sample_fd_check(self, rng, s):
+        inputs, idx = _triplane_inputs(rng, (3, 2, 3), s, n=3, kinks=False)
+        m = rng.standard_normal((3, 2, 3, 8))
+        report = fd_check(
+            lambda leaves: g.sum(g.mul(g.triplane_sample(
+                leaves["payload_flat"], s, idx, leaves["u0"], leaves["u1"],
+                leaves["u2"]), m)),
+            ParamSet(inputs, dict.fromkeys(inputs, 1.0)),
+            subsample={"payload_flat": 256})
+        for name, rep in report.items():
+            assert rep.failures == [], name
+            # with s == 1 the u's are not inputs: their gradients are zero
+            assert rep.checked > 0 or (s == 1 and name != "payload_flat"), name
 
 
 class TestGradients:
