@@ -214,6 +214,12 @@ def _rotation_entries(ca, sa, cb, sb, cc, sc) -> list:
     ]
 
 
+def _wrap_angle(theta: np.ndarray) -> np.ndarray:
+    """The same angle in (-pi, pi]; the negated remainder keeps +pi on the
+    +pi side."""
+    return -np.remainder(-theta + np.pi, 2.0 * np.pi) + np.pi
+
+
 def rotation_matrices(angles: np.ndarray) -> np.ndarray:
     """Batched rotation matrices for (..., 3) Euler angles, intrinsic XYZ."""
     angles = np.asarray(angles, dtype=np.float64)

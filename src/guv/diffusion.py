@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UVAvatar
+from .core import UVAvatar, _wrap_angle
 from .errors import InvalidArgumentError
 
 GEOMETRY_CHANNELS = 9  # center 3 + rotation 3 + radii 3, in pack order
@@ -129,11 +129,15 @@ def pack_avatar_tensor(avatar: UVAvatar) -> np.ndarray:
 
 def normalize_channels(packed: np.ndarray) -> np.ndarray:
     """Map raw parameter channels into [-1, 1]: centers (x+0.12)*2, rotations
-    x/pi, radii (|x|.clip(0, 0.15) - 0.06)*10, payload tanh(x)."""
+    x/pi, radii (|x|.clip(0, 0.15) - 0.06)*10, payload tanh(x). Rotations
+    outside [-pi, pi] (float32 rounds pi up) first wrap to the same angle in
+    (-pi, pi]; the others keep their bits."""
     packed = np.asarray(packed, dtype=np.float64)
     out = np.empty_like(packed)
     out[..., 0:3] = (packed[..., 0:3] + 0.12) * 2.0
-    out[..., 3:6] = packed[..., 3:6] / math.pi
+    rot = packed[..., 3:6]
+    rot = np.where(np.abs(rot) > math.pi, _wrap_angle(rot), rot)
+    out[..., 3:6] = rot / math.pi
     out[..., 6:9] = (np.clip(np.abs(packed[..., 6:9]), 0.0, 0.15) - 0.06) * 10.0
     out[..., 9:] = np.tanh(packed[..., 9:])
     return out
@@ -206,17 +210,10 @@ def fold(tensor: np.ndarray, plane_size: int) -> np.ndarray:
     return np.concatenate([pose, pay], axis=-1)
 
 
-def normalize_avatar(avatar: UVAvatar, neutral_expression: bool = True) -> UVTensor:
-    """Export an avatar as a normalized, unfolded UV tensor.
-
-    neutral_expression is a caller assertion: tensors fed to the diffusion
-    prior must come from avatars with no expression offset applied (which is
-    not recoverable from the arrays), so passing False raises.
-    """
-    if not neutral_expression:
-        raise InvalidArgumentError(
-            "diffusion export requires a neutral-expression avatar"
-        )
+def normalize_avatar(avatar: UVAvatar) -> UVTensor:
+    """Export an avatar as a normalized, unfolded UV tensor. The diffusion
+    prior expects neutral-expression avatars; an applied expression offset
+    is not recoverable from the arrays, so that stays the caller's duty."""
     packed = pack_avatar_tensor(avatar)
     return UVTensor(values=unfold(normalize_channels(packed), avatar.plane_size),
                     plane_size=avatar.plane_size)

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
 
-from .core import UVAvatar
+from .core import UVAvatar, _wrap_angle
 from .errors import InvalidArgumentError
 
 _SELECTORS = ("geometry", "texture", "both")
@@ -118,11 +116,6 @@ def swap_shape_texture(a: UVAvatar, b: UVAvatar) -> tuple[UVAvatar, UVAvatar]:
     _check_same_dims(a, b)
     full_tex = UVMask.full(a.height, a.width, "texture")
     return region_transfer(a, b, full_tex), region_transfer(b, a, full_tex)
-
-
-def _wrap_angle(theta: np.ndarray) -> np.ndarray:
-    # maps to (-pi, pi]; the negated remainder keeps +pi on the +pi side
-    return -np.remainder(-theta + math.pi, 2.0 * math.pi) + math.pi
 
 
 def interpolate(a: UVAvatar, b: UVAvatar, weight: float,

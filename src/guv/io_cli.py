@@ -41,8 +41,8 @@ from .errors import (CheckFailureError, FormatError, GuvError,
 from .fit import (Batch, FitConfig, PosedView, fit_params, fit_scene, objective,
                   random_decoder)
 from .grad import fd_check
-from .render import (RenderMLP, _knn_for_samples, _sample_d2, psnr,
-                     render_image, sample_distances)
+from .render import RenderMLP, psnr, render_image, sample_distances
+from .spatial import _knn_for_samples, _sample_d2
 
 AVATAR_MAGIC = b"GUV1"
 ANCHOR_MAGIC = b"GUVA"
@@ -975,21 +975,10 @@ def _parse_denoiser(spec: str, schedule: DiffusionSchedule):
 
 
 def cmd_diffuse(args) -> int:
-    if args.schedule != "cosine":
-        raise InvalidArgumentError(f"unknown schedule {args.schedule!r}")
     schedule = cosine_schedule(args.steps)
     denoiser = _parse_denoiser(args.denoiser, schedule)
     rng = np.random.default_rng(args.seed)
     if args.action == "sample":
-        if args.channels is not None:
-            raise InvalidArgumentError(
-                "--channels selects what inpaint keeps; sample takes "
-                "--payload-channels"
-            )
-        if bool(args.like) == bool(args.anchors):
-            raise InvalidArgumentError(
-                "sample needs exactly one of --like AVATAR or --anchors GRID"
-            )
         if args.like:
             template = load_avatar(args.like)
             anchors, normals, scales = (template.anchors,
@@ -1005,10 +994,6 @@ def cmd_diffuse(args) -> int:
         values = reverse_sample(schedule, denoiser, shape, rng,
                                 step_count=args.step_count)
     else:
-        if not args.like:
-            raise InvalidArgumentError("inpaint requires --like AVATAR")
-        if not args.mask:
-            raise InvalidArgumentError("inpaint requires --mask")
         template = load_avatar(args.like)
         anchors, normals, scales = (template.anchors, template.anchor_normals,
                                     template.anchor_scales)
@@ -1020,7 +1005,7 @@ def cmd_diffuse(args) -> int:
                 f"mask {grid.shape} does not match avatar grid "
                 f"{(template.height, template.width)}"
             )
-        mask = channel_mask(grid, _selector(args.channels or "both"), s, c)
+        mask = channel_mask(grid, _selector(args.channels), s, c)
         values = inpaint_sample(schedule, denoiser, known.values, mask, rng,
                                 step_count=args.step_count)
     tensor = UVTensor(values=np.clip(values, -1.0, 1.0), plane_size=s)
@@ -1107,23 +1092,30 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_edit)
 
     q = sub.add_parser("diffuse", help="sample or inpaint a UV tensor")
-    q.add_argument("action", choices=("sample", "inpaint"))
-    q.add_argument("--schedule", default="cosine")
-    q.add_argument("--steps", type=_positive_int, default=1000)
-    q.add_argument("--step-count", type=_positive_int, default=None,
-                   help="reverse steps (default: all)")
-    q.add_argument("--denoiser", default="analytic:0.0,0.5")
-    q.add_argument("--like", help="avatar supplying dims + anchors")
-    q.add_argument("--anchors", help="anchor grid for sample output")
-    q.add_argument("--plane-size", type=_positive_int, default=8)
-    q.add_argument("--payload-channels", type=_positive_int, default=8,
-                   help="sample --anchors: payload channel count")
-    q.add_argument("--channels", choices=("geo", "tex", "both"), default=None,
-                   help="inpaint: channels the --mask keeps (default both)")
-    q.add_argument("--mask", help="P5 mask of texels to keep (inpaint)")
-    q.add_argument("--out", required=True)
-    q.add_argument("--seed", type=_non_negative_int, default=0)
     q.set_defaults(func=cmd_diffuse)
+    actions = q.add_subparsers(dest="action", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--steps", type=_positive_int, default=1000)
+    common.add_argument("--step-count", type=_positive_int, default=None,
+                        help="reverse steps (default: all)")
+    common.add_argument("--denoiser", default="analytic:0.0,0.5")
+    common.add_argument("--out", required=True)
+    common.add_argument("--seed", type=_non_negative_int, default=0)
+    a = actions.add_parser("sample", parents=[common],
+                           help="draw a new avatar from the prior")
+    mx = a.add_mutually_exclusive_group(required=True)
+    mx.add_argument("--like", help="avatar supplying dims + anchors")
+    mx.add_argument("--anchors", help="anchor grid for the output")
+    a.add_argument("--plane-size", type=_positive_int, default=8,
+                   help="with --anchors: payload plane size")
+    a.add_argument("--payload-channels", type=_positive_int, default=8,
+                   help="with --anchors: payload channel count")
+    a = actions.add_parser("inpaint", parents=[common],
+                           help="resample the texels outside a mask")
+    a.add_argument("--like", required=True, help="avatar to inpaint")
+    a.add_argument("--mask", required=True, help="P5 mask of texels to keep")
+    a.add_argument("--channels", choices=("geo", "tex", "both"),
+                   default="both", help="channels the --mask keeps")
 
     q = sub.add_parser("check", help="run an oracle self-check suite")
     q.add_argument("suite", choices=sorted(_CHECKS))

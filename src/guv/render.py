@@ -1,10 +1,10 @@
 """Differentiable forward rendering.
 
-Per ray: J stratified samples; per sample: the K nearest Gaussians are found
-by center distance, each contributes an RGBA from its tri-plane payload
-through the shared tiny MLP, colors blend with normalized influence weights,
-opacities with raw (window-function) influences, and samples composite
-front-to-back over the configured background.
+Per ray: J stratified samples; per sample: the K nearest Gaussians (chosen
+by spatial._knn_for_samples) each contribute an RGBA from its tri-plane
+payload through the shared tiny MLP, colors blend with normalized influence
+weights, opacities with raw (window-function) influences, and samples
+composite front-to-back over the configured background.
 
 The kernel runs identically on plain ndarrays (display rendering) and on tape
 variables (fitting): all math goes through the grad facade. Two bit-level
@@ -20,9 +20,6 @@ contracts shape the implementation:
 - World positions are only ever used as (center - origin) and t * direction,
   never origin + t * direction - center, so jointly translating scene and
   camera by a float-exact vector leaves every intermediate bit-identical.
-
-KNN selection is piecewise-constant in parameter *values* (no gradient flows
-through the choice); its float32 BLAS prefilter never changes the choice.
 """
 from __future__ import annotations
 
@@ -34,10 +31,9 @@ import numpy as np
 from . import grad as g
 from .core import Camera, RenderConfig, UVAvatar, _frozen, _rotation_entries
 from .errors import InvalidArgumentError
-from .spatial import _check_k, knn_select, pick_survivors
+from .spatial import _knn_for_samples
 
 _ALPHA_CAP = 1.0 - 1e-4  # keeps transmittance positive and log1p finite
-_KNN_BLOCK_ROWS = 512    # (ray, sample) rows per block of the KNN distance matrix
 
 
 @dataclass(frozen=True)
@@ -142,75 +138,6 @@ def _shade(arrays: dict, mlp_arrays: dict, xdiff, idx: np.ndarray,
     color = g.mixdown(ghat, color_k)
     alpha = g.clip(g.sum(g.mul(influence, opacity_k), axis=-1), 0.0, _ALPHA_CAP)
     return color, alpha, gsum
-
-
-def _sample_d2(s0: np.ndarray, proj: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Squared distances (R, J, N) from sample points origin + t * dir to
-    the centers, (s0 - (2t) proj) + t t; s0: (N,) squared |center - origin|,
-    proj: (R, N) dir . (center - origin)."""
-    return (s0 - (2.0 * t[:, :, None]) * proj[:, None, :]) + (t * t)[:, :, None]
-
-
-def _knn_for_samples(centers_val: np.ndarray, origin: np.ndarray,
-                     dirs: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
-    """Neighbor ids (R, J, K) for sample points origin + t * dir, by (d2,
-    texel index): spatial.knn_select of the _sample_d2 rows, bit for bit,
-    expanded around center - origin so that the choice is stable under joint
-    scene/camera translation. Rays go in blocks of ~_KNN_BLOCK_ROWS rows.
-
-    Prefilter: a batched float32 matmul of rows [1, -2t] with [s0; proj],
-    centers ordered so that each of K interleaved groups (column mod K) is
-    contiguous, gives a ~ s0 - 2t proj = d2 - t^2 within 4.03 u M (u =
-    2^-24, M = max s0 + 2|t| max|proj| + t^2): three float32 conversions and
-    a 2-term dot product in any order, fused or not, so whatever BLAS does
-    on any thread count; d2 is far closer. The K group minimizers are K
-    distinct columns with a <= B, B the largest group minimum, so for a
-    slack covering both errors the K-th d2 - t^2 is <= B + slack, and every
-    column at or under the K-th d2, ties included, has a <= B + 2 slack.
-    With slack = 8 u M + 2^-120 (subnormals), B + 2^-20 M + 2^-119 rounded
-    up to float32 by nextafter is the threshold. Survivors get d2 by
-    _sample_d2's ops, so its bits; spatial.pick_survivors orders them. A
-    block with M >= 2^100 (inf, NaN or huge centers) or a row of fewer than
-    K survivors takes the dense _sample_d2 and knn_select.
-    """
-    delta0 = centers_val - origin                      # (N, 3)
-    s0 = np.sum(delta0 * delta0, axis=-1)              # (N,)
-    r, j = t.shape
-    n = s0.shape[0]
-    _check_k(k, n)
-    perm = np.argsort(np.arange(n) % k, kind="stable")  # group-contiguous order
-    starts = np.flatnonzero(np.diff(perm % k, prepend=-1))
-    d0p, s0p = delta0[perm].T.copy(), s0[perm]
-    step = max(1, _KNN_BLOCK_ROWS // j)
-    buf = np.empty((min(step, r), j, n), dtype=np.float32)
-    idx = np.empty((r, j, k), dtype=np.int64)
-    for a in range(0, r, step):
-        b = min(a + step, r)
-        rb, tb, da = b - a, t[a:b], dirs[a:b]
-        # dir . (center - origin) in group order, summed left to right as
-        # np.sum sums the last axis, so each value is the dense one's bits
-        proj = (da[:, 0, None] * d0p[0] + da[:, 1, None] * d0p[1]) + da[:, 2, None] * d0p[2]
-        p_max = np.max(np.abs(proj), axis=1)
-        m_row = np.max(s0) + 2.0 * np.abs(tb) * p_max[:, None] + tb * tb
-        if np.max(m_row) + np.max(p_max) < 2.0 ** 100:
-            lhs = np.stack([np.ones_like(tb), -2.0 * tb], axis=-1).astype(np.float32)
-            rhs = np.stack(np.broadcast_arrays(s0p, proj), axis=1).astype(np.float32)
-            pre = np.matmul(lhs, rhs, out=buf[:rb]).reshape(-1, n)
-            bound = np.minimum.reduceat(pre, starts, axis=1).max(axis=1)
-            thr = (bound + 2.0 ** -20 * m_row.ravel() + 2.0 ** -119).astype(np.float32)
-            rows, pc = np.divmod(np.flatnonzero(
-                pre <= np.nextafter(thr, np.float32(np.inf))[:, None]), n)
-            order = np.argsort(rows * n + perm[pc])    # texel order per row
-            rows, pc = rows[order], pc[order]
-            tr = tb.ravel()[rows]
-            vals = (s0p[pc] - (2.0 * tr) * proj[rows // j, pc]) + tr * tr
-            picks, short = pick_survivors(rows, perm[pc], vals, rb * j, k)
-            if not short.any():
-                idx[a:b] = picks.reshape(rb, j, k)
-                continue
-        d2 = _sample_d2(s0, np.sum(da[:, None, :] * delta0[None, :, :], axis=-1), tb)
-        idx[a:b] = knn_select(d2.reshape(-1, n), k).reshape(rb, j, k)
-    return idx
 
 
 def march_rays_core(arrays: dict, mlp_arrays: dict, origin: np.ndarray,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from guv import render
+from guv import spatial
 from guv.core import UVAvatar, init_from_anchors
 from guv.render import RenderMLP
 
@@ -56,11 +56,11 @@ def random_render_mlp():
 def dense_calls(monkeypatch):
     """Counts the renderer KNN's calls of its dense float64 _sample_d2 path."""
     calls = []
-    sample_d2 = render._sample_d2
+    sample_d2 = spatial._sample_d2
 
     def counted(*args):
         calls.append(1)
         return sample_d2(*args)
 
-    monkeypatch.setattr(render, "_sample_d2", counted)
+    monkeypatch.setattr(spatial, "_sample_d2", counted)
     return calls

@@ -12,8 +12,8 @@ Gaussian or one scalar at a time, with direct x - mu arithmetic:
 - point_influences: the K nearest influences at many points, from
   brute_force_knn and rbf_influence;
 - finite_diff: the exhaustive central-difference gradient;
-- brute_force_knn and nearest_k_batch: the exhaustive KNN oracle and the
-  point-query path through knn_select;
+- brute_force_knn: the exhaustive KNN oracle, the first k texel ids of one
+  point by (d2, id), that the renderer's spatial._knn_for_samples must match;
 - matmul_last, sigmoid and stack, tape primitives, and mlp_chain and
   triplane_chain, the primitive compositions that grad.shading_mlp and
   grad.triplane_sample fuse: their oracle, value and gradient, bit for bit.
@@ -30,7 +30,7 @@ from guv.errors import InvalidArgumentError
 from guv import grad as g
 from guv.grad import ParamSet, default_step, value
 from guv.render import RenderMLP, _shade, avatar_arrays, mlp_arrays
-from guv.spatial import _check_k, knn_select
+from guv.spatial import _check_k
 
 
 @dataclass(frozen=True)
@@ -146,24 +146,6 @@ def brute_force_knn(avatar: UVAvatar, x, k: int) -> np.ndarray:
     return np.lexsort((np.arange(n), d2))[:k]
 
 
-def nearest_k_batch(centers: np.ndarray, points: np.ndarray, k: int,
-                    chunk: int = 4096) -> np.ndarray:
-    """KNN for many query points at once, shape (M, k).
-
-    Distances come from direct point-minus-center differences; selection
-    is knn_select's. Chunked over points to bound peak memory.
-    """
-    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    _check_k(k, centers.shape[0])
-    out = np.empty((points.shape[0], k), dtype=np.int64)
-    for start in range(0, points.shape[0], chunk):
-        p = points[start:start + chunk]
-        d2 = np.sum((p[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
-        out[start:start + chunk] = knn_select(d2, k)
-    return out
-
-
 def point_influences(avatar: UVAvatar, points, cfg: RenderConfig) -> np.ndarray:
     """Influences of the K nearest Gaussians at each point, (M, K), from
     brute_force_knn and rbf_influence one point and one Gaussian at a time."""
@@ -180,11 +162,11 @@ def point_influences(avatar: UVAvatar, points, cfg: RenderConfig) -> np.ndarray:
 def blend_point(avatar: UVAvatar, mlp: RenderMLP, x,
                 cfg: RenderConfig) -> tuple[np.ndarray, float]:
     """(blended color, blended opacity) of a single world point: direct
-    x - mu arithmetic, neighbors from nearest_k_batch on that one point,
-    then the kernel's shading stage."""
+    x - mu arithmetic, neighbors from brute_force_knn, then the kernel's
+    shading stage."""
     x = np.asarray(x, dtype=np.float64)
     arrays = avatar_arrays(avatar)
-    idx = nearest_k_batch(arrays["centers"], x, cfg.knn_k)[0]
+    idx = brute_force_knn(avatar, x, cfg.knn_k)
     xdiff = x[None, :] - arrays["centers"][idx]
     color, alpha, _ = _shade(arrays, mlp_arrays(mlp), xdiff, idx, cfg,
                              avatar.plane_size)

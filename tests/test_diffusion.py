@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from guv.core import rotation_matrices
 from guv.diffusion import (
     GEOMETRY_CHANNELS,
     DiffusionSchedule,
@@ -26,6 +27,7 @@ from guv.diffusion import (
     unfold,
 )
 from guv.errors import InvalidArgumentError
+from guv.io_cli import toy_reference_scene
 
 from conftest import make_avatar
 
@@ -235,10 +237,24 @@ class TestRoundTrips:
         assert np.max(np.abs(back.payloads - avatar.payloads)) < 1e-6
         np.testing.assert_array_equal(back.anchors, avatar.anchors)
 
-    def test_non_neutral_export_rejected(self, rng):
-        avatar = make_avatar(rng)
-        with pytest.raises(InvalidArgumentError, match="neutral"):
-            normalize_avatar(avatar, neutral_expression=False)
+    def test_rotations_past_pi_wrap_to_the_same_rotation(self):
+        # float32 rounds pi up; in-range angles keep their bits
+        pi32 = float(np.float32(math.pi))
+        x = np.zeros((1, 4, 12))
+        x[..., 6:9] = 0.1
+        x[0, :, 3] = [4.0, -4.0, pi32, -pi32]
+        x[0, :, 4] = [math.pi, -math.pi, 1.0, -3.0]
+        n = normalize_channels(x)
+        assert np.max(np.abs(n[..., 3:6])) <= 1.0
+        np.testing.assert_array_equal(n[..., 4], x[..., 4] / math.pi)
+        back = denormalize_channels(n)
+        np.testing.assert_allclose(rotation_matrices(back[..., 3:6]),
+                                   rotation_matrices(x[..., 3:6]), atol=1e-15)
+
+    def test_toy_reference_avatar_normalizes(self):
+        avatar, _ = toy_reference_scene("checker-sphere", grid=4)
+        assert np.max(np.abs(avatar.rotations)) > math.pi   # float32 pi
+        assert np.max(np.abs(normalize_avatar(avatar).values)) <= 1.0
 
 
 class TestPackUnfoldFold:

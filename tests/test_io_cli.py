@@ -792,24 +792,57 @@ class TestCli:
         assert (avatar.height, avatar.width) == (4, 4)
         assert (avatar.plane_size, avatar.channels) == (8, 8)
 
+    def _diffuse_exits_two(self, argv, capsys, **names):
+        with pytest.raises(SystemExit) as exc:
+            main(["diffuse"] + [a.format(**names) for a in argv])
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
     def test_diffuse_sample_rejects_inpaint_channels(self, cli_dataset,
                                                      tmp_path, capsys):
-        rc = main(["diffuse", "sample",
-                   "--anchors", str(cli_dataset / "anchors.guva"),
-                   "--channels", "geo", "--steps", "4",
-                   "--out", str(tmp_path / "x.guv")])
-        assert rc == 2
-        assert "--payload-channels" in capsys.readouterr().err
+        err = self._diffuse_exits_two(
+            ["sample", "--anchors", "{ds}/anchors.guva", "--channels", "geo",
+             "--steps", "4", "--out", "{out}"],
+            capsys, ds=cli_dataset, out=tmp_path / "x.guv")
+        assert "unrecognized arguments: --channels geo" in err
+        assert not (tmp_path / "x.guv").exists()
 
     def test_diffuse_sample_needs_exactly_one_template(self, cli_dataset,
                                                        cli_fit, tmp_path,
                                                        capsys):
-        rc = main(["diffuse", "sample", "--out", str(tmp_path / "x.guv")])
-        assert rc == 2
-        rc = main(["diffuse", "sample", "--like", str(cli_fit),
-                   "--anchors", str(cli_dataset / "anchors.guva"),
-                   "--out", str(tmp_path / "x.guv")])
-        assert rc == 2
+        err = self._diffuse_exits_two(["sample", "--out", "{out}"], capsys,
+                                      out=tmp_path / "x.guv")
+        assert "one of the arguments --like --anchors is required" in err
+        err = self._diffuse_exits_two(
+            ["sample", "--like", "{fit}", "--anchors", "{ds}/anchors.guva",
+             "--out", "{out}"],
+            capsys, fit=cli_fit, ds=cli_dataset, out=tmp_path / "x.guv")
+        assert "argument --anchors: not allowed with argument --like" in err
+        assert not (tmp_path / "x.guv").exists()
+
+    @pytest.mark.parametrize("flag", [["--plane-size", "4"],
+                                      ["--payload-channels", "4"],
+                                      ["--anchors", "{ds}/anchors.guva"]])
+    def test_diffuse_inpaint_rejects_sample_flags(self, cli_dataset, cli_fit,
+                                                  tmp_path, capsys, flag):
+        mask = tmp_path / "m.pgm"
+        write_alpha_pgm(np.ones((4, 4)), mask)
+        err = self._diffuse_exits_two(
+            ["inpaint", "--like", "{fit}", "--mask", "{mask}", "--steps", "4",
+             "--out", "{out}"] + flag,
+            capsys, ds=cli_dataset, fit=cli_fit, mask=mask,
+            out=tmp_path / "x.guv")
+        assert f"unrecognized arguments: {flag[0]}" in err
+        assert not (tmp_path / "x.guv").exists()
+
+    @pytest.mark.parametrize("given, missing", [(["--mask", "{mask}"], "--like"),
+                                                (["--like", "{fit}"], "--mask")])
+    def test_diffuse_inpaint_requires_like_and_mask(self, cli_fit, tmp_path,
+                                                    capsys, given, missing):
+        err = self._diffuse_exits_two(
+            ["inpaint", "--out", "{out}"] + given,
+            capsys, fit=cli_fit, mask=tmp_path / "m.pgm", out=tmp_path / "x.guv")
+        assert f"the following arguments are required: {missing}" in err
 
     def test_diffuse_inpaint(self, cli_fit, tmp_path, capsys):
         mask = tmp_path / "m.pgm"

@@ -86,3 +86,17 @@ def test_cheap_commands_run_as_written(tmp_path, monkeypatch, capsys):
     assert ran == ["guv render", "guv edit", "guv edit", "guv diffuse sample",
                    "guv diffuse inpaint", "guv check grad", "guv check diffusion"]
     assert "PASS" in capsys.readouterr().out
+
+
+def test_inpaint_command_runs_on_a_dataset_reference(tmp_path, monkeypatch):
+    # the README's inpaint line with --like pointed at a toy dataset's
+    # reference avatar, whose float32 rotations round pi up
+    monkeypatch.chdir(tmp_path)
+    generate_toy_dataset("checker-sphere", "data/checker", views=1,
+                         resolution=8)
+    argv = list(next(a for a in GUV if _name(a) == "guv diffuse inpaint"))
+    argv[argv.index("--like") + 1] = "data/checker/reference.guv"
+    reference = load_avatar("data/checker/reference.guv")
+    write_alpha_pgm(np.ones((reference.height, reference.width)), "keep.pgm")
+    assert main(argv[1:]) == 0
+    assert load_avatar(argv[argv.index("--out") + 1]).height == reference.height

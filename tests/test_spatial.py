@@ -1,16 +1,15 @@
-"""Production KNN selection against the exhaustive oracle, including the
-tie rule."""
+"""The renderer's KNN (spatial._knn_for_samples) against the exhaustive
+oracles, including the tie rule."""
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guv.core import init_from_anchors
 from guv.errors import InvalidArgumentError
-from guv.render import _KNN_BLOCK_ROWS, _knn_for_samples, _sample_d2
-from guv.spatial import knn_select
+from guv.spatial import _KNN_BLOCK_ROWS, _knn_for_samples, _sample_d2
 
-from reference import brute_force_knn, nearest_k_batch
+from reference import brute_force_knn
 
 
 def _avatar_from_centers(centers):
@@ -54,79 +53,10 @@ class TestBruteForce:
 
 
 def _query(avatar, x, k):
-    """One point through the production path: nearest_k_batch + knn_select."""
-    return nearest_k_batch(avatar.centers, x, k)[0]
-
-
-_SPECIAL = (np.nan, np.inf, -np.inf)
-
-
-@st.composite
-def _tied_rows(draw):
-    """(d2, k): small-integer rows (many ties), k drawn from {1, 2, 3, n-1,
-    n} or anywhere in [1, n]. Each row is plain, constant, or holds a few
-    NaN/+-inf entries; then extra columns are set to its k-th smallest
-    value, so ties straddle the k-th place."""
-    n = draw(st.integers(1, 24))
-    m = draw(st.integers(1, 6))
-    k = draw(st.sampled_from([1, 2, 3, n - 1, n]) | st.integers(1, n))
-    assume(1 <= k <= n)
-    values = draw(st.lists(st.integers(0, 5), min_size=m * n, max_size=m * n))
-    d2 = np.asarray(values, dtype=np.float64).reshape(m, n) * 0.5
-    for row in d2:
-        kind = draw(st.sampled_from(["plain", "constant", "special"]))
-        if kind == "constant":
-            row[:] = row[0]
-        elif kind == "special":
-            for col, value in draw(st.lists(
-                    st.tuples(st.integers(0, n - 1), st.sampled_from(_SPECIAL)),
-                    min_size=1, max_size=3)):
-                row[col] = value
-        cols = draw(st.lists(st.integers(0, n - 1), max_size=n))
-        row[cols] = np.sort(row)[k - 1]
-    return d2, k
-
-
-class TestKnnSelect:
-    @given(_tied_rows())
-    @settings(max_examples=200, deadline=None)
-    def test_equals_stable_argsort_with_boundary_ties(self, case):
-        d2, k = case
-        np.testing.assert_array_equal(
-            knn_select(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
-
-    def test_distinct_rows(self, rng):
-        d2 = rng.uniform(size=(50, 200))
-        for k in (1, 3, 8, 199, 200):
-            np.testing.assert_array_equal(
-                knn_select(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
-
-    def test_nan_rows_fall_back_to_stable_sort(self):
-        d2 = np.array([[np.nan, 1.0, np.nan, 0.0],
-                       [2.0, np.nan, 1.0, 1.0]])
-        for k in (1, 2, 3, 4):
-            np.testing.assert_array_equal(
-                knn_select(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
-
-    def test_k_bounds(self, rng):
-        d2 = rng.uniform(size=(3, 4))
-        with pytest.raises(InvalidArgumentError):
-            knn_select(d2, 5)
-        with pytest.raises(InvalidArgumentError):
-            knn_select(d2, 0)
-
-    def test_ray_samples_match_lexsort_across_blocks(self, rng):
-        # enough (ray, sample) rows for several distance blocks; duplicated
-        # centers give exact d2 ties
-        centers = rng.uniform(-1, 1, size=(300, 3))
-        centers[10:40] = centers[100:130]
-        origin = np.array([0.1, -2.0, 0.3])
-        dirs, t = _rays(rng, 70, 0.5, 3.5)
-        assert t.size > 2 * _KNN_BLOCK_ROWS
-        for k in (1, 3, 8):
-            got = _knn_for_samples(centers, origin, dirs, t, k)
-            np.testing.assert_array_equal(got.reshape(-1, k),
-                                          _lexsort_knn(centers, origin, dirs, t, k))
+    """One point through the renderer's KNN: a single sample at t = 0 on a
+    ray from x, whose _sample_d2 is brute_force_knn's |c - x|^2, bit for bit."""
+    return _knn_for_samples(avatar.centers.reshape(-1, 3), np.asarray(x, float),
+                            np.array([[0.0, 0.0, 1.0]]), np.zeros((1, 1)), k)[0, 0]
 
 
 def _rays(rng, count, t_lo, t_hi):
@@ -147,6 +77,19 @@ def _lexsort_knn(centers, origin, dirs, t, k):
 
 class TestSampleKnn:
     """The renderer's float32 prefilter against the dense float64 order."""
+
+    def test_ray_samples_match_lexsort_across_blocks(self, rng):
+        # enough (ray, sample) rows for several distance blocks; duplicated
+        # centers give exact d2 ties
+        centers = rng.uniform(-1, 1, size=(300, 3))
+        centers[10:40] = centers[100:130]
+        origin = np.array([0.1, -2.0, 0.3])
+        dirs, t = _rays(rng, 70, 0.5, 3.5)
+        assert t.size > 2 * _KNN_BLOCK_ROWS
+        for k in (1, 3, 8):
+            got = _knn_for_samples(centers, origin, dirs, t, k)
+            np.testing.assert_array_equal(got.reshape(-1, k),
+                                          _lexsort_knn(centers, origin, dirs, t, k))
 
     def test_float32_near_ties_match_lexsort(self, rng, dense_calls):
         # every sample sits 12.5 from the origin on one axis, and the
@@ -178,8 +121,10 @@ class TestSampleKnn:
     def test_non_finite_or_huge_centers_take_the_dense_path(
             self, rng, dense_calls, scale, bad):
         # centers at ~1e20 square past float32's range; the result must be
-        # the dense order, not a selection from overflowed float32 rows
+        # the dense order, not a selection from overflowed float32 rows.
+        # Duplicated centers tie exactly, so the dense sort must be stable.
         centers = rng.uniform(-1, 1, size=(40, 3))
+        centers[20:36] = centers[:16]
         centers[7, 1] = bad
         centers *= scale
         origin = np.array([0.1, -2.0, 0.3])
@@ -192,8 +137,28 @@ class TestSampleKnn:
         assert len(dense_calls) == 4
 
 
+@st.composite
+def _lattice_scene(draw):
+    """(centers, x, k): up to 24 centers and a query point on a half-step
+    lattice, so that many d2 tie, ties straddle the k-th place and centers
+    repeat; k anywhere in [1, n]."""
+    n = draw(st.integers(1, 24))
+    coords = draw(st.lists(st.integers(-2, 2), min_size=3 * n + 3,
+                           max_size=3 * n + 3))
+    points = np.asarray(coords, dtype=np.float64).reshape(-1, 3) * 0.5
+    return points[:n], points[n], draw(st.integers(1, n))
+
+
 class TestKnnQuery:
-    """Single-point queries through the production selection."""
+    """Single-point queries through the renderer's KNN."""
+
+    @given(_lattice_scene())
+    @settings(max_examples=200, deadline=None)
+    def test_lattice_ties_match_brute_force(self, case):
+        centers, x, k = case
+        avatar = _avatar_from_centers(centers)
+        np.testing.assert_array_equal(_query(avatar, x, k),
+                                      brute_force_knn(avatar, x, k))
 
     def test_line_of_centers(self):
         avatar = _avatar_from_centers([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
@@ -239,26 +204,3 @@ class TestKnnQuery:
             _query(avatar, np.zeros(3), 5)
         with pytest.raises(InvalidArgumentError):
             _query(avatar, np.zeros(3), 0)
-
-
-class TestNearestKBatch:
-    def test_matches_brute_force_per_point(self, rng):
-        centers = rng.uniform(-1, 1, size=(100, 3))
-        centers[10:20] = centers[40:50]  # planted ties
-        avatar = _avatar_from_centers(centers)
-        points = rng.uniform(-1, 1, size=(64, 3))
-        batch = nearest_k_batch(centers, points, 4)
-        for i, x in enumerate(points):
-            np.testing.assert_array_equal(batch[i], brute_force_knn(avatar, x, 4))
-
-    def test_chunking_does_not_change_results(self, rng):
-        centers = rng.uniform(-1, 1, size=(50, 3))
-        points = rng.uniform(-1, 1, size=(33, 3))
-        np.testing.assert_array_equal(
-            nearest_k_batch(centers, points, 3, chunk=7),
-            nearest_k_batch(centers, points, 3),
-        )
-
-    def test_k_exceeding_count_rejected(self, rng):
-        with pytest.raises(InvalidArgumentError):
-            nearest_k_batch(rng.uniform(size=(5, 3)), rng.uniform(size=(2, 3)), 6)
