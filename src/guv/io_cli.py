@@ -978,26 +978,19 @@ def cmd_diffuse(args) -> int:
     schedule = cosine_schedule(args.steps)
     denoiser = _parse_denoiser(args.denoiser, schedule)
     rng = np.random.default_rng(args.seed)
-    if args.action == "sample":
-        if args.like:
-            template = load_avatar(args.like)
-            anchors, normals, scales = (template.anchors,
-                                        template.anchor_normals,
-                                        template.anchor_scales)
-            s, c = template.plane_size, template.channels
-            h, w = template.height, template.width
-        else:
-            anchors, normals, scales = load_anchor_grid(args.anchors)
-            s, c = args.plane_size, args.payload_channels
-            h, w = anchors.shape[:2]
-        shape = (h * s, w * s, 9 + 3 * c)
-        values = reverse_sample(schedule, denoiser, shape, rng,
-                                step_count=args.step_count)
-    else:
+    if args.like is not None:
         template = load_avatar(args.like)
         anchors, normals, scales = (template.anchors, template.anchor_normals,
                                     template.anchor_scales)
         s, c = template.plane_size, template.channels
+    else:
+        anchors, normals, scales = load_anchor_grid(args.anchors)
+        s, c = args.plane_size or 8, args.payload_channels or 8
+    if args.action == "sample":
+        h, w = anchors.shape[:2]
+        values = reverse_sample(schedule, denoiser, (h * s, w * s, 9 + 3 * c),
+                                rng, step_count=args.step_count)
+    else:
         known = normalize_avatar(template)
         grid = read_mask(args.mask)
         if grid.shape != (template.height, template.width):
@@ -1050,6 +1043,18 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
+class _DiffuseParser(argparse.ArgumentParser):
+    """Refuses --plane-size and --payload-channels in `guv diffuse sample
+    --like`, whose template sets both sizes."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, rest = super().parse_known_args(args, namespace)
+        for flag in ("--plane-size", "--payload-channels"):
+            if vars(ns).get(flag[2:].replace("-", "_")) and ns.like is not None:
+                self.error(f"argument {flag}: not allowed with argument --like")
+        return ns, rest
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="guv",
@@ -1093,7 +1098,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("diffuse", help="sample or inpaint a UV tensor")
     q.set_defaults(func=cmd_diffuse)
-    actions = q.add_subparsers(dest="action", required=True)
+    actions = q.add_subparsers(dest="action", required=True,
+                               parser_class=_DiffuseParser)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--steps", type=_positive_int, default=1000)
     common.add_argument("--step-count", type=_positive_int, default=None,
@@ -1106,10 +1112,10 @@ def build_parser() -> argparse.ArgumentParser:
     mx = a.add_mutually_exclusive_group(required=True)
     mx.add_argument("--like", help="avatar supplying dims + anchors")
     mx.add_argument("--anchors", help="anchor grid for the output")
-    a.add_argument("--plane-size", type=_positive_int, default=8,
-                   help="with --anchors: payload plane size")
-    a.add_argument("--payload-channels", type=_positive_int, default=8,
-                   help="with --anchors: payload channel count")
+    a.add_argument("--plane-size", type=_positive_int,
+                   help="with --anchors: payload plane size (default 8)")
+    a.add_argument("--payload-channels", type=_positive_int,
+                   help="with --anchors: payload channel count (default 8)")
     a = actions.add_parser("inpaint", parents=[common],
                            help="resample the texels outside a mask")
     a.add_argument("--like", required=True, help="avatar to inpaint")

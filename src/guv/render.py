@@ -20,10 +20,17 @@ contracts shape the implementation:
 - World positions are only ever used as (center - origin) and t * direction,
   never origin + t * direction - center, so jointly translating scene and
   camera by a float-exact vector leaves every intermediate bit-identical.
+
+render_image marches a frame's ray chunks on min(usable CPUs, chunks)
+threads: by the first contract each pixel keeps its own ray's bits on any
+thread, the KNN prefilter's bound holds at any BLAS thread count, and numpy
+releases the GIL in the einsum, ufunc, argsort and matmul calls of a chunk.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,11 +238,18 @@ def march_ray(avatar: UVAvatar, mlp: RenderMLP, origin, direction,
     return color[0], float(depth[0]), float(alpha[0])
 
 
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
                  cfg: RenderConfig, seed: int = 0,
-                 chunk: int = 256) -> RenderOutput:
+                 chunk: int = 128) -> RenderOutput:
     """Full-frame render; pixel (i, j) bit-equals march_ray of that pixel's
-    ray with jitter stratified_jitter(H, W, J, seed)[i, j]."""
+    ray with jitter stratified_jitter(H, W, J, seed)[i, j], so marching the
+    chunks on min(usable CPUs, chunks) threads, which end before the call
+    returns, changes no bit."""
     h, w = camera.height, camera.width
     dirs = camera.ray_directions().reshape(-1, 3)
     jit = stratified_jitter(h, w, cfg.samples_per_ray, seed).reshape(-1, cfg.samples_per_ray)
@@ -245,12 +259,15 @@ def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
     color = np.empty((h * w, 3))
     depth = np.empty(h * w)
     alpha = np.empty(h * w)
-    for start in range(0, h * w, chunk):
+    def march_chunk(start: int) -> None:
         sl = slice(start, start + chunk)
         t = sample_distances(camera.near, camera.far, jit[sl])
         c, d, a, _ = march_rays_core(arrays, marrays, origin, dirs[sl], t, cfg,
                                      avatar.plane_size)
         color[sl], depth[sl], alpha[sl] = c, d, a
+    starts = range(0, h * w, chunk)
+    with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
+        list(pool.map(march_chunk, starts))    # re-raises a chunk's error
     return RenderOutput(
         color=color.reshape(h, w, 3),
         depth=depth.reshape(h, w),

@@ -68,7 +68,8 @@ def _knn_for_samples(centers_val: np.ndarray, origin: np.ndarray,
     up to float32 by nextafter is the threshold. Survivors get d2 by
     _sample_d2's ops, so its bits; _pick_survivors orders them. A block
     with M >= 2^100 (inf, NaN or huge centers) or a row of fewer than K
-    survivors takes the dense _sample_d2 rows and a stable argsort.
+    survivors takes the dense _sample_d2 rows and a stable argsort. Calls
+    keep no shared state, so concurrent callers are safe.
     """
     delta0 = centers_val - origin                      # (N, 3)
     s0 = np.sum(delta0 * delta0, axis=-1)              # (N,)

@@ -820,6 +820,19 @@ class TestCli:
         assert "argument --anchors: not allowed with argument --like" in err
         assert not (tmp_path / "x.guv").exists()
 
+    @pytest.mark.parametrize("flag", ["--plane-size", "--payload-channels"])
+    @pytest.mark.parametrize("flag_first", [False, True])
+    def test_diffuse_sample_like_rejects_size_flags(self, cli_fit, tmp_path,
+                                                    capsys, flag, flag_first):
+        # the --like template decides both sizes; the parser refuses them
+        like = ["--like", "{fit}"]
+        given = [flag, "2"] + like if flag_first else like + [flag, "2"]
+        err = self._diffuse_exits_two(
+            ["sample", "--steps", "4", "--out", "{out}"] + given,
+            capsys, fit=cli_fit, out=tmp_path / "x.guv")
+        assert f"argument {flag}: not allowed with argument --like" in err
+        assert not (tmp_path / "x.guv").exists()
+
     @pytest.mark.parametrize("flag", [["--plane-size", "4"],
                                       ["--payload-channels", "4"],
                                       ["--anchors", "{ds}/anchors.guva"]])

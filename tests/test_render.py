@@ -1,17 +1,22 @@
 """Ray marching, blending, and the bit-level rendering contracts."""
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from guv import grad as g
+from guv import render
 from guv.core import Camera, RenderConfig, init_from_anchors
 from guv.errors import InvalidArgumentError
 from guv.grad import ParamSet, gradients
-from guv.io_cli import lookat_camera
-from guv.render import (RenderMLP, RenderOutput, march_ray, march_rays_core,
-                        mlp_arrays, mlp_forward, psnr, random_mlp,
-                        render_image, sample_distances, stratified_jitter)
+from guv.io_cli import (lookat_camera, main, mlp_sibling, save_avatar,
+                        save_cameras, save_mlp)
+from guv.render import (RenderMLP, RenderOutput, avatar_arrays, march_ray,
+                        march_rays_core, mlp_arrays, mlp_forward, psnr,
+                        random_mlp, render_image, sample_distances,
+                        stratified_jitter)
 
 from reference import (TriPlanePayload, blend_point, composite_ray,
                        point_influences, pose_at, rbf_influence,
@@ -330,6 +335,139 @@ class TestRenderImage:
         with pytest.raises(InvalidArgumentError):
             RenderOutput(color=np.zeros((2, 2, 3)), depth=np.zeros((2, 2)),
                          alpha=np.full((2, 2), 1.5))
+
+
+class TestRenderPool:
+    """render_image's chunk threads: the frame, errors and thread lifetime
+    do not depend on how many threads march the chunks."""
+
+    def _setup(self, rng):
+        from conftest import make_avatar
+        avatar = make_avatar(rng)
+        mlp = random_mlp(rng, alpha_bias=1.5)
+        camera = lookat_camera(np.array([0.1, -0.9, 0.2]), np.zeros(3),
+                               width=8, height=7, fx=9.0, near=0.4, far=1.6)
+        return avatar, mlp, camera
+
+    @staticmethod
+    def _serial(avatar, mlp, camera, cfg, seed):
+        """The whole frame as one batch of the kernel, on this thread."""
+        jit = stratified_jitter(camera.height, camera.width,
+                                cfg.samples_per_ray, seed)
+        t = sample_distances(camera.near, camera.far,
+                             jit.reshape(-1, cfg.samples_per_ray))
+        color, depth, alpha, _ = march_rays_core(
+            avatar_arrays(avatar), mlp_arrays(mlp), camera.origin,
+            camera.ray_directions().reshape(-1, 3), t, cfg, avatar.plane_size)
+        return color, depth, alpha
+
+    @staticmethod
+    def _assert_frame(out, color, depth, alpha):
+        np.testing.assert_array_equal(out.color.reshape(-1, 3), color)
+        np.testing.assert_array_equal(out.depth.ravel(), depth)
+        np.testing.assert_array_equal(out.alpha.ravel(), alpha)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [7, 128])
+    def test_frame_equals_the_serial_kernel(self, rng, monkeypatch, workers,
+                                            chunk):
+        avatar, mlp, camera = self._setup(rng)
+        cfg = RenderConfig(knn_k=3, samples_per_ray=16)
+        monkeypatch.setattr(render, "_usable_cpus", lambda: workers)
+        out = render_image(avatar, mlp, camera, cfg, seed=4, chunk=chunk)
+        self._assert_frame(out, *self._serial(avatar, mlp, camera, cfg, 4))
+
+    def test_concurrent_callers_get_their_own_frames(self, rng, monkeypatch):
+        avatar, mlp, camera = self._setup(rng)
+        jobs = [(RenderConfig(knn_k=k, samples_per_ray=8), seed)
+                for k, seed in ((2, 1), (3, 2))]
+        want = [self._serial(avatar, mlp, camera, cfg, seed)
+                for cfg, seed in jobs]
+        monkeypatch.setattr(render, "_usable_cpus", lambda: 4)
+        got = [[] for _ in jobs]
+
+        def call(i):
+            cfg, seed = jobs[i]
+            for _ in range(3):
+                got[i].append(render_image(avatar, mlp, camera, cfg,
+                                           seed=seed, chunk=5))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,))
+                       for i in range(len(jobs))]
+            for th in callers:
+                th.start()
+            for th in callers:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in callers)
+        for frames, expected in zip(got, want):
+            assert len(frames) == 3
+            for out in frames:
+                self._assert_frame(out, *expected)
+
+    def test_chunk_error_reaches_the_caller(self, rng, monkeypatch):
+        avatar, mlp, camera = self._setup(rng)
+        monkeypatch.setattr(render, "_usable_cpus", lambda: 2)
+        cfg = RenderConfig(knn_k=avatar.count + 1)
+        with pytest.raises(InvalidArgumentError) as serial:
+            self._serial(avatar, mlp, camera, cfg, 0)
+        with pytest.raises(InvalidArgumentError) as pooled:
+            render_image(avatar, mlp, camera, cfg, chunk=5)
+        assert type(pooled.value) is type(serial.value)
+        assert str(pooled.value) == str(serial.value) == (
+            f"k={avatar.count + 1} exceeds {avatar.count} Gaussians")
+
+    def test_cli_render_keeps_its_exit_code(self, rng, tmp_path, capsys):
+        from conftest import make_avatar
+        avatar = make_avatar(rng, h=1, w=2)   # 2 Gaussians, RenderConfig k=3
+        save_avatar(avatar, tmp_path / "a.guv")
+        save_mlp(random_mlp(rng), mlp_sibling(tmp_path / "a.guv"))
+        save_cameras([self._setup(rng)[2]], tmp_path / "c.json")
+        rc = main(["render", str(tmp_path / "a.guv"), "--camera",
+                   str(tmp_path / "c.json"), "--out", str(tmp_path / "x.ppm")])
+        assert rc == 2
+        assert "k=3 exceeds 2 Gaussians" in capsys.readouterr().err
+
+    def test_no_thread_outlives_the_call(self, rng):
+        avatar, mlp, camera = self._setup(rng)
+        before = threading.active_count()
+        render_image(avatar, mlp, camera, RenderConfig(), chunk=3)
+        with pytest.raises(InvalidArgumentError):
+            render_image(avatar, mlp, camera,
+                         RenderConfig(knn_k=avatar.count + 1), chunk=3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus,chunk,workers", [
+        (64, 7, 8), (64, 56, 1), (64, 999, 1), (2, 7, 2), (1, 7, 1),
+    ])
+    def test_workers_never_exceed_chunks(self, rng, monkeypatch, cpus, chunk,
+                                         workers):
+        avatar, mlp, camera = self._setup(rng)    # 56 rays
+        seen = []
+
+        class Recorder:
+            """Runs the chunks in order on this thread, starting none."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(render, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(render, "_usable_cpus", lambda: cpus)
+        render_image(avatar, mlp, camera, RenderConfig(knn_k=2), chunk=chunk)
+        assert seen == [workers]
 
 
 class TestSampling:
