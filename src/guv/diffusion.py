@@ -10,6 +10,7 @@ Gaussian denoiser serves as the sampling oracle.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,6 +270,18 @@ def transition_params(schedule: DiffusionSchedule, s: int, t: int
     return a_ts, math.sqrt(max(var, 0.0))
 
 
+def _posterior_coefs(schedule: DiffusionSchedule, s: int, t: int
+                     ) -> tuple[float, float, float]:
+    """(coef_t, coef_0, std) of q(G_s | G_t, G_0) for s < t: the mean is
+    coef_t G_t + coef_0 G_0."""
+    a_ts, s_ts = transition_params(schedule, s, t)
+    var_t = float(schedule.sigmas[t] ** 2)
+    var_s = float(schedule.sigmas[s] ** 2)
+    coef_t = a_ts * var_s / var_t
+    coef_0 = float(schedule.alphas[s]) * s_ts * s_ts / var_t
+    return coef_t, coef_0, math.sqrt(s_ts * s_ts * var_s / var_t)
+
+
 def posterior_params(schedule: DiffusionSchedule, s: int, t: int, g_t, g0_hat):
     """Mean and std of q(G_s | G_t, G_0 = g0_hat) for s <= t:
     mean = (alpha_ts sigma_s^2 / sigma_t^2) G_t
@@ -282,13 +295,8 @@ def posterior_params(schedule: DiffusionSchedule, s: int, t: int, g_t, g0_hat):
     g0_hat = np.asarray(g0_hat, dtype=np.float64)
     if s == t:
         return g_t.copy(), 0.0
-    a_ts, s_ts = transition_params(schedule, s, t)
-    var_t = float(schedule.sigmas[t] ** 2)
-    coef_t = a_ts * float(schedule.sigmas[s] ** 2) / var_t
-    coef_0 = float(schedule.alphas[s]) * s_ts * s_ts / var_t
-    mean = coef_t * g_t + coef_0 * g0_hat
-    std = math.sqrt(s_ts * s_ts * float(schedule.sigmas[s] ** 2) / var_t)
-    return mean, std
+    coef_t, coef_0, std = _posterior_coefs(schedule, s, t)
+    return coef_t * g_t + coef_0 * g0_hat, std
 
 
 def _stable_sigmoid(x: float) -> float:
@@ -324,20 +332,52 @@ def _timesteps(schedule: DiffusionSchedule, step_count: int | None) -> np.ndarra
     return ts[::-1].astype(np.int64)
 
 
+def _reverse_steps(schedule: DiffusionSchedule, denoiser, step_count,
+                   draw, pin=None) -> np.ndarray:
+    """The ancestral chain t = T -> 0 from G = draw()[0]. draw() gives one
+    step's noise: the posterior noise, then any arrays pin(G, *those, t)
+    uses to rewrite part of G. Each draw runs one step ahead on a worker
+    thread, so none is made past the last step. The step is posterior_params'
+    arithmetic in place, never in the denoiser's input or output."""
+    ts = [int(t) for t in _timesteps(schedule, step_count)]
+    g_t, *noise = draw()
+    if pin is not None:
+        pin(g_t, *noise, ts[0])
+    del noise
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(draw)
+        for hi, lo in zip(ts[:-1], ts[1:]):
+            coef_t, coef_0, std = _posterior_coefs(schedule, lo, hi)
+            mean = np.clip(denoiser(g_t, hi), -1.0, 1.0, out=np.empty(g_t.shape))
+            mean *= coef_0
+            mean += coef_t * g_t
+            # taking the noise only now, and drawing the next only after,
+            # bounds the arrays alive at once
+            g_t, *noise = ahead.result()
+            if lo != ts[-1]:
+                ahead = pool.submit(draw)
+            g_t *= std
+            g_t += mean
+            del mean
+            if pin is not None:
+                pin(g_t, *noise, lo)
+            del noise
+    return g_t
+
+
 def reverse_sample(schedule: DiffusionSchedule, denoiser, shape, rng,
                    step_count: int | None = None) -> np.ndarray:
     """Ancestral sampling t = T -> 0 with G_0_hat = clip(denoiser(G_t, t), -1, 1).
 
     The posterior noise array is drawn every step (even when the step std is
-    0) so rng consumption does not depend on the schedule's endpoints.
+    0) so rng consumption does not depend on the schedule's endpoints. It is
+    drawn one step ahead on a worker thread while the step's denoiser runs,
+    so the denoiser must not draw from rng. The output and rng's final state
+    equal the serial order's. A denoiser error reaches the caller unchanged,
+    with rng one step's draw past where the serial loop would stop.
     """
-    ts = _timesteps(schedule, step_count)
-    g_t = rng.standard_normal(shape)
-    for hi, lo in zip(ts[:-1], ts[1:]):
-        g0_hat = np.clip(denoiser(g_t, int(hi)), -1.0, 1.0)
-        mean, std = posterior_params(schedule, int(lo), int(hi), g_t, g0_hat)
-        g_t = mean + std * rng.standard_normal(shape)
-    return g_t
+    return _reverse_steps(schedule, denoiser, step_count,
+                          lambda: (rng.standard_normal(shape),))
 
 
 def analytic_gauss_denoiser(schedule: DiffusionSchedule, data_mean: float,
@@ -349,9 +389,10 @@ def analytic_gauss_denoiser(schedule: DiffusionSchedule, data_mean: float,
         a = float(schedule.alphas[t])
         sig2 = float(schedule.sigmas[t] ** 2)
         s2 = data_std * data_std
-        return (a * s2 * np.asarray(g_t, dtype=np.float64) + sig2 * data_mean) / (
-            a * a * s2 + sig2
-        )
+        out = a * s2 * np.asarray(g_t, dtype=np.float64)
+        out += sig2 * data_mean
+        out /= a * a * s2 + sig2
+        return out
 
     return denoiser
 
@@ -386,23 +427,26 @@ def inpaint_sample(schedule: DiffusionSchedule, denoiser, known: np.ndarray,
     At every reverse step the known region is overwritten with a fresh
     forward draw q_sample(known, s) using a noise stream spawned from rng,
     so with the same rng an empty mask reproduces reverse_sample bit-exactly;
-    at t=0 the known region is the input itself, bit-exact.
+    at t=0 the known region is the input itself, bit-exact. Each step's two
+    noise arrays (rng's, then the spawned stream's) are drawn one step ahead
+    on a worker thread, so the denoiser must not draw from rng. The output
+    and both generators' final states equal the serial order's. A denoiser
+    error reaches the caller unchanged, with both generators one step's draw
+    past where the serial loop would stop.
     """
     known = np.asarray(known, dtype=np.float64)
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), known.shape)
     mask_rng = rng.spawn(1)[0]
-    ts = _timesteps(schedule, step_count)
-    g_t = rng.standard_normal(known.shape)
-    g_t = np.where(
-        mask, q_sample(schedule, known, int(ts[0]),
-                       mask_rng.standard_normal(known.shape)), g_t
-    )
-    for hi, lo in zip(ts[:-1], ts[1:]):
-        g0_hat = np.clip(denoiser(g_t, int(hi)), -1.0, 1.0)
-        mean, std = posterior_params(schedule, int(lo), int(hi), g_t, g0_hat)
-        g_t = mean + std * rng.standard_normal(known.shape)
-        g_t = np.where(
-            mask, q_sample(schedule, known, int(lo),
-                           mask_rng.standard_normal(known.shape)), g_t
-        )
-    return np.where(mask, known, g_t)
+
+    def draw():
+        return rng.standard_normal(known.shape), mask_rng.standard_normal(known.shape)
+
+    def pin(g, noise, t):
+        """g's known region := q_sample(known, t, noise), in noise's buffer."""
+        noise *= float(schedule.sigmas[t])
+        noise += float(schedule.alphas[t]) * known
+        np.copyto(g, noise, where=mask)
+
+    g_t = _reverse_steps(schedule, denoiser, step_count, draw, pin)
+    np.copyto(g_t, known, where=mask)
+    return g_t

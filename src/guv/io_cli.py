@@ -120,7 +120,9 @@ def _split_body(body: np.ndarray, body_off: int, counts: list[int], path
             f"{path}: body has {body.size * 4} bytes at offset {body_off}, "
             f"expected {sum(counts) * 4}"
         )
-    return np.split(body.astype(np.float64), np.cumsum(counts)[:-1])
+    with np.errstate(invalid="ignore"):   # a signalling NaN warns on the cast
+        body = body.astype(np.float64)
+    return np.split(body, np.cumsum(counts)[:-1])
 
 
 def _check_version(doc: dict, path) -> None:
@@ -935,13 +937,12 @@ def cmd_render(args) -> int:
 def cmd_edit(args) -> int:
     avatar = load_avatar(args.target)
     if args.transfer:
-        if not args.mask:
-            raise InvalidArgumentError("--transfer requires --mask")
+        channels = args.channels or "both"
         source = load_avatar(args.transfer)
         grid = read_mask(args.mask)
         out = region_transfer(avatar, source,
-                              UVMask(grid=grid, channels=_selector(args.channels)))
-        what = f"transfer {args.channels} from {args.transfer}"
+                              UVMask(grid=grid, channels=_selector(channels)))
+        what = f"transfer {channels} from {args.transfer}"
     else:
         path = args.expr
         if path.endswith(".guva"):
@@ -1043,15 +1044,26 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
-class _DiffuseParser(argparse.ArgumentParser):
-    """Refuses --plane-size and --payload-channels in `guv diffuse sample
-    --like`, whose template sets both sizes."""
+class _RefusingParser(argparse.ArgumentParser):
+    """An ArgumentParser that also checks flag pairs once parsed: it exits 2
+    for each (flag, other) in `conflicts` given together, and for each in
+    `requires` whose flag is given without the other."""
+
+    conflicts: tuple = ()
+    requires: tuple = ()
 
     def parse_known_args(self, args=None, namespace=None):
         ns, rest = super().parse_known_args(args, namespace)
-        for flag in ("--plane-size", "--payload-channels"):
-            if vars(ns).get(flag[2:].replace("-", "_")) and ns.like is not None:
-                self.error(f"argument {flag}: not allowed with argument --like")
+
+        def given(flag):
+            return getattr(ns, flag[2:].replace("-", "_")) is not None
+
+        for flag, other in self.conflicts:
+            if given(flag) and given(other):
+                self.error(f"argument {flag}: not allowed with argument {other}")
+        for flag, other in self.requires:
+            if given(flag) and not given(other):
+                self.error(f"argument {flag}: requires {other}")
         return ns, rest
 
 
@@ -1061,7 +1073,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="UV-grid Gaussian avatar engine: fit, render, edit, "
                     "diffuse, self-check.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=_RefusingParser)
 
     q = sub.add_parser("fit", help="fit an avatar to a dataset directory")
     q.add_argument("dataset")
@@ -1092,14 +1105,16 @@ def build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--transfer", help="source avatar for region transfer")
     mx.add_argument("--expr", help="avatar or anchor grid giving target vertices")
     q.add_argument("--mask", help="P5 mask over UV texels (>=128 transfers)")
-    q.add_argument("--channels", choices=("geo", "tex", "both"), default="both")
+    q.add_argument("--channels", choices=("geo", "tex", "both"),
+                   help="channels the --mask transfers (default both)")
     q.add_argument("--out", required=True)
+    q.conflicts = (("--mask", "--expr"), ("--channels", "--expr"))
+    q.requires = (("--transfer", "--mask"),)
     q.set_defaults(func=cmd_edit)
 
     q = sub.add_parser("diffuse", help="sample or inpaint a UV tensor")
     q.set_defaults(func=cmd_diffuse)
-    actions = q.add_subparsers(dest="action", required=True,
-                               parser_class=_DiffuseParser)
+    actions = q.add_subparsers(dest="action", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--steps", type=_positive_int, default=1000)
     common.add_argument("--step-count", type=_positive_int, default=None,
@@ -1116,6 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --anchors: payload plane size (default 8)")
     a.add_argument("--payload-channels", type=_positive_int,
                    help="with --anchors: payload channel count (default 8)")
+    a.conflicts = (("--plane-size", "--like"), ("--payload-channels", "--like"))
     a = actions.add_parser("inpaint", parents=[common],
                            help="resample the texels outside a mask")
     a.add_argument("--like", required=True, help="avatar to inpaint")

@@ -16,7 +16,10 @@ Gaussian or one scalar at a time, with direct x - mu arithmetic:
   point by (d2, id), that the renderer's spatial._knn_for_samples must match;
 - matmul_last, sigmoid and stack, tape primitives, and mlp_chain and
   triplane_chain, the primitive compositions that grad.shading_mlp and
-  grad.triplane_sample fuse: their oracle, value and gradient, bit for bit.
+  grad.triplane_sample fuse: their oracle, value and gradient, bit for bit;
+- reverse_sample and inpaint_sample, the diffusion samplers as one serial
+  loop over posterior_params and q_sample: the oracle of the library's
+  samplers, which draw their noise one step ahead on a worker thread.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ import numpy as np
 from guv.core import RenderConfig, UVAvatar, _frozen, rotation_matrix
 from guv.errors import InvalidArgumentError
 from guv import grad as g
+from guv.diffusion import _timesteps, posterior_params, q_sample
 from guv.grad import ParamSet, default_step, value
 from guv.render import RenderMLP, _shade, avatar_arrays, mlp_arrays
 from guv.spatial import _check_k
@@ -271,3 +275,37 @@ def triplane_chain(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
             contrib = g.mixdown(weights, corners)
         feat = contrib if feat is None else g.add(feat, contrib)
     return feat
+
+
+def reverse_sample(schedule, denoiser, shape, rng, step_count=None):
+    """diffusion.reverse_sample as one serial loop: denoise, posterior, draw."""
+    ts = _timesteps(schedule, step_count)
+    g_t = rng.standard_normal(shape)
+    for hi, lo in zip(ts[:-1], ts[1:]):
+        g0_hat = np.clip(denoiser(g_t, int(hi)), -1.0, 1.0)
+        mean, std = posterior_params(schedule, int(lo), int(hi), g_t, g0_hat)
+        g_t = mean + std * rng.standard_normal(shape)
+    return g_t
+
+
+def inpaint_sample(schedule, denoiser, known, mask, rng, step_count=None):
+    """diffusion.inpaint_sample as one serial loop: each step draws rng's
+    noise, then the spawned stream's for the known region."""
+    known = np.asarray(known, dtype=np.float64)
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), known.shape)
+    mask_rng = rng.spawn(1)[0]
+    ts = _timesteps(schedule, step_count)
+    g_t = rng.standard_normal(known.shape)
+    g_t = np.where(
+        mask, q_sample(schedule, known, int(ts[0]),
+                       mask_rng.standard_normal(known.shape)), g_t
+    )
+    for hi, lo in zip(ts[:-1], ts[1:]):
+        g0_hat = np.clip(denoiser(g_t, int(hi)), -1.0, 1.0)
+        mean, std = posterior_params(schedule, int(lo), int(hi), g_t, g0_hat)
+        g_t = mean + std * rng.standard_normal(known.shape)
+        g_t = np.where(
+            mask, q_sample(schedule, known, int(lo),
+                           mask_rng.standard_normal(known.shape)), g_t
+        )
+    return np.where(mask, known, g_t)

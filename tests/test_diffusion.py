@@ -1,8 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import reference
+from guv import diffusion
 from guv.core import rotation_matrices
 from guv.diffusion import (
     GEOMETRY_CHANNELS,
@@ -572,6 +575,15 @@ class TestAnalyticDenoiser:
         g = rng.standard_normal(5)
         np.testing.assert_allclose(den(g, 0), g, rtol=1e-15)
 
+    def test_equals_the_closed_form_bit_for_bit(self, rng):
+        m, s2 = 0.3, 0.2 * 0.2
+        den = analytic_gauss_denoiser(SCHEDULE, m, 0.2)
+        g = rng.standard_normal((6, 5))
+        for t in (0, 1, 90, 200):
+            a, sig2 = float(SCHEDULE.alphas[t]), float(SCHEDULE.sigmas[t] ** 2)
+            want = (a * s2 * g + sig2 * m) / (a * a * s2 + sig2)
+            np.testing.assert_array_equal(den(g, t), want)
+
     def test_matches_bayes_quadrature(self):
         m, s = 0.3, 0.2
         den = analytic_gauss_denoiser(SCHEDULE, m, s)
@@ -652,3 +664,108 @@ class TestInpaintSample:
         b = inpaint_sample(SCHEDULE, self._denoiser(), known, mask,
                            np.random.default_rng(3), step_count=10)
         np.testing.assert_array_equal(a, b)
+
+
+class _Recorder:
+    """A Generator stand-in that keeps the children it spawns, so a test can
+    read the state of inpaint_sample's spawned stream after the call."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.standard_normal = self.rng.standard_normal
+        self.children = []
+
+    def spawn(self, n: int):
+        kids = self.rng.spawn(n)
+        self.children += kids
+        return kids
+
+    def states(self) -> list:
+        return [r.bit_generator.state for r in [self.rng] + self.children]
+
+
+_SHAPE = (4, 4, 12)
+_KNOWN = np.random.default_rng(11).uniform(-1.0, 1.0, size=_SHAPE)
+_MASK = channel_mask(np.eye(2, dtype=bool), "texture", 2, 1)
+_CONSTANT = np.random.default_rng(12).uniform(-1.5, 1.5, size=_SHAPE)
+_DENOISERS = {
+    "analytic": analytic_gauss_denoiser(SCHEDULE, 0.1, 0.3),
+    "returns_input": lambda g_t, t: g_t,
+    "returns_constant": lambda g_t, t: _CONSTANT,
+    "float32": lambda g_t, t: (0.5 * g_t).astype(np.float32),
+}
+
+
+def _sample(impl, sampler: str, denoiser, seed: int, step_count):
+    rng = _Recorder(seed)
+    if sampler == "reverse":
+        out = impl.reverse_sample(SCHEDULE, denoiser, _SHAPE, rng,
+                                  step_count=step_count)
+    else:
+        out = impl.inpaint_sample(SCHEDULE, denoiser, _KNOWN, _MASK, rng,
+                                  step_count=step_count)
+    return out, rng
+
+
+class TestSamplersMatchSerialOracle:
+    """The samplers draw their noise one step ahead on a worker thread; the
+    serial loops in reference are their oracle, bit for bit."""
+
+    @pytest.mark.parametrize("sampler", ["reverse", "inpaint"])
+    @pytest.mark.parametrize("step_count", [1, 2, 7, None])
+    @pytest.mark.parametrize("name", sorted(_DENOISERS))
+    def test_output_and_generator_states_equal_the_serial_loop(
+            self, sampler, step_count, name):
+        seen = []
+
+        def watched(g_t, t):
+            out = _DENOISERS[name](g_t, t)
+            seen.append((g_t, g_t.copy(), out, out.copy()))
+            return out
+
+        out, rng = _sample(diffusion, sampler, watched, 17, step_count)
+        ref, ref_rng = _sample(reference, sampler, _DENOISERS[name], 17,
+                               step_count)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, ref)
+        assert len(rng.children) == (sampler == "inpaint")
+        assert rng.states() == ref_rng.states()
+        assert len(seen) == (step_count or SCHEDULE.steps)
+        for g_in, g_in_then, g_out, g_out_then in seen:
+            np.testing.assert_array_equal(g_in, g_in_then)
+            np.testing.assert_array_equal(g_out, g_out_then)
+        np.testing.assert_array_equal(_KNOWN, np.random.default_rng(11).uniform(
+            -1.0, 1.0, size=_SHAPE))
+
+    @pytest.mark.parametrize("sampler", ["reverse", "inpaint"])
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_denoiser_error_reaches_the_caller(self, sampler, k):
+        """The error is the denoiser's own object, the worker is joined, and
+        each generator is one step's draw past the serial loop's k + 1."""
+        err = RuntimeError("denoiser failed")
+        calls = []
+
+        def failing(g_t, t):
+            if len(calls) == k:
+                raise err
+            calls.append(t)
+            return g_t
+
+        before = threading.active_count()
+        rng = _Recorder(5)
+        with pytest.raises(RuntimeError) as info:
+            if sampler == "reverse":
+                diffusion.reverse_sample(SCHEDULE, failing, _SHAPE, rng,
+                                         step_count=7)
+            else:
+                diffusion.inpaint_sample(SCHEDULE, failing, _KNOWN, _MASK, rng,
+                                         step_count=7)
+        assert info.value is err
+        assert threading.active_count() == before
+        want = _Recorder(5)
+        if sampler == "inpaint":
+            want.spawn(1)
+        for r in [want.rng] + want.children:
+            for _ in range(k + 2):
+                r.standard_normal(_SHAPE)
+        assert rng.states() == want.states()

@@ -3,6 +3,7 @@ import json
 import re
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -758,10 +759,41 @@ class TestCli:
             moved.anchors, ref.astype(np.float32).astype(np.float64))
 
     def test_edit_transfer_requires_mask(self, cli_fit, tmp_path, capsys):
-        rc = main(["edit", str(cli_fit), "--transfer", str(cli_fit),
-                   "--out", str(tmp_path / "x.guv")])
-        assert rc == 2
-        assert "--mask" in capsys.readouterr().err
+        err = self._exits_two(["edit", "{fit}", "--transfer", "{fit}",
+                               "--out", "{out}"],
+                              capsys, fit=cli_fit, out=tmp_path / "x.guv")
+        assert "argument --transfer: requires --mask" in err
+        assert not (tmp_path / "x.guv").exists()
+
+    @pytest.mark.parametrize("given", [["--mask", "{mask}"],
+                                       ["--channels", "geo"],
+                                       ["--channels", "both"]])
+    @pytest.mark.parametrize("flag_first", [False, True])
+    def test_edit_expr_refuses_transfer_flags(self, cli_dataset, cli_fit,
+                                              tmp_path, capsys, given,
+                                              flag_first):
+        # an explicit --channels is refused even at its default meaning
+        expr = ["--expr", "{ds}/anchors.guva"]
+        argv = given + expr if flag_first else expr + given
+        err = self._exits_two(["edit", "{fit}", "--out", "{out}"] + argv,
+                              capsys, ds=cli_dataset, fit=cli_fit,
+                              mask=tmp_path / "m.pgm", out=tmp_path / "x.guv")
+        assert f"argument {given[0]}: not allowed with argument --expr" in err
+        assert not (tmp_path / "x.guv").exists()
+
+    def test_edit_transfer_channels_default_to_both(self, cli_fit, tmp_path,
+                                                    capsys):
+        mask = tmp_path / "m.pgm"
+        write_alpha_pgm(np.ones((4, 4)), mask)
+        outs = []
+        for extra in ([], ["--channels", "both"]):
+            out = tmp_path / f"e{len(extra)}.guv"
+            rc = main(["edit", str(cli_fit), "--transfer", str(cli_fit),
+                       "--mask", str(mask), "--out", str(out)] + extra)
+            assert rc == 0
+            assert f"transfer both from {cli_fit}" in capsys.readouterr().out
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_diffuse_sample_from_anchor_grid(self, cli_dataset, tmp_path,
                                              capsys):
@@ -792,11 +824,14 @@ class TestCli:
         assert (avatar.height, avatar.width) == (4, 4)
         assert (avatar.plane_size, avatar.channels) == (8, 8)
 
-    def _diffuse_exits_two(self, argv, capsys, **names):
+    def _exits_two(self, argv, capsys, **names):
         with pytest.raises(SystemExit) as exc:
-            main(["diffuse"] + [a.format(**names) for a in argv])
+            main([a.format(**names) for a in argv])
         assert exc.value.code == 2
         return capsys.readouterr().err
+
+    def _diffuse_exits_two(self, argv, capsys, **names):
+        return self._exits_two(["diffuse"] + argv, capsys, **names)
 
     def test_diffuse_sample_rejects_inpaint_channels(self, cli_dataset,
                                                      tmp_path, capsys):
@@ -1046,3 +1081,16 @@ class TestMutatedFiles:
                 _LOADERS[kind](p)
             except GuvError:
                 pass
+
+    @pytest.mark.parametrize("kind", ["anchors", "avatar"])
+    def test_signalling_nan_raises_only_the_guv_error(self, kind, tmp_path):
+        # the float64 cast of a float32 signalling NaN must not warn first
+        data = bytearray(_saved_bytes(kind))
+        body = 8 + struct.unpack("<I", data[4:8])[0]
+        data[body:body + 4] = struct.pack("<I", 0x7F800001)
+        p = tmp_path / "f"
+        p.write_bytes(bytes(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GuvError, match="non-finite"):
+                _LOADERS[kind](p)
