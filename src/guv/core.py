@@ -302,14 +302,13 @@ def init_from_anchors(
     anchors = np.asarray(anchors, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
-    if anchors.ndim != 3 or anchors.shape[2] != 3:
-        raise InvalidArgumentError("anchors must be (H, W, 3)")
+    # the shapes go first, as align_z_to_normals needs (H, W, 3) normals;
+    # UVAvatar checks the values, unit normals included
+    if (anchors.ndim != 3 or anchors.shape[2] != 3 or normals.shape != anchors.shape
+            or scales.shape != anchors.shape[:2]):
+        raise InvalidArgumentError(
+            "anchors, normals, scales must be (H, W, 3), (H, W, 3), (H, W)")
     h, w = anchors.shape[:2]
-    if normals.shape != (h, w, 3) or scales.shape != (h, w):
-        raise InvalidArgumentError("anchors, normals, scales must share H x W")
-    norms = np.linalg.norm(normals, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise InvalidArgumentError("normals must be unit length within 1e-6")
     rotations = euler_from_matrix(align_z_to_normals(normals))
     radii = np.stack([scales, scales, scales / 2.0], axis=-1)
     payloads = np.zeros((h, w, 3, plane_size, plane_size, channels))

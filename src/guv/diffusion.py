@@ -19,6 +19,7 @@ from .core import UVAvatar, _wrap_angle
 from .errors import InvalidArgumentError
 
 GEOMETRY_CHANNELS = 9  # center 3 + rotation 3 + radii 3, in pack order
+_COSINE_OFFSET = 0.008  # s of the squared-cosine schedule
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,14 @@ class DiffusionSchedule:
             object.__setattr__(self, name, arr)
 
 
-def cosine_schedule(steps: int = 1000, offset: float = 0.008) -> DiffusionSchedule:
+def cosine_schedule(steps: int = 1000) -> DiffusionSchedule:
     """Squared-cosine signal schedule: alpha_bar(t) =
-    cos^2(((t/T + s)/(1 + s)) pi/2) normalized so alpha_bar(0) = 1."""
+    cos^2(((t/T + s)/(1 + s)) pi/2) with s = 0.008, normalized so
+    alpha_bar(0) = 1."""
     if steps < 1:
         raise InvalidArgumentError("steps must be >= 1")
     t = np.arange(steps + 1, dtype=np.float64)
-    theta = (t / steps + offset) / (1.0 + offset) * (math.pi / 2.0)
+    theta = (t / steps + _COSINE_OFFSET) / (1.0 + _COSINE_OFFSET) * (math.pi / 2.0)
     abar = np.cos(theta) ** 2
     abar = abar / abar[0]
     alphas = np.sqrt(abar)
@@ -75,6 +77,14 @@ def cosine_schedule(steps: int = 1000, offset: float = 0.008) -> DiffusionSchedu
 # ---------------------------------------------------------------------------
 
 
+def _check_plane_size(s: int) -> int:
+    """s, if it is a power of two: fold's pairwise block mean halves the
+    S*S block down to one value."""
+    if s < 1 or s & (s - 1):
+        raise InvalidArgumentError(f"plane_size must be a power of two, got {s}")
+    return s
+
+
 @dataclass(frozen=True)
 class UVTensor:
     """An unfolded, normalized UV image: (H*S, W*S, 9 + 3C), channels in
@@ -85,11 +95,9 @@ class UVTensor:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)
-        s = self.plane_size
         if v.ndim != 3:
             raise InvalidArgumentError("values must be (H*S, W*S, channels)")
-        if s < 1 or (s & (s - 1)) != 0:
-            raise InvalidArgumentError("plane_size must be a power of two")
+        s = _check_plane_size(self.plane_size)
         if v.shape[0] % s or v.shape[1] % s:
             raise InvalidArgumentError(
                 f"spatial dims {v.shape[:2]} not divisible by plane_size {s}"
@@ -161,9 +169,7 @@ def unfold(packed: np.ndarray, plane_size: int) -> np.ndarray:
     """(H, W, 9 + 3*S*S*C) -> (H*S, W*S, 9 + 3C): pose channels replicated
     S x S per texel, each payload plane laid out over its block."""
     packed = np.asarray(packed, dtype=np.float64)
-    s = plane_size
-    if s < 1 or (s & (s - 1)) != 0:
-        raise InvalidArgumentError("plane_size must be a power of two")
+    s = _check_plane_size(plane_size)
     h, w, ch = packed.shape
     if (ch - GEOMETRY_CHANNELS) % (3 * s * s):
         raise InvalidArgumentError(
@@ -193,9 +199,7 @@ def fold(tensor: np.ndarray, plane_size: int) -> np.ndarray:
     outputs break replication); each S x S block reduces to its mean, the
     projection onto the replicated set; bit-exact when replication holds."""
     tensor = np.asarray(tensor, dtype=np.float64)
-    s = plane_size
-    if s < 1 or (s & (s - 1)) != 0:
-        raise InvalidArgumentError("plane_size must be a power of two")
+    s = _check_plane_size(plane_size)
     hs, ws, ch = tensor.shape
     if hs % s or ws % s:
         raise InvalidArgumentError("spatial dims not divisible by plane_size")

@@ -71,9 +71,8 @@ class FitConfig:
     lr_gaussians: float = 1e-5
     lr_mlp: float = 5e-2
     lr_payload: float = 2e-2
-    decay_step: int | None = 100_000
+    decay_step: int = 100_000
     decay_factor: float = 0.5
-    background: str = "white"
     mlp_alpha_bias: float = 2.0
     seed: int = 0
 
@@ -86,14 +85,10 @@ class FitConfig:
         for name in ("lr_z", "lr_decoder", "lr_gaussians", "lr_mlp", "lr_payload"):
             if getattr(self, name) < 0:
                 raise InvalidArgumentError(f"{name} must be >= 0")
-        if self.decay_step is not None and self.decay_step < 1:
-            raise InvalidArgumentError("decay_step must be >= 1 or None")
+        if self.decay_step < 1:
+            raise InvalidArgumentError("decay_step must be >= 1")
         if not (0.0 < self.decay_factor <= 1.0):
             raise InvalidArgumentError("decay_factor must lie in (0, 1]")
-        if self.background not in ("white", "random-white-biased"):
-            raise InvalidArgumentError(
-                "background must be 'white' or 'random-white-biased'"
-            )
 
 
 @dataclass(frozen=True)
@@ -193,13 +188,11 @@ def decode_payloads(decoder: LatentDecoder) -> np.ndarray:
     )
 
 
-def sample_patch(views, patch_size: int, rng: np.random.Generator
-                 ) -> tuple[int, int, int]:
+def sample_patch(views: list[PosedView], patch_size: int,
+                 rng: np.random.Generator) -> tuple[int, int, int]:
     """Uniform (view index, top, left) of a patch window
     [top:top+patch, left:left+patch]; reproducible from the generator state."""
-    first = views[0]
-    img = first.image if isinstance(first, PosedView) else np.asarray(first)
-    h, w = img.shape[:2]
+    h, w = views[0].image.shape[:2]
     if patch_size > min(h, w):
         raise InvalidArgumentError(
             f"patch {patch_size} exceeds image size {(h, w)}"
@@ -349,11 +342,6 @@ def fit_scene(
             raise InvalidArgumentError("all views must share image dims")
     if config.patch_size > min(shape0[0], shape0[1]):
         raise InvalidArgumentError("patch_size exceeds image size")
-    if config.background == "random-white-biased":
-        if any(v.mask is None for v in views):
-            raise InvalidArgumentError(
-                "random-white-biased background requires masks on every view"
-            )
     cfg = render_cfg if render_cfg is not None else RenderConfig()
     grid_h, grid_w = np.shape(anchors)[:2]
     if cfg.knn_k > grid_h * grid_w:
@@ -391,18 +379,11 @@ def fit_scene(
             tgts["depth"] = view.depth[window].reshape(-1)
         if view.mask is not None:
             tgts["mask"] = view.mask[window].reshape(-1)
-        cfg_it = cfg
-        if view.mask is not None:
-            if config.background == "random-white-biased":
-                bg = 1.0 - 0.5 * rng.uniform(size=3)
-                cfg_it = dataclasses.replace(cfg, background=tuple(bg))
-            else:
-                bg = np.asarray(cfg.background, dtype=np.float64)
             tgts["color"] = composite_background(
-                view.image[window], view.mask[window], bg
+                view.image[window], view.mask[window], cfg.background
             ).reshape(-1, 3)
 
-        batch = Batch(origin=view.camera.origin, dirs=dirs, t=t, cfg=cfg_it,
+        batch = Batch(origin=view.camera.origin, dirs=dirs, t=t, cfg=cfg,
                       targets=tgts, anchors=anchors, plane_size=plane_size,
                       channels=channels, weights=wts)
 
@@ -417,9 +398,7 @@ def fit_scene(
             grads = gradients(evaluator, params)
         except NumericFailureError as e:
             raise NumericFailureError(f"iteration {it}: {e}") from e
-        lr_scale = (config.decay_factor
-                    if config.decay_step is not None and it >= config.decay_step
-                    else 1.0)
+        lr_scale = config.decay_factor if it >= config.decay_step else 1.0
         adamw_step(params, grads, state, lr_scale)
         # keep radii strictly positive; the influence kernel divides by them
         np.maximum(params.groups["radii"], 1e-4, out=params.groups["radii"])

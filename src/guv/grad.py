@@ -26,19 +26,14 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericFailureError
 
 
-class Tape:
-    __slots__ = ("ops",)
-
-    def __init__(self):
-        self.ops: list[tuple[str, "Var", object]] = []  # (name, out, backward)
-
-
-_ACTIVE: list[Tape] = []
+# the tapes being recorded, innermost last; a tape is a list of
+# (name, out, backward) entries in creation order
+_ACTIVE: list[list] = []
 
 
 def _record(name: str, out: "Var", backward) -> None:
     if _ACTIVE:
-        _ACTIVE[-1].ops.append((name, out, backward))
+        _ACTIVE[-1].append((name, out, backward))
 
 
 class Var:
@@ -460,7 +455,7 @@ def gradients(loss_evaluator, params: ParamSet) -> ParamSet:
     the loss never touches get exact zero gradients. Non-finite losses raise
     with the first offending tape op named.
     """
-    tape = Tape()
+    tape: list = []
     _ACTIVE.append(tape)
     try:
         leaves = {k: Var(v) for k, v in params.groups.items()}
@@ -472,14 +467,14 @@ def gradients(loss_evaluator, params: ParamSet) -> ParamSet:
     if loss.value.shape != ():
         raise InvalidArgumentError(f"loss must be scalar, got shape {loss.value.shape}")
     if not np.isfinite(loss.value):
-        for pos, (name, out, _) in enumerate(tape.ops):
+        for pos, (name, out, _) in enumerate(tape):
             if not np.all(np.isfinite(out.value)):
                 raise NumericFailureError(
                     f"non-finite loss; first bad op: {name} at tape position {pos}"
                 )
         raise NumericFailureError("non-finite loss with no non-finite tape op")
     loss.grad = np.ones_like(loss.value)
-    for _, _, backward in reversed(tape.ops):
+    for _, _, backward in reversed(tape):
         backward()
     grads = {
         k: (leaves[k].grad if leaves[k].grad is not None else np.zeros_like(v))
@@ -491,6 +486,9 @@ def gradients(loss_evaluator, params: ParamSet) -> ParamSet:
 def _eval_plain(loss_evaluator, groups: dict) -> float:
     out = loss_evaluator(groups)
     return float(value(out))
+
+
+_FD_ABS_FLOOR = 1e-8
 
 
 def default_step(theta: float) -> float:
@@ -509,7 +507,6 @@ def fd_check(
     loss_evaluator,
     params: ParamSet,
     rel_tol: float = 1e-4,
-    abs_floor: float = 1e-8,
     subsample: dict[str, int] | None = None,
     rng: np.random.Generator | None = None,
 ) -> dict[str, FDGroupReport]:
@@ -519,7 +516,7 @@ def fd_check(
     detected by forward/backward one-sided differences disagreeing by more
     than 5% and excluded: the model is piecewise there by construction.
     A scalar passes when |analytic - central| <= max(rel_tol * scale,
-    abs_floor); the floor covers gradients below central-difference noise.
+    _FD_ABS_FLOOR); the floor covers gradients below central-difference noise.
     """
     analytic = gradients(loss_evaluator, params)
     work = {k: v.copy() for k, v in params.groups.items()}
@@ -552,10 +549,10 @@ def fd_check(
             err = abs(a - central)
             scale = max(abs(a), abs(central))
             rep.checked += 1
-            if err > abs_floor:
-                rel = err / max(scale, abs_floor)
+            if err > _FD_ABS_FLOOR:
+                rel = err / max(scale, _FD_ABS_FLOOR)
                 rep.max_rel_err = max(rep.max_rel_err, rel)
-                if err > max(rel_tol * scale, abs_floor):
+                if err > max(rel_tol * scale, _FD_ABS_FLOOR):
                     rep.failures.append((name, int(i), float(a), float(central)))
         report[name] = rep
     return report
@@ -566,18 +563,17 @@ def fd_check(
 # ---------------------------------------------------------------------------
 
 
+# the training recipe's AdamW constants; it uses no weight decay
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamWState:
-    """First/second moment accumulators; defaults follow the training recipe
-    (beta1 0.9, beta2 0.999, eps 1e-8, no weight decay)."""
+    """First/second moment accumulators and the step count."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
 
 
 def adamw_state(params: ParamSet) -> AdamWState:
@@ -599,18 +595,16 @@ def adamw_step(
             raise NumericFailureError(f"non-finite gradient in group {name}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     for name, p in params.groups.items():
         g = grads.groups[name]
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if state.weight_decay != 0.0:
-            update = update + state.weight_decay * p
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + _EPS)
         p -= params.lrs[name] * lr_scale * update
     return params, state

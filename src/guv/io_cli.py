@@ -31,10 +31,10 @@ import numpy as np
 
 from .core import (Camera, RenderConfig, UVAvatar, align_z_to_normals,
                    euler_from_matrix, init_from_anchors)
-from .diffusion import (DiffusionSchedule, UVTensor, analytic_gauss_denoiser,
-                        channel_mask, cosine_schedule, denormalize_avatar,
-                        inpaint_sample, normalize_avatar, reverse_sample,
-                        transition_params)
+from .diffusion import (DiffusionSchedule, UVTensor, _check_plane_size,
+                        analytic_gauss_denoiser, channel_mask, cosine_schedule,
+                        denormalize_avatar, inpaint_sample, normalize_avatar,
+                        reverse_sample, transition_params)
 from .edit import UVMask, apply_expression_offset, region_transfer
 from .errors import (CheckFailureError, FormatError, GuvError,
                      InvalidArgumentError, UnsupportedVersionError)
@@ -278,31 +278,32 @@ def write_ppm(color, path) -> None:
     _atomic_write(path, f"P6\n{w} {h}\n255\n".encode("ascii") + q.tobytes())
 
 
+def _write_pgm(values, path, what: str, scale: float | None, maxval: int) -> None:
+    """P5 whose value v stores round(clamp(v/scale, 0, 1) * maxval), 8-bit
+    or 16-bit big-endian, with scale declared in a header comment (None:
+    the max value)."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise InvalidArgumentError(f"{what} must be (H, W)")
+    if scale is None:
+        scale = float(values.max())
+    if not (scale > 0):
+        scale = 1.0
+    q = np.round(np.clip(values / scale, 0.0, 1.0) * float(maxval))
+    h, w = values.shape
+    header = f"P5\n# scale {scale!r}\n{w} {h}\n{maxval}\n".encode("ascii")
+    _atomic_write(path, header + q.astype(">u2" if maxval > 255 else np.uint8).tobytes())
+
+
 def write_depth_pgm(depth, path, scale: float | None = None) -> None:
     """16-bit big-endian P5; value v stores round(clamp(v/scale, 0, 1)*65535),
     with scale declared in a header comment (default: max value)."""
-    depth = np.asarray(depth, dtype=np.float64)
-    if depth.ndim != 2:
-        raise InvalidArgumentError("depth must be (H, W)")
-    if scale is None:
-        scale = float(depth.max())
-    if not (scale > 0):
-        scale = 1.0
-    q = np.round(np.clip(depth / scale, 0.0, 1.0) * 65535.0).astype(">u2")
-    h, w = depth.shape
-    header = f"P5\n# scale {scale!r}\n{w} {h}\n65535\n".encode("ascii")
-    _atomic_write(path, header + q.tobytes())
+    _write_pgm(depth, path, "depth", scale, 65535)
 
 
-def write_alpha_pgm(alpha, path, scale: float = 1.0) -> None:
+def write_alpha_pgm(alpha, path) -> None:
     """8-bit P5 for alpha/mask images; same rounding rule as PPM."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 2:
-        raise InvalidArgumentError("alpha must be (H, W)")
-    q = np.round(np.clip(alpha / scale, 0.0, 1.0) * 255.0).astype(np.uint8)
-    h, w = alpha.shape
-    header = f"P5\n# scale {scale!r}\n{w} {h}\n255\n".encode("ascii")
-    _atomic_write(path, header + q.tobytes())
+    _write_pgm(alpha, path, "alpha", 1.0, 255)
 
 
 def _read_pnm(path) -> tuple[str, int, int, int, np.ndarray, list[str]]:
@@ -460,8 +461,8 @@ def load_cameras(path) -> list[Camera]:
 
 
 def lookat_camera(position, target, width: int, height: int, fx: float,
-                  near: float, far: float, up=(0.0, 0.0, 1.0)) -> Camera:
-    """Camera at position looking at target; +z world is 'up' by default.
+                  near: float, far: float) -> Camera:
+    """Camera at position looking at target, with +z world 'up'.
 
     Image x goes along world right = down x forward, image y along
     forward x right (down). Degenerate when forward is parallel to up.
@@ -469,7 +470,7 @@ def lookat_camera(position, target, width: int, height: int, fx: float,
     position = np.asarray(position, dtype=np.float64)
     fwd = np.asarray(target, dtype=np.float64) - position
     fwd = fwd / np.linalg.norm(fwd)
-    down0 = -np.asarray(up, dtype=np.float64)
+    down0 = -np.array([0.0, 0.0, 1.0])
     right = np.cross(down0, fwd)
     nr = np.linalg.norm(right)
     if nr < 1e-9:
@@ -503,7 +504,7 @@ _ALPHA_LOGIT = 0.8
 _REF_ALPHA_BIAS = 2.0
 
 
-def reference_mlp(alpha_bias: float = _REF_ALPHA_BIAS) -> RenderMLP:
+def reference_mlp() -> RenderMLP:
     """A shading head that is exactly representable in the architecture and
     reads the payload directly: color_c = sigmoid(2 f_c), opacity =
     sigmoid(2 f_3 + bias), via the relu(x) - relu(-x) = x trick."""
@@ -516,7 +517,7 @@ def reference_mlp(alpha_bias: float = _REF_ALPHA_BIAS) -> RenderMLP:
         w2[c, c] = 1.0
         w2[8 + c, c] = -1.0
     return RenderMLP(w1=w1, b1=np.zeros(32), w2=w2,
-                     b2=np.array([0.0, 0.0, 0.0, alpha_bias]))
+                     b2=np.array([0.0, 0.0, 0.0, _REF_ALPHA_BIAS]))
 
 
 def _latlong_anchors(grid: int, radius: float, center=(0.0, 0.0, 0.0)):
@@ -983,7 +984,7 @@ def cmd_diffuse(args) -> int:
         template = load_avatar(args.like)
         anchors, normals, scales = (template.anchors, template.anchor_normals,
                                     template.anchor_scales)
-        s, c = template.plane_size, template.channels
+        s, c = _check_plane_size(template.plane_size), template.channels
     else:
         anchors, normals, scales = load_anchor_grid(args.anchors)
         s, c = args.plane_size or 8, args.payload_channels or 8
@@ -1042,6 +1043,15 @@ def _int_at_least(low: int):
 
 _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
+
+
+def _plane_size(text: str) -> int:
+    """argparse type for --plane-size: the integer check, then diffusion's
+    power-of-two check."""
+    try:
+        return _check_plane_size(_positive_int(text))
+    except InvalidArgumentError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 class _RefusingParser(argparse.ArgumentParser):
@@ -1127,8 +1137,9 @@ def build_parser() -> argparse.ArgumentParser:
     mx = a.add_mutually_exclusive_group(required=True)
     mx.add_argument("--like", help="avatar supplying dims + anchors")
     mx.add_argument("--anchors", help="anchor grid for the output")
-    a.add_argument("--plane-size", type=_positive_int,
-                   help="with --anchors: payload plane size (default 8)")
+    a.add_argument("--plane-size", type=_plane_size,
+                   help="with --anchors: payload plane size, a power of two "
+                        "(default 8)")
     a.add_argument("--payload-channels", type=_positive_int,
                    help="with --anchors: payload channel count (default 8)")
     a.conflicts = (("--plane-size", "--like"), ("--payload-channels", "--like"))
@@ -1160,7 +1171,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except GuvError as e:

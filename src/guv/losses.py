@@ -6,8 +6,7 @@ values (total_loss applies the depth weight); each regularizer returns its
 weighted value, mirroring how the terms are quoted individually.
 
 Perceptual and identity terms are out of scope (they need pretrained
-networks); l1_loss accepts an optional per-pixel weight image as the plug-in
-point for a precomputed perceptual map.
+networks).
 """
 from __future__ import annotations
 
@@ -46,20 +45,10 @@ def _check_shapes(a, b, what: str):
         raise InvalidArgumentError(f"{what}: shape mismatch {va.shape} vs {vb.shape}")
 
 
-def l1_loss(image, target, pixel_weight=None):
-    """Mean absolute pixel difference; optionally weighted per pixel
-    (weights renormalized by their sum)."""
+def l1_loss(image, target):
+    """Mean absolute pixel difference."""
     _check_shapes(image, target, "l1_loss")
-    diff = g.absolute(g.sub(image, target))
-    if pixel_weight is None:
-        return g.mean(diff)
-    w = np.asarray(pixel_weight, dtype=np.float64)
-    if w.shape != g.value(image).shape[:2]:
-        raise InvalidArgumentError("pixel_weight must be (H, W)")
-    if np.any(w < 0) or not np.sum(w) > 0:
-        raise InvalidArgumentError("pixel_weight must be nonnegative, not all zero")
-    per_pixel = g.mean(diff, axis=-1)
-    return g.div(g.sum(g.mul(per_pixel, w)), float(np.sum(w)))
+    return g.mean(g.absolute(g.sub(image, target)))
 
 
 def depth_loss(depth, target_depth, alpha_mask):
@@ -108,9 +97,10 @@ def mesh_loss(centers, anchors, weight: float = 0.01):
     return g.mul(g.sum(g.mul(d, d)), weight / n)
 
 
-def code_loss(z, weight: float = 1e-4, sigma: float = 1.0):
-    """weight * ||z||^2 / sigma^2, a spherical Gaussian prior on the latent."""
-    return g.mul(g.sum(g.mul(z, z)), weight / (sigma * sigma))
+def code_loss(z, weight: float = 1e-4):
+    """weight * ||z||^2, a unit-variance spherical Gaussian prior on the
+    latent."""
+    return g.mul(g.sum(g.mul(z, z)), weight)
 
 
 def total_loss(
@@ -120,7 +110,6 @@ def total_loss(
     z=None,
     weights: LossWeights = LossWeights(),
     mean_influence=None,
-    pixel_weight=None,
 ):
     """Full objective: reconstruction + regularizers + latent prior.
 
@@ -133,7 +122,7 @@ def total_loss(
     fixed key order.
     """
     breakdown = {}
-    breakdown["l1"] = l1_loss(outputs["color"], targets["color"], pixel_weight)
+    breakdown["l1"] = l1_loss(outputs["color"], targets["color"])
     if targets.get("depth") is not None:
         if targets.get("mask") is None:
             raise InvalidArgumentError("depth supervision requires a target mask")

@@ -93,15 +93,13 @@ class RenderOutput:
             raise InvalidArgumentError("alpha must lie in [0, 1]")
 
 
-def mlp_forward(mlp_or_arrays, feature):
+def mlp_forward(arrays: dict, feature):
     """(color in (0,1)^3, opacity in (0,1)) for (..., 8) features.
 
-    Accepts a RenderMLP or a dict with w1/b1/w2/b2 entries (tape variables
-    during fitting). One grad.shading_mlp op; its fixed-loop products make
+    arrays holds w1/b1/w2/b2: mlp_arrays of a RenderMLP, or tape variables
+    during fitting. One grad.shading_mlp op; its fixed-loop products make
     results independent of batch shape.
     """
-    arrays = (mlp_arrays(mlp_or_arrays) if isinstance(mlp_or_arrays, RenderMLP)
-              else mlp_or_arrays)
     sig = g.shading_mlp(feature, *(arrays[k] for k in ("w1", "b1", "w2", "b2")))
     return sig[..., 0:3], sig[..., 3]
 

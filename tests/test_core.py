@@ -221,7 +221,7 @@ class TestInitFromAnchors:
 
     def test_non_unit_normals_rejected(self):
         anchors, normals, scales = self._sphere_grid()
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="texel"):
             init_from_anchors(anchors, 1.1 * normals, scales)
 
     def test_mismatched_grids_rejected(self):

@@ -45,7 +45,7 @@ def _sphere_anchors(rng, h, w, radius=0.12):
     return anchors, normals, scales
 
 
-def _toy_views(rng, count=2, size=6, with_depth=True):
+def _toy_views(rng, count=2, size=6):
     """Posed views rendered from a small reference scene, so the fit target
     is achievable and all loss terms stay active."""
     avatar = make_avatar(rng, h=2, w=2, plane_size=2)
@@ -55,8 +55,7 @@ def _toy_views(rng, count=2, size=6, with_depth=True):
     for i, cam in enumerate(_ring_cameras(count, size)):
         out = render_image(avatar, mlp, cam, cfg, seed=i)
         views.append(PosedView(camera=cam, image=out.color,
-                               depth=out.depth if with_depth else None,
-                               mask=out.alpha if with_depth else None))
+                               depth=out.depth, mask=out.alpha))
     return views
 
 
@@ -81,7 +80,6 @@ class TestFitConfig:
         assert cfg.lr_gaussians == 1e-5
         assert cfg.lr_mlp == 5e-2
         assert cfg.decay_factor == 0.5
-        assert cfg.background == "white"
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError, match="iterations"):
@@ -96,8 +94,6 @@ class TestFitConfig:
             FitConfig(decay_step=0)
         with pytest.raises(InvalidArgumentError, match="decay_factor"):
             FitConfig(decay_factor=0.0)
-        with pytest.raises(InvalidArgumentError, match="background"):
-            FitConfig(background="black")
 
 
 class TestPosedView:
@@ -164,14 +160,20 @@ class TestLatentDecoder:
             )
 
 
+def _blank_views(count, h, w):
+    cam = lookat_camera((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), w, h, fx=float(w),
+                        near=0.5, far=1.5)
+    return [PosedView(camera=cam, image=np.zeros((h, w, 3)))] * count
+
+
 class TestSamplePatch:
     def test_full_frame_window(self, rng):
-        views = [np.zeros((6, 6, 3))]
+        views = _blank_views(1, 6, 6)
         view, top, left = sample_patch(views, 6, rng)
         assert (view, top, left) == (0, 0, 0)
 
     def test_windows_stay_in_bounds(self, rng):
-        views = [np.zeros((7, 5, 3)), np.zeros((7, 5, 3))]
+        views = _blank_views(2, 7, 5)
         for _ in range(200):
             view, top, left = sample_patch(views, 3, rng)
             assert view in (0, 1)
@@ -179,20 +181,20 @@ class TestSamplePatch:
             assert 0 <= left <= 2
 
     def test_single_pixel_patch(self, rng):
-        views = [np.zeros((4, 4, 3))]
+        views = _blank_views(1, 4, 4)
         seen = {sample_patch(views, 1, rng)[1:] for _ in range(300)}
         assert len(seen) > 10
         assert all(0 <= t <= 3 and 0 <= l <= 3 for t, l in seen)
 
     def test_reproducible(self):
-        views = [np.zeros((8, 8, 3))] * 3
+        views = _blank_views(3, 8, 8)
         a = [sample_patch(views, 2, np.random.default_rng(7)) for _ in range(1)]
         b = [sample_patch(views, 2, np.random.default_rng(7)) for _ in range(1)]
         assert a == b
 
     def test_patch_too_large(self, rng):
         with pytest.raises(InvalidArgumentError, match="exceeds"):
-            sample_patch([np.zeros((4, 4, 3))], 5, rng)
+            sample_patch(_blank_views(1, 4, 4), 5, rng)
 
 
 class TestCompositeBackground:
@@ -306,15 +308,6 @@ class TestFitScene:
         with pytest.raises(InvalidArgumentError, match="patch_size"):
             fit_scene(views, anchors, normals, scales,
                       FitConfig(patch_size=10))
-
-    def test_random_background_requires_masks(self, rng):
-        views = _toy_views(rng, with_depth=False)
-        anchors, normals, scales = _sphere_anchors(rng, 2, 2)
-        cfg = FitConfig(iterations=1, patch_size=4,
-                        background="random-white-biased")
-        with pytest.raises(InvalidArgumentError, match="masks"):
-            fit_scene(views, anchors, normals, scales, cfg,
-                      render_cfg=FAST_RENDER, plane_size=2, channels=8)
 
     def test_radii_stay_positive(self, rng):
         views = _toy_views(rng)

@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import re
 import struct
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from guv import io_cli
 from guv.core import Camera, RenderConfig
 from guv.errors import (FormatError, GuvError, InvalidArgumentError,
                         UnsupportedVersionError)
@@ -734,6 +736,35 @@ class TestCli:
                    "--out", str(tmp_path / "x.ppm")])
         assert rc == 2
 
+    def test_render_camera_directory_exits_two(self, cli_dataset, tmp_path,
+                                               capsys):
+        # reading a directory as the camera file raises IsADirectoryError
+        rc = main(["render", str(cli_dataset / "reference.guv"),
+                   "--camera", str(cli_dataset), "--out", str(tmp_path / "o.ppm")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o.ppm").exists()
+
+    def test_render_out_directory_exits_two_leaving_no_temp_file(
+            self, cli_dataset, tmp_path, capsys):
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        rc = main(["render", str(cli_dataset / "reference.guv"),
+                   "--camera", str(cli_dataset / "cameras.json"),
+                   "--out", str(outdir) + os.sep])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(outdir.iterdir()) == []
+
+    def test_dataset_out_is_a_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "anchors.guva"
+        out.write_bytes(b"x")
+        rc = main(["dataset", "sphere", "--out", str(out), "--views", "1",
+                   "--resolution", "4", "--grid", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == b"x"
+
     def test_edit_self_transfer_is_identity(self, cli_fit, tmp_path, capsys):
         mask = tmp_path / "m.pgm"
         write_alpha_pgm(np.ones((4, 4)), mask)
@@ -854,6 +885,33 @@ class TestCli:
             capsys, fit=cli_fit, ds=cli_dataset, out=tmp_path / "x.guv")
         assert "argument --anchors: not allowed with argument --like" in err
         assert not (tmp_path / "x.guv").exists()
+
+    def test_diffuse_plane_size_not_power_of_two_exits_before_sampling(
+            self, cli_dataset, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(io_cli, "reverse_sample",
+                            lambda *args, **kwargs: calls.append(args))
+        err = self._diffuse_exits_two(
+            ["sample", "--anchors", "{ds}/anchors.guva", "--steps", "300",
+             "--plane-size", "3", "--out", "{out}"],
+            capsys, ds=cli_dataset, out=tmp_path / "x.guv")
+        assert "argument --plane-size: plane_size must be a power of two, got 3" in err
+        assert calls == []
+        assert not (tmp_path / "x.guv").exists()
+
+    def test_diffuse_like_plane_size_not_power_of_two_exits_before_sampling(
+            self, cli_fit, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(io_cli, "reverse_sample",
+                            lambda *args, **kwargs: calls.append(args))
+        avatar = load_avatar(cli_fit)
+        like = tmp_path / "s3.guv"
+        save_avatar(avatar.replace(payloads=np.zeros((4, 4, 3, 3, 3, 8))), like)
+        rc = main(["diffuse", "sample", "--like", str(like), "--steps", "300",
+                   "--out", str(tmp_path / "x.guv")])
+        assert rc == 2
+        assert "plane_size must be a power of two, got 3" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("flag", ["--plane-size", "--payload-channels"])
     @pytest.mark.parametrize("flag_first", [False, True])

@@ -61,32 +61,6 @@ class TestL1Loss:
         with pytest.raises(InvalidArgumentError, match="shape"):
             l1_loss(np.zeros((2, 2, 3)), np.zeros((2, 3, 3)))
 
-    def test_pixel_weight_concentrates(self, rng):
-        img = rng.uniform(size=(3, 3, 3))
-        tgt = rng.uniform(size=(3, 3, 3))
-        w = np.zeros((3, 3))
-        w[1, 2] = 7.0
-        got = g.value(l1_loss(img, tgt, pixel_weight=w))
-        want = np.mean(np.abs(img[1, 2] - tgt[1, 2]))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_pixel_weight_scale_invariant(self, rng):
-        img = rng.uniform(size=(3, 3, 3))
-        tgt = rng.uniform(size=(3, 3, 3))
-        w = rng.uniform(0.1, 1.0, size=(3, 3))
-        a = g.value(l1_loss(img, tgt, pixel_weight=w))
-        b = g.value(l1_loss(img, tgt, pixel_weight=10.0 * w))
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_pixel_weight_validation(self, rng):
-        img = rng.uniform(size=(3, 3, 3))
-        with pytest.raises(InvalidArgumentError, match="pixel_weight"):
-            l1_loss(img, img, pixel_weight=np.zeros((2, 2)))
-        with pytest.raises(InvalidArgumentError, match="nonnegative"):
-            l1_loss(img, img, pixel_weight=-np.ones((3, 3)))
-        with pytest.raises(InvalidArgumentError, match="nonnegative"):
-            l1_loss(img, img, pixel_weight=np.zeros((3, 3)))
-
 
 class TestDepthLoss:
     def test_identical_is_zero(self, rng):
@@ -281,11 +255,6 @@ class TestCodeLoss:
         base = g.value(code_loss(z))
         assert g.value(code_loss(2.0 * z)) == pytest.approx(4.0 * base, rel=1e-12)
 
-    def test_sigma(self, rng):
-        z = rng.normal(size=8)
-        wide = g.value(code_loss(z, sigma=2.0))
-        assert wide == pytest.approx(g.value(code_loss(z)) / 4.0, rel=1e-12)
-
 
 def _random_scene(rng, h=2, w=2):
     anchors = rng.normal(scale=0.1, size=(h, w, 3))
@@ -424,13 +393,6 @@ class TestGradientChecks:
         params = _pset({"image": rng.uniform(size=(3, 3, 3))})
         self._assert_clean(g.fd_check(
             lambda p: l1_loss(p["image"], tgt), params))
-
-    def test_l1_weighted(self, rng):
-        tgt = rng.uniform(size=(3, 3, 3))
-        w = rng.uniform(0.1, 1.0, size=(3, 3))
-        params = _pset({"image": rng.uniform(size=(3, 3, 3))})
-        self._assert_clean(g.fd_check(
-            lambda p: l1_loss(p["image"], tgt, pixel_weight=w), params))
 
     def test_depth(self, rng):
         tgt = rng.uniform(1.0, 2.0, size=(3, 3))

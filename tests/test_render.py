@@ -85,12 +85,13 @@ class TestSampleTriplane:
 
 class TestMlpForward:
     def test_zero_network_outputs_half(self):
-        color, opacity = mlp_forward(_zero_mlp(), np.zeros(8))
+        color, opacity = mlp_forward(mlp_arrays(_zero_mlp()), np.zeros(8))
         np.testing.assert_array_equal(color, [0.5, 0.5, 0.5])
         assert opacity == 0.5
 
     def test_saturated_alpha_bias(self):
-        color, opacity = mlp_forward(_zero_mlp(alpha_logit=20.0), np.zeros(8))
+        color, opacity = mlp_forward(mlp_arrays(_zero_mlp(alpha_logit=20.0)),
+                                     np.zeros(8))
         assert abs(opacity - 1.0) < 1e-8
         np.testing.assert_array_equal(color, [0.5, 0.5, 0.5])
 
@@ -98,22 +99,24 @@ class TestMlpForward:
         w1 = -np.abs(rng.standard_normal((8, 32)))
         mlp = RenderMLP(w1=w1, b1=np.zeros(32), w2=rng.standard_normal((32, 4)),
                         b2=np.zeros(4))
-        got = mlp_forward(mlp, np.full(8, 2.0))  # positive features, negative w1
-        want = mlp_forward(RenderMLP(w1=np.zeros((8, 32)), b1=np.zeros(32),
-                                     w2=mlp.w2, b2=np.zeros(4)), np.zeros(8))
+        # positive features, negative w1
+        got = mlp_forward(mlp_arrays(mlp), np.full(8, 2.0))
+        bias_only = RenderMLP(w1=np.zeros((8, 32)), b1=np.zeros(32), w2=mlp.w2,
+                              b2=np.zeros(4))
+        want = mlp_forward(mlp_arrays(bias_only), np.zeros(8))
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
 
     def test_batch_result_independent_of_batch_shape(self, rng, random_render_mlp):
         feats = rng.standard_normal((6, 8))
-        colors, opacities = mlp_forward(random_render_mlp, feats)
+        colors, opacities = mlp_forward(mlp_arrays(random_render_mlp), feats)
         for i in range(6):
-            c, o = mlp_forward(random_render_mlp, feats[i])
+            c, o = mlp_forward(mlp_arrays(random_render_mlp), feats[i])
             np.testing.assert_array_equal(colors[i], c)
             assert opacities[i] == o
 
     def test_outputs_in_open_unit_interval(self, rng, random_render_mlp):
-        colors, opacities = mlp_forward(random_render_mlp,
+        colors, opacities = mlp_forward(mlp_arrays(random_render_mlp),
                                         rng.standard_normal((50, 8)))
         assert np.all(colors > 0) and np.all(colors < 1)
         assert np.all(opacities > 0) and np.all(opacities < 1)
