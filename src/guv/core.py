@@ -175,30 +175,17 @@ class Camera:
 
 @dataclass(frozen=True)
 class RenderConfig:
-    """Ray-march / blending knobs.
-
-    tau is a fixed temperature (no schedule); epsilon is the smooth-decay term
-    in the blend-weight normalizer.
-    """
+    """Ray-march knobs: samples per ray and the neighbor count K. The
+    kernel's constants (eta, tau, epsilon, background) live in render."""
 
     samples_per_ray: int = 32
     knn_k: int = 3
-    eta: float = 5.0
-    tau: float = 1.0
-    epsilon: float = 1e-6
-    background: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if self.samples_per_ray < 1:
             raise InvalidArgumentError("samples_per_ray must be >= 1")
         if self.knn_k < 1:
             raise InvalidArgumentError("knn_k must be >= 1")
-        if not (self.eta > 0 and self.tau > 0 and self.epsilon > 0):
-            raise InvalidArgumentError("eta, tau, epsilon must be positive")
-        bg = tuple(float(v) for v in self.background)
-        if len(bg) != 3 or any(not (0.0 <= v <= 1.0) for v in bg):
-            raise InvalidArgumentError("background must be an RGB triple in [0, 1]")
-        object.__setattr__(self, "background", bg)
 
 
 def _rotation_entries(ca, sa, cb, sb, cc, sc) -> list:

@@ -17,10 +17,13 @@ from . import grad as g
 from .core import RenderConfig, UVAvatar, init_from_anchors
 from .errors import InvalidArgumentError, NumericFailureError
 from .grad import ParamSet, adamw_state, adamw_step, gradients
-from .losses import LossWeights, total_loss
-from .render import RenderMLP, march_rays_core, random_mlp, sample_distances
+from .losses import total_loss
+from .render import (BACKGROUND, RenderMLP, march_rays_core, random_mlp,
+                     sample_distances)
 
 Z_DIM = 512
+CHANNELS = 8          # payload channels, the features the shading head reads
+MLP_ALPHA_BIAS = 2.0  # the fitted shading head's initial opacity logit
 DECODER_HIDDEN = 128
 _DECODER_WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -73,7 +76,6 @@ class FitConfig:
     lr_payload: float = 2e-2
     decay_step: int = 100_000
     decay_factor: float = 0.5
-    mlp_alpha_bias: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -222,7 +224,7 @@ class FitResult:
     mlp: RenderMLP
     decoder: LatentDecoder | None
     loss_history: np.ndarray
-    final_breakdown: dict | None = None
+    final_breakdown: dict
 
 
 def _mlp_from_groups(groups: dict) -> RenderMLP:
@@ -262,8 +264,8 @@ class Batch:
 
     t: (R, J) sample distances along dirs (R, 3) from origin. targets:
     color (R, 3), optional depth and mask (R,). anchors: the (H, W, 3) rest
-    grid of the mesh loss. idx: frozen (R, J, K) neighbor ids, or None to
-    select them from the current centers.
+    grid of the mesh loss. Payloads have CHANNELS channels. idx: frozen
+    (R, J, K) neighbor ids, or None to select them from the current centers.
     """
 
     origin: np.ndarray
@@ -273,8 +275,6 @@ class Batch:
     targets: dict
     anchors: np.ndarray
     plane_size: int
-    channels: int
-    weights: LossWeights = LossWeights()
     idx: np.ndarray | None = None
 
 
@@ -284,7 +284,7 @@ def objective(leaves: dict, batch: Batch):
     plain arrays. Payloads are free entries or decoded from z."""
     h, w = np.shape(batch.anchors)[:2]
     n = h * w
-    s, c = batch.plane_size, batch.channels
+    s, c = batch.plane_size, CHANNELS
     if "payloads" in leaves:
         rows = g.reshape(leaves["payloads"], (n * 3 * s * s, c))
     else:
@@ -304,8 +304,7 @@ def objective(leaves: dict, batch: Batch):
     outputs = {"color": color, "depth": depth, "alpha": alpha}
     scene = {"centers": leaves["centers"], "rotations": leaves["rotations"],
              "radii": leaves["radii"], "anchors": batch.anchors}
-    return total_loss(outputs, batch.targets, scene, z=leaves.get("z"),
-                      weights=batch.weights, mean_influence=mean_influ)
+    return total_loss(outputs, batch.targets, scene, mean_influ, z=leaves.get("z"))
 
 
 def fit_scene(
@@ -316,17 +315,15 @@ def fit_scene(
     config: FitConfig = FitConfig(),
     mode: str = "direct",
     render_cfg: RenderConfig | None = None,
-    weights: LossWeights | None = None,
     plane_size: int = 8,
-    channels: int = 8,
     callback=None,
 ) -> FitResult:
     """Jointly optimize pose grids, payloads (free or decoded), and the
     shading head against the posed views.
 
     Each iteration renders one random patch of one random view and takes an
-    AdamW step on the full objective. render_cfg overrides sampling/blending
-    (in particular the neighbor count K for ablations); plane_size=1 is the
+    AdamW step on the full objective. render_cfg overrides the samples per
+    ray and the neighbor count K (for ablations); plane_size=1 is the
     feature-vector ablation. Divergence raises with the iteration index.
     Fixed config.seed gives a bit-identical loss history; in latent mode
     only at a fixed BLAS thread count, since the decoder's matmul rounds
@@ -349,13 +346,12 @@ def fit_scene(
             f"knn_k={cfg.knn_k} exceeds the {grid_h}x{grid_w} = "
             f"{grid_h * grid_w} Gaussians of the anchor grid"
         )
-    wts = weights if weights is not None else LossWeights()
 
     rng = np.random.default_rng(config.seed)
     avatar0 = init_from_anchors(anchors, anchor_normals, anchor_scales,
-                                plane_size, channels)
-    mlp0 = random_mlp(rng, alpha_bias=config.mlp_alpha_bias)
-    decoder0 = (random_decoder(rng, grid_h, grid_w, plane_size, channels)
+                                plane_size, CHANNELS)
+    mlp0 = random_mlp(rng, alpha_bias=MLP_ALPHA_BIAS)
+    decoder0 = (random_decoder(rng, grid_h, grid_w, plane_size, CHANNELS)
                 if mode == "latent" else None)
     params = fit_params(avatar0, mlp0, decoder0, config)
     state = adamw_state(params)
@@ -380,12 +376,11 @@ def fit_scene(
         if view.mask is not None:
             tgts["mask"] = view.mask[window].reshape(-1)
             tgts["color"] = composite_background(
-                view.image[window], view.mask[window], cfg.background
+                view.image[window], view.mask[window], BACKGROUND
             ).reshape(-1, 3)
 
         batch = Batch(origin=view.camera.origin, dirs=dirs, t=t, cfg=cfg,
-                      targets=tgts, anchors=anchors, plane_size=plane_size,
-                      channels=channels, weights=wts)
+                      targets=tgts, anchors=anchors, plane_size=plane_size)
 
         def evaluator(leaves: dict):
             tot, breakdown = objective(leaves, batch)
@@ -430,5 +425,5 @@ def fit_scene(
         mlp=_mlp_from_groups(final_groups),
         decoder=decoder,
         loss_history=np.asarray(history, dtype=np.float64),
-        final_breakdown=captured.get("breakdown"),
+        final_breakdown=captured["breakdown"],
     )

@@ -203,16 +203,9 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name
                                              vx.shape).copy()))
 
 
-def mean(x, axis=None, keepdims=False):
-    vx = value(x)
-    if axis is None:
-        n = vx.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        n = 1
-        for ax in axes:
-            n *= vx.shape[ax]
-    return div(sum(x, axis=axis, keepdims=keepdims), float(n))
+def mean(x):
+    """Mean of all entries."""
+    return div(sum(x), float(value(x).size))
 
 
 def cumsum(x, axis: int = -1):
@@ -488,6 +481,7 @@ def _eval_plain(loss_evaluator, groups: dict) -> float:
     return float(value(out))
 
 
+_FD_REL_TOL = 1e-4
 _FD_ABS_FLOOR = 1e-8
 
 
@@ -506,7 +500,6 @@ class FDGroupReport:
 def fd_check(
     loss_evaluator,
     params: ParamSet,
-    rel_tol: float = 1e-4,
     subsample: dict[str, int] | None = None,
     rng: np.random.Generator | None = None,
 ) -> dict[str, FDGroupReport]:
@@ -515,7 +508,7 @@ def fd_check(
     Scalars at kinks (clamp boundaries, ReLU zeros, KNN neighbor flips) are
     detected by forward/backward one-sided differences disagreeing by more
     than 5% and excluded: the model is piecewise there by construction.
-    A scalar passes when |analytic - central| <= max(rel_tol * scale,
+    A scalar passes when |analytic - central| <= max(_FD_REL_TOL * scale,
     _FD_ABS_FLOOR); the floor covers gradients below central-difference noise.
     """
     analytic = gradients(loss_evaluator, params)
@@ -552,7 +545,7 @@ def fd_check(
             if err > _FD_ABS_FLOOR:
                 rel = err / max(scale, _FD_ABS_FLOOR)
                 rep.max_rel_err = max(rep.max_rel_err, rel)
-                if err > max(rel_tol * scale, _FD_ABS_FLOOR):
+                if err > max(_FD_REL_TOL * scale, _FD_ABS_FLOOR):
                     rep.failures.append((name, int(i), float(a), float(central)))
         report[name] = rep
     return report

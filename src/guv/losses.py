@@ -12,31 +12,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import grad as g
 from .errors import InvalidArgumentError
 
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Default weights of the full objective."""
-
-    depth: float = 0.1
-    coverage: float = 0.001
-    silhouette: float = 1.0
-    volume: float = 1.0
-    tv: float = 0.1
-    mesh: float = 0.01
-    code: float = 1e-4
-
-    def __post_init__(self):
-        for name in ("depth", "coverage", "silhouette", "volume", "tv", "mesh",
-                     "code"):
-            if getattr(self, name) < 0:
-                raise InvalidArgumentError(f"loss weight {name} must be >= 0")
+# the objective's fixed weights: depth, coverage and each regularizer
+DEPTH_WEIGHT = 0.1
+COVERAGE_WEIGHT = 0.001
+SILHOUETTE_WEIGHT = 1.0
+VOLUME_WEIGHT = 1.0
+TV_WEIGHT = 0.1
+MESH_WEIGHT = 0.01
+CODE_WEIGHT = 1e-4
 
 
 def _check_shapes(a, b, what: str):
@@ -66,58 +55,52 @@ def depth_loss(depth, target_depth, alpha_mask):
                  float(count))
 
 
-def silhouette_loss(alpha, target_mask, weight: float = 1.0):
-    """weight * mean squared error between rendered and target opacity maps."""
+def silhouette_loss(alpha, target_mask):
+    """SILHOUETTE_WEIGHT * mean squared error between rendered and target
+    opacity maps."""
     _check_shapes(alpha, target_mask, "silhouette_loss")
     diff = g.sub(alpha, target_mask)
-    return g.mul(g.mean(g.mul(diff, diff)), weight)
+    return g.mul(g.mean(g.mul(diff, diff)), SILHOUETTE_WEIGHT)
 
 
-def volume_loss(radii, weight: float = 1.0):
-    """weight * mean ellipsoid volume (4 pi / 3) r1 r2 r3 over texels."""
+def volume_loss(radii):
+    """VOLUME_WEIGHT * mean ellipsoid volume (4 pi / 3) r1 r2 r3 over texels."""
     r = radii
     vol = g.mul(g.mul(g.mul(r[..., 0], r[..., 1]), r[..., 2]), 4.0 * math.pi / 3.0)
-    return g.mul(g.mean(vol), weight)
+    return g.mul(g.mean(vol), VOLUME_WEIGHT)
 
 
-def tv_loss(centers, rotations, radii, weight: float = 0.1):
-    """weight * (1/N) * sum of absolute forward differences of the 9 pose
+def tv_loss(centers, rotations, radii):
+    """TV_WEIGHT * (1/N) * sum of absolute forward differences of the 9 pose
     channels over the UV grid (no wraparound at edges)."""
     pose = g.concatenate([centers, rotations, radii], axis=-1)
     n = float(g.value(centers).shape[0] * g.value(centers).shape[1])
     dv = g.sum(g.absolute(g.sub(pose[1:, :, :], pose[:-1, :, :])))
     dh = g.sum(g.absolute(g.sub(pose[:, 1:, :], pose[:, :-1, :])))
-    return g.mul(g.add(dv, dh), weight / n)
+    return g.mul(g.add(dv, dh), TV_WEIGHT / n)
 
 
-def mesh_loss(centers, anchors, weight: float = 0.01):
-    """weight * (1/N) * sum of squared center-to-anchor distances."""
+def mesh_loss(centers, anchors):
+    """MESH_WEIGHT * (1/N) * sum of squared center-to-anchor distances."""
     d = g.sub(centers, anchors)
     n = float(g.value(centers).shape[0] * g.value(centers).shape[1])
-    return g.mul(g.sum(g.mul(d, d)), weight / n)
+    return g.mul(g.sum(g.mul(d, d)), MESH_WEIGHT / n)
 
 
-def code_loss(z, weight: float = 1e-4):
-    """weight * ||z||^2, a unit-variance spherical Gaussian prior on the
+def code_loss(z):
+    """CODE_WEIGHT * ||z||^2, a unit-variance spherical Gaussian prior on the
     latent."""
-    return g.mul(g.sum(g.mul(z, z)), weight)
+    return g.mul(g.sum(g.mul(z, z)), CODE_WEIGHT)
 
 
-def total_loss(
-    outputs: dict,
-    targets: dict,
-    scene: dict,
-    z=None,
-    weights: LossWeights = LossWeights(),
-    mean_influence=None,
-):
+def total_loss(outputs: dict, targets: dict, scene: dict, mean_influence,
+               z=None):
     """Full objective: reconstruction + regularizers + latent prior.
 
     outputs: color/depth/alpha (rendered); targets: color, optional depth and
     mask; scene: centers/rotations/radii/anchors as (H, W, ...) grids.
-    Coverage is weights.coverage * mean_influence, the mean K-nearest
-    influence at the ray samples that the render kernel returns; omitted
-    when mean_influence is None.
+    Coverage is COVERAGE_WEIGHT * mean_influence, the mean K-nearest
+    influence at the ray samples that the render kernel returns.
     Returns (total, breakdown); total is the sum of breakdown entries in
     fixed key order.
     """
@@ -128,20 +111,16 @@ def total_loss(
             raise InvalidArgumentError("depth supervision requires a target mask")
         breakdown["depth"] = g.mul(
             depth_loss(outputs["depth"], targets["depth"], targets["mask"]),
-            weights.depth,
+            DEPTH_WEIGHT,
         )
     if targets.get("mask") is not None:
-        breakdown["silhouette"] = silhouette_loss(
-            outputs["alpha"], targets["mask"], weights.silhouette
-        )
-    if mean_influence is not None:
-        breakdown["coverage"] = g.mul(mean_influence, weights.coverage)
-    breakdown["volume"] = volume_loss(scene["radii"], weights.volume)
-    breakdown["tv"] = tv_loss(scene["centers"], scene["rotations"],
-                              scene["radii"], weights.tv)
-    breakdown["mesh"] = mesh_loss(scene["centers"], scene["anchors"], weights.mesh)
+        breakdown["silhouette"] = silhouette_loss(outputs["alpha"], targets["mask"])
+    breakdown["coverage"] = g.mul(mean_influence, COVERAGE_WEIGHT)
+    breakdown["volume"] = volume_loss(scene["radii"])
+    breakdown["tv"] = tv_loss(scene["centers"], scene["rotations"], scene["radii"])
+    breakdown["mesh"] = mesh_loss(scene["centers"], scene["anchors"])
     if z is not None:
-        breakdown["code"] = code_loss(z, weights.code)
+        breakdown["code"] = code_loss(z)
     total = None
     for key in ("l1", "depth", "silhouette", "coverage", "volume", "tv",
                 "mesh", "code"):

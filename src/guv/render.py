@@ -4,7 +4,7 @@ Per ray: J stratified samples; per sample: the K nearest Gaussians (chosen
 by spatial._knn_for_samples) each contribute an RGBA from its tri-plane
 payload through the shared tiny MLP, colors blend with normalized influence
 weights, opacities with raw (window-function) influences, and samples
-composite front-to-back over the configured background.
+composite front-to-back over a white background.
 
 The kernel runs identically on plain ndarrays (display rendering) and on tape
 variables (fitting): all math goes through the grad facade. Two bit-level
@@ -41,6 +41,13 @@ from .errors import InvalidArgumentError
 from .spatial import _knn_for_samples
 
 _ALPHA_CAP = 1.0 - 1e-4  # keeps transmittance positive and log1p finite
+# the influence kernel eta exp(-m / (2 tau)), at Mahalanobis^2 m: eta bounds
+# it at the center, tau is a fixed temperature (no schedule)
+ETA = 5.0
+TAU = 1.0
+EPSILON = 1e-6   # the smooth-decay term in the blend-weight normalizer
+BACKGROUND = (1.0, 1.0, 1.0)   # white, composited behind every ray
+_CHUNK = 128     # rays per chunk of render_image
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,7 @@ def _triplane_features(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
     return g.triplane_sample(payload_flat, s, idx, u0, u1, u2)
 
 
-def _shade(arrays: dict, mlp_arrays: dict, xdiff, idx: np.ndarray,
-           cfg: RenderConfig, s: int):
+def _shade(arrays: dict, mlp_arrays: dict, xdiff, idx: np.ndarray, s: int):
     """Blend the K gathered Gaussians at each query point.
 
     arrays: centers/rotations/radii/payload_flat (tape variables or ndarrays).
@@ -131,14 +137,14 @@ def _shade(arrays: dict, mlp_arrays: dict, xdiff, idx: np.ndarray,
     r0, r1, r2 = rad[..., 0], rad[..., 1], rad[..., 2]
     z0, z1, z2 = y0 / r0, y1 / r1, y2 / r2
     maha = z0 * z0 + z1 * z1 + z2 * z2
-    influence = g.mul(g.exp(g.mul(maha, -1.0 / (2.0 * cfg.tau))), cfg.eta)
+    influence = g.mul(g.exp(g.mul(maha, -1.0 / (2.0 * TAU))), ETA)
     u0 = g.clip(y0 / (3.0 * r0), -1.0, 1.0)
     u1 = g.clip(y1 / (3.0 * r1), -1.0, 1.0)
     u2 = g.clip(y2 / (3.0 * r2), -1.0, 1.0)
     feat = _triplane_features(arrays["payload_flat"], s, idx, u0, u1, u2)
     color_k, opacity_k = mlp_forward(mlp_arrays, feat)
     gsum = g.sum(influence, axis=-1)
-    ghat = g.div(influence, g.reshape(g.add(gsum, cfg.epsilon),
+    ghat = g.div(influence, g.reshape(g.add(gsum, EPSILON),
                                       g.value(gsum).shape + (1,)))
     color = g.mixdown(ghat, color_k)
     alpha = g.clip(g.sum(g.mul(influence, opacity_k), axis=-1), 0.0, _ALPHA_CAP)
@@ -163,7 +169,7 @@ def march_rays_core(arrays: dict, mlp_arrays: dict, origin: np.ndarray,
     delta0_k = g.take(delta0, idx)                     # (R, J, K, 3)
     tdir = t[:, :, None] * dirs[:, None, :]            # (R, J, 3) constant
     xdiff = g.sub(tdir[:, :, None, :], delta0_k)       # x - mu, grouped form
-    color_j, alpha_j, gsum = _shade(arrays, mlp_arrays, xdiff, idx, cfg, s)
+    color_j, alpha_j, gsum = _shade(arrays, mlp_arrays, xdiff, idx, s)
     log_t = g.cumsum(g.log1p(g.neg(alpha_j)), axis=-1)  # (R, J)
     shifted = g.concatenate(
         [np.zeros((r_count, 1)), log_t[:, : j_count - 1]], axis=-1
@@ -175,7 +181,7 @@ def march_rays_core(arrays: dict, mlp_arrays: dict, origin: np.ndarray,
     # exact sum telescopes to 1 - prod(1 - alpha_j) <= 1; clamp float
     # overshoot so the background weight stays non-negative
     alpha = g.clip(g.sum(w, axis=-1), 0.0, 1.0)
-    bg = np.asarray(cfg.background)
+    bg = np.asarray(BACKGROUND)
     one_minus = g.reshape(g.sub(1.0, alpha), (r_count, 1))
     color = g.add(color, g.mul(one_minus, bg))
     mean_influence = g.div(g.mean(gsum), float(cfg.knn_k))
@@ -212,19 +218,14 @@ def sample_distances(near: float, far: float, jitter: np.ndarray) -> np.ndarray:
 
 def march_ray(avatar: UVAvatar, mlp: RenderMLP, origin, direction,
               cfg: RenderConfig, near: float, far: float,
-              jitter: np.ndarray | None = None
-              ) -> tuple[np.ndarray, float, float]:
-    """(color, depth, alpha) of one ray; bit-equal to the matching
-    render_image pixel when given that pixel's jitter row.
-
-    jitter=None uses midpoint sampling (u = 0.5 for every stratum).
-    """
+              jitter: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(color, depth, alpha) of one ray with stratification offsets jitter
+    (J,); bit-equal to the matching render_image pixel when given that
+    pixel's jitter row."""
     origin = np.asarray(origin, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-6:
         raise InvalidArgumentError("ray direction must be unit length")
-    if jitter is None:
-        jitter = np.full(cfg.samples_per_ray, 0.5)
     jitter = np.asarray(jitter, dtype=np.float64)
     if jitter.shape != (cfg.samples_per_ray,):
         raise InvalidArgumentError("jitter must have one entry per ray sample")
@@ -242,12 +243,11 @@ def _usable_cpus() -> int:
 
 
 def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
-                 cfg: RenderConfig, seed: int = 0,
-                 chunk: int = 128) -> RenderOutput:
+                 cfg: RenderConfig, seed: int = 0) -> RenderOutput:
     """Full-frame render; pixel (i, j) bit-equals march_ray of that pixel's
     ray with jitter stratified_jitter(H, W, J, seed)[i, j], so marching the
-    chunks on min(usable CPUs, chunks) threads, which end before the call
-    returns, changes no bit."""
+    chunks of _CHUNK rays on min(usable CPUs, chunks) threads, which end
+    before the call returns, changes no bit."""
     h, w = camera.height, camera.width
     dirs = camera.ray_directions().reshape(-1, 3)
     jit = stratified_jitter(h, w, cfg.samples_per_ray, seed).reshape(-1, cfg.samples_per_ray)
@@ -258,12 +258,12 @@ def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
     depth = np.empty(h * w)
     alpha = np.empty(h * w)
     def march_chunk(start: int) -> None:
-        sl = slice(start, start + chunk)
+        sl = slice(start, start + _CHUNK)
         t = sample_distances(camera.near, camera.far, jit[sl])
         c, d, a, _ = march_rays_core(arrays, marrays, origin, dirs[sl], t, cfg,
                                      avatar.plane_size)
         color[sl], depth[sl], alpha[sl] = c, d, a
-    starts = range(0, h * w, chunk)
+    starts = range(0, h * w, _CHUNK)
     with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
         list(pool.map(march_chunk, starts))    # re-raises a chunk's error
     return RenderOutput(

@@ -33,7 +33,8 @@ from guv.errors import InvalidArgumentError
 from guv import grad as g
 from guv.diffusion import _timesteps, posterior_params, q_sample
 from guv.grad import ParamSet, default_step, value
-from guv.render import RenderMLP, _shade, avatar_arrays, mlp_arrays
+from guv.render import (BACKGROUND, ETA, TAU, RenderMLP, _shade, avatar_arrays,
+                        mlp_arrays)
 from guv.spatial import _check_k
 
 
@@ -91,16 +92,17 @@ def precision_matrix(pose: GaussianPose) -> np.ndarray:
     return (r * pose.radii[None, :] ** -2) @ r.T
 
 
-def rbf_influence(pose: GaussianPose, x, eta: float = 5.0, tau: float = 1.0) -> float:
+def rbf_influence(pose: GaussianPose, x) -> float:
     """Scaled anisotropic Gaussian influence of a primitive at world point x.
 
-    g = eta * exp(-(1/(2 tau)) (x-mu)^T Sigma^-1 (x-mu)); eta bounds g at the
-    center, tau controls falloff hardness.
+    g = ETA * exp(-(1/(2 TAU)) (x-mu)^T Sigma^-1 (x-mu)), with the render
+    kernel's constants; ETA bounds g at the center, TAU controls falloff
+    hardness.
     """
     x = np.asarray(x, dtype=np.float64)
     d = x - pose.center
     m = d @ precision_matrix(pose) @ d
-    return float(eta * math.exp(-m / (2.0 * tau)))
+    return float(ETA * math.exp(-m / (2.0 * TAU)))
 
 
 def world_to_local(pose: GaussianPose, x) -> np.ndarray:
@@ -159,7 +161,7 @@ def point_influences(avatar: UVAvatar, points, cfg: RenderConfig) -> np.ndarray:
     for i, x in enumerate(points):
         for j, nid in enumerate(brute_force_knn(avatar, x, cfg.knn_k)):
             pose = pose_at(avatar, nid // w, nid % w)
-            out[i, j] = rbf_influence(pose, x, cfg.eta, cfg.tau)
+            out[i, j] = rbf_influence(pose, x)
     return out
 
 
@@ -172,23 +174,23 @@ def blend_point(avatar: UVAvatar, mlp: RenderMLP, x,
     arrays = avatar_arrays(avatar)
     idx = brute_force_knn(avatar, x, cfg.knn_k)
     xdiff = x[None, :] - arrays["centers"][idx]
-    color, alpha, _ = _shade(arrays, mlp_arrays(mlp), xdiff, idx, cfg,
+    color, alpha, _ = _shade(arrays, mlp_arrays(mlp), xdiff, idx,
                              avatar.plane_size)
     return color, float(alpha)
 
 
-def composite_ray(colors: np.ndarray, alphas: np.ndarray, ts: np.ndarray,
-                  background) -> tuple[np.ndarray, float, float]:
+def composite_ray(colors: np.ndarray, alphas: np.ndarray, ts: np.ndarray
+                  ) -> tuple[np.ndarray, float, float]:
     """Front-to-back compositing of per-sample (color, alpha, depth) lists
-    with cumulative-product transmittance, the closed form of the kernel's
-    log1p/cumsum/exp composite stage."""
+    over the kernel's BACKGROUND with cumulative-product transmittance, the
+    closed form of the kernel's log1p/cumsum/exp composite stage."""
     colors = np.asarray(colors, dtype=np.float64)
     alphas = np.asarray(alphas, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
     trans = np.concatenate([[1.0], np.cumprod(1.0 - alphas)[:-1]])
     w = trans * alphas
     acc = float(np.clip(np.sum(w), 0.0, 1.0))
-    color = w @ colors + (1.0 - acc) * np.asarray(background, dtype=np.float64)
+    color = w @ colors + (1.0 - acc) * np.asarray(BACKGROUND, dtype=np.float64)
     depth = float(np.sum(w * ts))
     return color, depth, acc
 

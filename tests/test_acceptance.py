@@ -94,7 +94,7 @@ def test_gradient_oracle_on_full_objective(report):
     worst = 0.0
     groups = 0
     for mode in ("direct", "latent"):
-        reports = run_gradient_oracle(mode, seed=1, rel_tol=1e-4)
+        reports = run_gradient_oracle(mode, seed=1)
         for name, rep in reports.items():
             assert not rep.failures, f"{mode}/{name}: {rep.failures[:3]}"
             worst = max(worst, rep.max_rel_err)
@@ -214,7 +214,7 @@ def test_round_trips(report):
 
 def test_grid_knn_matches_brute_force(report):
     t0 = time.perf_counter()
-    lines = check_knn(seed=0, grid=32, n_queries=1000, k=8)
+    lines = check_knn(seed=0)
     elapsed = time.perf_counter() - t0
     report("knn oracle",
            bool(lines),

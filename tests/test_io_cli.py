@@ -354,13 +354,12 @@ class TestPgm:
         np.testing.assert_allclose(back, [[0.0, 0.75], [1.5, 1.5]],
                                    atol=1.5 / 65535)
 
-    def test_depth_default_scale_is_max(self, tmp_path):
-        depth = np.array([[0.2, 0.8]])
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_depth_scale_that_read_pgm_refuses_is_refused(self, tmp_path, scale):
         p = tmp_path / "d.pgm"
-        write_depth_pgm(depth, p)
-        back, scale = read_pgm(p)
-        assert scale == 0.8
-        assert back[0, 1] == 0.8
+        with pytest.raises(InvalidArgumentError, match="scale must be finite and > 0"):
+            write_depth_pgm(np.array([[0.2, 0.8]]), p, scale)
+        assert not p.exists()
 
     def test_scale_comment_survives_repr_round_trip(self, tmp_path):
         scale = 1.2999999999999998
@@ -640,7 +639,7 @@ class TestToyDataset:
         ds = load_dataset(out)
         avatar = load_avatar(out / "reference.guv")
         mlp = load_mlp(out / "reference.mlp.json")
-        assert evaluate_psnr(avatar, mlp, ds.views) == np.inf
+        assert evaluate_psnr(avatar, mlp, ds.views, RenderConfig()) == np.inf
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(InvalidArgumentError, match="kind"):
@@ -960,12 +959,26 @@ class TestCli:
         assert rc == 0
         assert load_avatar(out).height == 4
 
-    def test_diffuse_bad_denoiser_spec(self, cli_fit, tmp_path, capsys):
-        rc = main(["diffuse", "sample", "--like", str(cli_fit),
-                   "--denoiser", "learned:x", "--steps", "4",
-                   "--out", str(tmp_path / "x.guv")])
-        assert rc == 2
-        assert "denoiser" in capsys.readouterr().err
+    @pytest.mark.parametrize("spec, message", [
+        ("learned:x", "unknown denoiser 'learned'"),
+        ("analytic:0.1", "must be analytic:MEAN,STD"),
+        ("analytic:inf,1", "MEAN must be finite"),
+        ("analytic:nan,1", "MEAN must be finite"),
+        ("analytic:0,-1", "STD >= 0"),
+        ("analytic:0,nan", "STD >= 0"),
+        ("analytic:0,1e200", "finite square"),
+    ])
+    def test_diffuse_bad_denoiser_spec_exits_before_sampling(
+            self, cli_fit, tmp_path, capsys, monkeypatch, spec, message):
+        calls = []
+        monkeypatch.setattr(io_cli, "reverse_sample",
+                            lambda *args, **kwargs: calls.append(args))
+        err = self._diffuse_exits_two(
+            ["sample", "--like", "{fit}", "--denoiser", spec, "--steps", "300",
+             "--out", "{out}"], capsys, fit=cli_fit, out=tmp_path / "x.guv")
+        assert "argument --denoiser: " in err and message in err
+        assert calls == []
+        assert not (tmp_path / "x.guv").exists()
 
     def test_check_knn_passes(self, capsys):
         rc = main(["check", "knn"])
@@ -978,6 +991,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "sampler oracle: PASS" in out
         assert "transitions" in out
+
+    def test_check_diffusion_passes_at_any_seed(self, capsys):
+        # the band is the 200-step chain's closed form, not the data's law
+        for seed in range(20):
+            assert main(["check", "diffusion", "--seed", str(seed)]) == 0, seed
+        out = capsys.readouterr().out
+        assert "want 0.3000 +- 0.0096; std" in out and "want 0.1918 +- 0.0068)" in out
+
+    def test_check_diffusion_fails_a_wrong_data_std(self, capsys, monkeypatch):
+        # a denoiser of N(0.3, 0.21) data: closed-form std 0.2018, not 0.1918
+        exact = io_cli.analytic_gauss_denoiser
+        monkeypatch.setattr(io_cli, "analytic_gauss_denoiser",
+                            lambda schedule, m, s: exact(schedule, m, 0.21))
+        assert main(["check", "diffusion"]) == 4
+        assert "sampler moments off" in capsys.readouterr().err
 
     def test_odd_two_lobe_grid_exits_two(self, tmp_path, capsys):
         out = tmp_path / "out"

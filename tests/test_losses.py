@@ -7,8 +7,8 @@ import pytest
 from guv import grad as g
 from guv.core import RenderConfig
 from guv.errors import InvalidArgumentError
+from guv import losses
 from guv.losses import (
-    LossWeights,
     code_loss,
     depth_loss,
     l1_loss,
@@ -27,18 +27,13 @@ from reference import point_influences
 
 class TestLossWeights:
     def test_defaults(self):
-        w = LossWeights()
-        assert w.depth == 0.1
-        assert w.coverage == 0.001
-        assert w.silhouette == 1.0
-        assert w.volume == 1.0
-        assert w.tv == 0.1
-        assert w.mesh == 0.01
-        assert w.code == 1e-4
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="mesh"):
-            LossWeights(mesh=-0.01)
+        assert losses.DEPTH_WEIGHT == 0.1
+        assert losses.COVERAGE_WEIGHT == 0.001
+        assert losses.SILHOUETTE_WEIGHT == 1.0
+        assert losses.VOLUME_WEIGHT == 1.0
+        assert losses.TV_WEIGHT == 0.1
+        assert losses.MESH_WEIGHT == 0.01
+        assert losses.CODE_WEIGHT == 1e-4
 
 
 class TestL1Loss:
@@ -97,12 +92,7 @@ class TestSilhouetteLoss:
     def test_full_mismatch(self):
         a = np.ones((3, 3))
         m = np.zeros((3, 3))
-        assert g.value(silhouette_loss(a, m, weight=1.0)) == pytest.approx(1.0)
-
-    def test_zero_weight_disables(self, rng):
-        a = rng.uniform(size=(3, 3))
-        m = rng.uniform(size=(3, 3))
-        assert g.value(silhouette_loss(a, m, weight=0.0)) == 0.0
+        assert g.value(silhouette_loss(a, m)) == pytest.approx(1.0)
 
 
 def _influence_arrays(g_values):
@@ -132,8 +122,7 @@ def _coverage(arrays, origin, dirs, t, cfg):
              "rotations": arrays["rotations"].reshape(1, n, 3),
              "radii": arrays["radii"].reshape(1, n, 3),
              "anchors": arrays["centers"].reshape(1, n, 3)}
-    _, breakdown = total_loss(outputs, {"color": color}, scene,
-                              mean_influence=mean_influence)
+    _, breakdown = total_loss(outputs, {"color": color}, scene, mean_influence)
     return g.value(breakdown["coverage"])
 
 
@@ -156,17 +145,6 @@ class TestCoverageLoss:
                         np.array([[0.0, 0.0, 1.0]]), t, cfg)
         assert got < 1e-20
 
-    def test_eta_scaling_doubles(self, rng):
-        arrays = _influence_arrays([0.1, 0.2, 0.3])
-        dirs = random_unit(rng, (5, 3))
-        t = sample_distances(0.2, 1.8, rng.uniform(size=(5, 6)))
-        origin = [0.0, 0.0, -1.0]
-        lo = _coverage(arrays, origin, dirs, t,
-                       RenderConfig(knn_k=3, samples_per_ray=6, eta=5.0))
-        hi = _coverage(arrays, origin, dirs, t,
-                       RenderConfig(knn_k=3, samples_per_ray=6, eta=10.0))
-        assert hi == pytest.approx(2.0 * lo, rel=1e-12)
-
     def test_matches_pointwise_reference(self, rng):
         avatar = make_avatar(rng, h=2, w=3, plane_size=1)
         cfg = RenderConfig(knn_k=2, samples_per_ray=5)
@@ -182,7 +160,7 @@ class TestCoverageLoss:
 class TestVolumeLoss:
     def test_unit_radii_single_texel(self):
         r = np.ones((1, 1, 3))
-        assert g.value(volume_loss(r, weight=1.0)) == pytest.approx(4.0 * math.pi / 3.0)
+        assert g.value(volume_loss(r)) == pytest.approx(4.0 * math.pi / 3.0)
 
     def test_zero_radii(self):
         assert g.value(volume_loss(np.zeros((2, 2, 3)))) == 0.0
@@ -207,7 +185,7 @@ class TestTvLoss:
         c[1, 0, 0] = 1.0
         rot = np.zeros((2, 1, 3))
         r = np.full((2, 1, 3), 0.1)
-        assert g.value(tv_loss(c, rot, r, weight=0.1)) == pytest.approx(0.05)
+        assert g.value(tv_loss(c, rot, r)) == pytest.approx(0.05)
 
     def test_identical_rows_have_no_vertical_terms(self, rng):
         row_c = rng.normal(size=(1, 5, 3))
@@ -230,7 +208,7 @@ class TestMeshLoss:
     def test_uniform_offset(self, rng):
         anchors = rng.normal(size=(2, 2, 3))
         c = anchors + np.array([0.1, 0.0, 0.0])
-        assert g.value(mesh_loss(c, anchors, weight=0.01)) == pytest.approx(1e-4, rel=1e-12)
+        assert g.value(mesh_loss(c, anchors)) == pytest.approx(1e-4, rel=1e-12)
 
     def test_single_texel_contribution(self, rng):
         anchors = rng.normal(size=(2, 3, 3))
@@ -248,7 +226,7 @@ class TestCodeLoss:
     def test_unit_norm(self):
         z = np.zeros(512)
         z[17] = 1.0
-        assert g.value(code_loss(z, weight=1e-4)) == pytest.approx(1e-4)
+        assert g.value(code_loss(z)) == pytest.approx(1e-4)
 
     def test_scaling_quadruples(self, rng):
         z = rng.normal(size=512)
@@ -294,7 +272,8 @@ class TestTotalLoss:
             "radii": np.zeros((2, 2, 3)),
             "anchors": np.broadcast_to(anchors, (2, 2, 3)).copy(),
         }
-        total, breakdown = total_loss(outputs, targets, scene, z=np.zeros(16))
+        total, breakdown = total_loss(outputs, targets, scene, 0.0,
+                                      z=np.zeros(16))
         assert g.value(total) == 0.0
         for term in breakdown.values():
             assert g.value(term) == 0.0
@@ -302,57 +281,39 @@ class TestTotalLoss:
     def test_breakdown_sums_to_total(self, rng):
         outputs, targets = _random_io(rng)
         scene = _random_scene(rng)
-        total, breakdown = total_loss(
-            outputs, targets, scene, z=rng.normal(size=32),
-            mean_influence=rng.uniform(0.1, 1.0),
-        )
+        total, breakdown = total_loss(outputs, targets, scene,
+                                      rng.uniform(0.1, 1.0), z=rng.normal(size=32))
         want = sum(g.value(t) for t in breakdown.values())
         assert g.value(total) == pytest.approx(want, abs=1e-12)
         keys = set(breakdown)
         assert keys == {"l1", "depth", "silhouette", "coverage", "volume",
                         "tv", "mesh", "code"}
 
-    def test_zero_weights_leave_l1(self, rng):
-        outputs, targets = _random_io(rng)
-        scene = _random_scene(rng)
-        zero = LossWeights(depth=0.0, coverage=0.0, silhouette=0.0, volume=0.0,
-                           tv=0.0, mesh=0.0, code=0.0)
-        total, _ = total_loss(outputs, targets, scene, z=rng.normal(size=32),
-                              weights=zero, mean_influence=0.4)
-        assert g.value(total) == pytest.approx(
-            g.value(l1_loss(outputs["color"], targets["color"])), abs=1e-15)
-
     def test_total_dominates_each_term(self, rng):
         outputs, targets = _random_io(rng)
         scene = _random_scene(rng)
-        total, breakdown = total_loss(outputs, targets, scene,
-                                      z=rng.normal(size=32), mean_influence=0.7)
+        total, breakdown = total_loss(outputs, targets, scene, 0.7,
+                                      z=rng.normal(size=32))
         for name, term in breakdown.items():
             assert g.value(term) >= 0.0, name
             assert g.value(total) >= g.value(term) - 1e-15, name
 
-    def test_lambda_linearity(self, rng):
+    def test_terms_carry_the_fixed_weights(self, rng):
         outputs, targets = _random_io(rng)
         scene = _random_scene(rng)
-        base = LossWeights()
-        scaled = LossWeights(depth=base.depth * 3, coverage=base.coverage * 3,
-                             silhouette=base.silhouette * 3,
-                             volume=base.volume * 3, tv=base.tv * 3,
-                             mesh=base.mesh * 3, code=base.code * 3)
         z = rng.normal(size=32)
-        _, b1 = total_loss(outputs, targets, scene, z=z, weights=base,
-                           mean_influence=0.4)
-        _, b3 = total_loss(outputs, targets, scene, z=z, weights=scaled,
-                           mean_influence=0.4)
-        for name in ("depth", "silhouette", "coverage", "volume", "tv",
-                     "mesh", "code"):
-            assert g.value(b3[name]) == pytest.approx(3.0 * g.value(b1[name]),
-                                                      rel=1e-12), name
+        _, b = total_loss(outputs, targets, scene, 0.4, z=z)
+        raw_depth = depth_loss(outputs["depth"], targets["depth"], targets["mask"])
+        assert g.value(b["depth"]) == 0.1 * g.value(raw_depth)
+        diff = outputs["alpha"] - targets["mask"]
+        assert g.value(b["silhouette"]) == pytest.approx(np.mean(diff * diff),
+                                                         rel=1e-12)
+        assert g.value(b["code"]) == pytest.approx(1e-4 * np.sum(z * z), rel=1e-12)
 
     def test_mean_influence_weighting(self, rng):
         outputs, targets = _random_io(rng)
         scene = _random_scene(rng)
-        _, breakdown = total_loss(outputs, targets, scene, mean_influence=0.62)
+        _, breakdown = total_loss(outputs, targets, scene, 0.62)
         assert g.value(breakdown["coverage"]) == pytest.approx(0.001 * 0.62,
                                                                rel=1e-12)
 
@@ -362,7 +323,7 @@ class TestTotalLoss:
         targets["mask"] = None
         scene = _random_scene(rng)
         with pytest.raises(InvalidArgumentError, match="mask"):
-            total_loss(outputs, targets, scene)
+            total_loss(outputs, targets, scene, 0.4)
 
     def test_no_optional_terms(self, rng):
         outputs = {"color": rng.uniform(size=(3, 3, 3)),
@@ -370,8 +331,8 @@ class TestTotalLoss:
                    "alpha": rng.uniform(size=(3, 3))}
         targets = {"color": rng.uniform(size=(3, 3, 3))}
         scene = _random_scene(rng)
-        total, breakdown = total_loss(outputs, targets, scene)
-        assert set(breakdown) == {"l1", "volume", "tv", "mesh"}
+        total, breakdown = total_loss(outputs, targets, scene, 0.4)
+        assert set(breakdown) == {"l1", "coverage", "volume", "tv", "mesh"}
         want = sum(g.value(t) for t in breakdown.values())
         assert g.value(total) == pytest.approx(want, abs=1e-15)
 
@@ -470,8 +431,8 @@ class TestGradientChecks:
                        "alpha": p["alpha"]}
             scene = {"centers": p["centers"], "rotations": p["rotations"],
                      "radii": p["radii"], "anchors": anchors}
-            total, _ = total_loss(outputs, targets, scene, z=p["z"],
-                                  mean_influence=g.mean(p["radii"]))
+            total, _ = total_loss(outputs, targets, scene, g.mean(p["radii"]),
+                                  z=p["z"])
             return total
 
         self._assert_clean(g.fd_check(evaluate, params))

@@ -165,7 +165,7 @@ class TestBlendPoint:
         cfg = RenderConfig(knn_k=3)
         pts = rng.uniform(-0.3, 0.3, size=(40, 3))
         influ = point_influences(random_avatar, pts, cfg)
-        ghat = influ / (influ.sum(-1, keepdims=True) + cfg.epsilon)
+        ghat = influ / (influ.sum(-1, keepdims=True) + render.EPSILON)
         assert np.all(ghat.sum(-1) <= 1.0)
 
 
@@ -173,16 +173,17 @@ class TestCompositeRay:
     def test_two_sample_closed_form(self):
         color, depth, alpha = composite_ray(
             colors=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-            alphas=[0.5, 0.5], ts=[1.0, 2.0], background=[0.0, 0.0, 0.0],
+            alphas=[0.5, 0.5], ts=[1.0, 2.0],
         )
-        np.testing.assert_allclose(color, [0.5, 0.25, 0.0], atol=1e-15)
+        # a quarter of the white background shows through
+        np.testing.assert_allclose(color, [0.75, 0.5, 0.25], atol=1e-15)
         assert abs(depth - 1.0) < 1e-15
         assert abs(alpha - 0.75) < 1e-15
 
     def test_opaque_first_sample_blocks_rest(self):
         color, depth, alpha = composite_ray(
             colors=[[0.2, 0.3, 0.4], [0.9, 0.9, 0.9]],
-            alphas=[1.0, 0.5], ts=[1.0, 2.0], background=[1.0, 1.0, 1.0],
+            alphas=[1.0, 0.5], ts=[1.0, 2.0],
         )
         np.testing.assert_array_equal(color, [0.2, 0.3, 0.4])
         assert alpha == 1.0 and depth == 1.0
@@ -190,7 +191,6 @@ class TestCompositeRay:
     def test_zero_alphas_return_background(self):
         color, depth, alpha = composite_ray(
             colors=np.zeros((3, 3)), alphas=np.zeros(3), ts=[1, 2, 3],
-            background=[1.0, 1.0, 1.0],
         )
         np.testing.assert_array_equal(color, [1.0, 1.0, 1.0])
         assert alpha == 0.0 and depth == 0.0
@@ -199,18 +199,18 @@ class TestCompositeRay:
         for _ in range(20):
             alphas = rng.uniform(0.0, 1.0, size=12)
             _, _, acc = composite_ray(rng.uniform(size=(12, 3)), alphas,
-                                      np.arange(12.0), [0, 0, 0])
+                                      np.arange(12.0))
             want = 1.0 - np.prod(1.0 - alphas)
             assert abs(acc - want) < 1e-10
 
     def test_monotone_in_any_alpha(self, rng):
         alphas = rng.uniform(0.0, 0.9, size=6)
         colors = rng.uniform(size=(6, 3))
-        _, _, base = composite_ray(colors, alphas, np.arange(6.0), [0, 0, 0])
+        _, _, base = composite_ray(colors, alphas, np.arange(6.0))
         for i in range(6):
             bumped = alphas.copy()
             bumped[i] = min(bumped[i] + 0.05, 1.0)
-            _, _, acc = composite_ray(colors, bumped, np.arange(6.0), [0, 0, 0])
+            _, _, acc = composite_ray(colors, bumped, np.arange(6.0))
             assert acc >= base - 1e-12
 
 
@@ -225,7 +225,8 @@ class TestMarchRay:
                                          radii=(0.1, 0.1, 0.1))
         cfg = RenderConfig(knn_k=1)
         color, depth, alpha = march_ray(avatar, _zero_mlp(), [0, 0, -1],
-                                        [0.0, 0.0, 1.0], cfg, 0.5, 1.5)
+                                        [0.0, 0.0, 1.0], cfg, 0.5, 1.5,
+                                        jitter=np.full(32, 0.5))
         np.testing.assert_array_equal(color, [1.0, 1.0, 1.0])
         assert alpha == 0.0 and depth == 0.0
 
@@ -233,7 +234,7 @@ class TestMarchRay:
         avatar, mlp = self._scene(rng)
         with pytest.raises(InvalidArgumentError):
             march_ray(avatar, mlp, [0, 0, -1], [0.0, 0.0, 2.0],
-                      RenderConfig(knn_k=1), 0.5, 1.5)
+                      RenderConfig(knn_k=1), 0.5, 1.5, jitter=np.full(32, 0.5))
 
     def test_jitter_length_validated(self, rng):
         avatar, mlp = self._scene(rng)
@@ -246,7 +247,28 @@ class TestMarchRay:
         avatar, mlp = self._scene(rng)
         with pytest.raises(InvalidArgumentError):
             march_ray(avatar, mlp, [0, 0, -1], [0.0, 0.0, 1.0],
-                      RenderConfig(knn_k=2), 0.5, 1.5)
+                      RenderConfig(knn_k=2), 0.5, 1.5, jitter=np.full(32, 0.5))
+
+    def test_matches_point_blend_and_composite_references(self, rng):
+        """march_ray equals the reference chain: blend_point at each sample,
+        then composite_ray over the kernel's background."""
+        from conftest import make_avatar
+        avatar = make_avatar(rng)
+        mlp = random_mlp(rng, alpha_bias=1.0)
+        cfg = RenderConfig(knn_k=3, samples_per_ray=8)
+        origin = np.array([0.1, -0.9, 0.2])
+        direction = -origin / np.linalg.norm(origin)
+        jitter = rng.uniform(size=8)
+        color, depth, alpha = march_ray(avatar, mlp, origin, direction, cfg,
+                                        0.4, 1.6, jitter=jitter)
+        t = sample_distances(0.4, 1.6, jitter[None, :])[0]
+        blended = [blend_point(avatar, mlp, origin + ti * direction, cfg) for ti in t]
+        want_color, want_depth, want_alpha = composite_ray(
+            [c for c, _ in blended], [a for _, a in blended], t)
+        assert 0.1 < alpha < 0.99    # some background shows through
+        np.testing.assert_allclose(color, want_color, rtol=1e-12)
+        assert depth == pytest.approx(want_depth, rel=1e-12)
+        assert alpha == pytest.approx(want_alpha, rel=1e-12)
 
     def test_opaque_gaussian_on_axis_matches_point_blend(self):
         avatar = _single_gaussian_avatar(radii=(0.15, 0.15, 0.15),
@@ -273,12 +295,13 @@ class TestRenderImage:
         return avatar, mlp, camera
 
     def test_pixels_bit_equal_single_ray_march(self, rng):
-        avatar, mlp, camera = self._setup(rng)
+        # 12 x 11 = 132 rays: a chunk of 128 and one of 4
+        avatar, mlp, camera = self._setup(rng, h=12, w=11)
         cfg = RenderConfig(knn_k=3, samples_per_ray=16)
-        out = render_image(avatar, mlp, camera, cfg, seed=11, chunk=7)
+        out = render_image(avatar, mlp, camera, cfg, seed=11)
         jit = stratified_jitter(camera.height, camera.width,
                                 cfg.samples_per_ray, seed=11)
-        for i, j in ((0, 0), (2, 3), (5, 4), (3, 1)):
+        for i, j in ((0, 0), (2, 3), (5, 4), (11, 7), (11, 10)):
             origin, direction = camera.ray(i, j)
             color, depth, alpha = march_ray(avatar, mlp, origin, direction,
                                             cfg, camera.near,
@@ -314,13 +337,6 @@ class TestRenderImage:
         np.testing.assert_array_equal(out0.depth, out1.depth)
         np.testing.assert_array_equal(out0.alpha, out1.alpha)
 
-    def test_chunk_size_does_not_change_pixels(self, rng):
-        avatar, mlp, camera = self._setup(rng)
-        cfg = RenderConfig(knn_k=3, samples_per_ray=8)
-        a = render_image(avatar, mlp, camera, cfg, seed=5, chunk=4)
-        b = render_image(avatar, mlp, camera, cfg, seed=5, chunk=999)
-        np.testing.assert_array_equal(a.color, b.color)
-
     def test_same_seed_is_deterministic(self, rng):
         avatar, mlp, camera = self._setup(rng)
         cfg = RenderConfig(knn_k=2, samples_per_ray=8)
@@ -344,12 +360,14 @@ class TestRenderPool:
     """render_image's chunk threads: the frame, errors and thread lifetime
     do not depend on how many threads march the chunks."""
 
-    def _setup(self, rng):
+    def _setup(self, rng, w=20, h=13):
+        """A scene and a camera of w x h rays: 260, three chunks, by
+        default."""
         from conftest import make_avatar
         avatar = make_avatar(rng)
         mlp = random_mlp(rng, alpha_bias=1.5)
         camera = lookat_camera(np.array([0.1, -0.9, 0.2]), np.zeros(3),
-                               width=8, height=7, fx=9.0, near=0.4, far=1.6)
+                               width=w, height=h, fx=1.1 * w, near=0.4, far=1.6)
         return avatar, mlp, camera
 
     @staticmethod
@@ -371,13 +389,11 @@ class TestRenderPool:
         np.testing.assert_array_equal(out.alpha.ravel(), alpha)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("chunk", [7, 128])
-    def test_frame_equals_the_serial_kernel(self, rng, monkeypatch, workers,
-                                            chunk):
+    def test_frame_equals_the_serial_kernel(self, rng, monkeypatch, workers):
         avatar, mlp, camera = self._setup(rng)
         cfg = RenderConfig(knn_k=3, samples_per_ray=16)
         monkeypatch.setattr(render, "_usable_cpus", lambda: workers)
-        out = render_image(avatar, mlp, camera, cfg, seed=4, chunk=chunk)
+        out = render_image(avatar, mlp, camera, cfg, seed=4)
         self._assert_frame(out, *self._serial(avatar, mlp, camera, cfg, 4))
 
     def test_concurrent_callers_get_their_own_frames(self, rng, monkeypatch):
@@ -393,7 +409,7 @@ class TestRenderPool:
             cfg, seed = jobs[i]
             for _ in range(3):
                 got[i].append(render_image(avatar, mlp, camera, cfg,
-                                           seed=seed, chunk=5))
+                                           seed=seed))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -419,7 +435,7 @@ class TestRenderPool:
         with pytest.raises(InvalidArgumentError) as serial:
             self._serial(avatar, mlp, camera, cfg, 0)
         with pytest.raises(InvalidArgumentError) as pooled:
-            render_image(avatar, mlp, camera, cfg, chunk=5)
+            render_image(avatar, mlp, camera, cfg)
         assert type(pooled.value) is type(serial.value)
         assert str(pooled.value) == str(serial.value) == (
             f"k={avatar.count + 1} exceeds {avatar.count} Gaussians")
@@ -438,18 +454,19 @@ class TestRenderPool:
     def test_no_thread_outlives_the_call(self, rng):
         avatar, mlp, camera = self._setup(rng)
         before = threading.active_count()
-        render_image(avatar, mlp, camera, RenderConfig(), chunk=3)
+        render_image(avatar, mlp, camera, RenderConfig())
         with pytest.raises(InvalidArgumentError):
             render_image(avatar, mlp, camera,
-                         RenderConfig(knn_k=avatar.count + 1), chunk=3)
+                         RenderConfig(knn_k=avatar.count + 1))
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("cpus,chunk,workers", [
-        (64, 7, 8), (64, 56, 1), (64, 999, 1), (2, 7, 2), (1, 7, 1),
+    @pytest.mark.parametrize("cpus,size,workers", [
+        (64, (20, 13), 3), (64, (43, 3), 2), (64, (16, 8), 1), (64, (8, 7), 1),
+        (2, (20, 13), 2), (1, (20, 13), 1),
     ])
-    def test_workers_never_exceed_chunks(self, rng, monkeypatch, cpus, chunk,
+    def test_workers_never_exceed_chunks(self, rng, monkeypatch, cpus, size,
                                          workers):
-        avatar, mlp, camera = self._setup(rng)    # 56 rays
+        avatar, mlp, camera = self._setup(rng, *size)    # chunks of 128 rays
         seen = []
 
         class Recorder:
@@ -469,7 +486,7 @@ class TestRenderPool:
 
         monkeypatch.setattr(render, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(render, "_usable_cpus", lambda: cpus)
-        render_image(avatar, mlp, camera, RenderConfig(knn_k=2), chunk=chunk)
+        render_image(avatar, mlp, camera, RenderConfig(knn_k=2))
         assert seen == [workers]
 
 
