@@ -277,8 +277,8 @@ def init_from_anchors(
     anchors: np.ndarray,
     normals: np.ndarray,
     scales: np.ndarray,
-    plane_size: int = 8,
-    channels: int = 8,
+    plane_size: int,
+    channels: int,
 ) -> UVAvatar:
     """Attach one Gaussian per texel to the given rest mesh.
 

@@ -57,7 +57,7 @@ class DiffusionSchedule:
             object.__setattr__(self, name, arr)
 
 
-def cosine_schedule(steps: int = 1000) -> DiffusionSchedule:
+def cosine_schedule(steps: int) -> DiffusionSchedule:
     """Squared-cosine signal schedule: alpha_bar(t) =
     cos^2(((t/T + s)/(1 + s)) pi/2) with s = 0.008, normalized so
     alpha_bar(0) = 1."""

@@ -42,7 +42,7 @@ class UVMask:
         object.__setattr__(self, "grid", g)
 
     @classmethod
-    def full(cls, height: int, width: int, channels: str = "both") -> "UVMask":
+    def full(cls, height: int, width: int, channels: str) -> "UVMask":
         return cls(grid=np.ones((height, width), dtype=bool), channels=channels)
 
 

@@ -134,7 +134,7 @@ class LatentDecoder:
 
 
 def random_decoder(rng: np.random.Generator, grid_height: int, grid_width: int,
-                   plane_size: int = 8, channels: int = 8) -> LatentDecoder:
+                   plane_size: int, channels: int) -> LatentDecoder:
     """He-initialized decoder with a small-variance output layer (initial
     payloads near zero, matching direct mode's zero start) and z ~ 0.01 N(0,I)."""
     out_dim = 3 * plane_size * plane_size * channels

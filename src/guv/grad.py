@@ -4,12 +4,20 @@ finite-difference oracle and the AdamW optimizer.
 The tape works on whole ndarrays, not scalars. `_op` is the one way to
 define an op: an op computes its forward value with numpy and hands `_op`
 that value plus one (input, vjp) pair per input; `_op` appends one backward
-entry that adds each vjp of the output gradient to its Var input. Fused ops
-with a hand-written backward go through `_op` the same way. Creation order
-is a valid topological order, so backward is a single reversed sweep. Every
-op also has an ndarray fast path (`_op` returns the forward value when no
-input is a Var): code written against these functions (the renderer, the
-losses) runs unchanged on plain arrays when no gradient is wanted.
+entry that adds each vjp of the output gradient to its Var input. Creation
+order is a valid topological order, so backward is a single reversed sweep.
+Every op also has an ndarray fast path (`_op` returns the forward value
+when no input is a Var): code written against these functions (the
+renderer, the losses) runs unchanged on plain arrays when no gradient is
+wanted.
+
+Three fused render-kernel ops go through `_op` the same way, with a
+hand-written backward: gaussian_frame (the gathered Gaussians' influences
+and clipped local coordinates at each sample), triplane_sample (the three
+bilinear plane lookups) and shading_mlp (the shading head). Each VJP
+replays the backward sweep of the primitive chain it replaces, so the bits
+are the chain's. Their row scatters, the VJP of a gather, are one bincount
+per channel.
 
 Non-differentiable points use fixed subgradients: clip and relu take 0 at
 their kinks, absolute uses sign with sign(0) = 0. Every op but matmul
@@ -23,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _rotation_entries
 from .errors import InvalidArgumentError, NumericFailureError
 
 
@@ -161,23 +170,13 @@ def log1p(x):
     return _op("log1p", np.log1p(v), (x, lambda g: g / (1.0 + v)))
 
 
-def sin(x):
-    v = value(x)
-    return _op("sin", np.sin(v), (x, lambda g: g * np.cos(v)))
-
-
-def cos(x):
-    v = value(x)
-    return _op("cos", np.cos(v), (x, lambda g: -g * np.sin(v)))
-
-
 def _sigmoid_val(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v, dtype=np.float64)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    e = np.exp(v[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-v)) where v >= 0, exp(v) / (1 + exp(v)) elsewhere: with
+    e = exp(-|v|) each branch's value is computed from its own exp, and
+    neither overflows."""
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def relu(x):
@@ -232,22 +231,13 @@ def mixdown(weights, values):
                (values, lambda g: vw[..., None] * g[..., None, :]))
 
 
-def take(x, indices):
-    """Gather rows along axis 0; indices may have any shape."""
-    idx = np.asarray(indices)
-    vx = value(x)
-    return _op("take", np.take(vx, idx, axis=0),
-               (x, lambda g: _bincount_rows(g, idx, vx.shape)))
-
-
-def _bincount_rows(g: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
-    """Scatter-add along axis 0, take's VJP: the rows of g summed into a zero
-    array of `shape` at `rows`. One flat bincount over row * C + c adds each
-    bin's entries in the order of rows, as a bincount per column would."""
-    c = int(np.prod(shape[1:], dtype=np.int64))
-    flat = (rows.reshape(-1, 1) * c + np.arange(c)).reshape(-1)
-    return np.bincount(flat, weights=g.reshape(-1),
-                       minlength=shape[0] * c).reshape(shape)
+def _bincount_rows(rows: np.ndarray, columns, n: int) -> np.ndarray:
+    """Scatter-add, the VJP of a row gather: an (n, len(columns)) array whose
+    column c holds, at each row r, the sum of columns[c]'s entries at the
+    positions where rows == r. One bincount per column: each bin adds its
+    entries in the order of rows."""
+    return np.stack([np.bincount(rows, weights=w, minlength=n) for w in columns],
+                    axis=-1)
 
 
 def getitem(x, key):
@@ -318,15 +308,19 @@ def shading_mlp(feat, w1, b1, w2, b2):
     vf, vw1, vb1, vw2, vb2 = (value(x) for x in (feat, w1, b1, w2, b2))
     lead, (i, m), o = vf.shape[:-1], vw1.shape, vw2.shape[1]
     f2 = vf.reshape(-1, i)
-    h_t = np.maximum(np.einsum("in,io->on", np.ascontiguousarray(f2.T), vw1,
-                               optimize=False) + vb1.reshape(-1, 1), 0.0)
-    a2_t = np.einsum("in,io->on", h_t, vw2, optimize=False) + vb2.reshape(-1, 1)
+    # bias and relu in place: the same ufunc calls, fewer (m, rows) buffers
+    h_t = np.einsum("in,io->on", np.ascontiguousarray(f2.T), vw1, optimize=False)
+    h_t += vb1.reshape(-1, 1)
+    np.maximum(h_t, 0.0, out=h_t)
+    a2_t = np.einsum("in,io->on", h_t, vw2, optimize=False)
+    a2_t += vb2.reshape(-1, 1)
     out = _sigmoid_val(np.ascontiguousarray(a2_t.T)).reshape(lead + (o,))
 
     def grads(g):
         go = g * out * (1.0 - out)
         h = np.ascontiguousarray(h_t.T)
-        ga = np.einsum("no,io->ni", go.reshape(-1, o), vw2, optimize=False) * (h > 0)
+        ga = np.einsum("no,io->ni", go.reshape(-1, o), vw2, optimize=False)
+        ga *= h > 0
         return (np.einsum("no,io->ni", ga, vw1, optimize=False).reshape(vf.shape),
                 np.einsum("ni,no->io", f2, ga, optimize=False), ga.reshape(lead + (m,)),
                 np.einsum("ni,no->io", h, go.reshape(-1, o), optimize=False), go)
@@ -351,53 +345,75 @@ def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
 
     The forward makes the numpy calls of the per-plane chain (corner take,
     bilinear weights, mixdown einsum, (p0 + p1) + p2). The VJPs replay its
-    backward sweep: planes 2, 1, 0; the payload gradient (S2 + S1) + S0,
-    each S one flat bincount; each u's gradient the sum of its two planes'
-    (gf (s-1)) 0.5 in sweep order.
+    backward sweep: planes 2, 1, 0; each u's gradient the sum of its two
+    planes' (gf (s-1)) 0.5 in sweep order. The chain's payload gradient
+    (S2 + S1) + S0 is one bincount per channel over the three planes'
+    corner rows, concatenated in sweep order: each row belongs to one
+    plane, so every bin adds the same entries in the same order.
     """
     vp = value(payload_flat)
-    us = [value(u) for u in (u0, u1, u2)]
-    planes = []  # per plane: rows, then for s > 1 weights, corners, fa, fb
+    # each plane's rows and bilinear weights, planes 2, 1, 0 (the sweep's order)
+    rows = np.empty((3,) + idx.shape + ((4,) if s > 1 else ()), dtype=np.int64)
+    if s > 1:
+        wts = np.empty(rows.shape)
+        cells = []   # per local axis: cell index, fraction f, 1 - f
+        for u in (u0, u1, u2):
+            pos = ((value(u) + 1.0) * 0.5) * float(s - 1)
+            i = np.clip(np.floor(pos), 0, s - 2).astype(np.int64)
+            f = pos - i.astype(np.float64)
+            cells.append((i, f, 1.0 - f))
+    u_grads = s > 1 and any(isinstance(u, Var) for u in (u0, u1, u2))
+    corners = [None] * 3   # kept for the u's gradients
     feat = None
     for p, (a, b) in enumerate(_PLANE_AXES):
+        r = rows[2 - p]
         if s == 1:
-            rows = idx * 3 + p
-            contrib = np.take(vp, rows, axis=0)
-            planes.append((rows,))
+            np.add(idx * 3, p, out=r)
+            contrib = np.take(vp, r, axis=0)
         else:
-            pa = ((us[a] + 1.0) * 0.5) * float(s - 1)
-            pb = ((us[b] + 1.0) * 0.5) * float(s - 1)
-            ia = np.clip(np.floor(pa), 0, s - 2).astype(np.int64)
-            ib = np.clip(np.floor(pb), 0, s - 2).astype(np.int64)
-            fa, fb = pa - ia.astype(np.float64), pb - ib.astype(np.float64)
+            (ia, fa, one_fa), (ib, fb, one_fb) = cells[a], cells[b]
             r00 = (((idx * 3 + p) * s) + ia) * s + ib
-            rows = np.stack([r00, r00 + 1, r00 + s, r00 + s + 1], axis=-1)
-            corners = np.take(vp, rows, axis=0)
-            one_fa, one_fb = 1.0 - fa, 1.0 - fb
-            wts = np.stack([one_fa * one_fb, one_fa * fb, fa * one_fb, fa * fb], axis=-1)
-            contrib = np.einsum("...k,...kc->...c", wts, corners, optimize=False)
-            planes.append((rows, wts, corners, fa, fb))
-        feat = contrib if feat is None else feat + contrib
+            np.add(r00[..., None], (0, 1, s, s + 1), out=r)
+            w = wts[2 - p]
+            for k, (wa, wb) in enumerate(((one_fa, one_fb), (one_fa, fb),
+                                          (fa, one_fb), (fa, fb))):
+                np.multiply(wa, wb, out=w[..., k])
+            c = np.take(vp, r, axis=0)
+            contrib = np.einsum("...k,...kc->...c", w, c, optimize=False)
+            if u_grads:
+                corners[p] = c
+        if feat is None:
+            feat = contrib
+        else:
+            feat += contrib
 
     def grads(g):
         dp, du = None, {}
-        for p in (2, 1, 0):
-            if s == 1:
-                part = _bincount_rows(g, planes[p][0], vp.shape)
-            else:
-                rows, wts, corners, fa, fb = planes[p]
-                part = _bincount_rows(wts[..., None] * g[..., None, :], rows, vp.shape)
-                gw = np.einsum("...c,...kc->...k", g, corners, optimize=False)
-                one_fa, one_fb = 1.0 - fa, 1.0 - fb
-                g_one_fa = gw[..., 1] * fb + gw[..., 0] * one_fb
-                g_one_fb = gw[..., 2] * fa + gw[..., 0] * one_fa
-                g_fa = (gw[..., 3] * fb + gw[..., 2] * one_fb) + -g_one_fa
-                g_fb = (gw[..., 3] * fa + gw[..., 1] * one_fa) + -g_one_fb
-                a, b = _PLANE_AXES[p]
-                for axis, gf in ((b, g_fb), (a, g_fa)):
-                    gu = (gf * float(s - 1)) * 0.5
-                    du[axis] = gu if axis not in du else du[axis] + gu
-            dp = part if dp is None else dp + part
+        if isinstance(payload_flat, Var):
+            g2 = g.reshape(-1, g.shape[-1])
+            spread = np.empty((g2.shape[0], 4 if s > 1 else 1))
+            planes_wts = wts.reshape(3, -1) if s > 1 else np.ones((3, 1))
+            buf = np.empty((3, spread.size))
+
+            def weights(c):
+                # g[m, c] once per corner of sample m, times the corner
+                # weights of the three planes; s == 1 weighs each row by 1.0
+                spread[...] = g2[:, c, None]
+                return np.multiply(planes_wts, spread.reshape(-1), out=buf).reshape(-1)
+
+            dp = _bincount_rows(rows.reshape(-1), map(weights, range(g2.shape[1])),
+                                vp.shape[0])
+        for p in (2, 1, 0) if u_grads else ():
+            a, b = _PLANE_AXES[p]
+            (_, fa, one_fa), (_, fb, one_fb) = cells[a], cells[b]
+            gw = np.einsum("...c,...kc->...k", g, corners[p], optimize=False)
+            g_one_fa = gw[..., 1] * fb + gw[..., 0] * one_fb
+            g_one_fb = gw[..., 2] * fa + gw[..., 0] * one_fa
+            g_fa = (gw[..., 3] * fb + gw[..., 2] * one_fb) + -g_one_fa
+            g_fb = (gw[..., 3] * fa + gw[..., 1] * one_fa) + -g_one_fb
+            for axis, gf in ((b, g_fb), (a, g_fa)):
+                gu = (gf * float(s - 1)) * 0.5
+                du[axis] = gu if axis not in du else du[axis] + gu
         return dp, du
 
     shared = _shared(grads)
@@ -405,6 +421,80 @@ def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
                                   for k, u in enumerate((u0, u1, u2))]
     return _op("triplane_sample", feat, (payload_flat, lambda g: shared(g)[0]),
                *u_inputs)
+
+
+def gaussian_frame(centers, rotations, radii, origin, tdir, idx: np.ndarray,
+                   eta: float, tau: float):
+    """The gathered Gaussians idx (..., K) seen from the points origin + tdir
+    (..., 3), as one op: (4, ..., K), the influence eta exp(-m / (2 tau)),
+    then the local coordinates u0, u1, u2 clipped to [-1, 1].
+
+    centers, rotations (Euler angles) and radii: (N, 3). With the offset
+    x - mu formed as tdir - (centers - origin) and y = R^T (x - mu) its
+    local frame, m = |y / radii|^2 and u = y / (3 radii).
+
+    The forward makes the numpy calls of the chain of gathers,
+    core._rotation_entries of the angles' cos and sin, the local offset,
+    the Mahalanobis distance, the influence and the clips. The VJPs replay
+    its backward sweep: each value that several chain ops read adds their
+    gradients in the sweep's order, and each pose gradient is one bincount
+    per channel over idx, the chain's take VJP.
+    """
+    vc, vr, vs = value(centers), value(rotations), value(radii)
+    offset = np.ascontiguousarray((vc - origin).T)   # (3, N): mu - origin
+    d = [tdir[..., None, i] - np.take(offset[i], idx) for i in range(3)]
+    trig = [f(np.take(col, idx)) for col in np.ascontiguousarray(vr.T)
+            for f in (np.cos, np.sin)]
+    e = _rotation_entries(*trig)
+    # y_i = column i of R dotted with x - mu
+    y = [e[i] * d[0] + e[3 + i] * d[1] + e[6 + i] * d[2] for i in range(3)]
+    r = [np.take(col, idx) for col in np.ascontiguousarray(vs.T)]
+    z = [yi / ri for yi, ri in zip(y, r)]
+    ex = np.exp((z[0] * z[0] + z[1] * z[1] + z[2] * z[2]) * (-1.0 / (2.0 * tau)))
+    out = np.empty((4,) + idx.shape)
+    np.multiply(ex, eta, out=out[0])
+    r3 = [ri * 3.0 for ri in r]
+    w = [yi / r3i for yi, r3i in zip(y, r3)]
+    for i in range(3):
+        np.clip(w[i], -1.0, 1.0, out=out[1 + i])
+
+    def grads(g):
+        ca, sa, cb, sb, cc, sc = trig
+        gm = ((g[0] * eta) * ex) * (-1.0 / (2.0 * tau))
+        gy, gr = [], []
+        for i in range(3):
+            gw = g[1 + i] * ((w[i] > -1.0) & (w[i] < 1.0))
+            gz = gm * z[i] + gm * z[i]
+            gy.append(gw / r3[i] + gz / r[i])
+            gr.append((-gw * y[i] / (r3[i] * r3[i])) * 3.0 + -gz * y[i] / (r[i] * r[i]))
+        # x - mu, each component summed over y2, y1, y0; then the entries
+        gd = [(gy[2] * e[3 * j + 2] + gy[1] * e[3 * j + 1]) + gy[0] * e[3 * j]
+              for j in range(3)]
+        ge = [gy[k % 3] * d[k // 3] for k in range(9)]
+        # the entries' products, swept from e8 down to e0 (e2 is sb itself);
+        # g7b, g6b: gradients of the factor ca sb in e7 and e6, g4b, g3b: of
+        # sa sb in e4 and e3
+        g7b, g6b = ge[7] * sc, -ge[6] * cc
+        g4b, g3b = -ge[4] * sc, ge[3] * cc
+        g_ca = (((ge[8] * cb + g7b * sb) + g6b * sb) + ge[4] * cc) + ge[3] * sc
+        g_sa = (((ge[7] * cc + ge[6] * sc) + -ge[5] * cb) + g4b * sb) + g3b * sb
+        g_cb = ((ge[8] * ca + -ge[5] * sa) + -ge[1] * sc) + ge[0] * cc
+        g_sb = (((ge[2] + g7b * ca) + g6b * ca) + g4b * sa) + g3b * sa
+        g_cc = ((((ge[7] * sa + -ge[6] * (ca * sb)) + ge[4] * ca)
+                 + ge[3] * (sa * sb)) + ge[0] * cb)
+        g_sc = ((((ge[7] * (ca * sb) + ge[6] * sa) + -ge[4] * (sa * sb))
+                 + ge[3] * ca) + -ge[1] * cb)
+        g_ang = [gs * c + -gc * s for c, s, gc, gs in
+                 ((ca, sa, g_ca, g_sa), (cb, sb, g_cb, g_sb), (cc, sc, g_cc, g_sc))]
+        rows, n = idx.reshape(-1), vc.shape[0]
+        return (_bincount_rows(rows, (v.reshape(-1) for v in gr), n),
+                _bincount_rows(rows, (v.reshape(-1) for v in g_ang), n),
+                _bincount_rows(rows, ((-v).reshape(-1) for v in gd), n))
+
+    # the chain's sweep reaches the radii gather first, the centres last
+    shared = _shared(grads)
+    return _op("gaussian_frame", out, *((x, lambda g, k=k: shared(g)[k])
+                                        for k, x in enumerate((radii, rotations, centers))))
 
 
 # ---------------------------------------------------------------------------

@@ -924,6 +924,15 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _read_flag(flag: str, load, path):
+    """load(path) for the file a flag names: a missing or malformed file is
+    an InvalidArgumentError (exit 2) that names the flag."""
+    try:
+        return load(path)
+    except (OSError, InvalidArgumentError) as e:
+        raise InvalidArgumentError(f"argument {flag}: {e}") from None
+
+
 def cmd_render(args) -> int:
     avatar = load_avatar(args.avatar)
     mlp_path = args.mlp if args.mlp else mlp_sibling(args.avatar)
@@ -932,7 +941,7 @@ def cmd_render(args) -> int:
             f"no shading network at {mlp_path}; pass --mlp"
         )
     mlp = load_mlp(mlp_path)
-    cams = load_cameras(args.camera)
+    cams = _read_flag("--camera", load_cameras, args.camera)
     if args.view >= len(cams):
         raise InvalidArgumentError(f"view {args.view} out of range: camera "
                                    f"file has {len(cams)}")
@@ -955,7 +964,7 @@ def cmd_edit(args) -> int:
     if args.transfer:
         channels = args.channels or "both"
         source = load_avatar(args.transfer)
-        grid = read_mask(args.mask)
+        grid = _read_flag("--mask", read_mask, args.mask)
         out = region_transfer(avatar, source,
                               UVMask(grid=grid, channels=_selector(channels)))
         what = f"transfer {channels} from {args.transfer}"
@@ -980,7 +989,7 @@ def cmd_diffuse(args) -> int:
     denoiser = analytic_gauss_denoiser(schedule, *args.denoiser)
     rng = np.random.default_rng(args.seed)
     if args.like is not None:
-        template = load_avatar(args.like)
+        template = _read_flag("--like", load_avatar, args.like)
         anchors, normals, scales = (template.anchors, template.anchor_normals,
                                     template.anchor_scales)
         s, c = _check_plane_size(template.plane_size), template.channels
@@ -993,7 +1002,7 @@ def cmd_diffuse(args) -> int:
                                 rng, step_count=args.step_count)
     else:
         known = normalize_avatar(template)
-        grid = read_mask(args.mask)
+        grid = _read_flag("--mask", read_mask, args.mask)
         if grid.shape != (template.height, template.width):
             raise InvalidArgumentError(
                 f"mask {grid.shape} does not match avatar grid "

@@ -6,6 +6,12 @@ payload through the shared tiny MLP, colors blend with normalized influence
 weights, opacities with raw (window-function) influences, and samples
 composite front-to-back over a white background.
 
+The Gaussian frame of a sample and its K neighbors is one op,
+grad.gaussian_frame: the offset x - mu as t * direction - (center - origin),
+its local frame y = R^T (x - mu) from the Euler angles' cos and sin, the
+influence ETA exp(-|y / r|^2 / (2 TAU)) and the local coordinates
+y / (3 r) clipped to [-1, 1] that the tri-plane lookup reads.
+
 The kernel runs identically on plain ndarrays (display rendering) and on tape
 variables (fitting): all math goes through the grad facade. Two bit-level
 contracts shape the implementation:
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad as g
-from .core import Camera, RenderConfig, UVAvatar, _frozen, _rotation_entries
+from .core import Camera, RenderConfig, UVAvatar, _frozen
 from .errors import InvalidArgumentError
 from .spatial import _knn_for_samples
 
@@ -66,7 +72,7 @@ class RenderMLP:
         object.__setattr__(self, "b2", _frozen(self.b2, (4,), "b2"))
 
 
-def random_mlp(rng: np.random.Generator, alpha_bias: float = 0.0) -> RenderMLP:
+def random_mlp(rng: np.random.Generator, alpha_bias: float) -> RenderMLP:
     """He-initialized MLP; alpha_bias shifts the opacity logit.
 
     b1 is drawn (not zeroed): zero payloads put every hidden unit exactly at
@@ -117,30 +123,17 @@ def _triplane_features(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
     return g.triplane_sample(payload_flat, s, idx, u0, u1, u2)
 
 
-def _shade(arrays: dict, mlp_arrays: dict, xdiff, idx: np.ndarray, s: int):
-    """Blend the K gathered Gaussians at each query point.
+def _shade(arrays: dict, mlp_arrays: dict, origin: np.ndarray, tdir: np.ndarray,
+           idx: np.ndarray, s: int):
+    """Blend the K gathered Gaussians at each query point origin + tdir.
 
     arrays: centers/rotations/radii/payload_flat (tape variables or ndarrays).
-    xdiff: (..., K, 3) point-minus-center offsets. idx: (..., K) neighbor ids.
+    tdir: (..., 3) point-minus-origin offsets. idx: (..., K) neighbor ids.
     Returns (color (..., 3), alpha (...,), influence_sum (...,)).
     """
-    rot = g.take(arrays["rotations"], idx)
-    rad = g.take(arrays["radii"], idx)
-    a, b, c = rot[..., 0], rot[..., 1], rot[..., 2]
-    e = _rotation_entries(g.cos(a), g.sin(a), g.cos(b), g.sin(b), g.cos(c), g.sin(c))
-    dx, dy, dz = xdiff[..., 0], xdiff[..., 1], xdiff[..., 2]
-    # y = R^T (x - mu), the offset in the neighbor's local frame: column i
-    # of R dotted with the offset
-    y0 = e[0] * dx + e[3] * dy + e[6] * dz
-    y1 = e[1] * dx + e[4] * dy + e[7] * dz
-    y2 = e[2] * dx + e[5] * dy + e[8] * dz
-    r0, r1, r2 = rad[..., 0], rad[..., 1], rad[..., 2]
-    z0, z1, z2 = y0 / r0, y1 / r1, y2 / r2
-    maha = z0 * z0 + z1 * z1 + z2 * z2
-    influence = g.mul(g.exp(g.mul(maha, -1.0 / (2.0 * TAU))), ETA)
-    u0 = g.clip(y0 / (3.0 * r0), -1.0, 1.0)
-    u1 = g.clip(y1 / (3.0 * r1), -1.0, 1.0)
-    u2 = g.clip(y2 / (3.0 * r2), -1.0, 1.0)
+    frame = g.gaussian_frame(arrays["centers"], arrays["rotations"], arrays["radii"],
+                             origin, tdir, idx, ETA, TAU)
+    influence, u0, u1, u2 = frame[0], frame[1], frame[2], frame[3]
     feat = _triplane_features(arrays["payload_flat"], s, idx, u0, u1, u2)
     color_k, opacity_k = mlp_forward(mlp_arrays, feat)
     gsum = g.sum(influence, axis=-1)
@@ -165,11 +158,8 @@ def march_rays_core(arrays: dict, mlp_arrays: dict, origin: np.ndarray,
     centers_val = g.value(arrays["centers"])
     if idx is None:
         idx = _knn_for_samples(centers_val, origin, dirs, t, cfg.knn_k)
-    delta0 = g.sub(arrays["centers"], origin)          # (N, 3)
-    delta0_k = g.take(delta0, idx)                     # (R, J, K, 3)
     tdir = t[:, :, None] * dirs[:, None, :]            # (R, J, 3) constant
-    xdiff = g.sub(tdir[:, :, None, :], delta0_k)       # x - mu, grouped form
-    color_j, alpha_j, gsum = _shade(arrays, mlp_arrays, xdiff, idx, s)
+    color_j, alpha_j, gsum = _shade(arrays, mlp_arrays, origin, tdir, idx, s)
     log_t = g.cumsum(g.log1p(g.neg(alpha_j)), axis=-1)  # (R, J)
     shifted = g.concatenate(
         [np.zeros((r_count, 1)), log_t[:, : j_count - 1]], axis=-1
@@ -205,7 +195,7 @@ def mlp_arrays(mlp: RenderMLP) -> dict:
 
 
 def stratified_jitter(height: int, width: int, samples: int,
-                      seed: int = 0) -> np.ndarray:
+                      seed: int) -> np.ndarray:
     """Per-pixel stratification offsets in [0, 1), shape (H, W, J)."""
     return np.random.default_rng(seed).uniform(size=(height, width, samples))
 

@@ -14,9 +14,10 @@ Gaussian or one scalar at a time, with direct x - mu arithmetic:
 - finite_diff: the exhaustive central-difference gradient;
 - brute_force_knn: the exhaustive KNN oracle, the first k texel ids of one
   point by (d2, id), that the renderer's spatial._knn_for_samples must match;
-- matmul_last, sigmoid and stack, tape primitives, and mlp_chain and
-  triplane_chain, the primitive compositions that grad.shading_mlp and
-  grad.triplane_sample fuse: their oracle, value and gradient, bit for bit;
+- sin, cos, take, matmul_last, sigmoid and stack, tape primitives, and
+  gaussian_frame_chain, triplane_chain and mlp_chain, the primitive
+  compositions that grad.gaussian_frame, grad.triplane_sample and
+  grad.shading_mlp fuse: their oracle, value and gradient, bit for bit;
 - reverse_sample and inpaint_sample, the diffusion samplers as one serial
   loop over posterior_params and q_sample: the oracle of the library's
   samplers, which draw their noise one step ahead on a worker thread.
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from guv.core import RenderConfig, UVAvatar, _frozen, rotation_matrix
+from guv.core import (RenderConfig, UVAvatar, _frozen, _rotation_entries,
+                      rotation_matrix)
 from guv.errors import InvalidArgumentError
 from guv import grad as g
 from guv.diffusion import _timesteps, posterior_params, q_sample
@@ -167,14 +169,14 @@ def point_influences(avatar: UVAvatar, points, cfg: RenderConfig) -> np.ndarray:
 
 def blend_point(avatar: UVAvatar, mlp: RenderMLP, x,
                 cfg: RenderConfig) -> tuple[np.ndarray, float]:
-    """(blended color, blended opacity) of a single world point: direct
-    x - mu arithmetic, neighbors from brute_force_knn, then the kernel's
-    shading stage."""
+    """(blended color, blended opacity) of a single world point: neighbors
+    from brute_force_knn, then the kernel's shading stage seen from x itself
+    (origin x, offset 0), so x - mu is formed as 0 - (mu - x), the exact
+    negation of mu - x."""
     x = np.asarray(x, dtype=np.float64)
     arrays = avatar_arrays(avatar)
     idx = brute_force_knn(avatar, x, cfg.knn_k)
-    xdiff = x[None, :] - arrays["centers"][idx]
-    color, alpha, _ = _shade(arrays, mlp_arrays(mlp), xdiff, idx,
+    color, alpha, _ = _shade(arrays, mlp_arrays(mlp), x, np.zeros(3), idx,
                              avatar.plane_size)
     return color, float(alpha)
 
@@ -218,6 +220,24 @@ def finite_diff(loss_evaluator, params: ParamSet, h: float | None = None) -> Par
     return ParamSet(grads, dict(params.lrs))
 
 
+def sin(x):
+    v = value(x)
+    return g._op("sin", np.sin(v), (x, lambda gr: gr * np.cos(v)))
+
+
+def cos(x):
+    v = value(x)
+    return g._op("cos", np.cos(v), (x, lambda gr: -gr * np.sin(v)))
+
+
+def take(x, indices):
+    """Gather rows along axis 0; indices may have any shape."""
+    idx = np.asarray(indices)
+    vx = value(x)
+    return g._op("take", np.take(vx, idx, axis=0), (x, lambda gr: g._bincount_rows(
+        idx.reshape(-1), gr.reshape(idx.size, -1).T, vx.shape[0]).reshape(vx.shape)))
+
+
 def matmul_last(x, w):
     """(..., i) x (i, o) -> (..., o) as one tape op: fixed-loop einsum,
     never BLAS, so independent of the leading batch shape."""
@@ -256,7 +276,7 @@ def triplane_chain(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
     feat = None
     for p, (ua, ub) in enumerate(((u0, u1), (u0, u2), (u1, u2))):
         if s == 1:
-            contrib = g.take(payload_flat, idx * 3 + p)
+            contrib = take(payload_flat, idx * 3 + p)
         else:
             pa = g.mul(g.mul(g.add(ua, 1.0), 0.5), float(s - 1))
             pb = g.mul(g.mul(g.add(ub, 1.0), 0.5), float(s - 1))
@@ -269,7 +289,7 @@ def triplane_chain(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
             r01 = (base + ia) * s + ib + 1
             r10 = (base + ia + 1) * s + ib
             r11 = (base + ia + 1) * s + ib + 1
-            corners = g.take(payload_flat, np.stack([r00, r01, r10, r11], axis=-1))
+            corners = take(payload_flat, np.stack([r00, r01, r10, r11], axis=-1))
             one_fa = g.sub(1.0, fa)
             one_fb = g.sub(1.0, fb)
             weights = stack([g.mul(one_fa, one_fb), g.mul(one_fa, fb),
@@ -277,6 +297,27 @@ def triplane_chain(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
             contrib = g.mixdown(weights, corners)
         feat = contrib if feat is None else g.add(feat, contrib)
     return feat
+
+
+def gaussian_frame_chain(centers, rotations, radii, origin, tdir, idx, eta, tau):
+    """The Gaussian frame as the primitive chain grad.gaussian_frame fuses:
+    the offset x - mu as tdir - take(centers - origin), the rotation and
+    radius gathers, core._rotation_entries of the angles' cos and sin, the
+    local offset y, z = y / r, the influence and the clipped u's, stacked
+    (4, ..., K) as the fused op returns them."""
+    xdiff = g.sub(tdir[..., None, :], take(g.sub(centers, origin), idx))
+    rot = take(rotations, idx)
+    rad = take(radii, idx)
+    a, b, c = rot[..., 0], rot[..., 1], rot[..., 2]
+    e = _rotation_entries(cos(a), sin(a), cos(b), sin(b), cos(c), sin(c))
+    dx, dy, dz = xdiff[..., 0], xdiff[..., 1], xdiff[..., 2]
+    y = [e[i] * dx + e[3 + i] * dy + e[6 + i] * dz for i in range(3)]
+    r = [rad[..., i] for i in range(3)]
+    z = [yi / ri for yi, ri in zip(y, r)]
+    maha = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
+    influence = g.mul(g.exp(g.mul(maha, -1.0 / (2.0 * tau))), eta)
+    us = [g.clip(yi / (3.0 * ri), -1.0, 1.0) for yi, ri in zip(y, r)]
+    return stack([influence] + us, axis=0)
 
 
 def reverse_sample(schedule, denoiser, shape, rng, step_count=None):

@@ -1,12 +1,17 @@
-"""Every optional CLI flag has an effect. Given a non-default value, a flag
-either changes the output bytes or the stdout of its command against the
-base run without it, or exits 2 naming itself.
+"""Every CLI flag has an effect. Given a non-default value, an optional
+flag either changes the output bytes or the stdout of its command against
+the base run without it, or exits 2 naming itself. A required flag other
+than --out changes the output with a changed value and exits 2 naming
+itself with a malformed one.
 
 The flags come from walking build_parser(), so a new flag fails
 test_every_optional_flag_has_a_row until it has a row in VARIATIONS (or,
-if it legitimately changes nothing, in ALLOWLIST with the reason).
+if it legitimately changes nothing, in ALLOWLIST with the reason), and a
+new required flag fails test_every_required_flag_has_a_row until it has a
+row in REQUIRED.
 """
 import argparse
+import json
 import os
 
 import numpy as np
@@ -18,15 +23,17 @@ from guv.io_cli import (build_parser, load_anchor_grid, load_avatar, main,
 from guv.render import random_mlp
 
 
-def _optional_flags(parser=None, path=()):
-    """(command path, flag) of every optional flag, subcommands included."""
+def _flags(required, parser=None, path=()):
+    """(command path, flag) of every optional flag, or with required every
+    required flag but --out, subcommands included."""
     parser = parser or build_parser()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                yield from _optional_flags(sub, path + (name,))
-        elif (action.option_strings and not action.required
-              and not isinstance(action, argparse._HelpAction)):
+                yield from _flags(required, sub, path + (name,))
+        elif (action.option_strings and action.required == required
+              and not isinstance(action, argparse._HelpAction)
+              and action.option_strings[0] != "--out"):
             yield path, action.option_strings[0]
 
 
@@ -88,6 +95,13 @@ VARIATIONS = {
 # flags that legitimately change nothing, each with its reason; none today
 ALLOWLIST: dict = {}
 
+# each required flag's changed value and malformed value (a file of junk)
+REQUIRED = {
+    (("render",), "--camera"): ("{cams2}", "{junk}"),
+    (("diffuse", "inpaint"), "--like"): ("{other}", "{junk}"),
+    (("diffuse", "inpaint"), "--mask"): ("{mask2}", "{junk}"),
+}
+
 
 @pytest.fixture(scope="module")
 def toy(tmp_path_factory):
@@ -98,15 +112,18 @@ def toy(tmp_path_factory):
                  "--resolution", "8", "--grid", "2"]) == 0
     ref = load_avatar(ds / "reference.guv")
     names = {"ds": ds}
-    for name in ("other", "mlp", "anchors", "mask", "mask2"):
+    for name in ("other", "mlp", "anchors", "mask", "mask2", "cams2", "junk"):
         names[name] = root / name
     save_avatar(ref.replace(centers=ref.centers + 0.01,
                             payloads=ref.payloads + 0.5), names["other"])
-    save_mlp(random_mlp(np.random.default_rng(0)), names["mlp"])
+    save_mlp(random_mlp(np.random.default_rng(0), alpha_bias=0.0), names["mlp"])
     anchors, normals, scales = load_anchor_grid(ds / "anchors.guva")
     save_anchor_grid(anchors + 0.01, normals, scales, names["anchors"])
     write_alpha_pgm(np.array([[1.0, 0.0], [1.0, 0.0]]), names["mask"])
     write_alpha_pgm(np.array([[0.0, 1.0], [0.0, 1.0]]), names["mask2"])
+    cams = json.loads((ds / "cameras.json").read_text())
+    names["cams2"].write_text(json.dumps(cams[::-1]))
+    names["junk"].write_bytes(b"junk")
     return {"paths": {k: str(v) for k, v in names.items()}, "root": root,
             "bases": {}}
 
@@ -138,7 +155,7 @@ def _base(path, toy, capsys):
 
 
 def test_every_optional_flag_has_a_row():
-    flags = set(_optional_flags())
+    flags = set(_flags(required=False))
     assert not set(VARIATIONS) & set(ALLOWLIST)
     assert flags == set(VARIATIONS) | set(ALLOWLIST)
     assert {path for path, _ in flags} <= set(BASES)
@@ -161,3 +178,23 @@ def test_flag_changes_output_or_exits_two_naming_itself(toy, tmp_path, capsys,
     else:
         assert code == 0, err
         assert (out, files) != (base_out, base_files)
+
+
+def test_every_required_flag_has_a_row():
+    assert set(_flags(required=True)) == set(REQUIRED)
+
+
+@pytest.mark.parametrize("path, flag", sorted(REQUIRED),
+                         ids=[" ".join(path + (flag,)) for path, flag in sorted(REQUIRED)])
+def test_required_flag_changes_output_or_exits_two_naming_itself(
+        toy, tmp_path, capsys, path, flag):
+    _, base_out, _, base_files = _base(path, toy, capsys)
+    changed, malformed = REQUIRED[(path, flag)]
+    argv = list(BASES[path])
+    argv[argv.index(flag) + 1] = changed
+    code, out, err, files = _run(argv, toy, tmp_path / "changed", capsys)
+    assert code == 0, err
+    assert (out, files) != (base_out, base_files)
+    argv[argv.index(flag) + 1] = malformed
+    code, _, err, files = _run(argv, toy, tmp_path / "malformed", capsys)
+    assert code == 2 and f"argument {flag}:" in err and files == {}

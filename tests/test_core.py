@@ -185,7 +185,7 @@ class TestInitFromAnchors:
     def test_up_normal_gives_zero_rotation(self):
         anchors = np.zeros((1, 1, 3))
         normals = np.array([[[0.0, 0.0, 1.0]]])
-        avatar = init_from_anchors(anchors, normals, np.array([[0.01]]))
+        avatar = init_from_anchors(anchors, normals, np.array([[0.01]]), 8, 8)
         np.testing.assert_array_equal(avatar.rotations[0, 0], np.zeros(3))
         np.testing.assert_array_equal(avatar.radii[0, 0], [0.01, 0.01, 0.005])
         np.testing.assert_array_equal(avatar.centers, anchors)
@@ -193,7 +193,7 @@ class TestInitFromAnchors:
 
     def test_rotation_aligns_z_to_normal(self):
         anchors, normals, scales = self._sphere_grid()
-        avatar = init_from_anchors(anchors, normals, scales)
+        avatar = init_from_anchors(anchors, normals, scales, 8, 8)
         for i in range(4):
             for j in range(4):
                 r = rotation_matrix(avatar.rotations[i, j])
@@ -202,7 +202,7 @@ class TestInitFromAnchors:
 
     def test_radii_flatten_along_normal(self):
         anchors, normals, scales = self._sphere_grid()
-        avatar = init_from_anchors(anchors, normals, scales)
+        avatar = init_from_anchors(anchors, normals, scales, 8, 8)
         np.testing.assert_array_equal(avatar.radii[..., 0], scales)
         np.testing.assert_array_equal(avatar.radii[..., 1], scales)
         np.testing.assert_array_equal(avatar.radii[..., 2], scales / 2.0)
@@ -216,12 +216,12 @@ class TestInitFromAnchors:
     def test_non_unit_normals_rejected(self):
         anchors, normals, scales = self._sphere_grid()
         with pytest.raises(InvalidArgumentError, match="texel"):
-            init_from_anchors(anchors, 1.1 * normals, scales)
+            init_from_anchors(anchors, 1.1 * normals, scales, 8, 8)
 
     def test_mismatched_grids_rejected(self):
         anchors, normals, scales = self._sphere_grid()
         with pytest.raises(InvalidArgumentError):
-            init_from_anchors(anchors, normals[:2], scales)
+            init_from_anchors(anchors, normals[:2], scales, 8, 8)
 
 
 class TestUVAvatar:

@@ -37,7 +37,7 @@ class TestUVMask:
         assert m.channels == "texture"
 
     def test_grid_frozen(self):
-        m = UVMask.full(2, 2)
+        m = UVMask.full(2, 2, "both")
         with pytest.raises(ValueError):
             m.grid[0, 0] = False
 
@@ -185,10 +185,10 @@ class TestRegionTransfer:
         target = make_avatar(rng)
         small = make_avatar(rng, h=2, w=2)
         with pytest.raises(InvalidArgumentError, match="share"):
-            region_transfer(target, small, UVMask.full(4, 4))
+            region_transfer(target, small, UVMask.full(4, 4, "both"))
         source = make_avatar(rng)
         with pytest.raises(InvalidArgumentError, match="does not match"):
-            region_transfer(target, source, UVMask.full(2, 2))
+            region_transfer(target, source, UVMask.full(2, 2, "both"))
 
 
 class TestSwapShapeTexture:

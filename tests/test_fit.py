@@ -20,12 +20,13 @@ from guv.fit import (
     random_decoder,
     sample_patch,
 )
-from guv.io_cli import lookat_camera, run_gradient_oracle
+from guv.io_cli import (camera_ring, lookat_camera, run_gradient_oracle,
+                        toy_reference_scene)
 from guv.losses import mesh_loss, tv_loss, volume_loss
 from guv.render import random_mlp, render_image, sample_distances
 
 from conftest import make_avatar, make_render_mlp, random_unit
-from reference import mlp_chain, triplane_chain
+from reference import gaussian_frame_chain, mlp_chain, triplane_chain
 
 
 def _ring_cameras(count, size, distance=1.2):
@@ -369,30 +370,51 @@ class TestObjective:
         assert len(calls) == 1 and calls[0].idx is None
         assert res.final_breakdown is not None
 
-    @pytest.mark.parametrize("case", ["triplane", "vector", "k1", "latent"])
+    @staticmethod
+    def _chain_case(rng, case):
+        """(batch, params) of a small scene, or with case "checker" the fit's
+        scale: the N = 64 checker sphere, a 16x16 patch and J = 32, where
+        many samples share neighbours and the scatters collide in most bins."""
+        if case == "checker":
+            avatar, mlp = toy_reference_scene("checker-sphere", grid=8, seed=7)
+            cam = camera_ring(16, 32)[5]
+            dirs = cam.ray_directions()[8:24, 8:24].reshape(-1, 3)
+            cfg = RenderConfig()
+            t = sample_distances(cam.near, cam.far,
+                                 rng.uniform(size=(256, cfg.samples_per_ray)))
+            rays, decoder = 256, None
+        else:
+            s = 1 if case == "vector" else 3
+            avatar, mlp = make_avatar(rng, h=2, w=3, plane_size=s), None
+            decoder = None
+            if case == "latent":
+                decoder = random_decoder(rng, 2, 3, s, 8)
+                decoder = dataclasses.replace(
+                    decoder, w3=0.3 * rng.standard_normal(decoder.w3.shape))
+            cam = lookat_camera((0.9, 0.15, 0.1), (0.0, 0.0, 0.0), 3, 3,
+                                fx=3.5, near=0.5, far=1.4)
+            dirs = cam.ray_directions().reshape(-1, 3)
+            cfg = RenderConfig(knn_k=1 if case == "k1" else 3, samples_per_ray=6)
+            t = sample_distances(cam.near, cam.far, rng.uniform(size=(9, 6)))
+            rays = 9
+        batch = guv_fit.Batch(
+            origin=cam.origin, dirs=dirs, t=t, cfg=cfg, anchors=avatar.anchors,
+            plane_size=avatar.plane_size,
+            targets={"color": rng.uniform(size=(rays, 3)),
+                     "depth": rng.uniform(0.7, 1.2, size=rays),
+                     "mask": (rng.uniform(size=rays) > 0.35).astype(np.float64)})
+        mlp = make_render_mlp(rng) if mlp is None else mlp
+        return batch, guv_fit.fit_params(avatar, mlp, decoder)
+
+    @pytest.mark.parametrize("case", ["triplane", "vector", "k1", "latent",
+                                      "checker"])
     def test_fused_kernel_matches_the_primitive_chains(self, rng, monkeypatch,
                                                        case):
-        """gradients(fit.objective) through the fused shading head and
-        tri-plane lookup equals, group by group and bit for bit, the same
-        objective with both stages run as the primitive chains they fuse."""
-        s = 1 if case == "vector" else 3
-        avatar = make_avatar(rng, h=2, w=3, plane_size=s)
-        decoder = None
-        if case == "latent":
-            decoder = random_decoder(rng, 2, 3, s, 8)
-            decoder = dataclasses.replace(
-                decoder, w3=0.3 * rng.standard_normal(decoder.w3.shape))
-        cam = lookat_camera((0.9, 0.15, 0.1), (0.0, 0.0, 0.0), 3, 3,
-                            fx=3.5, near=0.5, far=1.4)
-        cfg = RenderConfig(knn_k=1 if case == "k1" else 3, samples_per_ray=6)
-        batch = guv_fit.Batch(
-            origin=cam.origin, dirs=cam.ray_directions().reshape(-1, 3),
-            t=sample_distances(cam.near, cam.far, rng.uniform(size=(9, 6))),
-            cfg=cfg, anchors=avatar.anchors, plane_size=s,
-            targets={"color": rng.uniform(size=(9, 3)),
-                     "depth": rng.uniform(0.7, 1.2, size=9),
-                     "mask": (rng.uniform(size=9) > 0.35).astype(np.float64)})
-        params = guv_fit.fit_params(avatar, make_render_mlp(rng), decoder)
+        """gradients(fit.objective) through the fused Gaussian frame,
+        tri-plane lookup and shading head equals, group by group and bit for
+        bit, the same objective with all three stages run as the primitive
+        chains they fuse."""
+        batch, params = self._chain_case(rng, case)
 
         def grads():
             return g.gradients(lambda leaves: guv_fit.objective(leaves, batch)[0],
@@ -410,10 +432,15 @@ class TestObjective:
             calls.append("triplane")
             return triplane_chain(*args)
 
+        def chain_frame(*args):
+            calls.append("frame")
+            return gaussian_frame_chain(*args)
+
         monkeypatch.setattr(render, "mlp_forward", chain_mlp_forward)
         monkeypatch.setattr(render, "_triplane_features", chain_triplane)
+        monkeypatch.setattr(g, "gaussian_frame", chain_frame)
         chained = grads()
-        assert calls == ["triplane", "mlp"]
+        assert calls == ["frame", "triplane", "mlp"]
         assert set(fused) == set(chained)
         for name in fused:
             np.testing.assert_array_equal(fused[name], chained[name], err_msg=name)

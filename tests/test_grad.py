@@ -7,8 +7,8 @@ from guv.errors import InvalidArgumentError, NumericFailureError
 from guv.grad import (AdamWState, FDGroupReport, ParamSet, adamw_state,
                       adamw_step, fd_check, gradients)
 
-from reference import (finite_diff, matmul_last, mlp_chain, sigmoid, stack,
-                       triplane_chain)
+from reference import (cos, finite_diff, gaussian_frame_chain, matmul_last,
+                       mlp_chain, sigmoid, sin, stack, take, triplane_chain)
 
 
 def _check_op(build_loss, x0, rtol=1e-6, atol=1e-9):
@@ -63,8 +63,8 @@ class TestElementwiseOps:
         _check_op(lambda x: g.sum(g.mul(g.neg(x), self.w)), self._x())
         _check_op(lambda x: g.sum(g.mul(g.exp(x), self.w)), self._x())
         _check_op(lambda x: g.sum(g.mul(g.log1p(x), self.w)), self._x(-0.5, 0.5))
-        _check_op(lambda x: g.sum(g.mul(g.sin(x), self.w)), self._x(-3, 3))
-        _check_op(lambda x: g.sum(g.mul(g.cos(x), self.w)), self._x(-3, 3))
+        _check_op(lambda x: g.sum(g.mul(sin(x), self.w)), self._x(-3, 3))
+        _check_op(lambda x: g.sum(g.mul(cos(x), self.w)), self._x(-3, 3))
         _check_op(lambda x: g.sum(g.mul(sigmoid(x), self.w)), self._x(-4, 4))
 
     def test_kinked_ops_away_from_kinks(self):
@@ -171,12 +171,12 @@ class TestShapeOps:
     def test_take_accumulates_repeated_rows(self):
         idx = np.array([[0, 0], [1, 3]])
         w = self.rng.standard_normal((2, 2, 3))
-        _check_op(lambda x: g.sum(g.mul(g.take(x, idx), w)),
+        _check_op(lambda x: g.sum(g.mul(take(x, idx), w)),
                   self.rng.standard_normal((4, 3)))
         # direct: gradient of sum(take(x, [0,0,1])) is bincount of indices
         params = ParamSet({"x": np.ones(4)}, {"x": 1.0})
         got = gradients(
-            lambda leaves: g.sum(g.take(leaves["x"], np.array([0, 0, 1]))), params
+            lambda leaves: g.sum(take(leaves["x"], np.array([0, 0, 1]))), params
         )
         np.testing.assert_array_equal(got.groups["x"], [2.0, 1.0, 0.0, 0.0])
 
@@ -217,10 +217,10 @@ class TestShapeOps:
 
 
 # the name each public op records on the tape (absolute records "abs")
-_OP_NAMES = ["add", "sub", "mul", "div", "neg", "exp", "log1p", "sin", "cos",
-             "relu", "abs", "clip", "sum", "cumsum", "matmul", "mixdown",
-             "take", "getitem", "reshape", "broadcast_to", "concatenate",
-             "shading_mlp", "triplane_sample"]
+_OP_NAMES = ["add", "sub", "mul", "div", "neg", "exp", "log1p", "relu", "abs",
+             "clip", "sum", "cumsum", "matmul", "mixdown", "getitem", "reshape",
+             "broadcast_to", "concatenate", "shading_mlp", "triplane_sample",
+             "gaussian_frame"]
 
 _Y = np.array([[0.3, 0.7, 1.2], [0.5, 0.9, 1.4]])
 _RNG = np.random.default_rng(11)
@@ -228,6 +228,8 @@ _MLP = (_RNG.standard_normal((3, 5)), _RNG.standard_normal(5),
         _RNG.standard_normal((5, 4)), _RNG.standard_normal(4))
 _PAYLOAD = _RNG.standard_normal((2 * 3 * 2 * 2, 4))   # N=2, S=2, C=4
 _IDX = np.array([[0, 1, 0], [1, 1, 0]])
+_POSE = (0.5 * _RNG.standard_normal((2, 3)), 0.2 + 0.1 * _RNG.uniform(size=(2, 3)))
+_TDIR = 0.4 * _RNG.standard_normal((2, 3))
 
 # each op called with its differentiated input x, of _Y's shape
 _OPS = {
@@ -238,8 +240,6 @@ _OPS = {
     "neg": g.neg,
     "exp": g.exp,
     "log1p": g.log1p,
-    "sin": g.sin,
-    "cos": g.cos,
     "relu": g.relu,
     "abs": g.absolute,
     "clip": lambda x: g.clip(x, 0.4, 1.0),
@@ -247,7 +247,6 @@ _OPS = {
     "cumsum": g.cumsum,
     "matmul": lambda x: g.matmul(x, _Y.T),
     "mixdown": lambda x: g.mixdown(x, np.stack([_Y] * 4, axis=-1)),
-    "take": lambda x: g.take(x, [1, 0, 1]),
     "getitem": lambda x: g.getitem(x, (slice(None), 1)),
     "reshape": lambda x: g.reshape(x, (3, 2)),
     "broadcast_to": lambda x: g.broadcast_to(x, (4, 2, 3)),
@@ -255,6 +254,8 @@ _OPS = {
     "shading_mlp": lambda x: g.shading_mlp(x, *_MLP),
     "triplane_sample": lambda x: g.triplane_sample(_PAYLOAD, 2, _IDX, x,
                                                    -0.5 * _Y, _Y - 1.0),
+    "gaussian_frame": lambda x: g.gaussian_frame(x, *_POSE, _Y[0], _TDIR, _IDX,
+                                                 5.0, 1.0),
 }
 
 
@@ -276,7 +277,7 @@ class TestOpProtocol:
 
     def test_table_covers_every_documented_name(self):
         assert list(_OPS) == _OP_NAMES
-        assert len(_OP_NAMES) == 23
+        assert len(_OP_NAMES) == 21
 
     def test_plain_arrays_return_ndarrays_and_record_nothing(self):
         def loss(leaves):
@@ -347,6 +348,30 @@ def _triplane_inputs(rng, lead, s, n=5, c=8, kinks=True):
     return inputs, rng.integers(0, n, size=lead)
 
 
+def _frame_inputs(rng, lead, n=5, k=3, kinks=True):
+    """Gaussian-frame leaves and (origin, tdir, idx): ids repeat among the K
+    neighbours, and each point lies near its first neighbour. With kinks,
+    Gaussians 0 and 1 have zero angles and dyadic poses, and three points
+    sit where y / (3 r) is exactly +1 or -1 on every axis."""
+    centers = 0.25 * rng.standard_normal((n, 3))
+    rotations = rng.uniform(-np.pi, np.pi, size=(n, 3))
+    radii = rng.uniform(0.05, 0.2, size=(n, 3))
+    origin = np.array([0.5, 0.25, -0.25])
+    idx = rng.integers(0, n, size=lead + (k,))
+    tdir = (centers[idx[..., 0]] - origin
+            + radii[idx[..., 0]] * rng.standard_normal(lead + (3,)))
+    if kinks:
+        centers[:2] = [[0.25, -0.5, 0.125], [-0.375, 0.0, 0.5]]
+        rotations[:2] = 0.0
+        radii[:2] = [[0.0625, 0.125, 0.25], [0.125, 0.0625, 0.125]]
+        rows, points = idx.reshape(-1, k), tdir.reshape(-1, 3)
+        for row, gid, sign in ((0, 0, 1.0), (3, 1, -1.0), (7, 0, -1.0)):
+            rows[row, 0] = gid
+            points[row] = centers[gid] - origin + sign * 3.0 * radii[gid] * [1, -1, 1]
+    return ({"centers": centers, "rotations": rotations, "radii": radii},
+            (origin, tdir, idx))
+
+
 def _run(op, inputs: dict, m):
     """op's output on the inputs as tape leaves, and the gradient of
     sum(op * m) for every input."""
@@ -370,8 +395,9 @@ def _assert_same(op, ref, inputs, m):
 
 
 class TestFusedOps:
-    """shading_mlp and triplane_sample against the primitive chains they
-    fuse (tests/reference.py): the same value and gradients, bit for bit."""
+    """shading_mlp, triplane_sample and gaussian_frame against the primitive
+    chains they fuse (tests/reference.py): the same value and gradients, bit
+    for bit."""
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_shading_mlp_is_the_chain_bit_for_bit(self, rng, k):
@@ -394,6 +420,28 @@ class TestFusedOps:
 
         _assert_same(bind(g.triplane_sample), bind(triplane_chain), inputs,
                      rng.standard_normal((4, 5, k, 8)))
+
+    @pytest.mark.parametrize("aliased", [False, True])
+    def test_gaussian_frame_is_the_chain_bit_for_bit(self, rng, aliased):
+        """Values and pose gradients equal the chain's, with u's exactly on
+        the clip's kinks and ids repeated among the K neighbours; aliased,
+        one leaf is the centres, angles and radii at once, so the order in
+        which the three gathers' gradients reach it shows."""
+        inputs, (origin, tdir, idx) = _frame_inputs(rng, (4, 5))
+        frame = g.gaussian_frame(*inputs.values(), origin, tdir, idx, 5.0, 1.0)
+        assert np.any(frame[1:] == 1.0) and np.any(frame[1:] == -1.0)
+        assert any(len(set(ids)) < len(ids) for ids in idx.reshape(-1, 3))
+        if aliased:
+            inputs = {"x": inputs["radii"]}
+
+        def bind(fn):
+            if aliased:
+                return lambda x: fn(x, x, x, origin, tdir, idx, 5.0, 1.0)
+            return lambda **pose: fn(**pose, origin=origin, tdir=tdir, idx=idx,
+                                     eta=5.0, tau=1.0)
+
+        _assert_same(bind(g.gaussian_frame), bind(gaussian_frame_chain), inputs,
+                     rng.standard_normal((4, 4, 5, 3)))
 
     @pytest.mark.parametrize("n", [1, 96, 24_576])
     def test_rows_match_the_whole_batch(self, rng, n):
@@ -450,6 +498,18 @@ class TestFusedOps:
             assert rep.checked > 0 or (s == 1 and name != "payload_flat"), name
 
 
+    def test_gaussian_frame_fd_check(self, rng):
+        inputs, (origin, tdir, idx) = _frame_inputs(rng, (3, 2), kinks=False)
+        m = rng.standard_normal((4, 3, 2, 3))
+        report = fd_check(
+            lambda leaves: g.sum(g.mul(g.gaussian_frame(
+                leaves["centers"], leaves["rotations"], leaves["radii"], origin,
+                tdir, idx, 5.0, 1.0), m)),
+            ParamSet(inputs, dict.fromkeys(inputs, 1.0)))
+        for name, rep in report.items():
+            assert rep.failures == [] and rep.checked > 0, name
+
+
 class TestGradients:
     def test_quadratic_gradient_is_exact(self, rng):
         x0 = rng.standard_normal((4, 3))
@@ -471,7 +531,7 @@ class TestGradients:
         params = ParamSet({"x": x0}, {"x": 1.0})
 
         def la(leaves):
-            return g.sum(g.mul(g.sin(leaves["x"]), 2.0))
+            return g.sum(g.mul(sin(leaves["x"]), 2.0))
 
         def lb(leaves):
             return g.sum(g.exp(leaves["x"]))

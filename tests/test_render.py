@@ -27,7 +27,8 @@ def _single_gaussian_avatar(center=(0.0, 0.0, 0.0), radii=(1.0, 1.0, 1.0),
                             payload_value=0.0, plane_size=4):
     normals = np.array([[[0.0, 0.0, 1.0]]])
     avatar = init_from_anchors(np.zeros((1, 1, 3)), normals,
-                               np.array([[radii[0]]]), plane_size=plane_size)
+                               np.array([[radii[0]]]), plane_size=plane_size,
+                               channels=8)
     return avatar.replace(
         centers=np.array(center, dtype=np.float64).reshape(1, 1, 3),
         radii=np.array(radii, dtype=np.float64).reshape(1, 1, 3),
@@ -124,7 +125,7 @@ class TestMlpForward:
     def test_random_mlp_hidden_bias_is_drawn(self, rng):
         # zero b1 plus zero payloads would pin every hidden unit at the ReLU
         # kink and freeze payload learning; the init must avoid that
-        mlp = random_mlp(rng)
+        mlp = random_mlp(rng, alpha_bias=0.0)
         assert np.any(mlp.b1 != 0.0)
 
 
@@ -149,7 +150,7 @@ class TestBlendPoint:
         normals = np.zeros((1, 2, 3))
         normals[..., 2] = 1.0
         avatar = init_from_anchors(np.zeros((1, 2, 3)), normals,
-                                   np.ones((1, 2)), plane_size=2)
+                                   np.ones((1, 2)), plane_size=2, channels=8)
         avatar = avatar.replace(radii=np.ones((1, 2, 3)))
         cfg = RenderConfig(knn_k=2)
         x = np.array([1.2, 0.0, 0.0])
@@ -444,7 +445,7 @@ class TestRenderPool:
         from conftest import make_avatar
         avatar = make_avatar(rng, h=1, w=2)   # 2 Gaussians, RenderConfig k=3
         save_avatar(avatar, tmp_path / "a.guv")
-        save_mlp(random_mlp(rng), mlp_sibling(tmp_path / "a.guv"))
+        save_mlp(random_mlp(rng, alpha_bias=0.0), mlp_sibling(tmp_path / "a.guv"))
         save_cameras([self._setup(rng)[2]], tmp_path / "c.json")
         rc = main(["render", str(tmp_path / "a.guv"), "--camera",
                    str(tmp_path / "c.json"), "--out", str(tmp_path / "x.ppm")])
@@ -510,7 +511,7 @@ class TestPayloadGradientFlow:
         normals = np.zeros((2, 2, 3))
         normals[..., 2] = 1.0
         avatar = init_from_anchors(0.1 * rng.standard_normal((2, 2, 3)), normals,
-                                   np.full((2, 2), 0.2), plane_size=2)
+                                   np.full((2, 2), 0.2), plane_size=2, channels=8)
         mlp = random_mlp(rng, alpha_bias=2.0)
         t = sample_distances(0.5, 1.5, rng.uniform(size=(4, 6)))
         dirs = np.tile([0.0, 0.0, 1.0], (4, 1))

@@ -11,11 +11,9 @@ MODULES = ("core", "diffusion", "edit", "fit", "grad", "io_cli", "losses",
 
 SETTABLE = {
     "core.RenderConfig.knn_k", "core.RenderConfig.samples_per_ray",
-    "core.init_from_anchors.channels", "core.init_from_anchors.plane_size",
-    "diffusion.cosine_schedule.steps", "diffusion.inpaint_sample.step_count",
+    "diffusion.inpaint_sample.step_count",
     "diffusion.reverse_sample.step_count",
-    "edit.UVMask.channels", "edit.UVMask.full.channels",
-    "edit.interpolate.selector",
+    "edit.UVMask.channels", "edit.interpolate.selector",
     "fit.Batch.idx", "fit.FitConfig.decay_factor", "fit.FitConfig.decay_step",
     "fit.FitConfig.iterations", "fit.FitConfig.lr_decoder",
     "fit.FitConfig.lr_gaussians", "fit.FitConfig.lr_mlp",
@@ -24,7 +22,6 @@ SETTABLE = {
     "fit.PosedView.mask", "fit.fit_params.config", "fit.fit_params.decoder",
     "fit.fit_scene.callback", "fit.fit_scene.config", "fit.fit_scene.mode",
     "fit.fit_scene.plane_size", "fit.fit_scene.render_cfg",
-    "fit.random_decoder.channels", "fit.random_decoder.plane_size",
     "grad.AdamWState.step", "grad.FDGroupReport.checked",
     "grad.FDGroupReport.excluded", "grad.FDGroupReport.failures",
     "grad.FDGroupReport.max_rel_err", "grad.adamw_step.lr_scale",
@@ -38,8 +35,7 @@ SETTABLE = {
     "io_cli.run_gradient_oracle.seed", "io_cli.toy_reference_scene.grid",
     "io_cli.toy_reference_scene.seed",
     "losses.total_loss.z",
-    "render.march_rays_core.idx", "render.random_mlp.alpha_bias",
-    "render.render_image.seed", "render.stratified_jitter.seed",
+    "render.march_rays_core.idx", "render.render_image.seed",
 }
 
 
@@ -86,7 +82,7 @@ def settable_values() -> set[str]:
 
 
 def test_settable_values_are_listed():
-    assert len(SETTABLE) == 61
+    assert len(SETTABLE) == 53
     got = settable_values()
     assert got == SETTABLE, (
         f"unlisted: {sorted(got - SETTABLE)}; gone: {sorted(SETTABLE - got)}")
