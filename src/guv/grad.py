@@ -323,7 +323,7 @@ def shading_mlp(feat, w1, b1, w2, b2):
         ga *= h > 0
         return (np.einsum("no,io->ni", ga, vw1, optimize=False).reshape(vf.shape),
                 np.einsum("ni,no->io", f2, ga, optimize=False), ga.reshape(lead + (m,)),
-                np.einsum("ni,no->io", h, go.reshape(-1, o), optimize=False), go)
+                np.einsum("ni,no->oi", h, go.reshape(-1, o), optimize=False).T, go)
 
     shared = _shared(grads)
     return _op("shading_mlp", out, *((x, lambda g, k=k: shared(g)[k])

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-_KNN_BLOCK_ROWS = 512    # (ray, sample) rows per block of the KNN distance matrix
+_KNN_BLOCK_ENTRIES = 512 * 4096  # (ray, sample, center) entries per KNN distance block
 
 
 def _check_k(k: int, n: int) -> None:
@@ -52,8 +52,9 @@ def _knn_for_samples(centers_val: np.ndarray, origin: np.ndarray,
     """Neighbor ids (R, J, K) for sample points origin + t * dir, by (d2,
     texel index): np.argsort(_sample_d2 rows, kind="stable")[:, :K], bit for
     bit, expanded around center - origin so that the choice is stable under
-    joint scene/camera translation. Rays go in blocks of ~_KNN_BLOCK_ROWS
-    rows.
+    joint scene/camera translation. Rays go in blocks of as many whole rays
+    as fit in _KNN_BLOCK_ENTRIES distance entries (J N per ray), at least
+    one; the choice is the same at any block size, as every bound is per row.
 
     Prefilter: a batched float32 matmul of rows [1, -2t] with [s0; proj],
     centers ordered so that each of K interleaved groups (column mod K) is
@@ -79,7 +80,7 @@ def _knn_for_samples(centers_val: np.ndarray, origin: np.ndarray,
     perm = np.argsort(np.arange(n) % k, kind="stable")  # group-contiguous order
     starts = np.flatnonzero(np.diff(perm % k, prepend=-1))
     d0p, s0p = delta0[perm].T.copy(), s0[perm]
-    step = max(1, _KNN_BLOCK_ROWS // j)
+    step = max(1, _KNN_BLOCK_ENTRIES // (j * n))
     buf = np.empty((min(step, r), j, n), dtype=np.float32)
     idx = np.empty((r, j, k), dtype=np.int64)
     for a in range(0, r, step):

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guv.core import init_from_anchors
+from guv import spatial
+from guv.core import RenderConfig, init_from_anchors
 from guv.errors import InvalidArgumentError
-from guv.spatial import _KNN_BLOCK_ROWS, _knn_for_samples, _sample_d2
+from guv.io_cli import camera_ring, toy_reference_scene
+from guv.render import render_image
+from guv.spatial import _knn_for_samples, _sample_d2
 
 from reference import brute_force_knn
 
@@ -59,6 +62,21 @@ def _query(avatar, x, k):
                             np.array([[0.0, 0.0, 1.0]]), np.zeros((1, 1)), k)[0, 0]
 
 
+@pytest.fixture
+def block_rows(monkeypatch):
+    """(ray, sample) rows of each prefiltered KNN distance block, as
+    _pick_survivors receives them."""
+    rows = []
+    pick = spatial._pick_survivors
+
+    def counted(r, c, v, m, k):
+        rows.append(m)
+        return pick(r, c, v, m, k)
+
+    monkeypatch.setattr(spatial, "_pick_survivors", counted)
+    return rows
+
+
 def _rays(rng, count, t_lo, t_hi):
     """count random unit directions with 32 sample distances each."""
     dirs = rng.standard_normal((count, 3))
@@ -78,20 +96,23 @@ def _lexsort_knn(centers, origin, dirs, t, k):
 class TestSampleKnn:
     """The renderer's float32 prefilter against the dense float64 order."""
 
-    def test_ray_samples_match_lexsort_across_blocks(self, rng):
-        # enough (ray, sample) rows for several distance blocks; duplicated
+    def test_ray_samples_match_lexsort_across_blocks(self, rng, monkeypatch,
+                                                     block_rows):
+        # 16-ray distance blocks, so each call spans 5 of them; duplicated
         # centers give exact d2 ties
         centers = rng.uniform(-1, 1, size=(300, 3))
         centers[10:40] = centers[100:130]
         origin = np.array([0.1, -2.0, 0.3])
         dirs, t = _rays(rng, 70, 0.5, 3.5)
-        assert t.size > 2 * _KNN_BLOCK_ROWS
+        monkeypatch.setattr(spatial, "_KNN_BLOCK_ENTRIES", 16 * t.shape[1] * 300)
         for k in (1, 3, 8):
             got = _knn_for_samples(centers, origin, dirs, t, k)
             np.testing.assert_array_equal(got.reshape(-1, k),
                                           _lexsort_knn(centers, origin, dirs, t, k))
+        assert len(block_rows) == 3 * 5
 
-    def test_float32_near_ties_match_lexsort(self, rng, dense_calls):
+    def test_float32_near_ties_match_lexsort(self, rng, dense_calls, monkeypatch,
+                                             block_rows):
         # every sample sits 12.5 from the origin on one axis, and the
         # centers on a sphere of radius 87.5 around it, within 0.05 rad of
         # the far pole, so |center - origin| ~ 100: all d2 are equal up to
@@ -109,32 +130,91 @@ class TestSampleKnn:
         origin = np.zeros(3)
         dirs = np.tile(axis, (70, 1))
         t = 12.5 + rng.uniform(-1e-7, 1e-7, size=(70, 32))
-        assert t.size > 2 * _KNN_BLOCK_ROWS
+        # 16-ray distance blocks: each call spans 5 of them
+        monkeypatch.setattr(spatial, "_KNN_BLOCK_ENTRIES", 16 * t.shape[1] * 300)
         for k in (1, 3, 8):
             got = _knn_for_samples(centers, origin, dirs, t, k)
             np.testing.assert_array_equal(got.reshape(-1, k),
                                           _lexsort_knn(centers, origin, dirs, t, k))
         assert dense_calls == []
+        assert len(block_rows) == 3 * 5
 
     @pytest.mark.parametrize("scale, bad", [(1.0, np.inf), (1.0, -np.inf),
                                             (1.0, np.nan), (1e20, 0.5)])
     def test_non_finite_or_huge_centers_take_the_dense_path(
-            self, rng, dense_calls, scale, bad):
+            self, rng, dense_calls, monkeypatch, scale, bad):
         # centers at ~1e20 square past float32's range; the result must be
         # the dense order, not a selection from overflowed float32 rows.
         # Duplicated centers tie exactly, so the dense sort must be stable.
+        # 16-ray blocks split each call in two, so 4 dense calls are every
+        # block of both calls.
         centers = rng.uniform(-1, 1, size=(40, 3))
         centers[20:36] = centers[:16]
         centers[7, 1] = bad
         centers *= scale
         origin = np.array([0.1, -2.0, 0.3])
         dirs, t = _rays(rng, 20, 0.5, 3.5)
+        monkeypatch.setattr(spatial, "_KNN_BLOCK_ENTRIES", 16 * t.shape[1] * 40)
         with np.errstate(invalid="ignore", over="ignore"):
             for k in (1, 3):
                 got = _knn_for_samples(centers, origin, dirs, t, k)
                 want = _lexsort_knn(centers, origin, dirs, t, k)
                 np.testing.assert_array_equal(got.reshape(-1, k), want)
         assert len(dense_calls) == 4
+
+    @pytest.mark.parametrize("n", [64, 300, 1024])
+    def test_block_size_changes_no_index(self, rng, monkeypatch, n):
+        # one block per call at the default budget, then 3 rays and 1 ray
+        # per block; the last 20 centers duplicate the first 20 exactly
+        centers = rng.uniform(-1, 1, size=(n, 3))
+        centers[n - 20:] = centers[:20]
+        origin = np.array([0.1, -2.0, 0.3])
+        dirs, t = _rays(rng, 40, 0.5, 3.5)
+        j = t.shape[1]
+        assert t.size * n <= spatial._KNN_BLOCK_ENTRIES
+        for budget in (spatial._KNN_BLOCK_ENTRIES, 3 * j * n, j * n):
+            monkeypatch.setattr(spatial, "_KNN_BLOCK_ENTRIES", budget)
+            for k in (1, 3, 8):
+                got = _knn_for_samples(centers, origin, dirs, t, k)
+                np.testing.assert_array_equal(got.reshape(-1, k),
+                                              _lexsort_knn(centers, origin, dirs, t, k))
+
+    @pytest.mark.parametrize("budget, rays", [(5 * 32 * 50 + 31, 5),
+                                              (32 * 50 - 1, 1), (1, 1)])
+    def test_blocks_keep_to_the_entry_budget(self, rng, monkeypatch, block_rows,
+                                             budget, rays):
+        # whole rays per block, as many as the budget holds; one ray when a
+        # ray's J N entries alone exceed it
+        centers = rng.uniform(-1, 1, size=(50, 3))
+        dirs, t = _rays(rng, 23, 0.5, 3.5)
+        monkeypatch.setattr(spatial, "_KNN_BLOCK_ENTRIES", budget)
+        _knn_for_samples(centers, np.array([0.1, -2.0, 0.3]), dirs, t, 3)
+        assert block_rows[:-1] == [rays * 32] * (len(block_rows) - 1)
+        assert 0 < block_rows[-1] <= rays * 32 and sum(block_rows) == t.size
+        assert max(block_rows) * 50 <= max(budget, 32 * 50)
+
+    @pytest.mark.parametrize("rays", [128, 256])
+    def test_render_chunk_and_fit_batch_are_one_block_at_n64(self, rng,
+                                                             block_rows, rays):
+        # a 128-ray render chunk and a 256-ray fit batch, J = 32, N = 64
+        centers = rng.uniform(-1, 1, size=(64, 3))
+        dirs, t = _rays(rng, rays, 0.5, 3.5)
+        _knn_for_samples(centers, np.array([0.1, -2.0, 0.3]), dirs, t, 3)
+        assert block_rows == [rays * 32]
+
+    def test_render_frame_is_bit_identical_at_one_ray_per_block(
+            self, monkeypatch, block_rows):
+        avatar, mlp = toy_reference_scene("checker-sphere", grid=8, seed=7)
+        cam, cfg = camera_ring(16, 16)[3], RenderConfig()
+        want = render_image(avatar, mlp, cam, cfg, seed=5)
+        assert block_rows == [128 * cfg.samples_per_ray] * 2
+        block_rows.clear()
+        monkeypatch.setattr(spatial, "_KNN_BLOCK_ENTRIES",
+                            cfg.samples_per_ray * avatar.count)
+        got = render_image(avatar, mlp, cam, cfg, seed=5)
+        assert block_rows == [cfg.samples_per_ray] * 256
+        for name in ("color", "depth", "alpha"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 @st.composite
