@@ -16,7 +16,7 @@ import numpy as np
 from . import grad as g
 from .core import RenderConfig, UVAvatar, init_from_anchors
 from .errors import InvalidArgumentError, NumericFailureError
-from .grad import ParamSet, adamw_state, adamw_step, gradients
+from .grad import adamw_state, adamw_step, gradients
 from .losses import total_loss
 from .render import (BACKGROUND, RenderMLP, march_rays_core, random_mlp,
                      sample_distances)
@@ -26,6 +26,10 @@ CHANNELS = 8          # payload channels, the features the shading head reads
 MLP_ALPHA_BIAS = 2.0  # the fitted shading head's initial opacity logit
 DECODER_HIDDEN = 128
 _DECODER_WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
+# the training recipe's per-group learning rates; LR_PAYLOAD is the
+# free-payload rate of direct mode, which the recipe does not name (it has
+# no free payloads)
+LR_Z, LR_DECODER, LR_GAUSSIANS, LR_MLP, LR_PAYLOAD = 0.05, 0.0025, 1e-5, 5e-2, 2e-2
 
 
 @dataclass(frozen=True)
@@ -60,23 +64,15 @@ class PosedView:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimization knobs; the per-group rates follow the training recipe
-    (z 0.05, decoder 0.0025, gaussians 1e-5, shading head 5e-2), with a decay
-    of all rates by a fixed factor after decay_step iterations.
+    """Optimization knobs: the iteration count, the patch side, the seed,
+    and a decay of every group's rate (the LR_* constants) by decay_factor
+    from iteration decay_step on."""
 
-    lr_payload is the free-payload rate for direct mode, which the recipe
-    does not name (it has no free payloads)."""
-
-    iterations: int = 400
-    patch_size: int = 36
-    lr_z: float = 0.05
-    lr_decoder: float = 0.0025
-    lr_gaussians: float = 1e-5
-    lr_mlp: float = 5e-2
-    lr_payload: float = 2e-2
+    iterations: int
+    patch_size: int
+    seed: int
     decay_step: int = 100_000
     decay_factor: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -84,9 +80,6 @@ class FitConfig:
                 f"iterations must be >= 1, got {self.iterations}")
         if self.patch_size < 1:
             raise InvalidArgumentError("patch_size must be >= 1")
-        for name in ("lr_z", "lr_decoder", "lr_gaussians", "lr_mlp", "lr_payload"):
-            if getattr(self, name) < 0:
-                raise InvalidArgumentError(f"{name} must be >= 0")
         if self.decay_step < 1:
             raise InvalidArgumentError("decay_step must be >= 1")
         if not (0.0 < self.decay_factor <= 1.0):
@@ -233,29 +226,22 @@ def _mlp_from_groups(groups: dict) -> RenderMLP:
 
 
 def fit_params(avatar: UVAvatar, mlp: RenderMLP,
-               decoder: LatentDecoder | None = None,
-               config: FitConfig = FitConfig()) -> ParamSet:
+               decoder: LatentDecoder | None) -> dict:
     """The objective's parameter groups, copied: the avatar's pose grids,
     the shading head, then either the avatar's payloads as free entries
-    (decoder None) or the decoder's code and weights. Rates come from
-    config."""
+    (decoder None) or the decoder's code and weights."""
     groups = {"centers": avatar.centers.copy(),
               "rotations": avatar.rotations.copy(),
               "radii": avatar.radii.copy()}
-    lrs = dict.fromkeys(groups, config.lr_gaussians)
     for name in ("w1", "b1", "w2", "b2"):
         groups[name] = getattr(mlp, name).copy()
-        lrs[name] = config.lr_mlp
     if decoder is None:
         groups["payloads"] = avatar.payloads.copy()
-        lrs["payloads"] = config.lr_payload
     else:
         groups["z"] = decoder.z.copy()
-        lrs["z"] = config.lr_z
         for name in _DECODER_WEIGHTS:
             groups["dec_" + name] = getattr(decoder, name).copy()
-            lrs["dec_" + name] = config.lr_decoder
-    return ParamSet(groups, lrs)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -312,19 +298,20 @@ def fit_scene(
     anchors: np.ndarray,
     anchor_normals: np.ndarray,
     anchor_scales: np.ndarray,
-    config: FitConfig = FitConfig(),
-    mode: str = "direct",
-    render_cfg: RenderConfig | None = None,
-    plane_size: int = 8,
+    config: FitConfig,
+    mode: str,
+    render_cfg: RenderConfig,
+    plane_size: int,
     callback=None,
 ) -> FitResult:
     """Jointly optimize pose grids, payloads (free or decoded), and the
     shading head against the posed views.
 
     Each iteration renders one random patch of one random view and takes an
-    AdamW step on the full objective. render_cfg overrides the samples per
-    ray and the neighbor count K (for ablations); plane_size=1 is the
-    feature-vector ablation. Divergence raises with the iteration index.
+    AdamW step on the full objective, at the LR_* rate of each group.
+    render_cfg holds the samples per ray and the neighbor count K;
+    plane_size=1 is the feature-vector ablation. Divergence raises with
+    the iteration index.
     Fixed config.seed gives a bit-identical loss history; in latent mode
     only at a fixed BLAS thread count, since the decoder's matmul rounds
     differently with the thread count.
@@ -337,13 +324,10 @@ def fit_scene(
     for v in views:
         if v.image.shape != shape0:
             raise InvalidArgumentError("all views must share image dims")
-    if config.patch_size > min(shape0[0], shape0[1]):
-        raise InvalidArgumentError("patch_size exceeds image size")
-    cfg = render_cfg if render_cfg is not None else RenderConfig()
     grid_h, grid_w = np.shape(anchors)[:2]
-    if cfg.knn_k > grid_h * grid_w:
+    if render_cfg.knn_k > grid_h * grid_w:
         raise InvalidArgumentError(
-            f"knn_k={cfg.knn_k} exceeds the {grid_h}x{grid_w} = "
+            f"knn_k={render_cfg.knn_k} exceeds the {grid_h}x{grid_w} = "
             f"{grid_h * grid_w} Gaussians of the anchor grid"
         )
 
@@ -353,7 +337,11 @@ def fit_scene(
     mlp0 = random_mlp(rng, alpha_bias=MLP_ALPHA_BIAS)
     decoder0 = (random_decoder(rng, grid_h, grid_w, plane_size, CHANNELS)
                 if mode == "latent" else None)
-    params = fit_params(avatar0, mlp0, decoder0, config)
+    params = fit_params(avatar0, mlp0, decoder0)
+    lrs = dict.fromkeys(("centers", "rotations", "radii"), LR_GAUSSIANS)
+    lrs.update(dict.fromkeys(("w1", "b1", "w2", "b2"), LR_MLP),
+               payloads=LR_PAYLOAD, z=LR_Z,
+               **{"dec_" + k: LR_DECODER for k in _DECODER_WEIGHTS})
     state = adamw_state(params)
 
     dir_grids = [v.camera.ray_directions() for v in views]
@@ -366,7 +354,7 @@ def fit_scene(
         window = (slice(top, top + config.patch_size),
                   slice(left, left + config.patch_size))
         dirs = dir_grids[view_i][window].reshape(-1, 3)
-        jitter = rng.uniform(size=(dirs.shape[0], cfg.samples_per_ray))
+        jitter = rng.uniform(size=(dirs.shape[0], render_cfg.samples_per_ray))
         t = sample_distances(view.camera.near, view.camera.far, jitter)
 
         patch_img = view.image[window].reshape(-1, 3)
@@ -379,7 +367,7 @@ def fit_scene(
                 view.image[window], view.mask[window], BACKGROUND
             ).reshape(-1, 3)
 
-        batch = Batch(origin=view.camera.origin, dirs=dirs, t=t, cfg=cfg,
+        batch = Batch(origin=view.camera.origin, dirs=dirs, t=t, cfg=render_cfg,
                       targets=tgts, anchors=anchors, plane_size=plane_size)
 
         def evaluator(leaves: dict):
@@ -394,27 +382,26 @@ def fit_scene(
         except NumericFailureError as e:
             raise NumericFailureError(f"iteration {it}: {e}") from e
         lr_scale = config.decay_factor if it >= config.decay_step else 1.0
-        adamw_step(params, grads, state, lr_scale)
+        adamw_step(params, grads, state, lrs, lr_scale)
         # keep radii strictly positive; the influence kernel divides by them
-        np.maximum(params.groups["radii"], 1e-4, out=params.groups["radii"])
+        np.maximum(params["radii"], 1e-4, out=params["radii"])
         history.append(captured["loss"])
         if callback is not None:
-            callback(it, captured["loss"], params.groups)
+            callback(it, captured["loss"], params)
 
-    final_groups = params.groups
     decoder = None
     if mode == "latent":
         decoder = dataclasses.replace(
-            decoder0, z=final_groups["z"],
-            **{k: final_groups["dec_" + k] for k in _DECODER_WEIGHTS},
+            decoder0, z=params["z"],
+            **{k: params["dec_" + k] for k in _DECODER_WEIGHTS},
         )
         payloads = decode_payloads(decoder)
     else:
-        payloads = final_groups["payloads"]
+        payloads = params["payloads"]
     avatar = UVAvatar(
-        centers=final_groups["centers"],
-        rotations=final_groups["rotations"],
-        radii=final_groups["radii"],
+        centers=params["centers"],
+        rotations=params["rotations"],
+        radii=params["radii"],
         payloads=payloads,
         anchors=avatar0.anchors,
         anchor_normals=avatar0.anchor_normals,
@@ -422,7 +409,7 @@ def fit_scene(
     )
     return FitResult(
         avatar=avatar,
-        mlp=_mlp_from_groups(final_groups),
+        mlp=_mlp_from_groups(params),
         decoder=decoder,
         loss_history=np.asarray(history, dtype=np.float64),
         final_breakdown=captured["breakdown"],

@@ -761,10 +761,6 @@ def run_gradient_oracle(mode: str = "direct", seed: int = 0) -> dict:
 
 
 def check_grad(seed: int = 1) -> list[str]:
-    # seed picked so no clip/relu slope break straddles an FD window: the
-    # one-sided detector only catches breaks that shift a one-sided slope
-    # by more than 5%, and a break sitting asymmetrically inside the window
-    # can evade it while still skewing the central difference
     lines = []
     for mode in ("direct", "latent"):
         reports = run_gradient_oracle(mode, seed=seed)
@@ -935,12 +931,13 @@ def _read_flag(flag: str, load, path):
 
 def cmd_render(args) -> int:
     avatar = load_avatar(args.avatar)
-    mlp_path = args.mlp if args.mlp else mlp_sibling(args.avatar)
-    if not os.path.exists(mlp_path):
+    if args.mlp is not None:
+        mlp = _read_flag("--mlp", load_mlp, args.mlp)
+    elif os.path.exists(mlp_sibling(args.avatar)):
+        mlp = load_mlp(mlp_sibling(args.avatar))
+    else:
         raise InvalidArgumentError(
-            f"no shading network at {mlp_path}; pass --mlp"
-        )
-    mlp = load_mlp(mlp_path)
+            f"no shading network at {mlp_sibling(args.avatar)}; pass --mlp")
     cams = _read_flag("--camera", load_cameras, args.camera)
     if args.view >= len(cams):
         raise InvalidArgumentError(f"view {args.view} out of range: camera "
@@ -961,21 +958,19 @@ def cmd_render(args) -> int:
 
 def cmd_edit(args) -> int:
     avatar = load_avatar(args.target)
-    if args.transfer:
+    if args.transfer is not None:
         channels = args.channels or "both"
-        source = load_avatar(args.transfer)
+        source = _read_flag("--transfer", load_avatar, args.transfer)
         grid = _read_flag("--mask", read_mask, args.mask)
         out = region_transfer(avatar, source,
                               UVMask(grid=grid, channels=_selector(channels)))
         what = f"transfer {channels} from {args.transfer}"
     else:
-        path = args.expr
-        if path.endswith(".guva"):
-            verts, _, _ = load_anchor_grid(path)
-        else:
-            verts = load_avatar(path).anchors
+        verts = _read_flag("--expr", lambda path: load_anchor_grid(path)[0]
+                           if path.endswith(".guva") else load_avatar(path).anchors,
+                           args.expr)
         out = apply_expression_offset(avatar, verts)
-        what = f"expression offset from {path}"
+        what = f"expression offset from {args.expr}"
     save_avatar(out, args.out)
     sib = mlp_sibling(args.target)
     if os.path.exists(sib):
@@ -994,7 +989,8 @@ def cmd_diffuse(args) -> int:
                                     template.anchor_scales)
         s, c = _check_plane_size(template.plane_size), template.channels
     else:
-        anchors, normals, scales = load_anchor_grid(args.anchors)
+        anchors, normals, scales = _read_flag("--anchors", load_anchor_grid,
+                                              args.anchors)
         s, c = args.plane_size or 8, args.payload_channels or 8
     if args.action == "sample":
         h, w = anchors.shape[:2]

@@ -34,7 +34,7 @@ from guv.core import (RenderConfig, UVAvatar, _frozen, _rotation_entries,
 from guv.errors import InvalidArgumentError
 from guv import grad as g
 from guv.diffusion import _timesteps, posterior_params, q_sample
-from guv.grad import ParamSet, default_step, value
+from guv.grad import default_step, value
 from guv.render import (BACKGROUND, ETA, TAU, RenderMLP, _shade, avatar_arrays,
                         mlp_arrays)
 from guv.spatial import _check_k
@@ -197,14 +197,14 @@ def composite_ray(colors: np.ndarray, alphas: np.ndarray, ts: np.ndarray
     return color, depth, acc
 
 
-def finite_diff(loss_evaluator, params: ParamSet, h: float | None = None) -> ParamSet:
+def finite_diff(loss_evaluator, params: dict, h: float | None = None) -> dict:
     """Central-difference gradient (L(t+h) - L(t-h)) / 2h per scalar.
 
     h=None uses fd_check's per-scalar step 1e-5 * max(1, |theta|).
     Exhaustive, meant for small parameter sets.
     """
-    work = {k: v.copy() for k, v in params.groups.items()}
-    grads = {k: np.zeros_like(v) for k, v in params.groups.items()}
+    work = {k: v.copy() for k, v in params.items()}
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
     for name, arr in work.items():
         flat = arr.reshape(-1)
         gflat = grads[name].reshape(-1)
@@ -217,7 +217,7 @@ def finite_diff(loss_evaluator, params: ParamSet, h: float | None = None) -> Par
             fm = float(value(loss_evaluator(work)))
             flat[i] = theta
             gflat[i] = (fp - fm) / (2.0 * hi)
-    return ParamSet(grads, dict(params.lrs))
+    return grads
 
 
 def sin(x):

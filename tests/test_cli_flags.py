@@ -102,6 +102,23 @@ REQUIRED = {
     (("diffuse", "inpaint"), "--mask"): ("{mask2}", "{junk}"),
 }
 
+# a run in which each optional flag that reads a file is given the file
+# {bad}: a file of junk, a missing one or the empty path
+FILE_FLAGS = {
+    (("render",), "--mlp"): ["render", "{ds}/reference.guv", "--camera",
+                             "{ds}/cameras.json", "--mlp", "{bad}", "--out", "o.ppm"],
+    (("edit",), "--transfer"): ["edit", "{ds}/reference.guv", "--transfer", "{bad}",
+                                "--mask", "{mask}", "--out", "o.guv"],
+    (("edit",), "--mask"): ["edit", "{ds}/reference.guv", "--transfer", "{other}",
+                            "--mask", "{bad}", "--out", "o.guv"],
+    (("edit",), "--expr"): ["edit", "{ds}/reference.guv", "--expr", "{bad}",
+                            "--out", "o.guv"],
+    (("diffuse", "sample"), "--like"): ["diffuse", "sample", "--like", "{bad}",
+                                        "--steps", "4", "--out", "o.guv"],
+    (("diffuse", "sample"), "--anchors"): ["diffuse", "sample", "--anchors", "{bad}",
+                                           "--steps", "4", "--out", "o.guv"],
+}
+
 
 @pytest.fixture(scope="module")
 def toy(tmp_path_factory):
@@ -112,8 +129,10 @@ def toy(tmp_path_factory):
                  "--resolution", "8", "--grid", "2"]) == 0
     ref = load_avatar(ds / "reference.guv")
     names = {"ds": ds}
-    for name in ("other", "mlp", "anchors", "mask", "mask2", "cams2", "junk"):
+    for name in ("other", "mlp", "anchors", "mask", "mask2", "cams2", "junk",
+                 "missing"):
         names[name] = root / name
+    names["empty"] = ""
     save_avatar(ref.replace(centers=ref.centers + 0.01,
                             payloads=ref.payloads + 0.5), names["other"])
     save_mlp(random_mlp(np.random.default_rng(0), alpha_bias=0.0), names["mlp"])
@@ -198,3 +217,14 @@ def test_required_flag_changes_output_or_exits_two_naming_itself(
     argv[argv.index(flag) + 1] = malformed
     code, _, err, files = _run(argv, toy, tmp_path / "malformed", capsys)
     assert code == 2 and f"argument {flag}:" in err and files == {}
+
+
+@pytest.mark.parametrize("bad", ["junk", "missing", "empty"])
+@pytest.mark.parametrize("path, flag", sorted(FILE_FLAGS),
+                         ids=[" ".join(path + (flag,)) for path, flag in sorted(FILE_FLAGS)])
+def test_bad_file_flag_exits_two_naming_itself(toy, tmp_path, capsys, path, flag,
+                                               bad):
+    argv = [a.replace("{bad}", "{" + bad + "}") for a in FILE_FLAGS[(path, flag)]]
+    code, _, err, files = _run(argv, toy, tmp_path / "run", capsys)
+    assert code == 2 and files == {}
+    assert f"argument {flag}: " in err and toy["paths"][bad] in err

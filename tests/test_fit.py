@@ -73,28 +73,27 @@ def _fit(views, rng, iterations, mode="direct", **kw):
 
 class TestFitConfig:
     def test_defaults(self):
-        cfg = FitConfig()
-        assert cfg.iterations == 400
-        assert cfg.patch_size == 36
-        assert cfg.lr_z == 0.05
-        assert cfg.lr_decoder == 0.0025
-        assert cfg.lr_gaussians == 1e-5
-        assert cfg.lr_mlp == 5e-2
+        # the training recipe's rates, and no decay within a default fit
+        assert guv_fit.LR_Z == 0.05
+        assert guv_fit.LR_DECODER == 0.0025
+        assert guv_fit.LR_GAUSSIANS == 1e-5
+        assert guv_fit.LR_MLP == 5e-2
+        assert guv_fit.LR_PAYLOAD == 2e-2
+        cfg = FitConfig(iterations=1, **FAST)
+        assert cfg.decay_step == 100_000
         assert cfg.decay_factor == 0.5
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError, match="iterations"):
-            FitConfig(iterations=-1)
+            FitConfig(iterations=-1, **FAST)
         with pytest.raises(InvalidArgumentError, match="iterations must be >= 1"):
-            FitConfig(iterations=0)
+            FitConfig(iterations=0, **FAST)
         with pytest.raises(InvalidArgumentError, match="patch_size"):
-            FitConfig(patch_size=0)
-        with pytest.raises(InvalidArgumentError, match="lr_mlp"):
-            FitConfig(lr_mlp=-1.0)
+            FitConfig(iterations=1, patch_size=0, seed=3)
         with pytest.raises(InvalidArgumentError, match="decay_step"):
-            FitConfig(decay_step=0)
+            FitConfig(iterations=1, decay_step=0, **FAST)
         with pytest.raises(InvalidArgumentError, match="decay_factor"):
-            FitConfig(decay_factor=0.0)
+            FitConfig(iterations=1, decay_factor=0.0, **FAST)
 
 
 class TestPosedView:
@@ -221,14 +220,14 @@ class TestCompositeBackground:
 
 @pytest.mark.filterwarnings("ignore:depth_loss")
 class TestFitScene:
-    def test_zero_rates_return_init(self, rng):
+    def test_zero_rates_return_init(self, rng, monkeypatch):
         # one step at zero learning rates leaves the seeded initial state
+        for name in ("LR_Z", "LR_DECODER", "LR_GAUSSIANS", "LR_MLP", "LR_PAYLOAD"):
+            monkeypatch.setattr(guv_fit, name, 0.0)
         views = _toy_views(rng)
         anchors, normals, scales = _sphere_anchors(np.random.default_rng(8), 2, 2)
-        cfg = FitConfig(iterations=1, patch_size=4, seed=5, lr_z=0.0,
-                        lr_decoder=0.0, lr_gaussians=0.0, lr_mlp=0.0,
-                        lr_payload=0.0)
-        res = fit_scene(views, anchors, normals, scales, cfg,
+        cfg = FitConfig(iterations=1, patch_size=4, seed=5)
+        res = fit_scene(views, anchors, normals, scales, cfg, mode="direct",
                         render_cfg=FAST_RENDER, plane_size=2)
         ref = init_from_anchors(anchors, normals, scales, 2, 8)
         for name in ("centers", "rotations", "radii", "payloads", "anchors"):
@@ -258,20 +257,22 @@ class TestFitScene:
         assert np.all(np.isfinite(res.loss_history))
         assert set(res.final_breakdown) >= {"l1", "volume", "tv", "mesh"}
 
-    def test_loss_decreases_on_toy_scene(self, rng):
+    def test_loss_decreases_on_toy_scene(self, rng, monkeypatch):
+        monkeypatch.setattr(guv_fit, "LR_PAYLOAD", 5e-2)
         views = _toy_views(rng, count=2, size=6)
-        res = _fit(views, rng, 60, patch_size=6, lr_payload=5e-2)
+        res = _fit(views, rng, 60, patch_size=6)
         first = float(np.mean(res.loss_history[:5]))
         last = float(np.mean(res.loss_history[-5:]))
         assert last < first
 
-    def test_divergence_names_iteration(self, rng, dense_calls):
+    def test_divergence_names_iteration(self, rng, dense_calls, monkeypatch):
         # lr large enough that squared center distances overflow float64;
         # the KNN then leaves its float32 prefilter for the dense path
+        monkeypatch.setattr(guv_fit, "LR_GAUSSIANS", 1e200)
         views = _toy_views(rng)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericFailureError, match="iteration"):
-                _fit(views, rng, 5, lr_gaussians=1e200)
+                _fit(views, rng, 5)
         assert dense_calls
 
     def test_latent_mode_payloads_come_from_decoder(self, rng):
@@ -294,7 +295,7 @@ class TestFitScene:
         views = _toy_views(rng)
         anchors, normals, scales = _sphere_anchors(rng, 2, 2)
         cfg = FitConfig(iterations=2, patch_size=4, seed=1)
-        res = fit_scene(views, anchors, normals, scales, cfg,
+        res = fit_scene(views, anchors, normals, scales, cfg, mode="direct",
                         render_cfg=RenderConfig(knn_k=1, samples_per_ray=4),
                         plane_size=2)
         assert res.loss_history.shape == (2,)
@@ -302,18 +303,22 @@ class TestFitScene:
     def test_validation(self, rng):
         views = _toy_views(rng)
         anchors, normals, scales = _sphere_anchors(rng, 2, 2)
+        cfg = FitConfig(iterations=1, **FAST)
+        kw = dict(render_cfg=FAST_RENDER, plane_size=2)
         with pytest.raises(InvalidArgumentError, match="mode"):
-            fit_scene(views, anchors, normals, scales, FitConfig(),
-                      mode="both")
+            fit_scene(views, anchors, normals, scales, cfg, mode="both", **kw)
         with pytest.raises(InvalidArgumentError, match="one posed view"):
-            fit_scene([], anchors, normals, scales, FitConfig())
-        with pytest.raises(InvalidArgumentError, match="patch_size"):
+            fit_scene([], anchors, normals, scales, cfg, mode="direct", **kw)
+        # sample_patch refuses the patch before the first iteration
+        with pytest.raises(InvalidArgumentError, match="patch 10 exceeds image"):
             fit_scene(views, anchors, normals, scales,
-                      FitConfig(patch_size=10))
+                      FitConfig(iterations=1, patch_size=10, seed=3),
+                      mode="direct", **kw)
 
-    def test_radii_stay_positive(self, rng):
+    def test_radii_stay_positive(self, rng, monkeypatch):
+        monkeypatch.setattr(guv_fit, "LR_GAUSSIANS", 5e-3)
         views = _toy_views(rng)
-        res = _fit(views, rng, 5, lr_gaussians=5e-3)
+        res = _fit(views, rng, 5)
         assert np.all(res.avatar.radii >= 1e-4)
 
 
@@ -325,8 +330,7 @@ class TestMeshDominance:
         offsets = 0.08 * np.where(rng.uniform(size=(2, 2, 3)) < 0.5, -1.0, 1.0)
         rotations = rng.uniform(-0.5, 0.5, size=(2, 2, 3))
         radii = rng.uniform(0.05, 0.15, size=(2, 2, 3))
-        params = g.ParamSet({"centers": anchors + offsets},
-                            {"centers": 1e-3})
+        params = {"centers": anchors + offsets}
         state = g.adamw_state(params)
 
         def evaluator(leaves):
@@ -335,11 +339,11 @@ class TestMeshDominance:
             loss = g.add(loss, volume_loss(radii))
             return g.add(loss, tv_loss(leaves["centers"], rotations, radii))
 
-        dists = [float(np.linalg.norm(params.groups["centers"] - anchors))]
+        dists = [float(np.linalg.norm(params["centers"] - anchors))]
         for _ in range(40):
             grads = g.gradients(evaluator, params)
-            g.adamw_step(params, grads, state)
-            dists.append(float(np.linalg.norm(params.groups["centers"] - anchors)))
+            g.adamw_step(params, grads, state, {"centers": 1e-3}, 1.0)
+            dists.append(float(np.linalg.norm(params["centers"] - anchors)))
         assert dists[-1] < 0.55 * dists[0]
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 
@@ -418,7 +422,7 @@ class TestObjective:
 
         def grads():
             return g.gradients(lambda leaves: guv_fit.objective(leaves, batch)[0],
-                               params).groups
+                               params)
 
         fused = grads()
         calls = []

@@ -4,7 +4,7 @@ import pytest
 
 from guv import grad as g
 from guv.errors import InvalidArgumentError, NumericFailureError
-from guv.grad import (AdamWState, FDGroupReport, ParamSet, adamw_state,
+from guv.grad import (AdamWState, FDGroupReport, adamw_state,
                       adamw_step, fd_check, gradients)
 
 from reference import (cos, finite_diff, gaussian_frame_chain, matmul_last,
@@ -13,12 +13,12 @@ from reference import (cos, finite_diff, gaussian_frame_chain, matmul_last,
 
 def _check_op(build_loss, x0, rtol=1e-6, atol=1e-9):
     """Gradient of a scalar loss in one group x, analytic vs exhaustive FD."""
-    params = ParamSet({"x": np.asarray(x0, dtype=np.float64)}, {"x": 1.0})
+    params = {"x": np.asarray(x0, dtype=np.float64)}
     analytic = gradients(lambda leaves: build_loss(leaves["x"]), params)
     fd = finite_diff(lambda arrs: build_loss(arrs["x"]), params)
-    np.testing.assert_allclose(analytic.groups["x"], fd.groups["x"],
+    np.testing.assert_allclose(analytic["x"], fd["x"],
                                rtol=rtol, atol=atol)
-    return analytic.groups["x"]
+    return analytic["x"]
 
 
 class TestElementwiseOps:
@@ -45,11 +45,11 @@ class TestElementwiseOps:
         def loss(leaves):
             return g.sum(g.mul(g.mul(leaves["a"], leaves["b"]), self.w))
 
-        params = ParamSet({"a": self._x(), "b": y0}, {"a": 1.0, "b": 1.0})
+        params = {"a": self._x(), "b": y0}
         analytic = gradients(loss, params)
         fd = finite_diff(loss, params)
         for k in ("a", "b"):
-            np.testing.assert_allclose(analytic.groups[k], fd.groups[k],
+            np.testing.assert_allclose(analytic[k], fd[k],
                                        rtol=1e-6, atol=1e-9)
 
     def test_broadcasting_binary(self):
@@ -76,13 +76,13 @@ class TestElementwiseOps:
 
     def test_kink_subgradients_are_zero(self):
         for op in (g.relu, g.absolute):
-            params = ParamSet({"x": np.zeros(3)}, {"x": 1.0})
+            params = {"x": np.zeros(3)}
             got = gradients(lambda leaves: g.sum(op(leaves["x"])), params)
-            np.testing.assert_array_equal(got.groups["x"], np.zeros(3))
-        params = ParamSet({"x": np.array([2.0])}, {"x": 1.0})
+            np.testing.assert_array_equal(got["x"], np.zeros(3))
+        params = {"x": np.array([2.0])}
         got = gradients(lambda leaves: g.sum(g.clip(leaves["x"], -1.0, 1.0)),
                         params)
-        np.testing.assert_array_equal(got.groups["x"], [0.0])
+        np.testing.assert_array_equal(got["x"], [0.0])
 
 
 class TestShapeOps:
@@ -112,11 +112,11 @@ class TestShapeOps:
         def loss(leaves):
             return g.sum(g.mul(g.matmul(leaves["a"], leaves["b"]), w))
 
-        params = ParamSet({"a": a0, "b": b0}, {"a": 1.0, "b": 1.0})
+        params = {"a": a0, "b": b0}
         analytic = gradients(loss, params)
         fd = finite_diff(loss, params)
         for k in ("a", "b"):
-            np.testing.assert_allclose(analytic.groups[k], fd.groups[k],
+            np.testing.assert_allclose(analytic[k], fd[k],
                                        rtol=1e-6, atol=1e-9)
 
     def test_matmul_last_matches_explicit_form(self):
@@ -137,11 +137,11 @@ class TestShapeOps:
         def loss(leaves):
             return g.sum(g.mul(matmul_last(leaves["x"], leaves["w"]), m))
 
-        params = ParamSet({"x": x0, "w": w0}, {"x": 1.0, "w": 1.0})
+        params = {"x": x0, "w": w0}
         analytic = gradients(loss, params)
         fd = finite_diff(loss, params)
         for k in ("x", "w"):
-            np.testing.assert_allclose(analytic.groups[k], fd.groups[k],
+            np.testing.assert_allclose(analytic[k], fd[k],
                                        rtol=1e-6, atol=1e-9)
 
     def test_mixdown_matches_explicit_form(self):
@@ -161,11 +161,11 @@ class TestShapeOps:
         def loss(leaves):
             return g.sum(g.mul(g.mixdown(leaves["wts"], leaves["vals"]), m))
 
-        params = ParamSet({"wts": w0, "vals": v0}, {"wts": 1.0, "vals": 1.0})
+        params = {"wts": w0, "vals": v0}
         analytic = gradients(loss, params)
         fd = finite_diff(loss, params)
         for k in ("wts", "vals"):
-            np.testing.assert_allclose(analytic.groups[k], fd.groups[k],
+            np.testing.assert_allclose(analytic[k], fd[k],
                                        rtol=1e-6, atol=1e-9)
 
     def test_take_accumulates_repeated_rows(self):
@@ -174,11 +174,11 @@ class TestShapeOps:
         _check_op(lambda x: g.sum(g.mul(take(x, idx), w)),
                   self.rng.standard_normal((4, 3)))
         # direct: gradient of sum(take(x, [0,0,1])) is bincount of indices
-        params = ParamSet({"x": np.ones(4)}, {"x": 1.0})
+        params = {"x": np.ones(4)}
         got = gradients(
             lambda leaves: g.sum(take(leaves["x"], np.array([0, 0, 1]))), params
         )
-        np.testing.assert_array_equal(got.groups["x"], [2.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(got["x"], [2.0, 1.0, 0.0, 0.0])
 
     def test_getitem_slices_and_advanced(self):
         w = self.rng.standard_normal((2, 4))
@@ -268,8 +268,8 @@ def _recorded(build_loss, x0):
         names.extend(name for name, _, _ in g._ACTIVE[-1])
         return g.sum(out)
 
-    grads = gradients(loss, ParamSet({"x": np.array(x0)}, {"x": 1.0}))
-    return names, grads.groups["x"]
+    grads = gradients(loss, {"x": np.array(x0)})
+    return names, grads["x"]
 
 
 class TestOpProtocol:
@@ -287,7 +287,7 @@ class TestOpProtocol:
                 assert g._ACTIVE[-1] == [], name
             return g.sum(leaves["x"])
 
-        gradients(loss, ParamSet({"x": _Y.copy()}, {"x": 1.0}))
+        gradients(loss, {"x": _Y.copy()})
 
     @pytest.mark.parametrize("name", _OP_NAMES)
     def test_var_input_records_one_entry_under_its_name(self, name):
@@ -382,8 +382,8 @@ def _run(op, inputs: dict, m):
         got["y"] = g.value(y)
         return g.sum(g.mul(y, m))
 
-    grads = gradients(loss, ParamSet(inputs, dict.fromkeys(inputs, 1.0)))
-    return got["y"], grads.groups
+    grads = gradients(loss, inputs)
+    return got["y"], grads
 
 
 def _assert_same(op, ref, inputs, m):
@@ -478,7 +478,7 @@ class TestFusedOps:
         inputs = _mlp_inputs(rng, (3, 2, 3), kinks=False)
         m = rng.standard_normal((3, 2, 3, 4))
         report = fd_check(lambda leaves: g.sum(g.mul(g.shading_mlp(**leaves), m)),
-                          ParamSet(inputs, dict.fromkeys(inputs, 1.0)))
+                          inputs)
         for name, rep in report.items():
             assert rep.failures == [] and rep.checked > 0, name
 
@@ -490,7 +490,7 @@ class TestFusedOps:
             lambda leaves: g.sum(g.mul(g.triplane_sample(
                 leaves["payload_flat"], s, idx, leaves["u0"], leaves["u1"],
                 leaves["u2"]), m)),
-            ParamSet(inputs, dict.fromkeys(inputs, 1.0)),
+            inputs,
             subsample={"payload_flat": 256})
         for name, rep in report.items():
             assert rep.failures == [], name
@@ -505,7 +505,7 @@ class TestFusedOps:
             lambda leaves: g.sum(g.mul(g.gaussian_frame(
                 leaves["centers"], leaves["rotations"], leaves["radii"], origin,
                 tdir, idx, 5.0, 1.0), m)),
-            ParamSet(inputs, dict.fromkeys(inputs, 1.0)))
+            inputs)
         for name, rep in report.items():
             assert rep.failures == [] and rep.checked > 0, name
 
@@ -513,22 +513,19 @@ class TestFusedOps:
 class TestGradients:
     def test_quadratic_gradient_is_exact(self, rng):
         x0 = rng.standard_normal((4, 3))
-        params = ParamSet({"x": x0}, {"x": 1.0})
+        params = {"x": x0}
         got = gradients(lambda leaves: g.sum(g.mul(leaves["x"], leaves["x"])),
                         params)
-        np.testing.assert_array_equal(got.groups["x"], 2.0 * x0)
+        np.testing.assert_array_equal(got["x"], 2.0 * x0)
 
     def test_untouched_group_gets_zero_gradient(self, rng):
-        params = ParamSet(
-            {"used": rng.standard_normal(3), "dead": rng.standard_normal(5)},
-            {"used": 1.0, "dead": 1.0},
-        )
+        params = {"used": rng.standard_normal(3), "dead": rng.standard_normal(5)}
         got = gradients(lambda leaves: g.sum(g.mul(leaves["used"], 2.0)), params)
-        np.testing.assert_array_equal(got.groups["dead"], np.zeros(5))
+        np.testing.assert_array_equal(got["dead"], np.zeros(5))
 
     def test_gradient_of_sum_is_sum_of_gradients(self, rng):
         x0 = rng.standard_normal(6)
-        params = ParamSet({"x": x0}, {"x": 1.0})
+        params = {"x": x0}
 
         def la(leaves):
             return g.sum(g.mul(sin(leaves["x"]), 2.0))
@@ -536,10 +533,10 @@ class TestGradients:
         def lb(leaves):
             return g.sum(g.exp(leaves["x"]))
 
-        ga = gradients(la, params).groups["x"]
-        gb = gradients(lb, params).groups["x"]
+        ga = gradients(la, params)["x"]
+        gb = gradients(lb, params)["x"]
         gab = gradients(lambda leaves: g.add(la(leaves), lb(leaves)),
-                        params).groups["x"]
+                        params)["x"]
         np.testing.assert_allclose(gab, ga + gb, rtol=0, atol=1e-15)
 
     def test_bit_identical_across_runs(self, rng):
@@ -550,18 +547,18 @@ class TestGradients:
             return g.sum(g.div(y, g.add(g.sum(y, axis=0, keepdims=True), 1.0)))
 
         runs = [
-            gradients(loss, ParamSet({"x": x0.copy()}, {"x": 1.0})).groups["x"]
+            gradients(loss, {"x": x0.copy()})["x"]
             for _ in range(2)
         ]
         assert np.array_equal(runs[0], runs[1])
 
     def test_non_finite_loss_names_first_bad_op(self):
-        params = ParamSet({"x": np.array([-2.0])}, {"x": 1.0})
+        params = {"x": np.array([-2.0])}
         with pytest.raises(NumericFailureError, match="log1p"):
             gradients(lambda leaves: g.sum(g.log1p(leaves["x"])), params)
 
     def test_rejects_non_scalar_and_non_var_losses(self):
-        params = ParamSet({"x": np.ones(3)}, {"x": 1.0})
+        params = {"x": np.ones(3)}
         with pytest.raises(InvalidArgumentError):
             gradients(lambda leaves: leaves["x"], params)
         with pytest.raises(InvalidArgumentError):
@@ -575,12 +572,12 @@ class TestGradients:
 
 class TestFiniteDiff:
     def test_linear_loss_recovered_exactly(self):
-        params = ParamSet({"x": np.array([2.0])}, {"x": 1.0})
+        params = {"x": np.array([2.0])}
         fd = finite_diff(lambda arrs: g.mul(g.sum(arrs["x"]), 3.0), params)
-        assert abs(fd.groups["x"][0] - 3.0) < 1e-9
+        assert abs(fd["x"][0] - 3.0) < 1e-9
 
     def test_cubic_has_second_order_error(self):
-        params = ParamSet({"x": np.array([1.0])}, {"x": 1.0})
+        params = {"x": np.array([1.0])}
 
         def loss(arrs):
             x = arrs["x"]
@@ -588,11 +585,11 @@ class TestFiniteDiff:
 
         fd = finite_diff(loss, params, h=1e-4)
         # f'''/6 * h^2 term: 3 + 1e-8
-        assert abs(fd.groups["x"][0] - 3.0) < 1e-7
-        assert fd.groups["x"][0] > 3.0
+        assert abs(fd["x"][0] - 3.0) < 1e-7
+        assert fd["x"][0] > 3.0
 
     def test_fd_check_excludes_kink_scalars(self):
-        params = ParamSet({"x": np.array([0.0, 1.0])}, {"x": 1.0})
+        params = {"x": np.array([0.0, 1.0])}
         report = fd_check(lambda arrs: g.sum(g.relu(arrs["x"])), params)
         rep = report["x"]
         assert isinstance(rep, FDGroupReport)
@@ -603,7 +600,7 @@ class TestFiniteDiff:
     def test_fd_check_flags_a_wrong_gradient(self):
         # absolute() with a deliberately shifted input has gradient sign(x),
         # compare against a loss whose true slope is 2x
-        params = ParamSet({"x": np.array([0.7])}, {"x": 1.0})
+        params = {"x": np.array([0.7])}
 
         class Lying:
             def __call__(self, leaves):
@@ -616,86 +613,73 @@ class TestFiniteDiff:
         assert len(report["x"].failures) == 1
 
     def test_subsample_limits_checked_scalars(self, rng):
-        params = ParamSet({"x": rng.standard_normal(100)}, {"x": 1.0})
+        params = {"x": rng.standard_normal(100)}
         report = fd_check(lambda arrs: g.sum(g.mul(arrs["x"], arrs["x"])),
                           params, subsample={"x": 10})
         assert report["x"].checked + report["x"].excluded == 10
 
 
-class TestParamSet:
-    def test_rejects_aliased_groups(self):
-        x = np.ones(3)
-        with pytest.raises(InvalidArgumentError):
-            ParamSet({"a": x, "b": x}, {"a": 1.0, "b": 1.0})
-
-    def test_rejects_mismatched_lr_keys(self):
-        with pytest.raises(InvalidArgumentError):
-            ParamSet({"a": np.ones(3)}, {"b": 1.0})
-
-    def test_rejects_negative_lr(self):
-        with pytest.raises(InvalidArgumentError):
-            ParamSet({"a": np.ones(3)}, {"a": -0.1})
-
-    def test_total_size_and_independent_copy(self):
-        p = ParamSet({"a": np.ones((2, 3)), "b": np.ones(4)},
-                     {"a": 0.1, "b": 0.2})
-        assert p.total_size() == 10
-        q = p.copy()
-        q.groups["a"][0, 0] = 9.0
-        assert p.groups["a"][0, 0] == 1.0
+LR = {"x": 0.1}
 
 
 class TestAdamW:
     def test_first_step_moves_by_lr_times_sign(self):
-        params = ParamSet({"x": np.array([1.0, 1.0])}, {"x": 0.1})
-        grads = ParamSet({"x": np.array([0.5, -2.0])}, {"x": 0.1})
+        params = {"x": np.array([1.0, 1.0])}
+        grads = {"x": np.array([0.5, -2.0])}
         state = adamw_state(params)
-        adamw_step(params, grads, state)
-        np.testing.assert_allclose(params.groups["x"], [0.9, 1.1], atol=1e-8)
+        adamw_step(params, grads, state, LR, 1.0)
+        np.testing.assert_allclose(params["x"], [0.9, 1.1], atol=1e-8)
         assert state.step == 1
 
+    def test_each_group_steps_by_its_own_rate(self):
+        params = {"a": np.array([1.0, 1.0]), "b": np.array([1.0, 1.0])}
+        grads = {"a": np.array([0.5, -2.0]), "b": np.array([0.5, -2.0])}
+        adamw_step(params, grads, adamw_state(params), {"a": 0.1, "b": 1e-3}, 1.0)
+        np.testing.assert_allclose(params["a"], [0.9, 1.1], atol=1e-8)
+        np.testing.assert_allclose(params["b"], [0.999, 1.001], atol=1e-10)
+
     def test_zero_grads_leave_params_but_advance_step(self):
-        params = ParamSet({"x": np.array([3.0])}, {"x": 0.1})
-        grads = ParamSet({"x": np.zeros(1)}, {"x": 0.1})
+        params = {"x": np.array([3.0])}
+        grads = {"x": np.zeros(1)}
         state = adamw_state(params)
-        adamw_step(params, grads, state)
-        np.testing.assert_array_equal(params.groups["x"], [3.0])
+        adamw_step(params, grads, state, LR, 1.0)
+        np.testing.assert_array_equal(params["x"], [3.0])
         assert state.step == 1
 
     def test_converges_on_quadratic(self):
-        params = ParamSet({"x": np.array([1.0])}, {"x": 0.1})
+        params = {"x": np.array([1.0])}
         state = adamw_state(params)
         for _ in range(200):
-            grads = ParamSet({"x": 2.0 * params.groups["x"]}, {"x": 0.1})
-            adamw_step(params, grads, state)
-        assert abs(params.groups["x"][0]) < 1e-2
+            grads = {"x": 2.0 * params["x"]}
+            adamw_step(params, grads, state, LR, 1.0)
+        assert abs(params["x"][0]) < 1e-2
 
     def test_lr_scale_halves_first_update(self):
         def run(scale):
-            params = ParamSet({"x": np.array([1.0])}, {"x": 0.1})
-            grads = ParamSet({"x": np.array([1.0])}, {"x": 0.1})
-            adamw_step(params, grads, adamw_state(params), lr_scale=scale)
-            return 1.0 - params.groups["x"][0]
+            params = {"x": np.array([1.0])}
+            grads = {"x": np.array([1.0])}
+            adamw_step(params, grads, adamw_state(params), LR, scale)
+            return 1.0 - params["x"][0]
 
         np.testing.assert_allclose(run(0.5), 0.5 * run(1.0), rtol=1e-12)
 
     def test_non_finite_gradient_rejected(self):
-        params = ParamSet({"x": np.array([1.0])}, {"x": 0.1})
-        grads = ParamSet({"x": np.array([np.inf])}, {"x": 0.1})
+        params = {"x": np.array([1.0])}
+        grads = {"x": np.array([np.inf])}
         with pytest.raises(NumericFailureError, match="x"):
-            adamw_step(params, grads, adamw_state(params))
+            adamw_step(params, grads, adamw_state(params), LR, 1.0)
 
     def test_defaults_match_training_recipe(self):
         # two steps of the closed form with beta1 0.9, beta2 0.999, eps 1e-8
         # and no weight decay
-        params = ParamSet({"x": np.array([1.0])}, {"x": 0.1})
+        params = {"x": np.array([1.0])}
         state = adamw_state(params)
         assert isinstance(state, AdamWState)
         x, m, v = 1.0, 0.0, 0.0
         for t, grad in enumerate((0.5, -2.0), start=1):
-            adamw_step(params, ParamSet({"x": np.array([grad])}, {"x": 0.1}), state)
+            adamw_step(params, {"x": np.array([grad])}, state, LR, 1.0)
             m = 0.9 * m + 0.1 * grad
             v = 0.999 * v + 0.001 * grad * grad
             x -= 0.1 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
-            assert params.groups["x"][0] == pytest.approx(x, rel=1e-12)
+            assert params["x"][0] == pytest.approx(x, rel=1e-12)
         assert state.step == 2

@@ -337,10 +337,6 @@ class TestTotalLoss:
         assert g.value(total) == pytest.approx(want, abs=1e-15)
 
 
-def _pset(groups):
-    return g.ParamSet(groups, {k: 1.0 for k in groups})
-
-
 class TestGradientChecks:
     """Central-difference verification of every term, kinks excluded."""
 
@@ -351,20 +347,20 @@ class TestGradientChecks:
 
     def test_l1(self, rng):
         tgt = rng.uniform(size=(3, 3, 3))
-        params = _pset({"image": rng.uniform(size=(3, 3, 3))})
+        params = {"image": rng.uniform(size=(3, 3, 3))}
         self._assert_clean(g.fd_check(
             lambda p: l1_loss(p["image"], tgt), params))
 
     def test_depth(self, rng):
         tgt = rng.uniform(1.0, 2.0, size=(3, 3))
         mask = (rng.uniform(size=(3, 3)) > 0.3).astype(np.float64)
-        params = _pset({"depth": rng.uniform(1.0, 2.0, size=(3, 3))})
+        params = {"depth": rng.uniform(1.0, 2.0, size=(3, 3))}
         self._assert_clean(g.fd_check(
             lambda p: depth_loss(p["depth"], tgt, mask), params))
 
     def test_silhouette(self, rng):
         mask = (rng.uniform(size=(3, 3)) > 0.5).astype(np.float64)
-        params = _pset({"alpha": rng.uniform(size=(3, 3))})
+        params = {"alpha": rng.uniform(size=(3, 3))}
         self._assert_clean(g.fd_check(
             lambda p: silhouette_loss(p["alpha"], mask), params))
 
@@ -375,11 +371,11 @@ class TestGradientChecks:
         t = sample_distances(0.5, 1.5, rng.uniform(size=(2, 3)))
         mlp = mlp_arrays(make_render_mlp(rng))
         payload = np.zeros((4 * 3, 8))
-        params = _pset({
+        params = {
             "centers": rng.normal(scale=0.3, size=(4, 3)),
             "rotations": rng.uniform(-0.5, 0.5, size=(4, 3)),
             "radii": rng.uniform(0.3, 0.6, size=(4, 3)),
-        })
+        }
         self._assert_clean(g.fd_check(
             lambda p: march_rays_core(
                 {"centers": p["centers"], "rotations": p["rotations"],
@@ -387,36 +383,35 @@ class TestGradientChecks:
                 np.array([0.0, 0.0, -1.0]), dirs, t, cfg, 1)[3], params))
 
     def test_volume(self, rng):
-        params = _pset({"radii": rng.uniform(0.05, 0.15, size=(2, 2, 3))})
+        params = {"radii": rng.uniform(0.05, 0.15, size=(2, 2, 3))}
         self._assert_clean(g.fd_check(
             lambda p: volume_loss(p["radii"]), params))
 
     def test_tv(self, rng):
-        params = _pset({
+        params = {
             "centers": rng.normal(size=(2, 3, 3)),
             "rotations": rng.uniform(-0.5, 0.5, size=(2, 3, 3)),
             "radii": rng.uniform(0.05, 0.15, size=(2, 3, 3)),
-        })
+        }
         self._assert_clean(g.fd_check(
             lambda p: tv_loss(p["centers"], p["rotations"], p["radii"]),
             params))
 
     def test_mesh(self, rng):
         anchors = rng.normal(size=(2, 2, 3))
-        params = _pset({"centers": anchors + rng.normal(scale=0.05,
-                                                             size=(2, 2, 3))})
+        params = {"centers": anchors + rng.normal(scale=0.05, size=(2, 2, 3))}
         self._assert_clean(g.fd_check(
             lambda p: mesh_loss(p["centers"], anchors), params))
 
     def test_code(self, rng):
-        params = _pset({"z": rng.normal(size=16)})
+        params = {"z": rng.normal(size=16)}
         self._assert_clean(g.fd_check(lambda p: code_loss(p["z"]), params))
 
     def test_total(self, rng):
         outputs_fixed, targets = _random_io(rng)
         scene0 = _random_scene(rng)
         anchors = scene0["anchors"]
-        params = _pset({
+        params = {
             "color": outputs_fixed["color"],
             "depth": outputs_fixed["depth"],
             "alpha": outputs_fixed["alpha"],
@@ -424,7 +419,7 @@ class TestGradientChecks:
             "rotations": scene0["rotations"],
             "radii": scene0["radii"],
             "z": rng.normal(scale=0.1, size=8),
-        })
+        }
 
         def evaluate(p):
             outputs = {"color": p["color"], "depth": p["depth"],
