@@ -6,25 +6,35 @@ standard deviations) plus a local tri-plane feature payload sampled inside the
 Gaussian's +-3-sigma cube; the influence kernel and the tri-plane lookup
 that evaluate them live in render. Everything here is pure float64 numpy;
 all types are immutable value objects (arrays are defensively copied and
-frozen).
+frozen; an array frozen here is shared, not copied again).
 """
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
+_FROZEN = weakref.WeakValueDictionary()
+
 
 def _frozen(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """A checked, read-only float64 copy of a, or a itself if made here. The
+    copy is a view of a read-only owner, so its writeable flag cannot be set
+    again; making that owner (its .base) writable voids the sharing."""
+    if _FROZEN.get(id(a)) is a and not a.flags.writeable and a.shape == shape:
+        return a
     arr = np.array(a, dtype=np.float64)
     if arr.shape != shape:
         raise InvalidArgumentError(f"{name}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError(f"{name}: contains non-finite values")
     arr.flags.writeable = False
+    arr = arr.view()
+    _FROZEN[id(arr)] = arr
     return arr
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UVAvatar, _wrap_angle
+from .core import UVAvatar, _frozen, _wrap_angle
 from .errors import InvalidArgumentError
 
 GEOMETRY_CHANNELS = 9  # center 3 + rotation 3 + radii 3, in pack order
@@ -52,9 +52,7 @@ class DiffusionSchedule:
         if np.max(np.abs(vp)) > 1e-12:
             raise InvalidArgumentError("alpha^2 + sigma^2 must equal 1 within 1e-12")
         for name, arr in (("alphas", a), ("sigmas", s)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr, arr.shape, name))
 
 
 def cosine_schedule(steps: int) -> DiffusionSchedule:
@@ -104,9 +102,9 @@ class UVTensor:
             )
         if (v.shape[2] - GEOMETRY_CHANNELS) % 3:
             raise InvalidArgumentError("channel count must be 9 + 3C")
-        if not np.all(np.isfinite(v)):
-            raise InvalidArgumentError("values must be finite")
-        if np.any(np.abs(v) > 1.0):
+        if v.size and not (v.min() >= -1.0 and v.max() <= 1.0):  # NaN fails
+            if not np.all(np.isfinite(v)):
+                raise InvalidArgumentError("values must be finite")
             raise InvalidArgumentError("normalized channels must lie in [-1, 1]")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -148,7 +146,7 @@ def normalize_channels(packed: np.ndarray) -> np.ndarray:
     rot = np.where(np.abs(rot) > math.pi, _wrap_angle(rot), rot)
     out[..., 3:6] = rot / math.pi
     out[..., 6:9] = (np.clip(np.abs(packed[..., 6:9]), 0.0, 0.15) - 0.06) * 10.0
-    out[..., 9:] = np.tanh(packed[..., 9:])
+    np.tanh(packed[..., 9:], out=out[..., 9:])
     return out
 
 
@@ -161,7 +159,8 @@ def denormalize_channels(normalized: np.ndarray) -> np.ndarray:
     out[..., 0:3] = n[..., 0:3] / 2.0 - 0.12
     out[..., 3:6] = n[..., 3:6] * math.pi
     out[..., 6:9] = np.maximum(n[..., 6:9] / 10.0 + 0.06, 1e-5)
-    out[..., 9:] = np.arctanh(np.clip(n[..., 9:], -1.0 + 1e-6, 1.0 - 1e-6))
+    pay = np.clip(n[..., 9:], -1.0 + 1e-6, 1.0 - 1e-6, out=out[..., 9:])
+    np.arctanh(pay, out=pay)
     return out
 
 
@@ -175,23 +174,24 @@ def unfold(packed: np.ndarray, plane_size: int) -> np.ndarray:
         raise InvalidArgumentError(
             f"channel count {ch} does not match plane_size {s}"
         )
-    c = (ch - GEOMETRY_CHANNELS) // (3 * s * s)
-    pose = packed[..., :GEOMETRY_CHANNELS]
-    pose_up = np.broadcast_to(
-        pose[:, None, :, None, :], (h, s, w, s, GEOMETRY_CHANNELS)
-    ).reshape(h * s, w * s, GEOMETRY_CHANNELS)
-    pay = packed[..., GEOMETRY_CHANNELS:].reshape(h, w, 3, s, s, c)
-    pay_up = pay.transpose(0, 3, 1, 4, 2, 5).reshape(h * s, w * s, 3 * c)
-    return np.concatenate([pose_up, pay_up], axis=-1)
+    g, c = GEOMETRY_CHANNELS, (ch - GEOMETRY_CHANNELS) // (3 * s * s)
+    out = np.empty((h * s, w * s, g + 3 * c))
+    blocks = out.reshape(h, s, w, s, g + 3 * c)   # a view: S x S blocks
+    blocks[..., :g] = packed[:, None, :, None, :g]
+    pay = packed[..., g:].reshape(h, w, 3, s, s, c)
+    blocks[..., g:].reshape(h, s, w, s, 3, c)[...] = pay.transpose(0, 3, 1, 4, 2, 5)
+    return out
 
 
-def _pairwise_block_mean(blocks: np.ndarray) -> np.ndarray:
-    """Mean over axis 2 (a power-of-two length) by pairwise halving: exact on
-    replicated values, a true mean otherwise."""
+def _pairwise_block_mean(blocks: np.ndarray, out: np.ndarray) -> None:
+    """Each S x S block's mean of (H, S, W, S, ch) into out (H, W, ch), by
+    pairwise halving in row-major order: exact on replicated values."""
     m = blocks
-    while m.shape[2] > 1:
-        m = m[:, :, 0::2] + m[:, :, 1::2]
-    return m[:, :, 0] * (1.0 / blocks.shape[2])
+    while m.shape[3] > 1:
+        m = m[:, :, :, 0::2] + m[:, :, :, 1::2]
+    while m.shape[1] > 1:
+        m = m[:, 0::2] + m[:, 1::2]
+    np.multiply(m[:, 0, :, 0], 1.0 / (blocks.shape[1] * blocks.shape[3]), out=out)
 
 
 def fold(tensor: np.ndarray, plane_size: int) -> np.ndarray:
@@ -206,22 +206,21 @@ def fold(tensor: np.ndarray, plane_size: int) -> np.ndarray:
     if (ch - GEOMETRY_CHANNELS) % 3:
         raise InvalidArgumentError("channel count must be 9 + 3C")
     h, w = hs // s, ws // s
-    c = (ch - GEOMETRY_CHANNELS) // 3
-    pose = tensor[..., :GEOMETRY_CHANNELS].reshape(h, s, w, s, GEOMETRY_CHANNELS)
-    pose = pose.transpose(0, 2, 1, 3, 4).reshape(h, w, s * s, GEOMETRY_CHANNELS)
-    pose = _pairwise_block_mean(pose)
-    pay = tensor[..., GEOMETRY_CHANNELS:].reshape(h, s, w, s, 3, c)
-    pay = pay.transpose(0, 2, 4, 1, 3, 5).reshape(h, w, 3 * s * s * c)
-    return np.concatenate([pose, pay], axis=-1)
+    g, c = GEOMETRY_CHANNELS, (ch - GEOMETRY_CHANNELS) // 3
+    blocks = tensor.reshape(h, s, w, s, ch)
+    out = np.empty((h, w, g + 3 * s * s * c))
+    _pairwise_block_mean(blocks[..., :g], out[..., :g])
+    pay = blocks[..., g:].reshape(h, s, w, s, 3, c)
+    out[..., g:].reshape(h, w, 3, s, s, c)[...] = pay.transpose(0, 2, 4, 1, 3, 5)
+    return out
 
 
 def normalize_avatar(avatar: UVAvatar) -> UVTensor:
     """Export an avatar as a normalized, unfolded UV tensor. The diffusion
     prior expects neutral-expression avatars; an applied expression offset
     is not recoverable from the arrays, so that stays the caller's duty."""
-    packed = pack_avatar_tensor(avatar)
-    return UVTensor(values=unfold(normalize_channels(packed), avatar.plane_size),
-                    plane_size=avatar.plane_size)
+    values = unfold(normalize_channels(pack_avatar_tensor(avatar)), avatar.plane_size)
+    return UVTensor(values=values, plane_size=avatar.plane_size)
 
 
 def denormalize_avatar(tensor: UVTensor, anchors: np.ndarray,

@@ -75,10 +75,13 @@ def _f32(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pack_container(magic: bytes, header: dict, arrays: list[np.ndarray]) -> bytes:
+def _pack_container(magic: bytes, header: dict, arrays: list[np.ndarray]) -> bytearray:
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)
-    return magic + struct.pack("<I", len(hb)) + hb + body
+    head = magic + struct.pack("<I", len(hb)) + hb
+    data = bytearray(head).ljust(len(head) + 4 * sum(np.size(a) for a in arrays))
+    body = np.frombuffer(data, dtype="<f4", offset=len(head))   # writes go to data
+    np.concatenate([np.ravel(a) for a in arrays], out=body)   # casts to float32
+    return data
 
 
 def _read_container(path, magic: bytes, dim_keys: tuple
@@ -177,6 +180,7 @@ def load_avatar(path) -> UVAvatar:
     n = h * w
     parts = _split_body(body, body_off,
                         [3 * n, 3 * n, 3 * n, 3 * n * sx * sy * c, 3 * n, 3 * n, n], path)
+    del body   # frees the file's bytes before UVAvatar copies the parts
     return UVAvatar(
         centers=parts[0].reshape(h, w, 3),
         rotations=parts[1].reshape(h, w, 3),
@@ -250,10 +254,7 @@ def load_mlp(path) -> RenderMLP:
     _require_keys(doc, ("version", "w1", "b1", "w2", "b2"), path)
     _check_version(doc, path)
     try:
-        return RenderMLP(w1=np.array(doc["w1"], dtype=np.float64),
-                         b1=np.array(doc["b1"], dtype=np.float64),
-                         w2=np.array(doc["w2"], dtype=np.float64),
-                         b2=np.array(doc["b2"], dtype=np.float64))
+        return RenderMLP(**{k: doc[k] for k in ("w1", "b1", "w2", "b2")})
     except (InvalidArgumentError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: {e}") from e
 

@@ -20,7 +20,11 @@ Gaussian or one scalar at a time, with direct x - mu arithmetic:
   grad.shading_mlp fuse: their oracle, value and gradient, bit for bit;
 - reverse_sample and inpaint_sample, the diffusion samplers as one serial
   loop over posterior_params and q_sample: the oracle of the library's
-  samplers, which draw their noise one step ahead on a worker thread.
+  samplers, which draw their noise one step ahead on a worker thread;
+- normalize_channels, denormalize_channels, unfold and fold, the UV round
+  trip's channel maps and layout changes written as allocate-then-copy
+  numpy: the library writes each into one preallocated output, and must
+  match these byte for byte.
 """
 from __future__ import annotations
 
@@ -30,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from guv.core import (RenderConfig, UVAvatar, _frozen, _rotation_entries,
-                      rotation_matrix)
+                      _wrap_angle, rotation_matrix)
 from guv.errors import InvalidArgumentError
 from guv import grad as g
-from guv.diffusion import _timesteps, posterior_params, q_sample
+from guv.diffusion import (GEOMETRY_CHANNELS, _check_plane_size, _timesteps,
+                           posterior_params, q_sample)
 from guv.grad import default_step, value
 from guv.render import (BACKGROUND, ETA, TAU, RenderMLP, _shade, avatar_arrays,
                         mlp_arrays)
@@ -352,3 +357,63 @@ def inpaint_sample(schedule, denoiser, known, mask, rng, step_count=None):
                            mask_rng.standard_normal(known.shape)), g_t
         )
     return np.where(mask, known, g_t)
+
+
+def normalize_channels(packed: np.ndarray) -> np.ndarray:
+    """diffusion.normalize_channels with the payload's tanh copied in."""
+    packed = np.asarray(packed, dtype=np.float64)
+    out = np.empty_like(packed)
+    out[..., 0:3] = (packed[..., 0:3] + 0.12) * 2.0
+    rot = packed[..., 3:6]
+    rot = np.where(np.abs(rot) > math.pi, _wrap_angle(rot), rot)
+    out[..., 3:6] = rot / math.pi
+    out[..., 6:9] = (np.clip(np.abs(packed[..., 6:9]), 0.0, 0.15) - 0.06) * 10.0
+    out[..., 9:] = np.tanh(packed[..., 9:])
+    return out
+
+
+def denormalize_channels(normalized: np.ndarray) -> np.ndarray:
+    """diffusion.denormalize_channels with the payload's clip and arctanh
+    each made as a new array, then copied in."""
+    n = np.asarray(normalized, dtype=np.float64)
+    out = np.empty_like(n)
+    out[..., 0:3] = n[..., 0:3] / 2.0 - 0.12
+    out[..., 3:6] = n[..., 3:6] * math.pi
+    out[..., 6:9] = np.maximum(n[..., 6:9] / 10.0 + 0.06, 1e-5)
+    out[..., 9:] = np.arctanh(np.clip(n[..., 9:], -1.0 + 1e-6, 1.0 - 1e-6))
+    return out
+
+
+def unfold(packed: np.ndarray, plane_size: int) -> np.ndarray:
+    """diffusion.unfold as a broadcast pose copy and a transposed payload
+    copy, concatenated."""
+    packed = np.asarray(packed, dtype=np.float64)
+    s = _check_plane_size(plane_size)
+    h, w, ch = packed.shape
+    c = (ch - GEOMETRY_CHANNELS) // (3 * s * s)
+    pose = packed[..., :GEOMETRY_CHANNELS]
+    pose_up = np.broadcast_to(
+        pose[:, None, :, None, :], (h, s, w, s, GEOMETRY_CHANNELS)
+    ).reshape(h * s, w * s, GEOMETRY_CHANNELS)
+    pay = packed[..., GEOMETRY_CHANNELS:].reshape(h, w, 3, s, s, c)
+    pay_up = pay.transpose(0, 3, 1, 4, 2, 5).reshape(h * s, w * s, 3 * c)
+    return np.concatenate([pose_up, pay_up], axis=-1)
+
+
+def fold(tensor: np.ndarray, plane_size: int) -> np.ndarray:
+    """diffusion.fold with each block's pose copied out to (H, W, S*S, 9)
+    and halved pairwise along that flat axis, then concatenated with the
+    transposed payload copy."""
+    tensor = np.asarray(tensor, dtype=np.float64)
+    s = _check_plane_size(plane_size)
+    hs, ws, ch = tensor.shape
+    h, w = hs // s, ws // s
+    c = (ch - GEOMETRY_CHANNELS) // 3
+    pose = tensor[..., :GEOMETRY_CHANNELS].reshape(h, s, w, s, GEOMETRY_CHANNELS)
+    m = pose.transpose(0, 2, 1, 3, 4).reshape(h, w, s * s, GEOMETRY_CHANNELS)
+    while m.shape[2] > 1:
+        m = m[:, :, 0::2] + m[:, :, 1::2]
+    pose = m[:, :, 0] * (1.0 / (s * s))
+    pay = tensor[..., GEOMETRY_CHANNELS:].reshape(h, s, w, s, 3, c)
+    pay = pay.transpose(0, 2, 4, 1, 3, 5).reshape(h, w, 3 * s * s * c)
+    return np.concatenate([pose, pay], axis=-1)

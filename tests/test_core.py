@@ -263,6 +263,74 @@ class TestUVAvatar:
             random_avatar.centers[0, 0, 0] = 9.0
 
 
+_FIELDS = ("centers", "rotations", "radii", "payloads", "anchors",
+           "anchor_normals", "anchor_scales")
+
+
+class TestFrozenSharing:
+    """_frozen passes an array it froze itself, and that is still read-only,
+    on as it is; everything else it copies and checks as before."""
+
+    def test_replace_keeps_the_unchanged_arrays(self, random_avatar):
+        radii = random_avatar.radii * 1.5
+        b = random_avatar.replace(radii=radii)
+        for name in _FIELDS:
+            if name != "radii":
+                assert getattr(b, name) is getattr(random_avatar, name), name
+        assert b.radii is not radii
+        np.testing.assert_array_equal(b.radii, radii)
+
+    def test_a_writable_input_is_copied(self, random_avatar):
+        radii = random_avatar.radii * 1.5
+        b = random_avatar.replace(radii=radii)
+        radii[0, 0, 0] = 7.0
+        assert b.radii[0, 0, 0] == random_avatar.radii[0, 0, 0] * 1.5
+
+    def test_a_read_only_array_made_elsewhere_is_still_checked(self, random_avatar):
+        bad = random_avatar.centers.copy()
+        bad[1, 2, 0] = np.nan
+        bad.flags.writeable = False
+        with pytest.raises(InvalidArgumentError,
+                           match="centers: contains non-finite values"):
+            random_avatar.replace(centers=bad)
+
+    def test_a_frozen_array_cannot_be_made_writable(self, random_avatar):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            random_avatar.centers.flags.writeable = True
+        assert not random_avatar.centers.flags.writeable
+
+    def test_an_array_made_writable_again_through_its_base_is_copied(
+            self, random_avatar):
+        b = random_avatar.replace(radii=random_avatar.radii * 1.5)
+        centers = b.centers
+        centers.base.flags.writeable = True
+        centers.flags.writeable = True
+        c = b.replace(radii=random_avatar.radii)
+        assert c.centers is not centers
+        assert not c.centers.flags.writeable
+        np.testing.assert_array_equal(c.centers, centers)
+
+    def test_writing_through_the_base_of_a_read_only_array_voids_sharing(
+            self, random_avatar):
+        # the documented limit: the base made writable and the view left
+        # read-only, a write reaches every avatar that shares the array
+        b = random_avatar.replace(radii=random_avatar.radii * 1.5)
+        random_avatar.centers.base.flags.writeable = True
+        random_avatar.centers.base[0, 0, 0] = np.nan
+        assert b.centers is random_avatar.centers
+        assert np.isnan(b.centers[0, 0, 0])
+
+    def test_a_view_of_a_frozen_array_is_copied(self, random_avatar):
+        view = random_avatar.centers[:, :]
+        b = random_avatar.replace(centers=view)
+        assert b.centers is not view
+        assert not np.shares_memory(b.centers, random_avatar.centers)
+
+    def test_a_frozen_array_of_the_wrong_shape_is_refused(self, random_avatar):
+        with pytest.raises(InvalidArgumentError, match="radii: expected shape"):
+            random_avatar.replace(radii=random_avatar.anchor_scales)
+
+
 class TestTriPlanePayload:
     def test_rejects_non_square_planes(self):
         with pytest.raises(InvalidArgumentError):

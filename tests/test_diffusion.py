@@ -105,6 +105,16 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             sch.alphas[0] = 0.5
 
+    def test_rejects_nan(self):
+        # NaN compares false, so it passed every range check above
+        sch = cosine_schedule(4)
+        for name in ("alphas", "sigmas"):
+            arrays = {"alphas": sch.alphas.copy(), "sigmas": sch.sigmas.copy()}
+            arrays[name][2] = np.nan
+            with pytest.raises(InvalidArgumentError,
+                               match=f"{name}: contains non-finite values"):
+                DiffusionSchedule(steps=4, **arrays)
+
 
 class TestUVTensor:
     def test_properties(self, rng):
@@ -127,6 +137,29 @@ class TestUVTensor:
         v[1, 1, 1] = np.nan
         with pytest.raises(InvalidArgumentError, match="finite"):
             UVTensor(values=v, plane_size=4)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "values must be finite"),
+        (np.inf, "values must be finite"),
+        (-np.inf, "values must be finite"),
+        (1.5, "normalized channels must lie in \\[-1, 1\\]"),
+        (-1.5, "normalized channels must lie in \\[-1, 1\\]"),
+    ])
+    def test_messages(self, bad, message):
+        v = np.zeros((4, 4, 12))
+        v[3, 2, 11] = bad
+        with pytest.raises(InvalidArgumentError, match=message):
+            UVTensor(values=v, plane_size=4)
+
+    def test_exact_bounds_pass_and_the_input_is_copied(self):
+        v = np.zeros((4, 4, 12))
+        v[0, 0, 0], v[1, 1, 1] = 1.0, -1.0
+        t = UVTensor(values=v, plane_size=4)
+        v[0, 0, 0] = 0.5
+        assert t.values[0, 0, 0] == 1.0 and t.values[1, 1, 1] == -1.0
+
+    def test_empty_tensor_allowed(self):
+        assert UVTensor(values=np.zeros((0, 0, 12)), plane_size=4).values.size == 0
 
     def test_bad_shapes(self):
         with pytest.raises(InvalidArgumentError, match="power of two"):
@@ -239,6 +272,9 @@ class TestRoundTrips:
         assert np.max(np.abs(back.radii - avatar.radii)) <= 1e-16
         assert np.max(np.abs(back.payloads - avatar.payloads)) < 1e-6
         np.testing.assert_array_equal(back.anchors, avatar.anchors)
+        assert back.anchors is avatar.anchors
+        assert back.anchor_normals is avatar.anchor_normals
+        assert back.anchor_scales is avatar.anchor_scales
 
     def test_rotations_past_pi_wrap_to_the_same_rotation(self):
         # float32 rounds pi up; in-range angles keep their bits
@@ -258,6 +294,99 @@ class TestRoundTrips:
         avatar, _ = toy_reference_scene("checker-sphere", grid=4)
         assert np.max(np.abs(avatar.rotations)) > math.pi   # float32 pi
         assert np.max(np.abs(normalize_avatar(avatar).values)) <= 1.0
+
+
+def _laid_out(x, layout):
+    """x's values in the given memory layout: C order, Fortran order, the
+    grid axes swapped, or a view with negative and skipping strides into a
+    wider array."""
+    if layout == "c":
+        return np.ascontiguousarray(x)
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "swapped":
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+    h, w, ch = x.shape
+    view = np.zeros((h, 2 * w, ch + 2))[::-1, ::2, 1:-1]
+    view[...] = x
+    return view
+
+
+def _raw_packed(rng, h, w, s, c):
+    """A packed tensor with every edge the channel maps treat apart: exact
+    and float32 pi, rotations past pi, radii below 0 and above 0.15, -0.0,
+    and payloads whose tanh rounds to +-1."""
+    x = rng.standard_normal((h, w, 9 + 3 * s * s * c))
+    x[..., 3:6] = rng.uniform(-7.0, 7.0, size=(h, w, 3))
+    x[..., 6:9] = rng.uniform(-0.1, 0.3, size=(h, w, 3))
+    x[..., 9:] *= 4.0
+    edges = [math.pi, -math.pi, float(np.float32(math.pi)), 0.0, -0.0, 0.15,
+             -0.15, 20.0, -20.0, 1e-300]
+    flat = x.reshape(-1)
+    flat[rng.choice(flat.size, size=6 * len(edges), replace=False)] = np.resize(
+        edges, 6 * len(edges))
+    return x
+
+
+def _normalized(rng, h, w, c):
+    """A normalized tensor holding exact +-1, -0.0, the arctanh clamp
+    +-(1 - 1e-6) and values beyond it, and radii below the floor."""
+    x = rng.uniform(-1.0, 1.0, size=(h, w, 9 + 3 * c))
+    edges = [1.0, -1.0, -0.0, 0.0, 1.0 - 1e-6, -1.0 + 1e-6, 1.0 - 1e-7,
+             -1.0 + 1e-7, -0.6, -0.99]
+    flat = x.reshape(-1)
+    flat[rng.choice(flat.size, size=6 * len(edges), replace=False)] = np.resize(
+        edges, 6 * len(edges))
+    return x
+
+
+_LAYOUTS = ("c", "fortran", "swapped", "strided")
+
+
+class TestOracleBytes:
+    """The library writes the round trip's arrays into one output each; the
+    allocate-then-copy forms in reference are their oracle, byte for byte
+    (so -0.0 counts). A ufunc's SIMD loop can depend on the
+    strides of its output, so every map runs on inputs of four layouts."""
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("c", (1, 3, 8))
+    @pytest.mark.parametrize("s", (1, 2, 4, 8))
+    def test_normalize_and_unfold(self, s, c, layout):
+        rng = np.random.default_rng(100 * s + c)
+        x = _laid_out(_raw_packed(rng, 3, 2, s, c), layout)
+        got = normalize_channels(x)
+        assert got.tobytes() == reference.normalize_channels(x).tobytes()
+        assert unfold(x, s).tobytes() == reference.unfold(x, s).tobytes()
+        assert unfold(_laid_out(got, layout), s).tobytes() == \
+            reference.unfold(got, s).tobytes()
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("c", (1, 3, 8))
+    @pytest.mark.parametrize("s", (1, 2, 4, 8))
+    def test_fold_and_denormalize(self, s, c, layout):
+        rng = np.random.default_rng(100 * s + c)
+        t = _laid_out(_normalized(rng, 3 * s, 2 * s, c), layout)
+        got = fold(t, s)
+        assert got.tobytes() == reference.fold(t, s).tobytes()
+        replicated = _laid_out(unfold(got, s), layout)
+        assert fold(replicated, s).tobytes() == got.tobytes()
+        assert denormalize_channels(t).tobytes() == \
+            reference.denormalize_channels(t).tobytes()
+        assert denormalize_channels(_laid_out(got, layout)).tobytes() == \
+            reference.denormalize_channels(got).tobytes()
+
+    def test_avatar_round_trip_matches_the_reference(self, rng):
+        avatar = make_avatar(rng, h=4, w=4, plane_size=8, channels=8,
+                             payload_scale=4.0)
+        packed = pack_avatar_tensor(avatar)
+        tensor = normalize_avatar(avatar)
+        want = reference.unfold(reference.normalize_channels(packed), 8)
+        assert tensor.values.tobytes() == want.tobytes()
+        back = denormalize_avatar(tensor, avatar.anchors, avatar.anchor_normals,
+                                  avatar.anchor_scales)
+        want = reference.denormalize_channels(reference.fold(want, 8))
+        assert pack_avatar_tensor(back).tobytes() == want.tobytes()
 
 
 class TestPackUnfoldFold:

@@ -110,6 +110,34 @@ def _pair(rng, **kw):
     return make_avatar(rng, **kw), make_avatar(rng, **kw)
 
 
+class TestSharedArrays:
+    """An edit's avatar shares the frozen arrays it did not change, with the
+    avatar they came from, instead of copying them."""
+
+    def test_region_transfer_texture_keeps_the_target_geometry(self, rng):
+        target, source = _pair(rng)
+        grid = np.zeros((4, 4), dtype=bool)
+        grid[1, 2] = True
+        out = region_transfer(target, source, UVMask(grid=grid, channels="texture"))
+        for name in GEOMETRY_FIELDS:
+            assert getattr(out, name) is getattr(target, name), name
+        assert out.payloads is not target.payloads
+
+    def test_region_transfer_geometry_keeps_the_target_payloads(self, rng):
+        target, source = _pair(rng)
+        out = region_transfer(target, source, UVMask.full(4, 4, "geometry"))
+        assert out.payloads is target.payloads
+
+    def test_interpolate_shares_what_it_does_not_blend(self, rng):
+        a, b = _pair(rng)
+        out = interpolate(a, b, 0.5, "geometry")
+        assert out.payloads is a.payloads
+        out = interpolate(a, b, 1.0, "texture")
+        assert out.payloads is b.payloads
+        for name in GEOMETRY_FIELDS:
+            assert getattr(out, name) is getattr(a, name), name
+
+
 class TestRegionTransfer:
     def test_empty_mask_is_identity(self, rng):
         target, source = _pair(rng)
