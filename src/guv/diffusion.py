@@ -302,20 +302,14 @@ def posterior_params(schedule: DiffusionSchedule, s: int, t: int, g_t, g0_hat):
     return coef_t * g_t + coef_0 * g0_hat, std
 
 
-def _stable_sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def ddpm_weight(schedule: DiffusionSchedule, t: int) -> float:
     """w_t = sigmoid(SNR(t)), SNR = alpha_t^2 / sigma_t^2; w_0 = 1 (no noise)."""
     _check_t(schedule, t)
     sig2 = float(schedule.sigmas[t] ** 2)
     if sig2 == 0.0:
         return 1.0
-    return _stable_sigmoid(float(schedule.alphas[t] ** 2) / sig2)
+    snr = float(schedule.alphas[t] ** 2) / sig2   # >= 0: exp(-snr) <= 1
+    return 1.0 / (1.0 + math.exp(-snr))
 
 
 def denoiser_loss(schedule: DiffusionSchedule, g0, t: int, noise, denoiser) -> float:

@@ -28,7 +28,7 @@ class UVMask:
     """Texel mask plus channel-group selector."""
 
     grid: np.ndarray
-    channels: str = "both"
+    channels: str
 
     def __post_init__(self):
         g = np.array(self.grid, dtype=bool)

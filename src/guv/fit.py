@@ -34,12 +34,13 @@ LR_Z, LR_DECODER, LR_GAUSSIANS, LR_MLP, LR_PAYLOAD = 0.05, 0.0025, 1e-5, 5e-2, 2
 
 @dataclass(frozen=True)
 class PosedView:
-    """One training view: camera plus image, with optional depth and mask."""
+    """One training view, as a 3D generator renders it: camera, image, depth
+    and opacity mask; image and mask values lie in [0, 1]."""
 
     camera: "object"
     image: np.ndarray
-    depth: np.ndarray | None = None
-    mask: np.ndarray | None = None
+    depth: np.ndarray
+    mask: np.ndarray
 
     def __post_init__(self):
         img = np.asarray(self.image, dtype=np.float64)
@@ -51,15 +52,14 @@ class PosedView:
             raise InvalidArgumentError("camera dims do not match image")
         object.__setattr__(self, "image", img)
         for name in ("depth", "mask"):
-            a = getattr(self, name)
-            if a is None:
-                continue
-            a = np.asarray(a, dtype=np.float64)
+            a = np.asarray(getattr(self, name), dtype=np.float64)
             if a.shape != img.shape[:2]:
                 raise InvalidArgumentError(f"{name} must be (H, W)")
             if not np.all(np.isfinite(a)):
                 raise InvalidArgumentError(f"{name} must be finite")
             object.__setattr__(self, name, a)
+        if self.mask.min() < 0 or self.mask.max() > 1:
+            raise InvalidArgumentError("mask values must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ class Batch:
     """One batch of rays and what the objective compares them with.
 
     t: (R, J) sample distances along dirs (R, 3) from origin. targets:
-    color (R, 3), optional depth and mask (R,). anchors: the (H, W, 3) rest
+    color (R, 3), depth and mask (R,). anchors: the (H, W, 3) rest
     grid of the mesh loss. Payloads have CHANNELS channels. idx: frozen
     (R, J, K) neighbor ids, or None to select them from the current centers.
     """
@@ -290,7 +290,7 @@ def objective(leaves: dict, batch: Batch):
     outputs = {"color": color, "depth": depth, "alpha": alpha}
     scene = {"centers": leaves["centers"], "rotations": leaves["rotations"],
              "radii": leaves["radii"], "anchors": batch.anchors}
-    return total_loss(outputs, batch.targets, scene, mean_influ, z=leaves.get("z"))
+    return total_loss(outputs, batch.targets, scene, mean_influ, leaves.get("z"))
 
 
 def fit_scene(
@@ -357,15 +357,11 @@ def fit_scene(
         jitter = rng.uniform(size=(dirs.shape[0], render_cfg.samples_per_ray))
         t = sample_distances(view.camera.near, view.camera.far, jitter)
 
-        patch_img = view.image[window].reshape(-1, 3)
-        tgts = {"color": patch_img}
-        if view.depth is not None:
-            tgts["depth"] = view.depth[window].reshape(-1)
-        if view.mask is not None:
-            tgts["mask"] = view.mask[window].reshape(-1)
-            tgts["color"] = composite_background(
-                view.image[window], view.mask[window], BACKGROUND
-            ).reshape(-1, 3)
+        mask = view.mask[window]
+        tgts = {"color": composite_background(view.image[window], mask,
+                                              BACKGROUND).reshape(-1, 3),
+                "depth": view.depth[window].reshape(-1),
+                "mask": mask.reshape(-1)}
 
         batch = Batch(origin=view.camera.origin, dirs=dirs, t=t, cfg=render_cfg,
                       targets=tgts, anchors=anchors, plane_size=plane_size)

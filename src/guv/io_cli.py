@@ -555,7 +555,7 @@ def _toy_payload(h: int, w: int, s: int, c: int, hue: np.ndarray,
     return pay
 
 
-def toy_reference_scene(kind: str, grid: int = 8, seed: int = 0
+def toy_reference_scene(kind: str, grid: int, seed: int
                         ) -> tuple[UVAvatar, RenderMLP]:
     """The procedural reference avatar each toy dataset renders from.
 
@@ -613,9 +613,8 @@ def camera_ring(views: int, resolution: int) -> list[Camera]:
     return cams
 
 
-def generate_toy_dataset(kind: str, out_dir, views: int = 16,
-                         resolution: int = 32, grid: int = 8,
-                         seed: int = 0) -> str:
+def generate_toy_dataset(kind: str, out_dir, views: int, resolution: int,
+                         grid: int, seed: int) -> str:
     """Render a toy dataset directory from a procedural reference avatar.
 
     Emits anchors.guva, cameras.json, per-view img/depth/mask files, the
@@ -669,7 +668,10 @@ def load_dataset(path) -> ToyDataset:
         img = read_ppm(root / f"img_{i:03d}.ppm")
         depth, _ = read_pgm(root / f"depth_{i:03d}.pgm")
         mask, _ = read_pgm(root / f"mask_{i:03d}.pgm")
-        views.append(PosedView(camera=cam, image=img, depth=depth, mask=mask))
+        try:
+            views.append(PosedView(camera=cam, image=img, depth=depth, mask=mask))
+        except InvalidArgumentError as e:
+            raise InvalidArgumentError(f"{root}: view {i}: {e}") from None
     return ToyDataset(anchors=anchors, normals=normals, scales=scales,
                       cameras=cams, views=views, manifest=manifest,
                       path=str(root))
@@ -704,7 +706,7 @@ _ORACLE_SUBSAMPLE = {"payloads": 64, "w1": 64, "w2": 64, "z": 32,
                      "dec_b1": 16, "dec_b2": 16, "dec_b3": 16}
 
 
-def run_gradient_oracle(mode: str = "direct", seed: int = 0) -> dict:
+def run_gradient_oracle(mode: str, seed: int) -> dict:
     """fd_check of fit.objective, the objective fit_scene runs, on a tiny
     random scene: 8 Gaussians, a 4x4 patch, and random photometric, depth
     and mask targets so every loss term is active.

@@ -10,6 +10,7 @@ networks).
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -93,37 +94,27 @@ def code_loss(z):
     return g.mul(g.sum(g.mul(z, z)), CODE_WEIGHT)
 
 
-def total_loss(outputs: dict, targets: dict, scene: dict, mean_influence,
-               z=None):
+def total_loss(outputs: dict, targets: dict, scene: dict, mean_influence, z):
     """Full objective: reconstruction + regularizers + latent prior.
 
-    outputs: color/depth/alpha (rendered); targets: color, optional depth and
-    mask; scene: centers/rotations/radii/anchors as (H, W, ...) grids.
+    outputs: color/depth/alpha (rendered); targets: color, depth and mask;
+    scene: centers/rotations/radii/anchors as (H, W, ...) grids.
     Coverage is COVERAGE_WEIGHT * mean_influence, the mean K-nearest
-    influence at the ray samples that the render kernel returns.
+    influence at the ray samples that the render kernel returns. z: the
+    latent code (its prior is the code term), or None in direct mode.
     Returns (total, breakdown); total is the sum of breakdown entries in
-    fixed key order.
+    key order.
     """
-    breakdown = {}
-    breakdown["l1"] = l1_loss(outputs["color"], targets["color"])
-    if targets.get("depth") is not None:
-        if targets.get("mask") is None:
-            raise InvalidArgumentError("depth supervision requires a target mask")
-        breakdown["depth"] = g.mul(
-            depth_loss(outputs["depth"], targets["depth"], targets["mask"]),
-            DEPTH_WEIGHT,
-        )
-    if targets.get("mask") is not None:
-        breakdown["silhouette"] = silhouette_loss(outputs["alpha"], targets["mask"])
-    breakdown["coverage"] = g.mul(mean_influence, COVERAGE_WEIGHT)
-    breakdown["volume"] = volume_loss(scene["radii"])
-    breakdown["tv"] = tv_loss(scene["centers"], scene["rotations"], scene["radii"])
-    breakdown["mesh"] = mesh_loss(scene["centers"], scene["anchors"])
+    breakdown = {
+        "l1": l1_loss(outputs["color"], targets["color"]),
+        "depth": g.mul(depth_loss(outputs["depth"], targets["depth"],
+                                  targets["mask"]), DEPTH_WEIGHT),
+        "silhouette": silhouette_loss(outputs["alpha"], targets["mask"]),
+        "coverage": g.mul(mean_influence, COVERAGE_WEIGHT),
+        "volume": volume_loss(scene["radii"]),
+        "tv": tv_loss(scene["centers"], scene["rotations"], scene["radii"]),
+        "mesh": mesh_loss(scene["centers"], scene["anchors"]),
+    }
     if z is not None:
         breakdown["code"] = code_loss(z)
-    total = None
-    for key in ("l1", "depth", "silhouette", "coverage", "volume", "tv",
-                "mesh", "code"):
-        if key in breakdown:
-            total = breakdown[key] if total is None else g.add(total, breakdown[key])
-    return total, breakdown
+    return functools.reduce(g.add, breakdown.values()), breakdown

@@ -233,7 +233,7 @@ def _usable_cpus() -> int:
 
 
 def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
-                 cfg: RenderConfig, seed: int = 0) -> RenderOutput:
+                 cfg: RenderConfig, seed: int) -> RenderOutput:
     """Full-frame render; pixel (i, j) bit-equals march_ray of that pixel's
     ray with jitter stratified_jitter(H, W, J, seed)[i, j], so marching the
     chunks of _CHUNK rays on min(usable CPUs, chunks) threads, which end

@@ -43,7 +43,7 @@ class TestUVMask:
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError, match="\\(H, W\\)"):
-            UVMask(grid=np.ones(4, dtype=bool))
+            UVMask(grid=np.ones(4, dtype=bool), channels="both")
         with pytest.raises(InvalidArgumentError, match="selector"):
             UVMask(grid=np.ones((2, 2), dtype=bool), channels="pose")
 
@@ -141,7 +141,7 @@ class TestSharedArrays:
 class TestRegionTransfer:
     def test_empty_mask_is_identity(self, rng):
         target, source = _pair(rng)
-        mask = UVMask(grid=np.zeros((4, 4), dtype=bool))
+        mask = UVMask(grid=np.zeros((4, 4), dtype=bool), channels="both")
         assert_avatars_equal(region_transfer(target, source, mask), target)
 
     def test_full_mask_both_gives_source(self, rng):

@@ -107,18 +107,29 @@ class TestPosedView:
     def test_image_range_enforced(self, rng):
         cam = _ring_cameras(1, 6)[0]
         with pytest.raises(InvalidArgumentError, match="\\[0, 1\\]"):
-            PosedView(camera=cam, image=2.0 * np.ones((6, 6, 3)))
+            PosedView(camera=cam, image=2.0 * np.ones((6, 6, 3)),
+                      depth=np.ones((6, 6)), mask=np.ones((6, 6)))
 
     def test_camera_dims_must_match(self, rng):
         cam = _ring_cameras(1, 6)[0]
         with pytest.raises(InvalidArgumentError, match="camera"):
-            PosedView(camera=cam, image=np.zeros((5, 6, 3)))
+            PosedView(camera=cam, image=np.zeros((5, 6, 3)),
+                      depth=np.ones((5, 6)), mask=np.ones((5, 6)))
 
     def test_depth_shape(self, rng):
         cam = _ring_cameras(1, 6)[0]
         with pytest.raises(InvalidArgumentError, match="depth"):
             PosedView(camera=cam, image=np.zeros((6, 6, 3)),
-                      depth=np.zeros((3, 3)))
+                      depth=np.zeros((3, 3)), mask=np.ones((6, 6)))
+
+    @pytest.mark.parametrize("bad", [255.0, -0.5, np.nan])
+    def test_mask_range_enforced(self, bad):
+        cam = _ring_cameras(1, 6)[0]
+        mask = np.ones((6, 6))
+        mask[2, 3] = bad
+        with pytest.raises(InvalidArgumentError, match="mask"):
+            PosedView(camera=cam, image=np.zeros((6, 6, 3)),
+                      depth=np.ones((6, 6)), mask=mask)
 
 
 class TestLatentDecoder:
@@ -163,7 +174,8 @@ class TestLatentDecoder:
 def _blank_views(count, h, w):
     cam = lookat_camera((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), w, h, fx=float(w),
                         near=0.5, far=1.5)
-    return [PosedView(camera=cam, image=np.zeros((h, w, 3)))] * count
+    return [PosedView(camera=cam, image=np.zeros((h, w, 3)),
+                      depth=np.ones((h, w)), mask=np.ones((h, w)))] * count
 
 
 class TestSamplePatch:
@@ -283,6 +295,14 @@ class TestFitScene:
         np.testing.assert_array_equal(res.avatar.payloads,
                                       decode_payloads(res.decoder))
         assert "code" in res.final_breakdown
+
+    @pytest.mark.parametrize("mode", ["direct", "latent"])
+    def test_every_term_is_in_the_breakdown(self, rng, mode):
+        res = _fit(_toy_views(rng), rng, 2, mode=mode)
+        want = {"l1", "depth", "silhouette", "coverage", "volume", "tv", "mesh"}
+        if mode == "latent":
+            want.add("code")
+        assert set(res.final_breakdown) == want
 
     def test_latent_mode_deterministic(self, rng):
         views = _toy_views(rng)

@@ -2,6 +2,7 @@ import functools
 import json
 import os
 import re
+import shutil
 import struct
 import tempfile
 import warnings
@@ -645,11 +646,12 @@ class TestToyDataset:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(InvalidArgumentError, match="kind"):
             generate_toy_dataset("cube", tmp_path / "x", views=1,
-                                 resolution=8, grid=4)
+                                 resolution=8, grid=4, seed=0)
 
     def test_non_utf8_manifest_is_format_error(self, tmp_path):
         out = tmp_path / "ds"
-        generate_toy_dataset("sphere", out, views=1, resolution=4, grid=2)
+        generate_toy_dataset("sphere", out, views=1, resolution=4, grid=2,
+                             seed=0)
         (out / "manifest.json").write_bytes(b'{"kind": "\xe9"}')
         with pytest.raises(FormatError, match="manifest.json: not valid JSON"):
             load_dataset(out)
@@ -657,7 +659,7 @@ class TestToyDataset:
     def test_needs_at_least_one_view(self, tmp_path):
         with pytest.raises(InvalidArgumentError, match="views"):
             generate_toy_dataset("sphere", tmp_path / "x", views=0,
-                                 resolution=8, grid=4)
+                                 resolution=8, grid=4, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -704,6 +706,22 @@ class TestCli:
                    "--iters", "1", "--patch", "8", "--k", "100"])
         assert rc == 2
         assert "knn_k=100 exceeds" in capsys.readouterr().err
+        assert not (tmp_path / "x.guv").exists()
+
+    def test_fit_mask_out_of_range_exits_two(self, cli_dataset, tmp_path,
+                                             capsys):
+        # a mask whose scale comment maps its 8-bit maximum to 255.0
+        ds = tmp_path / "ds"
+        shutil.copytree(cli_dataset, ds)
+        mask = ds / "mask_001.pgm"
+        data = mask.read_bytes()
+        assert b"# scale 1.0\n" in data
+        mask.write_bytes(data.replace(b"# scale 1.0\n", b"# scale 255.0\n", 1))
+        rc = main(["fit", str(ds), "--out", str(tmp_path / "x.guv"),
+                   "--iters", "1", "--patch", "8"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{ds}: view 1: mask values must lie in [0, 1]" in err
         assert not (tmp_path / "x.guv").exists()
 
     def test_render_command(self, cli_dataset, cli_fit, tmp_path, capsys):
@@ -1087,7 +1105,8 @@ class TestCli:
 def _toy_files() -> dict:
     """{file name: bytes} of a tiny generated dataset."""
     with tempfile.TemporaryDirectory() as d:
-        generate_toy_dataset("sphere", d, views=1, resolution=4, grid=2)
+        generate_toy_dataset("sphere", d, views=1, resolution=4, grid=2,
+                             seed=0)
         return {p.name: p.read_bytes() for p in Path(d).iterdir()}
 
 

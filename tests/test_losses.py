@@ -122,7 +122,9 @@ def _coverage(arrays, origin, dirs, t, cfg):
              "rotations": arrays["rotations"].reshape(1, n, 3),
              "radii": arrays["radii"].reshape(1, n, 3),
              "anchors": arrays["centers"].reshape(1, n, 3)}
-    _, breakdown = total_loss(outputs, {"color": color}, scene, mean_influence)
+    targets = {"color": color, "depth": depth, "mask": np.ones_like(alpha)}
+    _, breakdown = total_loss(outputs, targets, scene, mean_influence,
+                              z=None)
     return g.value(breakdown["coverage"])
 
 
@@ -313,28 +315,9 @@ class TestTotalLoss:
     def test_mean_influence_weighting(self, rng):
         outputs, targets = _random_io(rng)
         scene = _random_scene(rng)
-        _, breakdown = total_loss(outputs, targets, scene, 0.62)
+        _, breakdown = total_loss(outputs, targets, scene, 0.62, z=None)
         assert g.value(breakdown["coverage"]) == pytest.approx(0.001 * 0.62,
                                                                rel=1e-12)
-
-    def test_depth_without_mask_rejected(self, rng):
-        outputs, targets = _random_io(rng)
-        targets = dict(targets)
-        targets["mask"] = None
-        scene = _random_scene(rng)
-        with pytest.raises(InvalidArgumentError, match="mask"):
-            total_loss(outputs, targets, scene, 0.4)
-
-    def test_no_optional_terms(self, rng):
-        outputs = {"color": rng.uniform(size=(3, 3, 3)),
-                   "depth": rng.uniform(size=(3, 3)),
-                   "alpha": rng.uniform(size=(3, 3))}
-        targets = {"color": rng.uniform(size=(3, 3, 3))}
-        scene = _random_scene(rng)
-        total, breakdown = total_loss(outputs, targets, scene, 0.4)
-        assert set(breakdown) == {"l1", "coverage", "volume", "tv", "mesh"}
-        want = sum(g.value(t) for t in breakdown.values())
-        assert g.value(total) == pytest.approx(want, abs=1e-15)
 
 
 class TestGradientChecks:

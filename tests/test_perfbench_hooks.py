@@ -39,13 +39,13 @@ def test_counters_bind_the_arguments_of_real_calls():
     # the hooks bind each call's arguments to the target's signature and
     # hand them to _count_knn (centers_val, t) and _count_rays (t)
     tracing = _tracing()
-    avatar, mlp = toy_reference_scene("checker-sphere", grid=4)
+    avatar, mlp = toy_reference_scene("checker-sphere", grid=4, seed=0)
     cfg = RenderConfig(samples_per_ray=8)
     tracer = tracing.Tracer("hooks")
     hooks = tracing.Hooks(tracer).install()
     try:
         tracer.stage = "job"
-        render.render_image(avatar, mlp, camera_ring(1, 4)[0], cfg)
+        render.render_image(avatar, mlp, camera_ring(1, 4)[0], cfg, seed=0)
     finally:
         hooks.remove()
     evals = 16 * cfg.samples_per_ray * avatar.count

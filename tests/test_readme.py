@@ -64,7 +64,7 @@ def test_guv_command_parses(argv):
 def test_cheap_commands_run_as_written(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     generate_toy_dataset("checker-sphere", "data/checker", views=2,
-                         resolution=8)
+                         resolution=8, grid=8, seed=0)
     assert main(["fit", "data/checker", "--out", "out/avatar.guv",
                  "--iters", "2", "--patch", "8", "--k", "3"]) == 0
     # the inputs a user brings: another avatar, UV masks, expression anchors
@@ -93,7 +93,7 @@ def test_inpaint_command_runs_on_a_dataset_reference(tmp_path, monkeypatch):
     # reference avatar, whose float32 rotations round pi up
     monkeypatch.chdir(tmp_path)
     generate_toy_dataset("checker-sphere", "data/checker", views=1,
-                         resolution=8)
+                         resolution=8, grid=8, seed=0)
     argv = list(next(a for a in GUV if _name(a) == "guv diffuse inpaint"))
     argv[argv.index("--like") + 1] = "data/checker/reference.guv"
     reference = load_avatar("data/checker/reference.guv")

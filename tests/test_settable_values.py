@@ -13,23 +13,17 @@ SETTABLE = {
     "core.RenderConfig.knn_k", "core.RenderConfig.samples_per_ray",
     "diffusion.inpaint_sample.step_count",
     "diffusion.reverse_sample.step_count",
-    "edit.UVMask.channels", "edit.interpolate.selector",
+    "edit.interpolate.selector",
     "fit.Batch.idx", "fit.FitConfig.decay_factor", "fit.FitConfig.decay_step",
-    "fit.PosedView.depth", "fit.PosedView.mask", "fit.fit_scene.callback",
+    "fit.fit_scene.callback",
     "grad.AdamWState.step", "grad.FDGroupReport.checked",
     "grad.FDGroupReport.excluded", "grad.FDGroupReport.failures",
     "grad.FDGroupReport.max_rel_err",
     "grad.concatenate.axis", "grad.cumsum.axis", "grad.fd_check.rng",
     "grad.fd_check.subsample", "grad.sum.axis", "grad.sum.keepdims",
     "io_cli.check_diffusion.seed", "io_cli.check_grad.seed",
-    "io_cli.check_knn.seed", "io_cli.generate_toy_dataset.grid",
-    "io_cli.generate_toy_dataset.resolution",
-    "io_cli.generate_toy_dataset.seed", "io_cli.generate_toy_dataset.views",
-    "io_cli.main.argv", "io_cli.run_gradient_oracle.mode",
-    "io_cli.run_gradient_oracle.seed", "io_cli.toy_reference_scene.grid",
-    "io_cli.toy_reference_scene.seed",
-    "losses.total_loss.z",
-    "render.march_rays_core.idx", "render.render_image.seed",
+    "io_cli.check_knn.seed", "io_cli.main.argv",
+    "render.march_rays_core.idx",
 }
 
 
@@ -76,7 +70,7 @@ def settable_values() -> set[str]:
 
 
 def test_settable_values_are_listed():
-    assert len(SETTABLE) == 38
+    assert len(SETTABLE) == 25
     got = settable_values()
     assert got == SETTABLE, (
         f"unlisted: {sorted(got - SETTABLE)}; gone: {sorted(SETTABLE - got)}")
