@@ -5,8 +5,8 @@ pose (center, intrinsic-XYZ Euler rotation, three axis radii acting as
 standard deviations) plus a local tri-plane feature payload sampled inside the
 Gaussian's +-3-sigma cube; the influence kernel and the tri-plane lookup
 that evaluate them live in render. Everything here is pure float64 numpy;
-all types are immutable value objects (arrays are defensively copied and
-frozen; an array frozen here is shared, not copied again).
+all types are immutable value objects (arrays from callers are copied and
+frozen; an array the library made is frozen in place and shared as is).
 """
 from __future__ import annotations
 
@@ -22,14 +22,18 @@ _FROZEN = weakref.WeakValueDictionary()
 
 
 def _frozen(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:
-    """A checked, read-only float64 copy of a, or a itself if made here. The
-    copy is a view of a read-only owner, so its writeable flag cannot be set
-    again; making that owner (its .base) writable voids the sharing."""
+    """A checked, read-only float64 copy of a, or a itself if made here."""
     if _FROZEN.get(id(a)) is a and not a.flags.writeable and a.shape == shape:
         return a
     arr = np.array(a, dtype=np.float64)
     if arr.shape != shape:
         raise InvalidArgumentError(f"{name}: expected shape {shape}, got {arr.shape}")
+    return _take(arr, name)
+
+
+def _take(arr: np.ndarray, name: str) -> np.ndarray:
+    """arr, a float64 array no caller holds, checked and frozen in place: a
+    view of arr, read-only until arr itself is made writable again."""
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError(f"{name}: contains non-finite values")
     arr.flags.writeable = False

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UVAvatar, _frozen, _wrap_angle
+from .core import UVAvatar, _frozen, _take, _wrap_angle
 from .errors import InvalidArgumentError
 
 GEOMETRY_CHANNELS = 9  # center 3 + rotation 3 + radii 3, in pack order
@@ -92,7 +92,7 @@ class UVTensor:
     plane_size: int
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
+        v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 3:
             raise InvalidArgumentError("values must be (H*S, W*S, channels)")
         s = _check_plane_size(self.plane_size)
@@ -106,8 +106,7 @@ class UVTensor:
             if not np.all(np.isfinite(v)):
                 raise InvalidArgumentError("values must be finite")
             raise InvalidArgumentError("normalized channels must lie in [-1, 1]")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(v, v.shape, "values"))
 
     @property
     def grid_height(self) -> int:
@@ -134,6 +133,16 @@ def pack_avatar_tensor(avatar: UVAvatar) -> np.ndarray:
     )
 
 
+def _normalize_into(pose, payload, pose_out, payload_out) -> None:
+    """normalize_channels' maps of the (..., 9) pose and the payload."""
+    pose_out[..., 0:3] = (pose[..., 0:3] + 0.12) * 2.0
+    rot = pose[..., 3:6]
+    rot = np.where(np.abs(rot) > math.pi, _wrap_angle(rot), rot)
+    pose_out[..., 3:6] = rot / math.pi
+    pose_out[..., 6:9] = (np.clip(np.abs(pose[..., 6:9]), 0.0, 0.15) - 0.06) * 10.0
+    np.tanh(payload, out=payload_out)
+
+
 def normalize_channels(packed: np.ndarray) -> np.ndarray:
     """Map raw parameter channels into [-1, 1]: centers (x+0.12)*2, rotations
     x/pi, radii (|x|.clip(0, 0.15) - 0.06)*10, payload tanh(x). Rotations
@@ -141,13 +150,16 @@ def normalize_channels(packed: np.ndarray) -> np.ndarray:
     (-pi, pi]; the others keep their bits."""
     packed = np.asarray(packed, dtype=np.float64)
     out = np.empty_like(packed)
-    out[..., 0:3] = (packed[..., 0:3] + 0.12) * 2.0
-    rot = packed[..., 3:6]
-    rot = np.where(np.abs(rot) > math.pi, _wrap_angle(rot), rot)
-    out[..., 3:6] = rot / math.pi
-    out[..., 6:9] = (np.clip(np.abs(packed[..., 6:9]), 0.0, 0.15) - 0.06) * 10.0
-    np.tanh(packed[..., 9:], out=out[..., 9:])
+    _normalize_into(packed[..., :9], packed[..., 9:], out[..., :9], out[..., 9:])
     return out
+
+
+def _denormalize(pose, payload, payload_out) -> tuple:
+    """denormalize_channels' maps: (centers, rotations, radii) as new arrays."""
+    np.clip(payload, -1.0 + 1e-6, 1.0 - 1e-6, out=payload_out)
+    np.arctanh(payload_out, out=payload_out)
+    return (pose[..., 0:3] / 2.0 - 0.12, pose[..., 3:6] * math.pi,
+            np.maximum(pose[..., 6:9] / 10.0 + 0.06, 1e-5))
 
 
 def denormalize_channels(normalized: np.ndarray) -> np.ndarray:
@@ -156,12 +168,18 @@ def denormalize_channels(normalized: np.ndarray) -> np.ndarray:
     value; payload atanh clamps at +-(1 - 1e-6)."""
     n = np.asarray(normalized, dtype=np.float64)
     out = np.empty_like(n)
-    out[..., 0:3] = n[..., 0:3] / 2.0 - 0.12
-    out[..., 3:6] = n[..., 3:6] * math.pi
-    out[..., 6:9] = np.maximum(n[..., 6:9] / 10.0 + 0.06, 1e-5)
-    pay = np.clip(n[..., 9:], -1.0 + 1e-6, 1.0 - 1e-6, out=out[..., 9:])
-    np.arctanh(pay, out=pay)
+    out[..., 0:3], out[..., 3:6], out[..., 6:9] = _denormalize(
+        n[..., :9], n[..., 9:], out[..., 9:])
     return out
+
+
+def _blocks(values: np.ndarray, s: int) -> tuple:
+    """The (H, S, W, S, 9) pose blocks and the (H, W, 3, S, S, C) payload of
+    an unfolded (H*S, W*S, 9 + 3C) array, views where its strides allow."""
+    hs, ws, ch = values.shape
+    blocks = values.reshape(hs // s, s, ws // s, s, ch)
+    pay = blocks[..., 9:].reshape(blocks.shape[:4] + (3, (ch - 9) // 3))
+    return blocks[..., :9], pay.transpose(0, 2, 4, 1, 3, 5)
 
 
 def unfold(packed: np.ndarray, plane_size: int) -> np.ndarray:
@@ -176,10 +194,9 @@ def unfold(packed: np.ndarray, plane_size: int) -> np.ndarray:
         )
     g, c = GEOMETRY_CHANNELS, (ch - GEOMETRY_CHANNELS) // (3 * s * s)
     out = np.empty((h * s, w * s, g + 3 * c))
-    blocks = out.reshape(h, s, w, s, g + 3 * c)   # a view: S x S blocks
-    blocks[..., :g] = packed[:, None, :, None, :g]
-    pay = packed[..., g:].reshape(h, w, 3, s, s, c)
-    blocks[..., g:].reshape(h, s, w, s, 3, c)[...] = pay.transpose(0, 3, 1, 4, 2, 5)
+    pose, pay = _blocks(out, s)
+    pose[...] = packed[:, None, :, None, :g]
+    pay[...] = packed[..., g:].reshape(h, w, 3, s, s, c)
     return out
 
 
@@ -207,11 +224,10 @@ def fold(tensor: np.ndarray, plane_size: int) -> np.ndarray:
         raise InvalidArgumentError("channel count must be 9 + 3C")
     h, w = hs // s, ws // s
     g, c = GEOMETRY_CHANNELS, (ch - GEOMETRY_CHANNELS) // 3
-    blocks = tensor.reshape(h, s, w, s, ch)
+    pose, pay = _blocks(tensor, s)
     out = np.empty((h, w, g + 3 * s * s * c))
-    _pairwise_block_mean(blocks[..., :g], out[..., :g])
-    pay = blocks[..., g:].reshape(h, s, w, s, 3, c)
-    out[..., g:].reshape(h, w, 3, s, s, c)[...] = pay.transpose(0, 2, 4, 1, 3, 5)
+    _pairwise_block_mean(pose, out[..., :g])
+    out[..., g:].reshape(h, w, 3, s, s, c)[...] = pay
     return out
 
 
@@ -219,8 +235,11 @@ def normalize_avatar(avatar: UVAvatar) -> UVTensor:
     """Export an avatar as a normalized, unfolded UV tensor. The diffusion
     prior expects neutral-expression avatars; an applied expression offset
     is not recoverable from the arrays, so that stays the caller's duty."""
-    values = unfold(normalize_channels(pack_avatar_tensor(avatar)), avatar.plane_size)
-    return UVTensor(values=values, plane_size=avatar.plane_size)
+    s, g = avatar.plane_size, GEOMETRY_CHANNELS
+    values = np.empty((avatar.height * s, avatar.width * s, g + 3 * avatar.channels))
+    pose = np.concatenate([avatar.centers, avatar.rotations, avatar.radii], axis=-1)
+    _normalize_into(pose[:, None, :, None], avatar.payloads, *_blocks(values, s))
+    return UVTensor(values=_take(values, "values"), plane_size=s)
 
 
 def denormalize_avatar(tensor: UVTensor, anchors: np.ndarray,
@@ -228,18 +247,14 @@ def denormalize_avatar(tensor: UVTensor, anchors: np.ndarray,
                        anchor_scales: np.ndarray) -> UVAvatar:
     """Rebuild an avatar from a normalized UV tensor plus the anchor grids
     (which the tensor does not carry)."""
-    packed = denormalize_channels(fold(tensor.values, tensor.plane_size))
-    h, w = tensor.grid_height, tensor.grid_width
-    s, c = tensor.plane_size, tensor.feature_channels
-    return UVAvatar(
-        centers=packed[..., 0:3],
-        rotations=packed[..., 3:6],
-        radii=packed[..., 6:9],
-        payloads=packed[..., 9:].reshape(h, w, 3, s, s, c),
-        anchors=anchors,
-        anchor_normals=anchor_normals,
-        anchor_scales=anchor_scales,
-    )
+    pose_blocks, pay = _blocks(tensor.values, tensor.plane_size)
+    pose = np.empty(pose_blocks.shape[::2])   # (H, W, 9)
+    _pairwise_block_mean(pose_blocks, pose)
+    payloads = np.empty(pay.shape)
+    fields = zip(("centers", "rotations", "radii", "payloads"),
+                 _denormalize(pose, pay, payloads) + (payloads,))
+    return UVAvatar(**{k: _take(v, k) for k, v in fields}, anchors=anchors,
+                    anchor_normals=anchor_normals, anchor_scales=anchor_scales)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UVAvatar, _wrap_angle
+from .core import UVAvatar, _take, _wrap_angle
 from .errors import InvalidArgumentError
-
-_SELECTORS = ("geometry", "texture", "both")
 
 # geometry selector covers pose channels plus the anchor state (anchors,
 # normals, scales): anchors travel with geometry so later expression offsets
 # and mesh regularization reference the transferred rest shape
 _GEOMETRY_FIELDS = ("centers", "rotations", "radii",
                     "anchors", "anchor_normals", "anchor_scales")
+# the avatar fields each channel selector edits
+_FIELDS = {"geometry": _GEOMETRY_FIELDS, "texture": ("payloads",),
+           "both": _GEOMETRY_FIELDS + ("payloads",)}
+_SELECTORS = tuple(_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,11 @@ def apply_expression_offset(avatar: UVAvatar, target_vertices: np.ndarray
     )
 
 
-def _masked_blend(mask_grid: np.ndarray, source: np.ndarray,
-                  target: np.ndarray) -> np.ndarray:
-    m = mask_grid.reshape(mask_grid.shape + (1,) * (target.ndim - 2))
-    return np.where(m, source, target)
+def _masked_blend(mask_grid: np.ndarray, source: UVAvatar, target: UVAvatar,
+                  name: str) -> np.ndarray:
+    t = getattr(target, name)
+    m = mask_grid.reshape(mask_grid.shape + (1,) * (t.ndim - 2))
+    return _take(np.where(m, getattr(source, name), t), name)
 
 
 def region_transfer(target: UVAvatar, source: UVAvatar, mask: UVMask
@@ -97,17 +100,8 @@ def region_transfer(target: UVAvatar, source: UVAvatar, mask: UVMask
     """
     _check_same_dims(target, source)
     _check_mask(mask, target)
-    updates = {}
-    if mask.channels in ("geometry", "both"):
-        for name in _GEOMETRY_FIELDS:
-            updates[name] = _masked_blend(
-                mask.grid, getattr(source, name), getattr(target, name)
-            )
-    if mask.channels in ("texture", "both"):
-        updates["payloads"] = _masked_blend(
-            mask.grid, source.payloads, target.payloads
-        )
-    return target.replace(**updates)
+    return target.replace(**{name: _masked_blend(mask.grid, source, target, name)
+                             for name in _FIELDS[mask.channels]})
 
 
 def swap_shape_texture(a: UVAvatar, b: UVAvatar) -> tuple[UVAvatar, UVAvatar]:
@@ -136,27 +130,22 @@ def interpolate(a: UVAvatar, b: UVAvatar, weight: float,
         raise InvalidArgumentError(f"weight must lie in [0, 1], got {weight}")
     if weight == 0.0:
         return a
+    if weight == 1.0:
+        return a.replace(**{name: getattr(b, name) for name in _FIELDS[selector]})
     updates = {}
     if selector in ("geometry", "both"):
-        if weight == 1.0:
-            for name in _GEOMETRY_FIELDS:
-                updates[name] = getattr(b, name)
-        else:
-            for name in ("centers", "radii", "anchors", "anchor_scales"):
-                av, bv = getattr(a, name), getattr(b, name)
-                updates[name] = (1.0 - weight) * av + weight * bv
-            delta = _wrap_angle(b.rotations - a.rotations)
-            updates["rotations"] = _wrap_angle(a.rotations + weight * delta)
-            n = (1.0 - weight) * a.anchor_normals + weight * b.anchor_normals
-            norm = np.sqrt(np.sum(n * n, axis=-1, keepdims=True))
-            if np.any(norm < 1e-9):
-                raise InvalidArgumentError(
-                    "anchor normals cancel at this weight; cannot renormalize"
-                )
-            updates["anchor_normals"] = n / norm
+        for name in ("centers", "radii", "anchors", "anchor_scales"):
+            av, bv = getattr(a, name), getattr(b, name)
+            updates[name] = (1.0 - weight) * av + weight * bv
+        delta = _wrap_angle(b.rotations - a.rotations)
+        updates["rotations"] = _wrap_angle(a.rotations + weight * delta)
+        n = (1.0 - weight) * a.anchor_normals + weight * b.anchor_normals
+        norm = np.sqrt(np.sum(n * n, axis=-1, keepdims=True))
+        if np.any(norm < 1e-9):
+            raise InvalidArgumentError(
+                "anchor normals cancel at this weight; cannot renormalize"
+            )
+        updates["anchor_normals"] = n / norm
     if selector in ("texture", "both"):
-        if weight == 1.0:
-            updates["payloads"] = b.payloads
-        else:
-            updates["payloads"] = (1.0 - weight) * a.payloads + weight * b.payloads
-    return a.replace(**updates)
+        updates["payloads"] = (1.0 - weight) * a.payloads + weight * b.payloads
+    return a.replace(**{k: _take(v, k) for k, v in updates.items()})

@@ -344,12 +344,13 @@ def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
     are not inputs.
 
     The forward makes the numpy calls of the per-plane chain (corner take,
-    bilinear weights, mixdown einsum, (p0 + p1) + p2). The VJPs replay its
-    backward sweep: planes 2, 1, 0; each u's gradient the sum of its two
-    planes' (gf (s-1)) 0.5 in sweep order. The chain's payload gradient
-    (S2 + S1) + S0 is one bincount per channel over the three planes'
-    corner rows, concatenated in sweep order: each row belongs to one
-    plane, so every bin adds the same entries in the same order.
+    bilinear weights, mixdown einsum, (p0 + p1) + p2), the three takes as
+    one. The VJPs replay its backward sweep: planes 2, 1, 0; each u's
+    gradient the sum of its two planes' (gf (s-1)) 0.5 in sweep order. The
+    chain's payload gradient (S2 + S1) + S0 is one bincount per channel
+    over the three planes' corner rows, concatenated in sweep order: each
+    row belongs to one plane, so every bin adds the same entries in the
+    same order.
     """
     vp = value(payload_flat)
     # each plane's rows and bilinear weights, planes 2, 1, 0 (the sweep's order)
@@ -362,30 +363,27 @@ def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
             i = np.clip(np.floor(pos), 0, s - 2).astype(np.int64)
             f = pos - i.astype(np.float64)
             cells.append((i, f, 1.0 - f))
-    u_grads = s > 1 and any(isinstance(u, Var) for u in (u0, u1, u2))
-    corners = [None] * 3   # kept for the u's gradients
-    feat = None
     for p, (a, b) in enumerate(_PLANE_AXES):
-        r = rows[2 - p]
         if s == 1:
-            np.add(idx * 3, p, out=r)
-            contrib = np.take(vp, r, axis=0)
-        else:
-            (ia, fa, one_fa), (ib, fb, one_fb) = cells[a], cells[b]
-            r00 = (((idx * 3 + p) * s) + ia) * s + ib
-            np.add(r00[..., None], (0, 1, s, s + 1), out=r)
-            w = wts[2 - p]
-            for k, (wa, wb) in enumerate(((one_fa, one_fb), (one_fa, fb),
-                                          (fa, one_fb), (fa, fb))):
-                np.multiply(wa, wb, out=w[..., k])
-            c = np.take(vp, r, axis=0)
-            contrib = np.einsum("...k,...kc->...c", w, c, optimize=False)
-            if u_grads:
-                corners[p] = c
-        if feat is None:
-            feat = contrib
-        else:
-            feat += contrib
+            np.add(idx * 3, p, out=rows[2 - p])
+            continue
+        (ia, fa, one_fa), (ib, fb, one_fb) = cells[a], cells[b]
+        r00 = (((idx * 3 + p) * s) + ia) * s + ib
+        np.add(r00[..., None], (0, 1, s, s + 1), out=rows[2 - p])
+        w = wts[2 - p]
+        for k, (wa, wb) in enumerate(((one_fa, one_fb), (one_fa, fb),
+                                      (fa, one_fb), (fa, fb))):
+            np.multiply(wa, wb, out=w[..., k])
+    # the three planes' corners in one gather: one large block instead of
+    # three keeps glibc's dynamic trim threshold above the chunk's temporaries
+    corners = np.take(vp, rows, axis=0)
+    contrib = [corners[2 - p] if s == 1 else
+               np.einsum("...k,...kc->...c", wts[2 - p], corners[2 - p], optimize=False)
+               for p in range(3)]
+    feat = contrib[0] + contrib[1]
+    feat += contrib[2]
+    u_grads = s > 1 and any(isinstance(u, Var) for u in (u0, u1, u2))
+    corners = corners if u_grads else None   # only the u's gradients read them
 
     def grads(g):
         dp, du = None, {}
@@ -406,7 +404,7 @@ def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
         for p in (2, 1, 0) if u_grads else ():
             a, b = _PLANE_AXES[p]
             (_, fa, one_fa), (_, fb, one_fb) = cells[a], cells[b]
-            gw = np.einsum("...c,...kc->...k", g, corners[p], optimize=False)
+            gw = np.einsum("...c,...kc->...k", g, corners[2 - p], optimize=False)
             g_one_fa = gw[..., 1] * fb + gw[..., 0] * one_fb
             g_one_fb = gw[..., 2] * fa + gw[..., 0] * one_fa
             g_fa = (gw[..., 3] * fb + gw[..., 2] * one_fb) + -g_one_fa

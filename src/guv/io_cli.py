@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (Camera, RenderConfig, UVAvatar, align_z_to_normals,
+from .core import (Camera, RenderConfig, UVAvatar, _take, align_z_to_normals,
                    euler_from_matrix, init_from_anchors)
 from .diffusion import (DiffusionSchedule, UVTensor, _check_plane_size,
                         _posterior_coefs, analytic_gauss_denoiser, channel_mask,
@@ -117,15 +117,16 @@ def _read_container(path, magic: bytes, dim_keys: tuple
 
 def _split_body(body: np.ndarray, body_off: int, counts: list[int], path
                 ) -> list[np.ndarray]:
-    """The body as float64 arrays of the given sizes, in order."""
+    """The body as float64 arrays of the given sizes, in order, each its own
+    array."""
     if body.size != sum(counts):
         raise FormatError(
             f"{path}: body has {body.size * 4} bytes at offset {body_off}, "
             f"expected {sum(counts) * 4}"
         )
     with np.errstate(invalid="ignore"):   # a signalling NaN warns on the cast
-        body = body.astype(np.float64)
-    return np.split(body, np.cumsum(counts)[:-1])
+        return [p.astype(np.float64)
+                for p in np.split(body, np.cumsum(counts)[:-1])]
 
 
 def _check_version(doc: dict, path) -> None:
@@ -177,19 +178,14 @@ def load_avatar(path) -> UVAvatar:
         path, AVATAR_MAGIC, ("H", "W", "Sx", "Sy", "C"))
     if sx != sy:
         raise FormatError(f"{path}: non-square planes Sx={sx} Sy={sy} unsupported")
-    n = h * w
-    parts = _split_body(body, body_off,
-                        [3 * n, 3 * n, 3 * n, 3 * n * sx * sy * c, 3 * n, 3 * n, n], path)
-    del body   # frees the file's bytes before UVAvatar copies the parts
-    return UVAvatar(
-        centers=parts[0].reshape(h, w, 3),
-        rotations=parts[1].reshape(h, w, 3),
-        radii=parts[2].reshape(h, w, 3),
-        payloads=parts[3].reshape(h, w, 3, sx, sy, c),
-        anchors=parts[4].reshape(h, w, 3),
-        anchor_normals=parts[5].reshape(h, w, 3),
-        anchor_scales=parts[6].reshape(h, w),
-    )
+    shapes = {"centers": (h, w, 3), "rotations": (h, w, 3), "radii": (h, w, 3),
+              "payloads": (h, w, 3, sx, sy, c), "anchors": (h, w, 3),
+              "anchor_normals": (h, w, 3), "anchor_scales": (h, w)}
+    parts = _split_body(body, body_off, [math.prod(v) for v in shapes.values()],
+                        path)
+    del body   # frees the file's bytes before the avatar takes the parts
+    return UVAvatar(**{k: _take(p.reshape(shapes[k]), k)
+                       for k, p in zip(shapes, parts)})
 
 
 def save_anchor_grid(anchors, normals, scales, path) -> None:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from guv import spatial
+from guv import core, spatial
 from guv.core import UVAvatar, init_from_anchors
 from guv.render import RenderMLP
 
@@ -64,3 +64,19 @@ def dense_calls(monkeypatch):
 
     monkeypatch.setattr(spatial, "_sample_d2", counted)
     return calls
+
+
+@pytest.fixture
+def takes(monkeypatch):
+    """take(module) -> {name: array}: the arrays module hands to core._take,
+    by name, as the helper froze them."""
+    def take(module):
+        taken = {}
+
+        def recorded(arr, name):
+            taken[name] = core._take(arr, name)
+            return taken[name]
+
+        monkeypatch.setattr(module, "_take", recorded)
+        return taken
+    return take

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guv import render
-from guv.core import (Camera, RenderConfig, UVAvatar, align_z_to_normals,
+from guv.core import (Camera, RenderConfig, UVAvatar, _take, align_z_to_normals,
                       euler_from_matrix, init_from_anchors, rotation_matrices,
                       rotation_matrix)
 from guv.errors import InvalidArgumentError
@@ -329,6 +329,30 @@ class TestFrozenSharing:
     def test_a_frozen_array_of_the_wrong_shape_is_refused(self, random_avatar):
         with pytest.raises(InvalidArgumentError, match="radii: expected shape"):
             random_avatar.replace(radii=random_avatar.anchor_scales)
+
+
+class TestTake:
+    """_take freezes an array no caller holds in place, after the same
+    finite check _frozen runs, and _frozen then passes it on uncopied."""
+
+    def test_the_array_is_frozen_in_place_and_shared(self, random_avatar):
+        radii = random_avatar.radii * 1.5
+        taken = _take(radii, "radii")
+        assert taken.base is radii and not radii.flags.writeable
+        assert random_avatar.replace(radii=taken).radii is taken
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            taken.flags.writeable = True
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_values_keep_their_message(self, random_avatar, bad):
+        payloads = np.array(random_avatar.payloads)
+        payloads[1, 2, 0, 1, 1, 3] = bad
+        with pytest.raises(InvalidArgumentError,
+                           match="payloads: contains non-finite values"):
+            _take(payloads, "payloads")
+        with pytest.raises(InvalidArgumentError,
+                           match="payloads: contains non-finite values"):
+            random_avatar.replace(payloads=payloads)
 
 
 class TestTriPlanePayload:

@@ -389,6 +389,56 @@ class TestOracleBytes:
         assert pack_avatar_tensor(back).tobytes() == want.tobytes()
 
 
+class TestTakenOver:
+    """normalize_avatar and denormalize_avatar write each full-size array
+    once; UVTensor and UVAvatar keep those arrays, frozen in place, instead
+    of copying them. Arrays from a caller are still copied."""
+
+    def test_normalize_avatar_values_are_not_copied(self, rng, takes):
+        taken = takes(diffusion)
+        tensor = normalize_avatar(make_avatar(rng, plane_size=4, channels=3))
+        assert tensor.values is taken["values"]
+        assert not tensor.values.flags.writeable
+        assert UVTensor(values=tensor.values, plane_size=4).values is tensor.values
+
+    def test_denormalize_avatar_fields_are_contiguous_and_read_only(
+            self, rng, takes):
+        avatar = make_avatar(rng, plane_size=4, channels=3)
+        tensor = normalize_avatar(avatar)
+        taken = takes(diffusion)
+        back = denormalize_avatar(tensor, avatar.anchors, avatar.anchor_normals,
+                                  avatar.anchor_scales)
+        fields = ("centers", "rotations", "radii", "payloads")
+        for name in fields:
+            arr = getattr(back, name)
+            assert arr is taken[name], name
+            assert arr.flags.c_contiguous and not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.flags.writeable = True
+            assert not arr.flags.writeable, name
+            assert not np.shares_memory(arr, tensor.values), name
+        for i, a in enumerate(fields):
+            for b in fields[i + 1:]:
+                assert not np.shares_memory(getattr(back, a), getattr(back, b))
+
+    def test_arrays_from_a_caller_are_copied(self, rng):
+        avatar = make_avatar(rng, plane_size=4, channels=3)
+        values = np.array(normalize_avatar(avatar).values)
+        tensor = UVTensor(values=values, plane_size=4)
+        anchors = np.array(avatar.anchors)
+        back = denormalize_avatar(tensor, anchors, avatar.anchor_normals,
+                                  avatar.anchor_scales)
+        kept = tensor.values.copy(), back.anchors.copy()
+        values[...] = 0.25
+        anchors[...] = 0.5
+        np.testing.assert_array_equal(tensor.values, kept[0])
+        np.testing.assert_array_equal(back.anchors, kept[1])
+        frozen_elsewhere = np.array(values)
+        frozen_elsewhere.flags.writeable = False
+        assert UVTensor(values=frozen_elsewhere, plane_size=4).values is not \
+            frozen_elsewhere
+
+
 class TestPackUnfoldFold:
     def test_pack_layout(self, rng):
         avatar = make_avatar(rng, h=2, w=3, plane_size=2, channels=2)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from guv import edit
 from guv.core import Camera, RenderConfig
 from guv.edit import (
     UVMask,
@@ -136,6 +137,39 @@ class TestSharedArrays:
         assert out.payloads is b.payloads
         for name in GEOMETRY_FIELDS:
             assert getattr(out, name) is getattr(a, name), name
+
+
+class TestTakenOver:
+    """The fields an edit builds are frozen in place: the avatar keeps the
+    np.where or arithmetic result, shared with neither input."""
+
+    @pytest.mark.parametrize("edit_fn", ("region_transfer", "interpolate"))
+    def test_edits_return_fresh_frozen_arrays(self, rng, takes, edit_fn):
+        a, b = _pair(rng)
+        taken = takes(edit)
+        if edit_fn == "region_transfer":
+            grid = np.zeros((4, 4), dtype=bool)
+            grid[1:3, 2] = True
+            out = region_transfer(a, b, UVMask(grid=grid, channels="both"))
+        else:
+            out = interpolate(a, b, 0.25)
+        assert sorted(taken) == sorted(ALL_FIELDS)
+        for name in ALL_FIELDS:
+            arr = getattr(out, name)
+            assert arr is taken[name], name
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.flags.writeable = True
+            for src in (a, b):
+                assert not np.shares_memory(arr, getattr(src, name)), name
+
+    def test_interpolate_endpoint_takes_nothing(self, rng, takes):
+        a, b = _pair(rng)
+        taken = takes(edit)
+        out = interpolate(a, b, 1.0)
+        assert taken == {}
+        for name in ALL_FIELDS:
+            assert getattr(out, name) is getattr(b, name), name
 
 
 class TestRegionTransfer:

@@ -73,6 +73,21 @@ class TestAvatarContainer:
         save_avatar(avatar, p)
         assert_avatars_equal(load_avatar(p), avatar)
 
+    def test_loaded_fields_are_taken_over(self, tmp_path, random_avatar, takes):
+        # each field is cast into its own array, which the avatar keeps
+        p = tmp_path / "a.guv"
+        save_avatar(random_avatar, p)
+        taken = takes(io_cli)
+        loaded = load_avatar(p)
+        fields = ("centers", "rotations", "radii", "payloads", "anchors",
+                  "anchor_normals", "anchor_scales")
+        assert sorted(taken) == sorted(fields)
+        for i, name in enumerate(fields):
+            arr = getattr(loaded, name)
+            assert arr is taken[name] and not arr.flags.writeable, name
+            for other in fields[i + 1:]:
+                assert not np.shares_memory(arr, getattr(loaded, other))
+
     def test_header_layout(self, tmp_path, random_avatar):
         p = tmp_path / "a.guv"
         save_avatar(random_avatar, p)
