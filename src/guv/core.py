@@ -10,9 +10,8 @@ frozen; an array the library made is frozen in place and shared as is).
 """
 from __future__ import annotations
 
-import dataclasses
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +22,8 @@ _FROZEN = weakref.WeakValueDictionary()
 
 def _frozen(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:
     """A checked, read-only float64 copy of a, or a itself if made here."""
-    if _FROZEN.get(id(a)) is a and not a.flags.writeable and a.shape == shape:
+    if (isinstance(a, np.ndarray) and _FROZEN.get(id(a)) is a
+            and not a.flags.writeable and a.shape == shape):
         return a
     arr = np.array(a, dtype=np.float64)
     if arr.shape != shape:
@@ -40,6 +40,31 @@ def _take(arr: np.ndarray, name: str) -> np.ndarray:
     arr = arr.view()
     _FROZEN[id(arr)] = arr
     return arr
+
+
+def _check_rest_grid(anchors: np.ndarray, normals: np.ndarray,
+                     scales: np.ndarray) -> None:
+    """Reject a rest grid, (H, W, 3) anchors and normals and (H, W) scales,
+    with a non-finite entry, a normal not of unit length within 1e-6 or a
+    scale that is not positive, naming the first bad texel."""
+    def texel(bad):
+        return tuple(int(v) for v in np.argwhere(bad)[0][:2])
+
+    for name, arr in (("anchors", anchors), ("normals", normals),
+                      ("scales", scales)):
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            raise InvalidArgumentError(
+                f"non-finite {name} value at texel {texel(bad)}")
+    norms = np.linalg.norm(normals, axis=-1)
+    off = np.abs(norms - 1.0) > 1e-6
+    if off.any():
+        t = texel(off)
+        raise InvalidArgumentError(
+            f"normal at texel {t} has norm {norms[t]:.9f}, expected 1 within 1e-6")
+    if np.any(scales <= 0):
+        raise InvalidArgumentError(
+            f"non-positive scale at texel {texel(scales <= 0)}")
 
 
 @dataclass(frozen=True)
@@ -82,15 +107,7 @@ class UVAvatar:
             object.__setattr__(self, name, _frozen(getattr(self, name), shape, name))
         if np.any(self.radii <= 0):
             raise InvalidArgumentError("radii must be positive everywhere")
-        if np.any(self.anchor_scales <= 0):
-            raise InvalidArgumentError("anchor_scales must be positive")
-        norms = np.linalg.norm(self.anchor_normals, axis=-1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            bad = tuple(int(v) for v in np.argwhere(np.abs(norms - 1.0) > 1e-6)[0])
-            raise InvalidArgumentError(
-                f"anchor_normals must be unit length; texel {bad} has norm "
-                f"{norms[bad]:.9f}"
-            )
+        _check_rest_grid(self.anchors, self.anchor_normals, self.anchor_scales)
 
     @property
     def height(self) -> int:
@@ -113,7 +130,7 @@ class UVAvatar:
         return self.height * self.width
 
     def replace(self, **arrays) -> "UVAvatar":
-        return dataclasses.replace(self, **arrays)
+        return replace(self, **arrays)
 
 
 @dataclass(frozen=True)

@@ -108,18 +108,6 @@ class UVTensor:
             raise InvalidArgumentError("normalized channels must lie in [-1, 1]")
         object.__setattr__(self, "values", _frozen(v, v.shape, "values"))
 
-    @property
-    def grid_height(self) -> int:
-        return self.values.shape[0] // self.plane_size
-
-    @property
-    def grid_width(self) -> int:
-        return self.values.shape[1] // self.plane_size
-
-    @property
-    def feature_channels(self) -> int:
-        return (self.values.shape[2] - GEOMETRY_CHANNELS) // 3
-
 
 def pack_avatar_tensor(avatar: UVAvatar) -> np.ndarray:
     """Raw per-texel parameter tensor (H, W, 9 + 3*S*S*C): center, rotation,

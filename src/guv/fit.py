@@ -8,7 +8,6 @@ representation. Pose parameters and the shading head are optimized in both.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ Z_DIM = 512
 CHANNELS = 8          # payload channels, the features the shading head reads
 MLP_ALPHA_BIAS = 2.0  # the fitted shading head's initial opacity logit
 DECODER_HIDDEN = 128
-_DECODER_WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
 # the training recipe's per-group learning rates; LR_PAYLOAD is the
 # free-payload rate of direct mode, which the recipe does not name (it has
 # no free payloads)
@@ -86,66 +84,22 @@ class FitConfig:
             raise InvalidArgumentError("decay_factor must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class LatentDecoder:
-    """Shared-code payload generator.
-
-    Each texel's payload vector (length 3*S*S*C) is produced independently
-    from (z, h/H, w/W) by a two-hidden-layer ReLU network, so every texel
-    draws on the same 512-d code through shared weights.
-    """
-
-    z: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    grid_height: int
-    grid_width: int
-    plane_size: int
-    channels: int
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=np.float64).reshape(-1)
-        out_dim = 3 * self.plane_size * self.plane_size * self.channels
-        shapes = {
-            "w1": (z.size + 2, self.b1.shape[0]),
-            "w2": (self.b1.shape[0], self.b2.shape[0]),
-            "w3": (self.b2.shape[0], out_dim),
-            "b3": (out_dim,),
-        }
-        object.__setattr__(self, "z", z)
-        for name, want in shapes.items():
-            got = np.asarray(getattr(self, name), dtype=np.float64)
-            if got.shape != want:
-                raise InvalidArgumentError(
-                    f"decoder {name} must have shape {want}, got {got.shape}"
-                )
-            object.__setattr__(self, name, got)
-
-
-def random_decoder(rng: np.random.Generator, grid_height: int, grid_width: int,
-                   plane_size: int, channels: int) -> LatentDecoder:
-    """He-initialized decoder with a small-variance output layer (initial
-    payloads near zero, matching direct mode's zero start) and z ~ 0.01 N(0,I)."""
+def random_decoder(rng: np.random.Generator, plane_size: int,
+                   channels: int) -> dict:
+    """The latent decoder as parameter groups: code z ~ 0.01 N(0, I) and the
+    weights dec_w1 .. dec_b3 of a two-ReLU-layer network from (z, h/H, w/W)
+    to a texel's 3*S*S*C payload entries, shared by every texel. He-initialized;
+    the small output layer starts payloads near zero, as direct mode does."""
     out_dim = 3 * plane_size * plane_size * channels
     d_in = Z_DIM + 2
-    return LatentDecoder(
-        z=0.01 * rng.standard_normal(Z_DIM),
-        w1=rng.standard_normal((d_in, DECODER_HIDDEN)) * np.sqrt(2.0 / d_in),
-        b1=np.zeros(DECODER_HIDDEN),
-        w2=rng.standard_normal((DECODER_HIDDEN, DECODER_HIDDEN))
-        * np.sqrt(2.0 / DECODER_HIDDEN),
-        b2=np.zeros(DECODER_HIDDEN),
-        w3=0.01 * rng.standard_normal((DECODER_HIDDEN, out_dim)),
-        b3=np.zeros(out_dim),
-        grid_height=grid_height,
-        grid_width=grid_width,
-        plane_size=plane_size,
-        channels=channels,
-    )
+    z = 0.01 * rng.standard_normal(Z_DIM)
+    w1 = rng.standard_normal((d_in, DECODER_HIDDEN)) * np.sqrt(2.0 / d_in)
+    w2 = (rng.standard_normal((DECODER_HIDDEN, DECODER_HIDDEN))
+          * np.sqrt(2.0 / DECODER_HIDDEN))
+    w3 = 0.01 * rng.standard_normal((DECODER_HIDDEN, out_dim))
+    return {"z": z, "dec_w1": w1, "dec_b1": np.zeros(DECODER_HIDDEN),
+            "dec_w2": w2, "dec_b2": np.zeros(DECODER_HIDDEN),
+            "dec_w3": w3, "dec_b3": np.zeros(out_dim)}
 
 
 def _uv_coords(height: int, width: int) -> np.ndarray:
@@ -155,32 +109,30 @@ def _uv_coords(height: int, width: int) -> np.ndarray:
     return np.stack([hh, ww], axis=-1).reshape(-1, 2)
 
 
-def _decode_rows(z, weights: dict, uv: np.ndarray, plane_size: int,
+def _decode_rows(decoder: dict, uv: np.ndarray, plane_size: int,
                  channels: int):
-    """Per-texel decoder forward in kernel row layout (N*3*S*S, C); works on
-    tape variables and plain arrays alike."""
+    """Per-texel forward of random_decoder's groups in kernel row layout
+    (N*3*S*S, C); works on tape variables and plain arrays alike."""
     n = uv.shape[0]
+    z = decoder["z"]
     zb = g.broadcast_to(g.reshape(z, (1, g.value(z).size)), (n, g.value(z).size))
-    x = g.concatenate([zb, uv], axis=-1)
-    h1 = g.relu(g.add(g.matmul(x, weights["dec_w1"]), weights["dec_b1"]))
-    h2 = g.relu(g.add(g.matmul(h1, weights["dec_w2"]), weights["dec_b2"]))
-    out = g.add(g.matmul(h2, weights["dec_w3"]), weights["dec_b3"])
+    x = g.concatenate([zb, uv])
+    h1 = g.relu(g.add(g.matmul(x, decoder["dec_w1"]), decoder["dec_b1"]))
+    h2 = g.relu(g.add(g.matmul(h1, decoder["dec_w2"]), decoder["dec_b2"]))
+    out = g.add(g.matmul(h2, decoder["dec_w3"]), decoder["dec_b3"])
     return g.reshape(out, (n * 3 * plane_size * plane_size, channels))
 
 
-def decode_payloads(decoder: LatentDecoder) -> np.ndarray:
-    """Payload grid (H, W, 3, S, S, C) generated from the decoder's code.
+def decode_payloads(decoder: dict, grid_height: int, grid_width: int,
+                    plane_size: int, channels: int) -> np.ndarray:
+    """Payload grid (H, W, 3, S, S, C) generated from the decoder's groups.
 
     Deterministic; texel (h, w) depends only on (z, h, w).
     """
-    uv = _uv_coords(decoder.grid_height, decoder.grid_width)
-    weights = {"dec_" + k: getattr(decoder, k) for k in _DECODER_WEIGHTS}
-    rows = _decode_rows(decoder.z, weights, uv, decoder.plane_size,
-                        decoder.channels)
-    s, c = decoder.plane_size, decoder.channels
-    return np.asarray(rows).reshape(
-        decoder.grid_height, decoder.grid_width, 3, s, s, c
-    )
+    rows = _decode_rows(decoder, _uv_coords(grid_height, grid_width),
+                        plane_size, channels)
+    return np.asarray(rows).reshape(grid_height, grid_width, 3, plane_size,
+                                    plane_size, channels)
 
 
 def sample_patch(views: list[PosedView], patch_size: int,
@@ -215,21 +167,15 @@ def composite_background(image: np.ndarray, alpha_mask: np.ndarray,
 class FitResult:
     avatar: UVAvatar
     mlp: RenderMLP
-    decoder: LatentDecoder | None
+    decoder: dict | None   # random_decoder's groups, None in direct mode
     loss_history: np.ndarray
     final_breakdown: dict
 
 
-def _mlp_from_groups(groups: dict) -> RenderMLP:
-    return RenderMLP(w1=groups["w1"], b1=groups["b1"],
-                     w2=groups["w2"], b2=groups["b2"])
-
-
-def fit_params(avatar: UVAvatar, mlp: RenderMLP,
-               decoder: LatentDecoder | None) -> dict:
+def fit_params(avatar: UVAvatar, mlp: RenderMLP, decoder: dict | None) -> dict:
     """The objective's parameter groups, copied: the avatar's pose grids,
     the shading head, then either the avatar's payloads as free entries
-    (decoder None) or the decoder's code and weights."""
+    (decoder None) or the decoder's groups."""
     groups = {"centers": avatar.centers.copy(),
               "rotations": avatar.rotations.copy(),
               "radii": avatar.radii.copy()}
@@ -238,9 +184,7 @@ def fit_params(avatar: UVAvatar, mlp: RenderMLP,
     if decoder is None:
         groups["payloads"] = avatar.payloads.copy()
     else:
-        groups["z"] = decoder.z.copy()
-        for name in _DECODER_WEIGHTS:
-            groups["dec_" + name] = getattr(decoder, name).copy()
+        groups.update((k, v.copy()) for k, v in decoder.items())
     return groups
 
 
@@ -274,17 +218,15 @@ def objective(leaves: dict, batch: Batch):
     if "payloads" in leaves:
         rows = g.reshape(leaves["payloads"], (n * 3 * s * s, c))
     else:
-        dec_w = {k: leaves[k] for k in leaves if k.startswith("dec_")}
-        rows = _decode_rows(leaves["z"], dec_w, _uv_coords(h, w), s, c)
+        rows = _decode_rows(leaves, _uv_coords(h, w), s, c)
     arrays = {
         "centers": g.reshape(leaves["centers"], (n, 3)),
         "rotations": g.reshape(leaves["rotations"], (n, 3)),
         "radii": g.reshape(leaves["radii"], (n, 3)),
         "payload_flat": rows,
     }
-    mlp_vars = {k: leaves[k] for k in ("w1", "b1", "w2", "b2")}
     color, depth, alpha, mean_influ = march_rays_core(
-        arrays, mlp_vars, batch.origin, batch.dirs, batch.t, batch.cfg, s,
+        arrays, leaves, batch.origin, batch.dirs, batch.t, batch.cfg, s,
         idx=batch.idx,
     )
     outputs = {"color": color, "depth": depth, "alpha": alpha}
@@ -335,13 +277,13 @@ def fit_scene(
     avatar0 = init_from_anchors(anchors, anchor_normals, anchor_scales,
                                 plane_size, CHANNELS)
     mlp0 = random_mlp(rng, alpha_bias=MLP_ALPHA_BIAS)
-    decoder0 = (random_decoder(rng, grid_h, grid_w, plane_size, CHANNELS)
+    decoder0 = (random_decoder(rng, plane_size, CHANNELS)
                 if mode == "latent" else None)
     params = fit_params(avatar0, mlp0, decoder0)
     lrs = dict.fromkeys(("centers", "rotations", "radii"), LR_GAUSSIANS)
     lrs.update(dict.fromkeys(("w1", "b1", "w2", "b2"), LR_MLP),
-               payloads=LR_PAYLOAD, z=LR_Z,
-               **{"dec_" + k: LR_DECODER for k in _DECODER_WEIGHTS})
+               **dict.fromkeys(decoder0 or (), LR_DECODER))
+    lrs.update(payloads=LR_PAYLOAD, z=LR_Z)
     state = adamw_state(params)
 
     dir_grids = [v.camera.ray_directions() for v in views]
@@ -387,11 +329,8 @@ def fit_scene(
 
     decoder = None
     if mode == "latent":
-        decoder = dataclasses.replace(
-            decoder0, z=params["z"],
-            **{k: params["dec_" + k] for k in _DECODER_WEIGHTS},
-        )
-        payloads = decode_payloads(decoder)
+        decoder = {k: params[k] for k in decoder0}
+        payloads = decode_payloads(decoder, grid_h, grid_w, plane_size, CHANNELS)
     else:
         payloads = params["payloads"]
     avatar = UVAvatar(
@@ -405,7 +344,7 @@ def fit_scene(
     )
     return FitResult(
         avatar=avatar,
-        mlp=_mlp_from_groups(params),
+        mlp=RenderMLP(**{k: params[k] for k in ("w1", "b1", "w2", "b2")}),
         decoder=decoder,
         loss_history=np.asarray(history, dtype=np.float64),
         final_breakdown=captured["breakdown"],

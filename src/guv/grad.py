@@ -194,12 +194,10 @@ def clip(x, lo: float, hi: float):
     return _op("clip", np.clip(v, lo, hi), (x, lambda g: g * ((v > lo) & (v < hi))))
 
 
-def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name
+def sum(x, axis=None):  # noqa: A001 - numpy-style name
     vx = value(x)
-    expand = axis is not None and not keepdims
-    return _op("sum", np.sum(vx, axis=axis, keepdims=keepdims),
-               (x, lambda g: np.broadcast_to(np.expand_dims(g, axis) if expand else g,
-                                             vx.shape).copy()))
+    return _op("sum", np.sum(vx, axis=axis), (x, lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), vx.shape).copy()))
 
 
 def mean(x):
@@ -207,9 +205,10 @@ def mean(x):
     return div(sum(x), float(value(x).size))
 
 
-def cumsum(x, axis: int = -1):
-    return _op("cumsum", np.cumsum(value(x), axis=axis),
-               (x, lambda g: np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis)))
+def cumsum(x):
+    """Running sum along the last axis."""
+    return _op("cumsum", np.cumsum(value(x), axis=-1),
+               (x, lambda g: np.flip(np.cumsum(np.flip(g, -1), axis=-1), -1)))
 
 
 def matmul(a, b):
@@ -267,13 +266,12 @@ def broadcast_to(x, shape):
     return _op("broadcast_to", np.broadcast_to(value(x), shape).copy(), (x, lambda g: g))
 
 
-def concatenate(xs, axis: int = -1):
+def concatenate(xs):
+    """Join along the last axis."""
     vals = [value(x) for x in xs]
-    out_val = np.concatenate(vals, axis=axis)
-    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
-    lead = (slice(None),) * (axis % out_val.ndim)
-    return _op("concatenate", out_val, *[
-        (x, lambda g, lo=lo, hi=hi: g[lead + (slice(lo, hi),)])
+    offsets = np.cumsum([0] + [v.shape[-1] for v in vals])
+    return _op("concatenate", np.concatenate(vals, axis=-1), *[
+        (x, lambda g, lo=lo, hi=hi: g[..., lo:hi])
         for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])])
 
 

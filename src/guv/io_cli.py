@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
@@ -29,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (Camera, RenderConfig, UVAvatar, _take, align_z_to_normals,
-                   euler_from_matrix, init_from_anchors)
+from .core import (Camera, RenderConfig, UVAvatar, _check_rest_grid, _take,
+                   align_z_to_normals, euler_from_matrix, init_from_anchors)
 from .diffusion import (DiffusionSchedule, UVTensor, _check_plane_size,
                         _posterior_coefs, analytic_gauss_denoiser, channel_mask,
                         cosine_schedule, denormalize_avatar, inpaint_sample,
@@ -199,36 +198,18 @@ def save_anchor_grid(anchors, normals, scales, path) -> None:
 
 
 def load_anchor_grid(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(anchors, normals, scales) grids; rejects non-finite entries (naming
-    the texel), non-unit normals, and non-positive scales."""
+    """(anchors, normals, scales) grids; a grid that core._check_rest_grid
+    rejects is a FormatError naming the file and the texel."""
     (h, w), body, body_off = _read_container(path, ANCHOR_MAGIC, ("H", "W"))
     n = h * w
     anchors, normals, scales = _split_body(body, body_off, [3 * n, 3 * n, n], path)
     anchors = anchors.reshape(h, w, 3)
     normals = normals.reshape(h, w, 3)
     scales = scales.reshape(h, w)
-    for name, arr in (("anchors", anchors), ("normals", normals),
-                      ("scales", scales)):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            texel = np.argwhere(bad)[0][:2]
-            raise FormatError(
-                f"{path}: non-finite {name} value at texel "
-                f"({texel[0]}, {texel[1]})"
-            )
-    norms = np.linalg.norm(normals, axis=-1)
-    off = np.abs(norms - 1.0) > 1e-6
-    if off.any():
-        texel = np.argwhere(off)[0]
-        raise FormatError(
-            f"{path}: normal at texel ({texel[0]}, {texel[1]}) has norm "
-            f"{norms[tuple(texel)]:.8f}, expected 1 within 1e-6"
-        )
-    if np.any(scales <= 0):
-        texel = np.argwhere(scales <= 0)[0]
-        raise FormatError(
-            f"{path}: non-positive scale at texel ({texel[0]}, {texel[1]})"
-        )
+    try:
+        _check_rest_grid(anchors, normals, scales)
+    except InvalidArgumentError as e:
+        raise FormatError(f"{path}: {e}") from e
     return anchors, normals, scales
 
 
@@ -744,11 +725,9 @@ def run_gradient_oracle(mode: str, seed: int) -> dict:
     )
     decoder = None
     if mode == "latent":
-        decoder = random_decoder(rng, h, w, s, 8)
-        decoder = dataclasses.replace(
-            decoder, z=0.5 * rng.standard_normal(decoder.z.size),
-            w3=0.3 * rng.standard_normal(decoder.w3.shape),
-        )
+        decoder = random_decoder(rng, s, 8)
+        decoder["z"] = 0.5 * rng.standard_normal(decoder["z"].size)
+        decoder["dec_w3"] = 0.3 * rng.standard_normal(decoder["dec_w3"].shape)
     dirs = cam.ray_directions().reshape(-1, 3)
     idx0 = _knn_for_samples(avatar.centers.reshape(-1, 3), cam.origin, dirs,
                             t, cfg.knn_k)

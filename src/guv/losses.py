@@ -74,7 +74,7 @@ def volume_loss(radii):
 def tv_loss(centers, rotations, radii):
     """TV_WEIGHT * (1/N) * sum of absolute forward differences of the 9 pose
     channels over the UV grid (no wraparound at edges)."""
-    pose = g.concatenate([centers, rotations, radii], axis=-1)
+    pose = g.concatenate([centers, rotations, radii])
     n = float(g.value(centers).shape[0] * g.value(centers).shape[1])
     dv = g.sum(g.absolute(g.sub(pose[1:, :, :], pose[:-1, :, :])))
     dh = g.sum(g.absolute(g.sub(pose[:, 1:, :], pose[:, :-1, :])))

@@ -160,10 +160,8 @@ def march_rays_core(arrays: dict, mlp_arrays: dict, origin: np.ndarray,
         idx = _knn_for_samples(centers_val, origin, dirs, t, cfg.knn_k)
     tdir = t[:, :, None] * dirs[:, None, :]            # (R, J, 3) constant
     color_j, alpha_j, gsum = _shade(arrays, mlp_arrays, origin, tdir, idx, s)
-    log_t = g.cumsum(g.log1p(g.neg(alpha_j)), axis=-1)  # (R, J)
-    shifted = g.concatenate(
-        [np.zeros((r_count, 1)), log_t[:, : j_count - 1]], axis=-1
-    )
+    log_t = g.cumsum(g.log1p(g.neg(alpha_j)))          # (R, J)
+    shifted = g.concatenate([np.zeros((r_count, 1)), log_t[:, : j_count - 1]])
     trans = g.exp(shifted)                             # T_j
     w = g.mul(trans, alpha_j)
     color = g.mixdown(w, color_j)

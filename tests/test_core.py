@@ -251,8 +251,15 @@ class TestUVAvatar:
     def test_rejects_non_unit_anchor_normals_naming_texel(self, random_avatar):
         bad = random_avatar.anchor_normals.copy()
         bad[2, 3] *= 1.5
-        with pytest.raises(InvalidArgumentError, match=r"\(2, 3\)"):
+        with pytest.raises(InvalidArgumentError, match=r"\(2, 3\).*norm"):
             random_avatar.replace(anchor_normals=bad)
+
+    def test_rejects_nonpositive_anchor_scale_naming_texel(self, random_avatar):
+        bad = random_avatar.anchor_scales.copy()
+        bad[1, 2] = 0.0
+        with pytest.raises(InvalidArgumentError,
+                           match=r"non-positive scale at texel \(1, 2\)"):
+            random_avatar.replace(anchor_scales=bad)
 
     def test_rejects_payload_shape_mismatch(self, random_avatar):
         with pytest.raises(InvalidArgumentError):
@@ -293,6 +300,18 @@ class TestFrozenSharing:
         with pytest.raises(InvalidArgumentError,
                            match="centers: contains non-finite values"):
             random_avatar.replace(centers=bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda: render.RenderMLP(w1=None, b1=np.zeros(32), w2=np.zeros((32, 4)),
+                                 b2=np.zeros(4)),
+        lambda: Camera(fx=20.0, fy=20.0, cx=8.0, cy=8.0, width=16, height=16,
+                       near=0.5, far=1.5, cam_to_world=None),
+        lambda: render.RenderOutput(color=np.zeros((2, 2, 3)), depth=None,
+                                    alpha=np.zeros((2, 2))),
+    ], ids=["RenderMLP.w1", "Camera.cam_to_world", "RenderOutput.depth"])
+    def test_none_is_an_invalid_argument(self, make):
+        with pytest.raises(InvalidArgumentError, match="expected shape"):
+            make()
 
     def test_a_frozen_array_cannot_be_made_writable(self, random_avatar):
         with pytest.raises(ValueError, match="WRITEABLE"):

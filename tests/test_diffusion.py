@@ -117,12 +117,10 @@ class TestScheduleValidation:
 
 
 class TestUVTensor:
-    def test_properties(self, rng):
+    def test_values_are_read_only(self, rng):
         v = np.clip(rng.standard_normal((8, 12, 15)), -1.0, 1.0)
         t = UVTensor(values=v, plane_size=4)
-        assert t.grid_height == 2
-        assert t.grid_width == 3
-        assert t.feature_channels == 2
+        np.testing.assert_array_equal(t.values, v)
         with pytest.raises(ValueError):
             t.values[0, 0, 0] = 0.0
 

@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import numpy as np
@@ -10,8 +9,8 @@ from guv import render
 from guv.core import RenderConfig, init_from_anchors
 from guv.errors import InvalidArgumentError, NumericFailureError
 from guv.fit import (
+    DECODER_HIDDEN,
     FitConfig,
-    LatentDecoder,
     PosedView,
     Z_DIM,
     composite_background,
@@ -134,41 +133,53 @@ class TestPosedView:
 
 class TestLatentDecoder:
     def test_zero_weights_decode_to_zero(self):
-        dec = LatentDecoder(
-            z=np.zeros(Z_DIM),
-            w1=np.zeros((Z_DIM + 2, 16)), b1=np.zeros(16),
-            w2=np.zeros((16, 16)), b2=np.zeros(16),
-            w3=np.zeros((16, 3 * 2 * 2 * 2)), b3=np.zeros(3 * 2 * 2 * 2),
-            grid_height=2, grid_width=3, plane_size=2, channels=2,
-        )
-        out = decode_payloads(dec)
+        dec = {"z": np.zeros(Z_DIM),
+               "dec_w1": np.zeros((Z_DIM + 2, 16)), "dec_b1": np.zeros(16),
+               "dec_w2": np.zeros((16, 16)), "dec_b2": np.zeros(16),
+               "dec_w3": np.zeros((16, 3 * 2 * 2 * 2)),
+               "dec_b3": np.zeros(3 * 2 * 2 * 2)}
+        out = decode_payloads(dec, 2, 3, plane_size=2, channels=2)
         assert out.shape == (2, 3, 3, 2, 2, 2)
         assert np.all(out == 0.0)
 
     def test_decode_shape_and_determinism(self, rng):
-        dec = random_decoder(rng, 3, 2, plane_size=2, channels=4)
-        a = decode_payloads(dec)
-        b = decode_payloads(dec)
+        dec = random_decoder(rng, plane_size=2, channels=4)
+        a = decode_payloads(dec, 3, 2, plane_size=2, channels=4)
+        b = decode_payloads(dec, 3, 2, plane_size=2, channels=4)
         assert a.shape == (3, 2, 3, 2, 2, 4)
         np.testing.assert_array_equal(a, b)
 
     def test_injective_in_z(self, rng):
-        dec = random_decoder(rng, 2, 2, plane_size=2, channels=2)
-        other = dataclasses.replace(dec, z=dec.z + 0.5)
-        same = dataclasses.replace(dec, z=dec.z.copy())
-        assert np.any(decode_payloads(dec) != decode_payloads(other))
-        np.testing.assert_array_equal(decode_payloads(dec),
-                                      decode_payloads(same))
+        dec = random_decoder(rng, plane_size=2, channels=2)
+        other = {**dec, "z": dec["z"] + 0.5}
+        same = {**dec, "z": dec["z"].copy()}
 
-    def test_shape_validation(self):
-        with pytest.raises(InvalidArgumentError, match="w3"):
-            LatentDecoder(
-                z=np.zeros(Z_DIM),
-                w1=np.zeros((Z_DIM + 2, 8)), b1=np.zeros(8),
-                w2=np.zeros((8, 8)), b2=np.zeros(8),
-                w3=np.zeros((8, 5)), b3=np.zeros(5),
-                grid_height=2, grid_width=2, plane_size=2, channels=2,
-            )
+        def decode(d):
+            return decode_payloads(d, 2, 2, plane_size=2, channels=2)
+        assert np.any(decode(dec) != decode(other))
+        np.testing.assert_array_equal(decode(dec), decode(same))
+
+    def test_random_stream_is_pinned(self):
+        """The draws are z, w1, w2, w3, in that order, at the He and output
+        scales; the biases start at zero."""
+        s, c = 2, 3
+        dec = random_decoder(np.random.default_rng(0), plane_size=s, channels=c)
+        rng = np.random.default_rng(0)
+        out_dim = 3 * s * s * c
+        want = {
+            "z": 0.01 * rng.standard_normal(Z_DIM),
+            "dec_w1": rng.standard_normal((Z_DIM + 2, DECODER_HIDDEN))
+            * np.sqrt(2.0 / (Z_DIM + 2)),
+            "dec_b1": np.zeros(DECODER_HIDDEN),
+            "dec_w2": rng.standard_normal((DECODER_HIDDEN, DECODER_HIDDEN))
+            * np.sqrt(2.0 / DECODER_HIDDEN),
+            "dec_b2": np.zeros(DECODER_HIDDEN),
+            "dec_w3": 0.01 * rng.standard_normal((DECODER_HIDDEN, out_dim)),
+            "dec_b3": np.zeros(out_dim),
+        }
+        assert list(dec) == list(want)
+        for name, arr in want.items():
+            np.testing.assert_array_equal(dec[name], arr, err_msg=name)
 
 
 def _blank_views(count, h, w):
@@ -291,9 +302,11 @@ class TestFitScene:
         views = _toy_views(rng)
         res = _fit(views, rng, 3, mode="latent")
         assert res.decoder is not None
-        assert res.decoder.z.shape == (Z_DIM,)
-        np.testing.assert_array_equal(res.avatar.payloads,
-                                      decode_payloads(res.decoder))
+        assert res.decoder["z"].shape == (Z_DIM,)
+        a = res.avatar
+        np.testing.assert_array_equal(
+            a.payloads, decode_payloads(res.decoder, a.height, a.width,
+                                        a.plane_size, a.channels))
         assert "code" in res.final_breakdown
 
     @pytest.mark.parametrize("mode", ["direct", "latent"])
@@ -309,7 +322,7 @@ class TestFitScene:
         r1 = _fit(views, np.random.default_rng(0), 3, mode="latent")
         r2 = _fit(views, np.random.default_rng(0), 3, mode="latent")
         np.testing.assert_array_equal(r1.loss_history, r2.loss_history)
-        np.testing.assert_array_equal(r1.decoder.z, r2.decoder.z)
+        np.testing.assert_array_equal(r1.decoder["z"], r2.decoder["z"])
 
     def test_k_override(self, rng):
         views = _toy_views(rng)
@@ -412,9 +425,9 @@ class TestObjective:
             avatar, mlp = make_avatar(rng, h=2, w=3, plane_size=s), None
             decoder = None
             if case == "latent":
-                decoder = random_decoder(rng, 2, 3, s, 8)
-                decoder = dataclasses.replace(
-                    decoder, w3=0.3 * rng.standard_normal(decoder.w3.shape))
+                decoder = random_decoder(rng, s, 8)
+                decoder["dec_w3"] = 0.3 * rng.standard_normal(
+                    decoder["dec_w3"].shape)
             cam = lookat_camera((0.9, 0.15, 0.1), (0.0, 0.0, 0.0), 3, 3,
                                 fx=3.5, near=0.5, far=1.4)
             dirs = cam.ray_directions().reshape(-1, 3)

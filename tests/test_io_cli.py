@@ -769,6 +769,23 @@ class TestCli:
                    "--out", str(tmp_path / "x.ppm")])
         assert rc == 2
 
+    @pytest.mark.parametrize("weight", ["w1", "b1", "w2", "b2"])
+    def test_render_null_mlp_weight_exits_two(self, cli_dataset, tmp_path,
+                                              capsys, weight):
+        p = tmp_path / "m.mlp.json"
+        save_mlp(make_render_mlp(np.random.default_rng(0)), p)
+        doc = json.loads(p.read_text())
+        doc[weight] = None
+        p.write_text(json.dumps(doc))
+        rc = main(["render", str(cli_dataset / "reference.guv"),
+                   "--camera", str(cli_dataset / "cameras.json"),
+                   "--mlp", str(p), "--out", str(tmp_path / "o.ppm")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(p) in err[0] and weight in err[0]
+        assert not (tmp_path / "o.ppm").exists()
+
     def test_render_camera_directory_exits_two(self, cli_dataset, tmp_path,
                                                capsys):
         # reading a directory as the camera file raises IsADirectoryError
