@@ -220,11 +220,9 @@ class RenderConfig:
 
 
 def _rotation_entries(ca, sa, cb, sb, cc, sc) -> list:
-    """The 9 entries of Rx(a) @ Ry(b) @ Rz(c), row-major.
-
-    Written as plain arithmetic on the cos/sin inputs so the same formula runs
-    on ndarrays and on autodiff variables.
-    """
+    """The 9 entries of Rx(a) @ Ry(b) @ Rz(c), row-major, from the angles'
+    cos/sin ndarrays: rotation_matrices and grad.gaussian_frame's forward
+    both compute them here."""
     return [
         cb * cc, -(cb * sc), sb,
         ca * sc + sa * sb * cc, ca * cc - sa * sb * sc, -(sa * cb),

@@ -31,15 +31,15 @@ class DiffusionSchedule:
     so sigmas are validated in [0, 1] with alphas strictly positive.
     """
 
-    steps: int
     alphas: np.ndarray
     sigmas: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.alphas, dtype=np.float64)
         s = np.asarray(self.sigmas, dtype=np.float64)
-        if a.shape != (self.steps + 1,) or s.shape != (self.steps + 1,):
-            raise InvalidArgumentError("alphas/sigmas must have T+1 entries")
+        if a.ndim != 1 or a.shape != s.shape or a.size < 2:
+            raise InvalidArgumentError(
+                "alphas/sigmas must be 1-D with the same T+1 >= 2 entries")
         if np.any(a <= 0) or np.any(a > 1):
             raise InvalidArgumentError("alphas must lie in (0, 1]")
         if np.any(s < 0) or np.any(s > 1):
@@ -54,6 +54,11 @@ class DiffusionSchedule:
         for name, arr in (("alphas", a), ("sigmas", s)):
             object.__setattr__(self, name, _frozen(arr, arr.shape, name))
 
+    @property
+    def steps(self) -> int:
+        """T, the last timestep."""
+        return self.alphas.shape[0] - 1
+
 
 def cosine_schedule(steps: int) -> DiffusionSchedule:
     """Squared-cosine signal schedule: alpha_bar(t) =
@@ -67,7 +72,7 @@ def cosine_schedule(steps: int) -> DiffusionSchedule:
     abar = abar / abar[0]
     alphas = np.sqrt(abar)
     sigmas = np.sqrt(np.maximum(1.0 - abar, 0.0))
-    return DiffusionSchedule(steps=steps, alphas=alphas, sigmas=sigmas)
+    return DiffusionSchedule(alphas=alphas, sigmas=sigmas)
 
 
 # ---------------------------------------------------------------------------

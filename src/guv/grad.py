@@ -2,10 +2,11 @@
 finite-difference oracle and the AdamW optimizer.
 
 The tape works on whole ndarrays, not scalars. `_op` is the one way to
-define an op: an op computes its forward value with numpy and hands `_op`
-that value plus one (input, vjp) pair per input; `_op` appends one backward
-entry that adds each vjp of the output gradient to its Var input. Creation
-order is a valid topological order, so backward is a single reversed sweep.
+define an op: an op computes its forward value with numpy, an ndarray or a
+tuple of parts, and hands `_op` that value plus one (input, vjp) pair per
+input; `_op` appends one backward entry that adds each vjp of the output
+gradient to its Var input. Creation order is a valid topological order, so
+backward is a single reversed sweep.
 Every op also has an ndarray fast path (`_op` returns the forward value
 when no input is a Var): code written against these functions (the
 renderer, the losses) runs unchanged on plain arrays when no gradient is
@@ -14,10 +15,11 @@ wanted.
 Three fused render-kernel ops go through `_op` the same way, with a
 hand-written backward: gaussian_frame (the gathered Gaussians' influences
 and clipped local coordinates at each sample), triplane_sample (the three
-bilinear plane lookups) and shading_mlp (the shading head). Each VJP
-replays the backward sweep of the primitive chain it replaces, so the bits
-are the chain's. Their row scatters, the VJP of a gather, are one bincount
-per channel.
+bilinear plane lookups) and shading_mlp (the shading head's color and
+opacity). gaussian_frame and shading_mlp return those parts as separate
+outputs, so no index op splits them again. Each VJP replays the backward
+sweep of the primitive chain it replaces, so the bits are the chain's.
+Their row scatters, the VJP of a gather, are one bincount per channel.
 
 Non-differentiable points use fixed subgradients: clip and relu take 0 at
 their kinks, absolute uses sign with sign(0) = 0. Every op but matmul
@@ -36,56 +38,24 @@ from .errors import InvalidArgumentError, NumericFailureError
 
 
 # the tapes being recorded, innermost last; a tape is a list of
-# (name, out, backward) entries in creation order
+# (name, outs, backward) entries in creation order, outs the op's output Vars
 _ACTIVE: list[list] = []
 
 
-def _record(name: str, out: "Var", backward) -> None:
+def _record(name: str, outs: tuple, backward) -> None:
     if _ACTIVE:
-        _ACTIVE[-1].append((name, out, backward))
+        _ACTIVE[-1].append((name, outs, backward))
 
 
 class Var:
     """A node holding a float64 ndarray value and its accumulated gradient."""
 
     __slots__ = ("value", "grad")
-    __array_ufunc__ = None  # make numpy defer to our right-hand dunders
+    __array_ufunc__ = None  # numpy arithmetic on a Var raises TypeError
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"Var(shape={self.value.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -113,28 +83,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _op(name: str, out_val: np.ndarray, *inputs):
-    """Record one tape op: out_val is its forward value and each input is an
-    (x, vjp) pair, vjp mapping the output gradient to x's gradient.
+def _op(name: str, out_val, *inputs):
+    """Record one tape op: out_val is its forward value, an ndarray or a
+    tuple of ndarray parts, and each input is an (x, vjp) pair, vjp mapping
+    the output gradient to x's gradient. For a tuple, vjp gets the list of
+    the parts' gradients, zeros for a part that nothing read.
 
     With no Var among the inputs, out_val comes back as it is (the ndarray
-    fast path). Otherwise the output is wrapped in a Var and one backward is
-    recorded that adds vjp(out.grad) to each Var input, in argument order.
+    fast path). Otherwise each part is wrapped in a Var and one backward is
+    recorded that adds vjp(gradient) to each Var input, in argument order.
     """
     live = [(x, vjp) for x, vjp in inputs if isinstance(x, Var)]
     if not live:
         return out_val
-    out = Var(out_val)
+    parts = isinstance(out_val, tuple)
+    outs = tuple(map(Var, out_val if parts else (out_val,)))
 
     def backward():
-        g = out.grad
-        if g is None:
+        if all(o.grad is None for o in outs):
             return
+        g = ([np.zeros_like(o.value) if o.grad is None else o.grad for o in outs]
+             if parts else outs[0].grad)
         for x, vjp in live:
             _add_grad(x, vjp(g))
 
-    _record(name, out, backward)
-    return out
+    _record(name, outs, backward)
+    return outs if parts else outs[0]
 
 
 def add(a, b):
@@ -240,20 +214,18 @@ def _bincount_rows(rows: np.ndarray, columns, n: int) -> np.ndarray:
 
 
 def getitem(x, key):
+    """x[key] for a basic key (ints, slices, None, Ellipsis): with an array
+    key, the VJP's acc[key] += g would drop a repeated index's gradient."""
+    keys = key if isinstance(key, tuple) else (key,)
+    if any(isinstance(k, (np.ndarray, list)) for k in keys):
+        raise InvalidArgumentError("getitem takes basic keys only, not arrays or lists")
     vx = value(x)
-    return _op("getitem", vx[key], (x, lambda g: _scatter_key(g, key, vx)))
 
-
-def _scatter_key(g: np.ndarray, key, vx: np.ndarray) -> np.ndarray:
-    """getitem's VJP: g added into zeros shaped like vx at key; advanced
-    (array) keys go through np.add.at so repeated positions accumulate."""
-    acc = np.zeros_like(vx)
-    if isinstance(key, np.ndarray) or (
-            isinstance(key, tuple) and any(isinstance(k, np.ndarray) for k in key)):
-        np.add.at(acc, key, g)
-    else:
+    def vjp(g):
+        acc = np.zeros_like(vx)
         acc[key] += g
-    return acc
+        return acc
+    return _op("getitem", vx[key], (x, vjp))
 
 
 def reshape(x, shape):
@@ -295,7 +267,8 @@ def _shared(grads):
 
 def shading_mlp(feat, w1, b1, w2, b2):
     """sigmoid(relu(feat w1 + b1) w2 + b2) for (..., i) features, the
-    shading head as one op.
+    shading head as one op, returned as its parts: the color channels
+    (..., o - 1) and the opacity (...,), the last channel.
 
     Both products run feature-major, einsum "in,io->on" on the contiguous
     transposes: the same sequential fixed-loop sum over i as the row-major
@@ -315,7 +288,7 @@ def shading_mlp(feat, w1, b1, w2, b2):
     out = _sigmoid_val(np.ascontiguousarray(a2_t.T)).reshape(lead + (o,))
 
     def grads(g):
-        go = g * out * (1.0 - out)
+        go = np.concatenate([g[0], g[1][..., None]], axis=-1) * out * (1.0 - out)
         h = np.ascontiguousarray(h_t.T)
         ga = np.einsum("no,io->ni", go.reshape(-1, o), vw2, optimize=False)
         ga *= h > 0
@@ -324,8 +297,9 @@ def shading_mlp(feat, w1, b1, w2, b2):
                 np.einsum("ni,no->oi", h, go.reshape(-1, o), optimize=False).T, go)
 
     shared = _shared(grads)
-    return _op("shading_mlp", out, *((x, lambda g, k=k: shared(g)[k])
-                                     for k, x in enumerate((feat, w1, b1, w2, b2))))
+    return _op("shading_mlp", (out[..., :-1], out[..., -1]),
+               *((x, lambda g, k=k: shared(g)[k])
+                 for k, x in enumerate((feat, w1, b1, w2, b2))))
 
 
 _PLANE_AXES = ((0, 1), (0, 2), (1, 2))  # the local axes each plane spans
@@ -358,6 +332,8 @@ def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
         cells = []   # per local axis: cell index, fraction f, 1 - f
         for u in (u0, u1, u2):
             pos = ((value(u) + 1.0) * 0.5) * float(s - 1)
+            if np.isnan(pos).any():   # a NaN would cast to a row far out of range
+                raise NumericFailureError("tri-plane lookup: NaN local coordinate")
             i = np.clip(np.floor(pos), 0, s - 2).astype(np.int64)
             f = pos - i.astype(np.float64)
             cells.append((i, f, 1.0 - f))
@@ -422,8 +398,9 @@ def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
 def gaussian_frame(centers, rotations, radii, origin, tdir, idx: np.ndarray,
                    eta: float, tau: float):
     """The gathered Gaussians idx (..., K) seen from the points origin + tdir
-    (..., 3), as one op: (4, ..., K), the influence eta exp(-m / (2 tau)),
-    then the local coordinates u0, u1, u2 clipped to [-1, 1].
+    (..., 3), as one op returning four (..., K) parts: the influence
+    eta exp(-m / (2 tau)), then the local coordinates u0, u1, u2 clipped to
+    [-1, 1].
 
     centers, rotations (Euler angles) and radii: (N, 3). With the offset
     x - mu formed as tdir - (centers - origin) and y = R^T (x - mu) its
@@ -447,12 +424,9 @@ def gaussian_frame(centers, rotations, radii, origin, tdir, idx: np.ndarray,
     r = [np.take(col, idx) for col in np.ascontiguousarray(vs.T)]
     z = [yi / ri for yi, ri in zip(y, r)]
     ex = np.exp((z[0] * z[0] + z[1] * z[1] + z[2] * z[2]) * (-1.0 / (2.0 * tau)))
-    out = np.empty((4,) + idx.shape)
-    np.multiply(ex, eta, out=out[0])
     r3 = [ri * 3.0 for ri in r]
     w = [yi / r3i for yi, r3i in zip(y, r3)]
-    for i in range(3):
-        np.clip(w[i], -1.0, 1.0, out=out[1 + i])
+    parts = (ex * eta,) + tuple(np.clip(wi, -1.0, 1.0) for wi in w)
 
     def grads(g):
         ca, sa, cb, sb, cc, sc = trig
@@ -489,8 +463,8 @@ def gaussian_frame(centers, rotations, radii, origin, tdir, idx: np.ndarray,
 
     # the chain's sweep reaches the radii gather first, the centres last
     shared = _shared(grads)
-    return _op("gaussian_frame", out, *((x, lambda g, k=k: shared(g)[k])
-                                        for k, x in enumerate((radii, rotations, centers))))
+    return _op("gaussian_frame", parts, *((x, lambda g, k=k: shared(g)[k])
+                                          for k, x in enumerate((radii, rotations, centers))))
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +492,8 @@ def gradients(loss_evaluator, params: dict) -> dict:
     if loss.value.shape != ():
         raise InvalidArgumentError(f"loss must be scalar, got shape {loss.value.shape}")
     if not np.isfinite(loss.value):
-        for pos, (name, out, _) in enumerate(tape):
-            if not np.all(np.isfinite(out.value)):
+        for pos, (name, outs, _) in enumerate(tape):
+            if not all(np.all(np.isfinite(o.value)) for o in outs):
                 raise NumericFailureError(
                     f"non-finite loss; first bad op: {name} at tape position {pos}"
                 )

@@ -629,10 +629,8 @@ class ToyDataset:
     anchors: np.ndarray
     normals: np.ndarray
     scales: np.ndarray
-    cameras: list
     views: list
     manifest: dict
-    path: str
 
 
 def load_dataset(path) -> ToyDataset:
@@ -650,8 +648,7 @@ def load_dataset(path) -> ToyDataset:
         except InvalidArgumentError as e:
             raise InvalidArgumentError(f"{root}: view {i}: {e}") from None
     return ToyDataset(anchors=anchors, normals=normals, scales=scales,
-                      cameras=cams, views=views, manifest=manifest,
-                      path=str(root))
+                      views=views, manifest=manifest)
 
 
 def evaluate_psnr(avatar: UVAvatar, mlp: RenderMLP, views,

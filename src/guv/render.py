@@ -113,8 +113,7 @@ def mlp_forward(arrays: dict, feature):
     during fitting. One grad.shading_mlp op; its fixed-loop products make
     results independent of batch shape.
     """
-    sig = g.shading_mlp(feature, *(arrays[k] for k in ("w1", "b1", "w2", "b2")))
-    return sig[..., 0:3], sig[..., 3]
+    return g.shading_mlp(feature, *(arrays[k] for k in ("w1", "b1", "w2", "b2")))
 
 
 def _triplane_features(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
@@ -131,9 +130,9 @@ def _shade(arrays: dict, mlp_arrays: dict, origin: np.ndarray, tdir: np.ndarray,
     tdir: (..., 3) point-minus-origin offsets. idx: (..., K) neighbor ids.
     Returns (color (..., 3), alpha (...,), influence_sum (...,)).
     """
-    frame = g.gaussian_frame(arrays["centers"], arrays["rotations"], arrays["radii"],
-                             origin, tdir, idx, ETA, TAU)
-    influence, u0, u1, u2 = frame[0], frame[1], frame[2], frame[3]
+    influence, u0, u1, u2 = g.gaussian_frame(
+        arrays["centers"], arrays["rotations"], arrays["radii"], origin, tdir, idx,
+        ETA, TAU)
     feat = _triplane_features(arrays["payload_flat"], s, idx, u0, u1, u2)
     color_k, opacity_k = mlp_forward(mlp_arrays, feat)
     gsum = g.sum(influence, axis=-1)

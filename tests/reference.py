@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from guv.core import (RenderConfig, UVAvatar, _frozen, _rotation_entries,
-                      _wrap_angle, rotation_matrix)
+from guv.core import (RenderConfig, UVAvatar, _frozen, _wrap_angle,
+                      rotation_matrix)
 from guv.errors import InvalidArgumentError
 from guv import grad as g
 from guv.diffusion import (GEOMETRY_CHANNELS, _check_plane_size, _timesteps,
@@ -270,9 +270,11 @@ def stack(xs, axis: int = -1):
 
 def mlp_chain(feat, w1, b1, w2, b2):
     """The shading head as the primitive chain matmul, bias, relu, matmul,
-    bias, sigmoid: (..., 4)."""
-    h = g.relu(matmul_last(feat, w1) + b1)
-    return sigmoid(matmul_last(h, w2) + b2)
+    bias, sigmoid, split as grad.shading_mlp returns it: (color (..., 3),
+    opacity (...,))."""
+    h = g.relu(g.add(matmul_last(feat, w1), b1))
+    sig = sigmoid(g.add(matmul_last(h, w2), b2))
+    return sig[..., :-1], sig[..., -1]
 
 
 def triplane_chain(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
@@ -307,22 +309,31 @@ def triplane_chain(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
 def gaussian_frame_chain(centers, rotations, radii, origin, tdir, idx, eta, tau):
     """The Gaussian frame as the primitive chain grad.gaussian_frame fuses:
     the offset x - mu as tdir - take(centers - origin), the rotation and
-    radius gathers, core._rotation_entries of the angles' cos and sin, the
-    local offset y, z = y / r, the influence and the clipped u's, stacked
-    (4, ..., K) as the fused op returns them."""
+    radius gathers, the nine entries of core._rotation_entries from the
+    angles' cos and sin, the local offset y, z = y / r, the influence and
+    the clipped u's, returned as the fused op's four parts. Each arithmetic
+    step is one named op, called in the order Python evaluates the formula
+    it spells out."""
     xdiff = g.sub(tdir[..., None, :], take(g.sub(centers, origin), idx))
     rot = take(rotations, idx)
     rad = take(radii, idx)
     a, b, c = rot[..., 0], rot[..., 1], rot[..., 2]
-    e = _rotation_entries(cos(a), sin(a), cos(b), sin(b), cos(c), sin(c))
+    ca, sa, cb, sb, cc, sc = cos(a), sin(a), cos(b), sin(b), cos(c), sin(c)
+    mul, add, sub = g.mul, g.add, g.sub
+    e = [mul(cb, cc), g.neg(mul(cb, sc)), sb,
+         add(mul(ca, sc), mul(mul(sa, sb), cc)),
+         sub(mul(ca, cc), mul(mul(sa, sb), sc)), g.neg(mul(sa, cb)),
+         sub(mul(sa, sc), mul(mul(ca, sb), cc)),
+         add(mul(sa, cc), mul(mul(ca, sb), sc)), mul(ca, cb)]
     dx, dy, dz = xdiff[..., 0], xdiff[..., 1], xdiff[..., 2]
-    y = [e[i] * dx + e[3 + i] * dy + e[6 + i] * dz for i in range(3)]
+    y = [add(add(mul(e[i], dx), mul(e[3 + i], dy)), mul(e[6 + i], dz))
+         for i in range(3)]
     r = [rad[..., i] for i in range(3)]
-    z = [yi / ri for yi, ri in zip(y, r)]
-    maha = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
-    influence = g.mul(g.exp(g.mul(maha, -1.0 / (2.0 * tau))), eta)
-    us = [g.clip(yi / (3.0 * ri), -1.0, 1.0) for yi, ri in zip(y, r)]
-    return stack([influence] + us, axis=0)
+    z = [g.div(yi, ri) for yi, ri in zip(y, r)]
+    maha = add(add(mul(z[0], z[0]), mul(z[1], z[1])), mul(z[2], z[2]))
+    influence = mul(g.exp(mul(maha, -1.0 / (2.0 * tau))), eta)
+    us = [g.clip(g.div(yi, mul(ri, 3.0)), -1.0, 1.0) for yi, ri in zip(y, r)]
+    return (influence, *us)
 
 
 def reverse_sample(schedule, denoiser, shape, rng, step_count=None):

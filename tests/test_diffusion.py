@@ -65,40 +65,47 @@ class TestScheduleValidation:
 
     def test_wrong_length(self):
         a, s = self._arrays()
-        with pytest.raises(InvalidArgumentError, match="T\\+1"):
-            DiffusionSchedule(steps=4, alphas=a[:-1], sigmas=s[:-1])
+        for alphas, sigmas in ((a, s[:-1]), (a[:-1], s), (a[:1], s[:1]),
+                               (a[None], s[None])):
+            with pytest.raises(InvalidArgumentError, match="T\\+1"):
+                DiffusionSchedule(alphas=alphas, sigmas=sigmas)
+
+    def test_steps_is_the_last_timestep(self):
+        a, s = self._arrays(t=6)
+        assert DiffusionSchedule(alphas=a, sigmas=s).steps == 6
+        assert DiffusionSchedule(alphas=a[:2], sigmas=s[:2]).steps == 1
 
     def test_alpha_range(self):
         a, s = self._arrays()
         a[2] = 0.0
         with pytest.raises(InvalidArgumentError, match="alphas"):
-            DiffusionSchedule(steps=4, alphas=a, sigmas=s)
+            DiffusionSchedule(alphas=a, sigmas=s)
 
     def test_sigma_range(self):
         a, s = self._arrays()
         s[2] = 1.5
         with pytest.raises(InvalidArgumentError, match="sigmas"):
-            DiffusionSchedule(steps=4, alphas=a, sigmas=s)
+            DiffusionSchedule(alphas=a, sigmas=s)
 
     def test_increasing_alphas_rejected(self):
         a, s = self._arrays()
         a[2], a[3] = a[3], a[2]
         s[2], s[3] = s[3], s[2]
         with pytest.raises(InvalidArgumentError, match="non-increasing"):
-            DiffusionSchedule(steps=4, alphas=a, sigmas=s)
+            DiffusionSchedule(alphas=a, sigmas=s)
 
     def test_alpha0_must_be_one(self):
         a, s = self._arrays()
         a = a * 0.99
         s = np.sqrt(1.0 - a * a)
         with pytest.raises(InvalidArgumentError, match="alpha_0"):
-            DiffusionSchedule(steps=4, alphas=a, sigmas=s)
+            DiffusionSchedule(alphas=a, sigmas=s)
 
     def test_vp_identity_enforced(self):
         a, s = self._arrays()
         s = np.clip(s * 1.01, 0.0, 1.0)
         with pytest.raises(InvalidArgumentError, match="1e-12"):
-            DiffusionSchedule(steps=4, alphas=a, sigmas=s)
+            DiffusionSchedule(alphas=a, sigmas=s)
 
     def test_arrays_frozen(self):
         sch = cosine_schedule(4)
@@ -113,7 +120,7 @@ class TestScheduleValidation:
             arrays[name][2] = np.nan
             with pytest.raises(InvalidArgumentError,
                                match=f"{name}: contains non-finite values"):
-                DiffusionSchedule(steps=4, **arrays)
+                DiffusionSchedule(**arrays)
 
 
 class TestUVTensor:
@@ -629,7 +636,7 @@ class TestMarginalConsistency:
 class TestDdpmWeight:
     def test_unit_snr(self):
         half = math.sqrt(0.5)
-        sch = DiffusionSchedule(steps=1, alphas=np.array([1.0, half]),
+        sch = DiffusionSchedule(alphas=np.array([1.0, half]),
                                 sigmas=np.array([0.0, half]))
         assert ddpm_weight(sch, 1) == pytest.approx(0.7310585786300049,
                                                     rel=1e-12)

@@ -462,8 +462,7 @@ class TestObjective:
 
         def chain_mlp_forward(arrays, feature):
             calls.append("mlp")
-            sig = mlp_chain(feature, *(arrays[k] for k in ("w1", "b1", "w2", "b2")))
-            return sig[..., 0:3], sig[..., 3]
+            return mlp_chain(feature, *(arrays[k] for k in ("w1", "b1", "w2", "b2")))
 
         def chain_triplane(*args):
             calls.append("triplane")
@@ -482,3 +481,26 @@ class TestObjective:
         for name in fused:
             np.testing.assert_array_equal(fused[name], chained[name], err_msg=name)
         assert np.any(fused["w1"] != 0.0) and np.any(fused["centers"] != 0.0)
+
+    @pytest.mark.parametrize("case, ops", [("triplane", 82), ("vector", 82),
+                                           ("k1", 82), ("latent", 97)])
+    def test_one_iteration_records_the_fused_ops_parts(self, rng, monkeypatch,
+                                                       case, ops):
+        """One objective's tape, counted through grad._record as the
+        benchmark's tracer counts it: the fused Gaussian frame and shading
+        head hand back their parts, so no getitem splits them again; the 8
+        left are the tv and volume losses' slices and the transmittance's
+        shift."""
+        batch, params = self._chain_case(rng, case)
+        names = []
+        record = g._record
+
+        def counting(name, outs, backward):
+            names.append(name)
+            record(name, outs, backward)
+
+        monkeypatch.setattr(g, "_record", counting)
+        g.gradients(lambda leaves: guv_fit.objective(leaves, batch)[0], params)
+        assert len(names) == ops
+        assert names.count("getitem") == 8
+        assert names.count("gaussian_frame") == names.count("shading_mlp") == 1

@@ -9,7 +9,7 @@ import pytest
 from guv import grad as g
 from guv import render
 from guv.core import Camera, RenderConfig, init_from_anchors
-from guv.errors import InvalidArgumentError
+from guv.errors import InvalidArgumentError, NumericFailureError
 from guv.grad import gradients
 from guv.io_cli import (lookat_camera, main, mlp_sibling, save_avatar,
                         save_cameras, save_mlp)
@@ -350,6 +350,19 @@ class TestRenderImage:
         out = render_image(avatar, mlp, camera, RenderConfig(knn_k=3), seed=0)
         assert np.all(out.alpha >= 0.0) and np.all(out.alpha <= 1.0)
         assert np.all(out.color >= 0.0) and np.all(out.color <= 1.0 + 1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_far_plane_beyond_float_range_is_a_numeric_failure(self, rng):
+        # far = 1e308 puts samples where t * direction - (center - origin)
+        # overflows to inf - inf = NaN; the tri-plane lookup used to cast
+        # that NaN to a row index and fail with an IndexError
+        avatar, mlp, camera = self._setup(rng)
+        far = Camera(fx=camera.fx, fy=camera.fy, cx=camera.cx, cy=camera.cy,
+                     width=camera.width, height=camera.height, near=camera.near,
+                     far=1e308, cam_to_world=camera.cam_to_world)
+        with pytest.raises(NumericFailureError, match="NaN local coordinate"):
+            render_image(avatar, mlp, far, RenderConfig(knn_k=3), seed=0)
 
     def test_render_output_validates_alpha_range(self):
         with pytest.raises(InvalidArgumentError):
