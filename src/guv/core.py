@@ -42,6 +42,13 @@ def _take(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _unit_directions(dirs: np.ndarray) -> np.ndarray:
+    """dirs (..., 3), refused unless each is of unit length within 1e-6."""
+    if not np.all(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) <= 1e-6):
+        raise InvalidArgumentError("ray direction must be unit length")
+    return dirs
+
+
 def _check_rest_grid(anchors: np.ndarray, normals: np.ndarray,
                      scales: np.ndarray) -> None:
     """Reject a rest grid, (H, W, 3) anchors and normals and (H, W) scales,
@@ -173,19 +180,20 @@ class Camera:
         """Shared per-pixel direction arithmetic (x, y scalar or arrays).
 
         Written as explicit products and sums so single-ray and full-frame
-        paths produce bit-identical directions.
+        paths produce bit-identical directions. Intrinsics that overflow the
+        arithmetic (a zero or NaN direction) are refused.
         """
         inv = 1.0 / np.sqrt(x * x + y * y + 1.0)
         dx, dy, dz = x * inv, y * inv, inv
         r = self.cam_to_world
-        return np.stack(
+        return _unit_directions(np.stack(
             [
                 r[0, 0] * dx + r[0, 1] * dy + r[0, 2] * dz,
                 r[1, 0] * dx + r[1, 1] * dy + r[1, 2] * dz,
                 r[2, 0] * dx + r[2, 1] * dy + r[2, 2] * dz,
             ],
             axis=-1,
-        )
+        ))
 
     def ray_directions(self) -> np.ndarray:
         """Unit world-space directions for all pixel centers, shape (H, W, 3)."""

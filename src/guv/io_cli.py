@@ -538,6 +538,7 @@ def toy_reference_scene(kind: str, grid: int, seed: int
 
     All arrays are rounded to float32 so the saved file reproduces the avatar
     bit-exactly and re-rendering matches the emitted images byte for byte.
+    The payload is rounded in place and kept by the avatar without a copy.
     """
     if kind not in TOY_KINDS:
         raise InvalidArgumentError(f"kind must be one of {TOY_KINDS}, got {kind!r}")
@@ -565,9 +566,10 @@ def toy_reference_scene(kind: str, grid: int, seed: int
     scales = _f32(np.full((grid, grid), 1.1 * math.pi * _SPHERE_RADIUS / grid))
     rotations = _f32(euler_from_matrix(align_z_to_normals(normals)))
     radii = np.stack([scales, scales, scales / 2.0], axis=-1)
-    payloads = _f32(_toy_payload(grid, grid, 8, 8, hue, checker))
+    payloads = _toy_payload(grid, grid, 8, 8, hue, checker)
+    np.copyto(payloads, payloads.astype(np.float32))
     avatar = UVAvatar(centers=anchors, rotations=rotations, radii=radii,
-                      payloads=payloads, anchors=anchors,
+                      payloads=_take(payloads, "payloads"), anchors=anchors,
                       anchor_normals=normals, anchor_scales=scales)
     return avatar, reference_mlp()
 

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad as g
-from .core import Camera, RenderConfig, UVAvatar, _frozen
-from .errors import InvalidArgumentError
+from .core import Camera, RenderConfig, UVAvatar, _frozen, _unit_directions
+from .errors import InvalidArgumentError, NumericFailureError
 from .spatial import _knn_for_samples
 
 _ALPHA_CAP = 1.0 - 1e-4  # keeps transmittance positive and log1p finite
@@ -198,9 +198,14 @@ def stratified_jitter(height: int, width: int, samples: int,
 
 
 def sample_distances(near: float, far: float, jitter: np.ndarray) -> np.ndarray:
-    """Stratified distances t = near + (far-near) (i + u_i) / J along each ray."""
+    """Stratified distances t = near + (far-near) (i + u_i) / J along each ray;
+    a far plane whose distances leave float64 range is a numeric failure."""
     j = jitter.shape[-1]
-    return near + (far - near) * (np.arange(j) + jitter) / j
+    t = near + (far - near) * (np.arange(j) + jitter) / j
+    if not np.all(np.isfinite(t)):
+        raise NumericFailureError(
+            f"sample distances between near {near} and far {far} are not finite")
+    return t
 
 
 def march_ray(avatar: UVAvatar, mlp: RenderMLP, origin, direction,
@@ -210,9 +215,7 @@ def march_ray(avatar: UVAvatar, mlp: RenderMLP, origin, direction,
     (J,); bit-equal to the matching render_image pixel when given that
     pixel's jitter row."""
     origin = np.asarray(origin, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-6:
-        raise InvalidArgumentError("ray direction must be unit length")
+    direction = _unit_directions(np.asarray(direction, dtype=np.float64))
     jitter = np.asarray(jitter, dtype=np.float64)
     if jitter.shape != (cfg.samples_per_ray,):
         raise InvalidArgumentError("jitter must have one entry per ray sample")
@@ -234,7 +237,8 @@ def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
     """Full-frame render; pixel (i, j) bit-equals march_ray of that pixel's
     ray with jitter stratified_jitter(H, W, J, seed)[i, j], so marching the
     chunks of _CHUNK rays on min(usable CPUs, chunks) threads, which end
-    before the call returns, changes no bit."""
+    before the call returns and run under the caller's np.errstate, changes
+    no bit."""
     h, w = camera.height, camera.width
     dirs = camera.ray_directions().reshape(-1, 3)
     jit = stratified_jitter(h, w, cfg.samples_per_ray, seed).reshape(-1, cfg.samples_per_ray)
@@ -244,11 +248,13 @@ def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
     color = np.empty((h * w, 3))
     depth = np.empty(h * w)
     alpha = np.empty(h * w)
+    err = np.geterr()    # numpy's error state is per thread
     def march_chunk(start: int) -> None:
         sl = slice(start, start + _CHUNK)
-        t = sample_distances(camera.near, camera.far, jit[sl])
-        c, d, a, _ = march_rays_core(arrays, marrays, origin, dirs[sl], t, cfg,
-                                     avatar.plane_size)
+        with np.errstate(**err):
+            t = sample_distances(camera.near, camera.far, jit[sl])
+            c, d, a, _ = march_rays_core(arrays, marrays, origin, dirs[sl], t,
+                                         cfg, avatar.plane_size)
         color[sl], depth[sl], alpha[sl] = c, d, a
     starts = range(0, h * w, _CHUNK)
     with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:

@@ -560,6 +560,13 @@ class TestFusedOps:
         for name, rep in report.items():
             assert rep.failures == [] and rep.checked > 0, name
 
+    def test_triplane_sample_refuses_a_nan_coordinate(self):
+        # a NaN would cast to a row index far out of range
+        u = _Y.copy()
+        u[1, 2] = np.nan
+        with pytest.raises(NumericFailureError, match="NaN local coordinate"):
+            g.triplane_sample(_PAYLOAD, 2, _IDX, -0.5 * _Y, u, _Y - 1.0)
+
 
 class TestGradients:
     def test_quadratic_gradient_is_exact(self, rng):

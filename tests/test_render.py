@@ -2,6 +2,8 @@
 import math
 import sys
 import threading
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,18 +353,31 @@ class TestRenderImage:
         assert np.all(out.alpha >= 0.0) and np.all(out.alpha <= 1.0)
         assert np.all(out.color >= 0.0) and np.all(out.color <= 1.0 + 1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
-    def test_far_plane_beyond_float_range_is_a_numeric_failure(self, rng):
-        # far = 1e308 puts samples where t * direction - (center - origin)
-        # overflows to inf - inf = NaN; the tri-plane lookup used to cast
-        # that NaN to a row index and fail with an IndexError
+    @pytest.mark.parametrize("plane_size", [4, 1])
+    def test_far_plane_beyond_float_range_is_a_numeric_failure(self, rng,
+                                                               plane_size):
+        # far = 1e308 overflows the sample distances to inf; a tri-plane
+        # avatar then failed in the tri-plane lookup on a NaN local
+        # coordinate, a vector one (plane_size=1) as an invalid argument
+        # ("color: contains non-finite values")
+        from conftest import make_avatar
+        _, mlp, camera = self._setup(rng)
+        avatar = make_avatar(rng, plane_size=plane_size)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericFailureError, match="sample distances .* not finite"):
+            render_image(avatar, mlp, replace(camera, far=1e308),
+                         RenderConfig(knn_k=3), seed=0)
+
+    def test_intrinsics_that_zero_the_ray_directions_are_refused(self, rng):
+        # cx = 1e308 squares to inf in the direction arithmetic, so every ray
+        # direction was (-0, 0, 0) and every sample sat at the camera
         avatar, mlp, camera = self._setup(rng)
-        far = Camera(fx=camera.fx, fy=camera.fy, cx=camera.cx, cy=camera.cy,
-                     width=camera.width, height=camera.height, near=camera.near,
-                     far=1e308, cam_to_world=camera.cam_to_world)
-        with pytest.raises(NumericFailureError, match="NaN local coordinate"):
-            render_image(avatar, mlp, far, RenderConfig(knn_k=3), seed=0)
+        bad = replace(camera, cx=1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidArgumentError, match="unit length"):
+                render_image(avatar, mlp, bad, RenderConfig(knn_k=3), seed=0)
+            with pytest.raises(InvalidArgumentError, match="unit length"):
+                bad.ray(0, 0)
 
     def test_render_output_validates_alpha_range(self):
         with pytest.raises(InvalidArgumentError):
@@ -464,6 +479,39 @@ class TestRenderPool:
                    str(tmp_path / "c.json"), "--out", str(tmp_path / "x.ppm")])
         assert rc == 2
         assert "k=3 exceeds 2 Gaussians" in capsys.readouterr().err
+
+    def test_chunks_run_under_the_callers_errstate(self, rng, monkeypatch):
+        avatar, mlp, camera = self._setup(rng)
+        far = replace(camera, far=1e308)     # overflows the sample distances
+        monkeypatch.setattr(render, "_usable_cpus", lambda: 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(all="ignore"), pytest.raises(NumericFailureError):
+                render_image(avatar, mlp, far, RenderConfig(), seed=0)
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            render_image(avatar, mlp, far, RenderConfig(), seed=0)
+
+    @pytest.mark.parametrize("change,code,message", [
+        ({"far": 1e308}, 3, "sample distances between near 0.4 and far 1e+308"),
+        ({"cx": 1e308}, 2, "ray direction must be unit length"),
+    ])
+    def test_cli_refuses_cameras_beyond_float_range(self, rng, tmp_path, capsys,
+                                                    change, code, message):
+        # on a vector avatar (plane_size=1) the far plane exited 2 as a
+        # non-finite color, and the zeroed rays rendered a frame with exit 0
+        from conftest import make_avatar
+        save_avatar(make_avatar(rng, plane_size=1), tmp_path / "a.guv")
+        save_mlp(random_mlp(rng, alpha_bias=0.0), mlp_sibling(tmp_path / "a.guv"))
+        save_cameras([replace(self._setup(rng)[2], **change)],
+                     tmp_path / "c.json")
+        with np.errstate(over="ignore"):
+            rc = main(["render", str(tmp_path / "a.guv"), "--camera",
+                       str(tmp_path / "c.json"), "--out", str(tmp_path / "x.ppm")])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "x.ppm").exists()
 
     def test_no_thread_outlives_the_call(self, rng):
         avatar, mlp, camera = self._setup(rng)
