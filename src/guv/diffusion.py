@@ -20,6 +20,7 @@ from .errors import InvalidArgumentError
 
 GEOMETRY_CHANNELS = 9  # center 3 + rotation 3 + radii 3, in pack order
 _COSINE_OFFSET = 0.008  # s of the squared-cosine schedule
+_BLOCK = 1 << 15  # elements per row block of a sampling step, so it stays in L2
 
 
 @dataclass(frozen=True)
@@ -337,36 +338,64 @@ def _timesteps(schedule: DiffusionSchedule, step_count: int | None) -> np.ndarra
     return ts[::-1].astype(np.int64)
 
 
+def _row_blocks(shape: tuple) -> tuple:
+    """(scratch shape, [(rows, part), ...]): each rows cuts arrays of `shape`
+    along their first axis into blocks of about _BLOCK elements, and part is
+    the same block's leading part of a scratch array. A 0-d shape is one
+    block, indexed by `...`; an empty first axis has none."""
+    if not shape:
+        return (), [(..., ...)]
+    n, step = shape[0], max(1, _BLOCK // max(1, math.prod(shape[1:])))
+    return ((min(step, n),) + tuple(shape[1:]),
+            [(slice(a, a + step), slice(0, min(step, n - a)))
+             for a in range(0, n, step)])
+
+
 def _reverse_steps(schedule: DiffusionSchedule, denoiser, step_count,
                    draw, pin=None) -> np.ndarray:
     """The ancestral chain t = T -> 0 from G = draw()[0]. draw() gives one
-    step's noise: the posterior noise, then any arrays pin(G, *those, t)
-    uses to rewrite part of G. Each draw runs one step ahead on a worker
-    thread, so none is made past the last step. The step is posterior_params'
-    arithmetic in place, never in the denoiser's input or output."""
+    step's arrays: the posterior noise, then any arrays pin uses to rewrite
+    part of G. Each draw runs one step ahead on a worker thread: a step
+    takes its draw once the denoiser has returned and submits the next at
+    once, so the step's G, G_0_hat and draw and the next draw are all that
+    is alive, and no draw is made past the last step.
+
+    A step is posterior_params' arithmetic, with the same ufunc calls per
+    element, in one pass over row blocks of about _BLOCK elements:
+    clip(G_0_hat) * coef_0 + coef_t * G into a scratch block, then
+    noise * std + that in the noise's own buffer, which becomes the next G,
+    then pin(G, *extra, t, rows, tmp), which rewrites G[rows] from the
+    extra arrays' rows with tmp, a scratch array shaped like G[rows], to
+    write into. The first G is pinned block by block too. G_0_hat may be
+    anything that broadcasts to G's shape; the denoiser's input and output
+    are only read, and no array of G's size is made."""
     ts = [int(t) for t in _timesteps(schedule, step_count)]
-    g_t, *noise = draw()
+    g_t, *extra = draw()
+    scratch, blocks = _row_blocks(g_t.shape)
+    mean, tmp = np.empty(scratch), np.empty(scratch)
     if pin is not None:
-        pin(g_t, *noise, ts[0])
-    del noise
+        for rows, part in blocks:
+            pin(g_t, *extra, ts[0], rows, tmp[part])
+    del extra
     with ThreadPoolExecutor(1) as pool:
         ahead = pool.submit(draw)
         for hi, lo in zip(ts[:-1], ts[1:]):
             coef_t, coef_0, std = _posterior_coefs(schedule, lo, hi)
-            mean = np.clip(denoiser(g_t, hi), -1.0, 1.0, out=np.empty(g_t.shape))
-            mean *= coef_0
-            mean += coef_t * g_t
-            # taking the noise only now, and drawing the next only after,
-            # bounds the arrays alive at once
-            g_t, *noise = ahead.result()
+            g0_hat = np.broadcast_to(denoiser(g_t, hi), g_t.shape)
+            g_s, *extra = ahead.result()
             if lo != ts[-1]:
                 ahead = pool.submit(draw)
-            g_t *= std
-            g_t += mean
-            del mean
-            if pin is not None:
-                pin(g_t, *noise, lo)
-            del noise
+            for rows, part in blocks:
+                m = np.clip(g0_hat[rows], -1.0, 1.0, out=mean[part])
+                m *= coef_0
+                m += np.multiply(g_t[rows], coef_t, out=tmp[part])
+                b = g_s[rows]
+                b *= std
+                b += m
+                if pin is not None:
+                    pin(g_s, *extra, lo, rows, tmp[part])
+            g_t = g_s
+            del g0_hat, extra
     return g_t
 
 
@@ -377,9 +406,13 @@ def reverse_sample(schedule: DiffusionSchedule, denoiser, shape, rng,
     The posterior noise array is drawn every step (even when the step std is
     0) so rng consumption does not depend on the schedule's endpoints. It is
     drawn one step ahead on a worker thread while the step's denoiser runs,
-    so the denoiser must not draw from rng. The output and rng's final state
-    equal the serial order's. A denoiser error reaches the caller unchanged,
-    with rng one step's draw past where the serial loop would stop.
+    so the denoiser must not draw from rng. Each step is one pass over row
+    blocks of the tensor that writes the posterior draw into the noise's
+    own buffer, with no full-size temporary; the denoiser's output may be
+    any array or float that broadcasts to shape. The output and rng's final
+    state equal the serial order's, bit for bit. A denoiser error reaches
+    the caller unchanged, with rng one step's draw past where the serial
+    loop would stop.
     """
     return _reverse_steps(schedule, denoiser, step_count,
                           lambda: (rng.standard_normal(shape),))
@@ -434,10 +467,13 @@ def inpaint_sample(schedule: DiffusionSchedule, denoiser, known: np.ndarray,
     so with the same rng an empty mask reproduces reverse_sample bit-exactly;
     at t=0 the known region is the input itself, bit-exact. Each step's two
     noise arrays (rng's, then the spawned stream's) are drawn one step ahead
-    on a worker thread, so the denoiser must not draw from rng. The output
-    and both generators' final states equal the serial order's. A denoiser
-    error reaches the caller unchanged, with both generators one step's draw
-    past where the serial loop would stop.
+    on a worker thread, so the denoiser must not draw from rng. The pin runs
+    inside the step's pass over row blocks: each block's
+    sigma_s * noise + alpha_s * known is made in the spawned noise's own
+    buffer and copied into the block where mask is set. The output and both
+    generators' final states equal the serial order's, bit for bit. A
+    denoiser error reaches the caller unchanged, with both generators one
+    step's draw past where the serial loop would stop.
     """
     known = np.asarray(known, dtype=np.float64)
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), known.shape)
@@ -446,11 +482,13 @@ def inpaint_sample(schedule: DiffusionSchedule, denoiser, known: np.ndarray,
     def draw():
         return rng.standard_normal(known.shape), mask_rng.standard_normal(known.shape)
 
-    def pin(g, noise, t):
-        """g's known region := q_sample(known, t, noise), in noise's buffer."""
-        noise *= float(schedule.sigmas[t])
-        noise += float(schedule.alphas[t]) * known
-        np.copyto(g, noise, where=mask)
+    def pin(g, noise, t, rows, tmp):
+        """g[rows]'s known region := q_sample(known, t, noise)[rows],
+        computed in noise's buffer with tmp as scratch."""
+        b = noise[rows]
+        b *= float(schedule.sigmas[t])
+        b += np.multiply(known[rows], float(schedule.alphas[t]), out=tmp)
+        np.copyto(g[rows], b, where=mask[rows])
 
     g_t = _reverse_steps(schedule, denoiser, step_count, draw, pin)
     np.copyto(g_t, known, where=mask)

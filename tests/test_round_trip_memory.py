@@ -1,6 +1,7 @@
-"""The UV round trip's memory budget, without timing: the peak memory each
-step traces, in units of the paper-shaped tensor's bytes (256 x 256 x 33
-float64, from a 32 x 32 avatar with S = 8 and C = 8).
+"""The memory budget of the UV round trip and of the diffusion samplers,
+without timing: the peak memory each step traces, in units of the
+paper-shaped tensor's bytes (256 x 256 x 33 float64, from a 32 x 32 avatar
+with S = 8 and C = 8).
 
 Each step allocates every full-size array once, in its final layout, and
 the types keep the arrays the library made instead of copying them:
@@ -10,23 +11,41 @@ region_transfer its np.where results, interpolate its blends and one
 payload-sized product, save_avatar the float32 file image, and load_avatar
 the file's bytes and the float64 fields cast from them. The bounds sit just
 above what that reaches, so a step that builds a full-size temporary and
-then copies it crosses its bound."""
+then copies it crosses its bound.
+
+A sampling step runs in row blocks and makes no array of the tensor's size:
+with draws handed out ready-made and a denoiser that returns a fresh array,
+reverse_sample and inpaint_sample trace 1.02 tensor-sizes, the denoiser's
+output plus two scratch blocks (2.00 for both before the step ran in
+blocks, which built the posterior mean and coef_t * G_t at full size).
+With a Generator's own draws the samplers trace 4.02 and 5.02: the
+step's G and G_0_hat, its draw, and the next draw (one array for
+reverse_sample, two for inpaint_sample), which the worker thread starts as
+the step takes its own (4.00 and 5.00 before). Those two peaks depend on
+the worker thread's timing: inpaint_sample would reach 6.02 if the next
+draw's second array were made before the step's pass ended, which does not
+happen while the pass is shorter than the draw of the first array."""
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from guv.diffusion import denormalize_avatar, normalize_avatar
+from guv.diffusion import (analytic_gauss_denoiser, channel_mask,
+                           cosine_schedule, denormalize_avatar, inpaint_sample,
+                           normalize_avatar, reverse_sample)
 from guv.edit import UVMask, interpolate, region_transfer
 from guv.errors import FormatError
 from guv.io_cli import load_avatar, save_avatar
 
 from conftest import make_avatar
 
-TENSOR_BYTES = 256 * 256 * 33 * 8
+SHAPE = (256, 256, 33)
+TENSOR_BYTES = math.prod(SHAPE) * 8
 BOUNDS = {"normalize": 1.20, "denormalize": 0.90, "region_transfer": 0.90,
           "interpolate": 1.50, "save": 0.40, "load": 1.15}
+SAMPLER_BOUNDS = {"reverse_step": 1.10, "inpaint_step": 1.10,
+                  "reverse_sample": 4.05, "inpaint_sample": 5.05}
 
 
 def _peak(fn):
@@ -70,6 +89,62 @@ def peaks(tmp_path_factory):
 def test_peak_memory_within_budget(peaks, step):
     assert math.isfinite(peaks[step])
     assert peaks[step] <= BOUNDS[step], peaks
+
+
+class _Drawn:
+    """A Generator stand-in whose standard_normal hands out arrays drawn
+    before the sampler runs, one a call, and whose spawn hands out another
+    such stand-in."""
+
+    def __init__(self, seed: int, n: int, children: int = 0):
+        rng = np.random.default_rng(seed)
+        self.arrays = [rng.standard_normal(SHAPE) for _ in range(n)]
+        self.children = [_Drawn(seed + 1 + i, n) for i in range(children)]
+
+    def standard_normal(self, shape):
+        assert shape == SHAPE
+        return self.arrays.pop(0)
+
+    def spawn(self, n: int):
+        return [self.children.pop(0) for _ in range(n)]
+
+
+@pytest.fixture(scope="module")
+def sampler_peaks():
+    """Two steps with ready-made draws, then three with a Generator's, on
+    perfbench uv-diffuse's half-grid mask and analytic denoiser."""
+    schedule = cosine_schedule(1000)
+    known = np.random.default_rng(1).uniform(-1.0, 1.0, size=SHAPE)
+    half = np.zeros((32, 32), dtype=bool)
+    half[:16] = True
+    mask = channel_mask(half, "both", 8, 8)
+    analytic = analytic_gauss_denoiser(schedule, 0.3, 0.2)
+
+    def halve(g_t, t):
+        return 0.5 * g_t
+
+    # the first call's lazy imports are not the step's
+    reverse_sample(schedule, halve, (2,), np.random.default_rng(0), step_count=2)
+    peaks = {}
+    drawn = _Drawn(5, 3)
+    _, peaks["reverse_step"] = _peak(lambda: reverse_sample(
+        schedule, halve, SHAPE, drawn, step_count=2))
+    drawn = _Drawn(5, 3, children=1)
+    _, peaks["inpaint_step"] = _peak(lambda: inpaint_sample(
+        schedule, halve, known, mask, drawn, step_count=2))
+    del drawn
+    _, peaks["reverse_sample"] = _peak(lambda: reverse_sample(
+        schedule, analytic, SHAPE, np.random.default_rng(3), step_count=3))
+    _, peaks["inpaint_sample"] = _peak(lambda: inpaint_sample(
+        schedule, analytic, known, mask, np.random.default_rng(3),
+        step_count=3))
+    return peaks
+
+
+@pytest.mark.parametrize("step", sorted(SAMPLER_BOUNDS))
+def test_sampler_peak_memory_within_budget(sampler_peaks, step):
+    assert math.isfinite(sampler_peaks[step])
+    assert sampler_peaks[step] <= SAMPLER_BOUNDS[step], sampler_peaks
 
 
 def test_a_body_of_the_wrong_size_is_refused_before_the_cast(tmp_path):
