@@ -20,6 +20,9 @@ opacity). gaussian_frame and shading_mlp return those parts as separate
 outputs, so no index op splits them again. Each VJP replays the backward
 sweep of the primitive chain it replaces, so the bits are the chain's.
 Their row scatters, the VJP of a gather, are one bincount per channel.
+A fused op makes all its input gradients in one call, dropped when its
+backward entry returns, and its docstring says what it keeps for the
+backward and what the backward rebuilds: a gather is cheaper to repeat.
 
 Non-differentiable points use fixed subgradients: clip and relu take 0 at
 their kinks, absolute uses sign with sign(0) = 0. Every op but matmul
@@ -83,16 +86,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _op(name: str, out_val, *inputs):
+def _op(name: str, out_val, *inputs, grads=None):
     """Record one tape op: out_val is its forward value, an ndarray or a
     tuple of ndarray parts, and each input is an (x, vjp) pair, vjp mapping
     the output gradient to x's gradient. For a tuple, vjp gets the list of
-    the parts' gradients, zeros for a part that nothing read.
+    the parts' gradients, zeros for a part that nothing read. A fused op
+    passes its inputs bare and grads instead: grads(g) makes every input's
+    gradient at once, and they are dropped when the backward entry returns.
 
     With no Var among the inputs, out_val comes back as it is (the ndarray
     fast path). Otherwise each part is wrapped in a Var and one backward is
-    recorded that adds vjp(gradient) to each Var input, in argument order.
+    recorded that adds each Var input's gradient to it, in argument order.
     """
+    if grads is not None:   # each input's VJP picks its part of grads(g)
+        inputs = [(x, lambda made, k=k: made[k]) for k, x in enumerate(inputs)]
     live = [(x, vjp) for x, vjp in inputs if isinstance(x, Var)]
     if not live:
         return out_val
@@ -104,6 +111,7 @@ def _op(name: str, out_val, *inputs):
             return
         g = ([np.zeros_like(o.value) if o.grad is None else o.grad for o in outs]
              if parts else outs[0].grad)
+        g = g if grads is None else grads(g)
         for x, vjp in live:
             _add_grad(x, vjp(g))
 
@@ -253,18 +261,6 @@ def concatenate(xs):
 # ---------------------------------------------------------------------------
 
 
-def _shared(grads):
-    """grads(g), a fused op's input gradients, computed once per output
-    gradient g and shared by the op's VJPs."""
-    memo = [None, None]
-
-    def get(g):
-        if memo[0] is not g:
-            memo[:] = g, grads(g)
-        return memo[1]
-    return get
-
-
 def shading_mlp(feat, w1, b1, w2, b2):
     """sigmoid(relu(feat w1 + b1) w2 + b2) for (..., i) features, the
     shading head as one op, returned as its parts: the color channels
@@ -275,6 +271,9 @@ def shading_mlp(feat, w1, b1, w2, b2):
     "ni,io->no", so the same bits, with the long row axis innermost. The
     VJPs make the row-major einsum calls of the chain matmul, bias, relu,
     matmul, bias, sigmoid; _add_grad unbroadcasts the bias gradients.
+    Kept for the backward: the features, the output and the row-major
+    hidden layer h, which the forward transposes once, and only when an
+    input is a Var.
     """
     vf, vw1, vb1, vw2, vb2 = (value(x) for x in (feat, w1, b1, w2, b2))
     lead, (i, m), o = vf.shape[:-1], vw1.shape, vw2.shape[1]
@@ -286,23 +285,23 @@ def shading_mlp(feat, w1, b1, w2, b2):
     a2_t = np.einsum("in,io->on", h_t, vw2, optimize=False)
     a2_t += vb2.reshape(-1, 1)
     out = _sigmoid_val(np.ascontiguousarray(a2_t.T)).reshape(lead + (o,))
+    live = any(isinstance(x, Var) for x in (feat, w1, b1, w2, b2))
+    h = np.ascontiguousarray(h_t.T) if live else None   # for the backward
 
     def grads(g):
         go = np.concatenate([g[0], g[1][..., None]], axis=-1) * out * (1.0 - out)
-        h = np.ascontiguousarray(h_t.T)
         ga = np.einsum("no,io->ni", go.reshape(-1, o), vw2, optimize=False)
         ga *= h > 0
         return (np.einsum("no,io->ni", ga, vw1, optimize=False).reshape(vf.shape),
                 np.einsum("ni,no->io", f2, ga, optimize=False), ga.reshape(lead + (m,)),
                 np.einsum("ni,no->oi", h, go.reshape(-1, o), optimize=False).T, go)
 
-    shared = _shared(grads)
-    return _op("shading_mlp", (out[..., :-1], out[..., -1]),
-               *((x, lambda g, k=k: shared(g)[k])
-                 for k, x in enumerate((feat, w1, b1, w2, b2))))
+    return _op("shading_mlp", (out[..., :-1], out[..., -1]), feat, w1, b1, w2, b2,
+               grads=grads)
 
 
 _PLANE_AXES = ((0, 1), (0, 2), (1, 2))  # the local axes each plane spans
+_REGATHER_ROWS = 4096   # rows per block of triplane_sample's corner re-gather
 
 
 def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
@@ -322,7 +321,9 @@ def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
     chain's payload gradient (S2 + S1) + S0 is one bincount per channel
     over the three planes' corner rows, concatenated in sweep order: each
     row belongs to one plane, so every bin adds the same entries in the
-    same order.
+    same order. Kept for the backward: the corner rows, bilinear weights
+    and cell fractions. The (3, ..., 4, C) corner gather is not: the u
+    gradients gather each plane's corners again, _REGATHER_ROWS at a time.
     """
     vp = value(payload_flat)
     # each plane's rows and bilinear weights, planes 2, 1, 0 (the sweep's order)
@@ -357,12 +358,11 @@ def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
     feat = contrib[0] + contrib[1]
     feat += contrib[2]
     u_grads = s > 1 and any(isinstance(u, Var) for u in (u0, u1, u2))
-    corners = corners if u_grads else None   # only the u's gradients read them
 
     def grads(g):
         dp, du = None, {}
+        g2 = g.reshape(-1, g.shape[-1])
         if isinstance(payload_flat, Var):
-            g2 = g.reshape(-1, g.shape[-1])
             spread = np.empty((g2.shape[0], 4 if s > 1 else 1))
             planes_wts = wts.reshape(3, -1) if s > 1 else np.ones((3, 1))
             buf = np.empty((3, spread.size))
@@ -378,7 +378,15 @@ def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
         for p in (2, 1, 0) if u_grads else ():
             a, b = _PLANE_AXES[p]
             (_, fa, one_fa), (_, fb, one_fb) = cells[a], cells[b]
-            gw = np.einsum("...c,...kc->...k", g, corners[2 - p], optimize=False)
+            # the chain's einsum on the plane's corners, gathered again a
+            # block of rows at a time: each row's sum is made alone
+            plane_rows = rows[2 - p].reshape(-1, 4)
+            gw = np.empty(plane_rows.shape)
+            for lo in range(0, len(gw), _REGATHER_ROWS):
+                blk = slice(lo, lo + _REGATHER_ROWS)
+                np.einsum("mc,mkc->mk", g2[blk], np.take(vp, plane_rows[blk], axis=0),
+                          out=gw[blk], optimize=False)
+            gw = gw.reshape(rows.shape[1:])
             g_one_fa = gw[..., 1] * fb + gw[..., 0] * one_fb
             g_one_fb = gw[..., 2] * fa + gw[..., 0] * one_fa
             g_fa = (gw[..., 3] * fb + gw[..., 2] * one_fb) + -g_one_fa
@@ -386,13 +394,10 @@ def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
             for axis, gf in ((b, g_fb), (a, g_fa)):
                 gu = (gf * float(s - 1)) * 0.5
                 du[axis] = gu if axis not in du else du[axis] + gu
-        return dp, du
+        return (dp,) + tuple(du.get(k) for k in range(3))
 
-    shared = _shared(grads)
-    u_inputs = [] if s == 1 else [(u, lambda g, k=k: shared(g)[1][k])
-                                  for k, u in enumerate((u0, u1, u2))]
-    return _op("triplane_sample", feat, (payload_flat, lambda g: shared(g)[0]),
-               *u_inputs)
+    return _op("triplane_sample", feat, payload_flat,
+               *((u0, u1, u2) if s > 1 else ()), grads=grads)
 
 
 def gaussian_frame(centers, rotations, radii, origin, tdir, idx: np.ndarray,
@@ -411,14 +416,19 @@ def gaussian_frame(centers, rotations, radii, origin, tdir, idx: np.ndarray,
     the Mahalanobis distance, the influence and the clips. The VJPs replay
     its backward sweep: each value that several chain ops read adds their
     gradients in the sweep's order, and each pose gradient is one bincount
-    per channel over idx, the chain's take VJP.
+    per channel over idx, the chain's take VJP. Kept for the backward: the
+    (..., K) offsets, frame, radii and influence terms, and the angles' cos
+    and sin and the rotation entries once per Gaussian, (6, N) and (9, N),
+    which the backward gathers at idx again.
     """
     vc, vr, vs = value(centers), value(rotations), value(radii)
     offset = np.ascontiguousarray((vc - origin).T)   # (3, N): mu - origin
     d = [tdir[..., None, i] - np.take(offset[i], idx) for i in range(3)]
-    trig = [f(np.take(col, idx)) for col in np.ascontiguousarray(vr.T)
-            for f in (np.cos, np.sin)]
-    e = _rotation_entries(*trig)
+    # cos, sin and the entries once per Gaussian, then gathered: elementwise
+    # ufuncs, so each gathered value has the chain's bits
+    trig = [f(col) for col in np.ascontiguousarray(vr.T) for f in (np.cos, np.sin)]
+    table = np.stack(_rotation_entries(*trig))   # (9, N)
+    e = [np.take(col, idx) for col in table]
     # y_i = column i of R dotted with x - mu
     y = [e[i] * d[0] + e[3 + i] * d[1] + e[6 + i] * d[2] for i in range(3)]
     r = [np.take(col, idx) for col in np.ascontiguousarray(vs.T)]
@@ -429,7 +439,8 @@ def gaussian_frame(centers, rotations, radii, origin, tdir, idx: np.ndarray,
     parts = (ex * eta,) + tuple(np.clip(wi, -1.0, 1.0) for wi in w)
 
     def grads(g):
-        ca, sa, cb, sb, cc, sc = trig
+        ca, sa, cb, sb, cc, sc = (np.take(t, idx) for t in trig)
+        e = [np.take(col, idx) for col in table]
         gm = ((g[0] * eta) * ex) * (-1.0 / (2.0 * tau))
         gy, gr = [], []
         for i in range(3):
@@ -462,9 +473,7 @@ def gaussian_frame(centers, rotations, radii, origin, tdir, idx: np.ndarray,
                 _bincount_rows(rows, ((-v).reshape(-1) for v in gd), n))
 
     # the chain's sweep reaches the radii gather first, the centres last
-    shared = _shared(grads)
-    return _op("gaussian_frame", parts, *((x, lambda g, k=k: shared(g)[k])
-                                          for k, x in enumerate((radii, rotations, centers))))
+    return _op("gaussian_frame", parts, radii, rotations, centers, grads=grads)
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,24 @@ def _f32(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pack_container(magic: bytes, header: dict, arrays: list[np.ndarray]) -> bytearray:
+def _pack_container(magic: bytes, header: dict, arrays: dict) -> bytearray:
+    """The file image: magic, header and each named array as float32. A
+    field that its loader would refuse once rounded is refused here, before
+    anything is written: a value past float32 range, or a radius or scale
+    that rounds to 0."""
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     head = magic + struct.pack("<I", len(hb)) + hb
-    data = bytearray(head).ljust(len(head) + 4 * sum(np.size(a) for a in arrays))
+    sizes = [np.size(a) for a in arrays.values()]
+    data = bytearray(head).ljust(len(head) + 4 * sum(sizes))
     body = np.frombuffer(data, dtype="<f4", offset=len(head))   # writes go to data
-    np.concatenate([np.ravel(a) for a in arrays], out=body)   # casts to float32
+    with np.errstate(over="ignore"):   # refused below, naming the field
+        np.concatenate([np.ravel(a) for a in arrays.values()], out=body)
+    for name, part in zip(arrays, np.split(body, np.cumsum(sizes)[:-1])):
+        # a float64 sum of float32 values is finite just when each value is
+        if not math.isfinite(part.sum(dtype=np.float64)):
+            raise InvalidArgumentError(f"{name}: a value is not finite in float32")
+        if name in ("radii", "anchor_scales", "scales") and not np.all(part > 0):
+            raise InvalidArgumentError(f"{name}: a positive value rounds to 0 in float32")
     return data
 
 
@@ -90,8 +102,7 @@ def _read_container(path, magic: bytes, dim_keys: tuple
     data = Path(path).read_bytes()
     if data[:4] != magic:
         raise FormatError(
-            f"{path}: bad magic {data[:4]!r}, expected {magic.decode()!r}"
-        )
+            f"{path}: bad magic {data[:4]!r}, expected {magic.decode()!r}")
     if len(data) < 8:
         raise FormatError(f"{path}: truncated at byte {len(data)}, no header length")
     (hlen,) = struct.unpack("<I", data[4:8])
@@ -106,8 +117,7 @@ def _read_container(path, magic: bytes, dim_keys: tuple
     if (len(data) - 8 - hlen) % 4:
         raise FormatError(
             f"{path}: body has {len(data) - 8 - hlen} bytes at offset "
-            f"{8 + hlen}, not a whole number of float32 values"
-        )
+            f"{8 + hlen}, not a whole number of float32 values")
     _require_keys(header, dim_keys + ("version",), path)
     _check_version(header, path)
     body = np.frombuffer(data, dtype="<f4", offset=8 + hlen)
@@ -121,8 +131,7 @@ def _split_body(body: np.ndarray, body_off: int, counts: list[int], path
     if body.size != sum(counts):
         raise FormatError(
             f"{path}: body has {body.size * 4} bytes at offset {body_off}, "
-            f"expected {sum(counts) * 4}"
-        )
+            f"expected {sum(counts) * 4}")
     with np.errstate(invalid="ignore"):   # a signalling NaN warns on the cast
         return [p.astype(np.float64)
                 for p in np.split(body, np.cumsum(counts)[:-1])]
@@ -131,8 +140,7 @@ def _split_body(body: np.ndarray, body_off: int, counts: list[int], path
 def _check_version(doc: dict, path) -> None:
     if doc["version"] != FORMAT_VERSION:
         raise UnsupportedVersionError(
-            f"{path}: version {doc['version']}, this build reads {FORMAT_VERSION}"
-        )
+            f"{path}: version {doc['version']}, this build reads {FORMAT_VERSION}")
 
 
 def _require_keys(header: dict, keys: tuple, path) -> None:
@@ -147,8 +155,7 @@ def _header_dims(header: dict, keys: tuple, path) -> list[int]:
         v = header[k]
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise FormatError(
-                f"{path}: header {k} must be a positive integer, got {v!r}"
-            )
+                f"{path}: header {k} must be a positive integer, got {v!r}")
     return [header[k] for k in keys]
 
 
@@ -167,8 +174,9 @@ def save_avatar(avatar: UVAvatar, path) -> None:
     s, c = avatar.plane_size, avatar.channels
     header = {"H": h, "W": w, "Sx": s, "Sy": s, "C": c,
               "version": FORMAT_VERSION}
-    arrays = [avatar.centers, avatar.rotations, avatar.radii, avatar.payloads,
-              avatar.anchors, avatar.anchor_normals, avatar.anchor_scales]
+    arrays = {k: getattr(avatar, k) for k in (
+        "centers", "rotations", "radii", "payloads", "anchors", "anchor_normals",
+        "anchor_scales")}
     _atomic_write(path, _pack_container(AVATAR_MAGIC, header, arrays))
 
 
@@ -191,10 +199,8 @@ def save_anchor_grid(anchors, normals, scales, path) -> None:
     anchors = np.asarray(anchors, dtype=np.float64)
     h, w = anchors.shape[:2]
     header = {"H": h, "W": w, "version": FORMAT_VERSION}
-    _atomic_write(path, _pack_container(
-        ANCHOR_MAGIC, header,
-        [anchors, np.asarray(normals, np.float64), np.asarray(scales, np.float64)],
-    ))
+    _atomic_write(path, _pack_container(ANCHOR_MAGIC, header, {
+        "anchors": anchors, "normals": normals, "scales": scales}))
 
 
 def load_anchor_grid(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,8 +331,7 @@ def _read_pnm(path) -> tuple[str, int, int, int, np.ndarray, list[str]]:
     if len(data) - i != want:
         raise FormatError(
             f"{path}: raster has {len(data) - i} bytes at offset {i}, "
-            f"expected {want}"
-        )
+            f"expected {want}")
     raster = np.frombuffer(data, dtype=dtype, offset=i).astype(np.int64)
     shape = (h, w, 3) if channels == 3 else (h, w)
     return magic, w, h, maxval, raster.reshape(shape), comments
@@ -386,14 +391,9 @@ def _is_number(v) -> bool:
 
 
 def save_cameras(cameras, path) -> None:
-    docs = []
-    for cam in cameras:
-        docs.append({
-            "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-            "width": cam.width, "height": cam.height,
-            "near": cam.near, "far": cam.far,
-            "cam_to_world": [float(v) for v in cam.cam_to_world.reshape(16)],
-        })
+    docs = [{**{k: getattr(cam, k) for k in _CAMERA_KEYS[:-1]},
+             "cam_to_world": [float(v) for v in cam.cam_to_world.reshape(16)]}
+            for cam in cameras]
     _atomic_write(path, json.dumps(docs, sort_keys=True).encode("utf-8"))
 
 
@@ -420,14 +420,12 @@ def load_cameras(path) -> list[Camera]:
             if not _is_number(v) or (integer and not isinstance(v, int)):
                 kind = "an integer" if integer else "a finite number"
                 raise FormatError(
-                    f"{path}: camera {i} field {k} must be {kind}, got {v!r}"
-                )
+                    f"{path}: camera {i} field {k} must be {kind}, got {v!r}")
             fields[k] = v if integer else float(v)
         m = doc["cam_to_world"]
         if not isinstance(m, list) or len(m) != 16 or not all(map(_is_number, m)):
             raise FormatError(
-                f"{path}: camera {i} cam_to_world must be 16 numbers"
-            )
+                f"{path}: camera {i} cam_to_world must be 16 numbers")
         m = np.asarray(m, dtype=np.float64).reshape(4, 4)
         try:
             cams.append(Camera(**fields, cam_to_world=m))
@@ -454,10 +452,7 @@ def lookat_camera(position, target, width: int, height: int, fx: float,
     right /= nr
     down = np.cross(fwd, right)
     m = np.eye(4)
-    m[:3, 0] = right
-    m[:3, 1] = down
-    m[:3, 2] = fwd
-    m[:3, 3] = position
+    m[:3] = np.stack([right, down, fwd, position], axis=1)
     return Camera(fx=fx, fy=fx, cx=width / 2.0, cy=height / 2.0,
                   width=width, height=height, near=near, far=far,
                   cam_to_world=m)
@@ -484,14 +479,9 @@ def reference_mlp() -> RenderMLP:
     """A shading head that is exactly representable in the architecture and
     reads the payload directly: color_c = sigmoid(2 f_c), opacity =
     sigmoid(2 f_3 + bias), via the relu(x) - relu(-x) = x trick."""
-    w1 = np.zeros((8, 32))
-    for f in range(8):
-        w1[f, f] = 2.0
-        w1[f, 8 + f] = -2.0
-    w2 = np.zeros((32, 4))
-    for c in range(4):
-        w2[c, c] = 1.0
-        w2[8 + c, c] = -1.0
+    w1, w2, f, c = np.zeros((8, 32)), np.zeros((32, 4)), np.arange(8), np.arange(4)
+    w1[f, f], w1[f, 8 + f] = 2.0, -2.0
+    w2[c, c], w2[8 + c, c] = 1.0, -1.0
     return RenderMLP(w1=w1, b1=np.zeros(32), w2=w2,
                      b2=np.array([0.0, 0.0, 0.0, _REF_ALPHA_BIAS]))
 
@@ -582,11 +572,8 @@ def camera_ring(views: int, resolution: int) -> list[Camera]:
     for i in range(views):
         az = 2.0 * math.pi * i / views
         el = math.radians(elevations[i % len(elevations)])
-        pos = _CAM_DISTANCE * np.array([
-            math.cos(el) * math.cos(az),
-            math.cos(el) * math.sin(az),
-            math.sin(el),
-        ])
+        pos = _CAM_DISTANCE * np.array([math.cos(el) * math.cos(az),
+                                        math.cos(el) * math.sin(az), math.sin(el)])
         cams.append(lookat_camera(pos, (0.0, 0.0, 0.0), resolution, resolution,
                                   fx=1.1 * resolution, near=_NEAR, far=_FAR))
     return cams

@@ -238,7 +238,7 @@ def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
     ray with jitter stratified_jitter(H, W, J, seed)[i, j], so marching the
     chunks of _CHUNK rays on min(usable CPUs, chunks) threads, which end
     before the call returns and run under the caller's np.errstate, changes
-    no bit."""
+    no bit. A non-finite pixel is a NumericFailureError of the shading."""
     h, w = camera.height, camera.width
     dirs = camera.ray_directions().reshape(-1, 3)
     jit = stratified_jitter(h, w, cfg.samples_per_ray, seed).reshape(-1, cfg.samples_per_ray)
@@ -259,6 +259,8 @@ def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
     starts = range(0, h * w, _CHUNK)
     with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
         list(pool.map(march_chunk, starts))    # re-raises a chunk's error
+    if not all(np.isfinite(a).all() for a in (color, depth, alpha)):
+        raise NumericFailureError("shading: the frame holds non-finite values")
     return RenderOutput(
         color=color.reshape(h, w, 3),
         depth=depth.reshape(h, w),

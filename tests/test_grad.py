@@ -1,4 +1,6 @@
 """Tape autodiff against central differences, op by op, plus AdamW."""
+import math
+
 import numpy as np
 import pytest
 
@@ -490,6 +492,28 @@ class TestFusedOps:
 
         _assert_same(bind(g.gaussian_frame), bind(gaussian_frame_chain), inputs,
                      tuple(rng.standard_normal((4, 4, 5, 3))))
+
+    @pytest.mark.parametrize("n", [5, 4097])
+    def test_the_chain_bit_for_bit_past_a_regather_block(self, rng, n):
+        """triplane_sample's u-gradients gather the corners again in blocks
+        of _REGATHER_ROWS rows, and gaussian_frame gathers per-Gaussian cos,
+        sin and rotation entries: at a row count with a partial last block,
+        both still equal the chain, with n Gaussians in the tables."""
+        lead = (2, g._REGATHER_ROWS + 13)
+        assert math.prod(lead) % g._REGATHER_ROWS != 0
+        inputs, idx = _triplane_inputs(rng, lead, 8, n=n)
+
+        def bind(fn):
+            return lambda **leaves: fn(idx=idx, s=8, **leaves)
+        _assert_same(bind(g.triplane_sample), bind(triplane_chain), inputs,
+                     rng.standard_normal(lead + (8,)))
+        inputs, (origin, tdir, idx) = _frame_inputs(rng, lead, n=n)
+
+        def bind(fn):
+            return lambda **pose: fn(**pose, origin=origin, tdir=tdir, idx=idx,
+                                     eta=5.0, tau=1.0)
+        _assert_same(bind(g.gaussian_frame), bind(gaussian_frame_chain), inputs,
+                     tuple(rng.standard_normal((4,) + lead + (3,))))
 
     @pytest.mark.parametrize("n", [1, 96, 24_576])
     def test_rows_match_the_whole_batch(self, rng, n):

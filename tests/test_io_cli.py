@@ -46,7 +46,7 @@ from guv.io_cli import (
     write_depth_pgm,
     write_ppm,
 )
-from guv.render import render_image
+from guv.render import RenderMLP, render_image
 
 from conftest import make_avatar, make_render_mlp
 
@@ -87,6 +87,18 @@ class TestAvatarContainer:
             assert arr is taken[name] and not arr.flags.writeable, name
             for other in fields[i + 1:]:
                 assert not np.shares_memory(arr, getattr(loaded, other))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("centers", 1e39, "centers: a value is not finite in float32"),
+        ("payloads", 1e308, "payloads: a value is not finite in float32"),
+        ("radii", 1e-300, "radii: a positive value rounds to 0 in float32")])
+    def test_a_field_the_loader_would_refuse_is_not_written(
+            self, tmp_path, random_avatar, field, value, message):
+        avatar = random_avatar.replace(
+            **{field: np.full_like(getattr(random_avatar, field), value)})
+        with pytest.raises(InvalidArgumentError, match=message):
+            save_avatar(avatar, tmp_path / "a.guv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_header_layout(self, tmp_path, random_avatar):
         p = tmp_path / "a.guv"
@@ -231,8 +243,28 @@ class TestAnchorContainer:
             assert rc == 2
             assert "header H must be a positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("anchors", -1e39, "anchors: a value is not finite in float32"),
+        ("normals", np.nan, "normals: a value is not finite in float32"),
+        ("scales", 1e-300, "scales: a positive value rounds to 0 in float32")])
+    def test_a_field_the_loader_would_refuse_is_not_written(
+            self, tmp_path, random_avatar, field, value, message):
+        grid = {"anchors": random_avatar.anchors,
+                "normals": random_avatar.anchor_normals,
+                "scales": random_avatar.anchor_scales}
+        grid[field] = np.full_like(grid[field], value)
+        with pytest.raises(InvalidArgumentError, match=message):
+            save_anchor_grid(**grid, path=tmp_path / "g.guva")
+        assert list(tmp_path.iterdir()) == []
+
     def _write(self, path, anchors, normals, scales):
-        save_anchor_grid(anchors, normals, scales, path)
+        """The file save_anchor_grid would write, without its refusals, so
+        the loader's own checks show."""
+        hb = json.dumps({"H": anchors.shape[0], "W": anchors.shape[1],
+                         "version": FORMAT_VERSION}).encode()
+        body = np.concatenate([np.ravel(a) for a in (anchors, normals, scales)])
+        path.write_bytes(ANCHOR_MAGIC + struct.pack("<I", len(hb)) + hb
+                         + body.astype("<f4").tobytes())
 
     def test_nan_anchor_names_texel(self, tmp_path, random_avatar):
         anchors = random_avatar.anchors.copy()
@@ -754,6 +786,24 @@ class TestCli:
         assert scale == cams[1].far
         read_pgm(alpha)
 
+    def test_render_non_finite_shading_exits_three(self, cli_dataset, tmp_path,
+                                                   capsys):
+        # hidden units at +inf whose products with w2 meet with both signs
+        # make NaN colours from an avatar and a head that both load
+        ref = load_avatar(cli_dataset / "reference.guv")
+        avatar, mlp = tmp_path / "big.guv", tmp_path / "big.mlp.json"
+        save_avatar(ref.replace(payloads=np.full_like(ref.payloads, 1e10)), avatar)
+        head = make_render_mlp(np.random.default_rng(0))
+        save_mlp(RenderMLP(w1=np.abs(head.w1) * 1e300, b1=head.b1,
+                           w2=head.w2, b2=head.b2), mlp)
+        rc = main(["render", str(avatar), "--camera",
+                   str(cli_dataset / "cameras.json"), "--mlp", str(mlp),
+                   "--out", str(tmp_path / "o.ppm")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: ") and "shading" in err[-1]
+        assert not (tmp_path / "o.ppm").exists()
+
     def test_render_view_out_of_range(self, cli_dataset, cli_fit, tmp_path,
                                       capsys):
         rc = main(["render", str(cli_fit),
@@ -838,6 +888,19 @@ class TestCli:
         ref, _, _ = load_anchor_grid(cli_dataset / "anchors.guva")
         np.testing.assert_array_equal(
             moved.anchors, ref.astype(np.float32).astype(np.float64))
+
+    def test_edit_expr_past_float32_range_writes_nothing(self, tmp_path, capsys):
+        # both inputs load, but the moved centres (about 6e38) would not
+        avatar = make_avatar(np.random.default_rng(0))
+        far = np.full_like(avatar.anchors, 3e38)
+        target, expr, out = (tmp_path / n for n in ("a.guv", "t.guva", "e.guv"))
+        save_avatar(avatar.replace(anchors=-far), target)
+        save_anchor_grid(far, avatar.anchor_normals, avatar.anchor_scales, expr)
+        rc = main(["edit", str(target), "--expr", str(expr), "--out", str(out)])
+        assert rc in (2, 3)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "centers" in err[0]
+        assert not out.exists()
 
     def test_edit_transfer_requires_mask(self, cli_fit, tmp_path, capsys):
         err = self._exits_two(["edit", "{fit}", "--transfer", "{fit}",

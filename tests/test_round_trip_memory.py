@@ -24,19 +24,30 @@ reverse_sample, two for inpaint_sample), which the worker thread starts as
 the step takes its own (4.00 and 5.00 before). Those two peaks depend on
 the worker thread's timing: inpaint_sample would reach 6.02 if the next
 draw's second array were made before the step's pass ended, which does not
-happen while the pass is shorter than the draw of the first array."""
+happen while the pass is shorter than the draw of the first array.
+
+One fit iteration's gradients(objective) call is bounded in MiB, at the
+fit's own shape: a 16 x 16 patch, J = 32, K = 3, N = 64, S = 8 and C = 8.
+In direct mode its peak falls in triplane_sample's forward, at the one
+corner gather of the three planes that the backward no longer keeps, and
+gaussian_frame's backward comes within 0.2 MiB of it."""
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from guv.core import RenderConfig, init_from_anchors
 from guv.diffusion import (analytic_gauss_denoiser, channel_mask,
                            cosine_schedule, denormalize_avatar, inpaint_sample,
                            normalize_avatar, reverse_sample)
 from guv.edit import UVMask, interpolate, region_transfer
 from guv.errors import FormatError
-from guv.io_cli import load_avatar, save_avatar
+from guv.fit import (CHANNELS, MLP_ALPHA_BIAS, Batch, fit_params, objective,
+                     random_decoder)
+from guv.grad import gradients
+from guv.io_cli import camera_ring, load_avatar, save_avatar, toy_reference_scene
+from guv.render import random_mlp, sample_distances
 
 from conftest import make_avatar
 
@@ -160,3 +171,41 @@ def test_a_body_of_the_wrong_size_is_refused_before_the_cast(tmp_path):
             load_avatar(path)
     _, peak = _peak(load)
     assert peak * TENSOR_BYTES <= 1.5 * path.stat().st_size
+
+
+FIT_CALL_MIB = {"direct": 36.0, "latent": 38.5}
+
+
+@pytest.fixture(scope="module")
+def fit_call_peaks():
+    """MiB traced by one gradients(objective) call per mode, on the
+    checker-sphere anchors at grid 8 seen by view 0 of a 16 x 16 ring."""
+    ref, _ = toy_reference_scene("checker-sphere", grid=8, seed=0)
+    avatar = init_from_anchors(ref.anchors, ref.anchor_normals,
+                               ref.anchor_scales, 8, CHANNELS)
+    cam = camera_ring(1, 16)[0]
+    dirs = cam.ray_directions().reshape(-1, 3)
+    rng = np.random.default_rng(0)
+    cfg = RenderConfig(knn_k=3)
+    batch = Batch(origin=cam.origin, dirs=dirs, cfg=cfg, anchors=ref.anchors,
+                  t=sample_distances(cam.near, cam.far, rng.uniform(
+                      size=(len(dirs), cfg.samples_per_ray))),
+                  targets={"color": rng.uniform(size=(len(dirs), 3)),
+                           "depth": np.full(len(dirs), 2.0),
+                           "mask": np.ones(len(dirs))}, plane_size=8)
+    peaks = {}
+    for mode in FIT_CALL_MIB:
+        decoder = random_decoder(rng, 8, CHANNELS) if mode == "latent" else None
+        params = fit_params(avatar, random_mlp(rng, MLP_ALPHA_BIAS), decoder)
+
+        def call():
+            return gradients(lambda leaves: objective(leaves, batch)[0], params)
+        call()   # the first call's lazy imports are not the call's
+        _, peak = _peak(call)
+        peaks[mode] = peak * TENSOR_BYTES / 2**20
+    return peaks
+
+
+@pytest.mark.parametrize("mode", sorted(FIT_CALL_MIB))
+def test_fit_call_peak_memory_within_budget(fit_call_peaks, mode):
+    assert fit_call_peaks[mode] <= FIT_CALL_MIB[mode], fit_call_peaks
