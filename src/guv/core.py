@@ -74,6 +74,15 @@ def _check_rest_grid(anchors: np.ndarray, normals: np.ndarray,
             f"non-positive scale at texel {texel(scales <= 0)}")
 
 
+def avatar_shapes(h: int, w: int, s: int, c: int) -> dict:
+    """The shape of each UVAvatar field at grid H x W, plane size S and C
+    payload channels, in field order, which is also the order of the
+    arrays in a .guv file."""
+    return {"centers": (h, w, 3), "rotations": (h, w, 3), "radii": (h, w, 3),
+            "payloads": (h, w, 3, s, s, c), "anchors": (h, w, 3),
+            "anchor_normals": (h, w, 3), "anchor_scales": (h, w)}
+
+
 @dataclass(frozen=True)
 class UVAvatar:
     """The trainable identity: H x W grids of poses, payloads, and rest anchors.
@@ -101,16 +110,7 @@ class UVAvatar:
             raise InvalidArgumentError(
                 f"payloads: expected (H, W, 3, S, S, C), got {p.shape}"
             )
-        s, c = p.shape[3], p.shape[5]
-        for name, shape in (
-            ("centers", (h, w, 3)),
-            ("rotations", (h, w, 3)),
-            ("radii", (h, w, 3)),
-            ("payloads", (h, w, 3, s, s, c)),
-            ("anchors", (h, w, 3)),
-            ("anchor_normals", (h, w, 3)),
-            ("anchor_scales", (h, w)),
-        ):
+        for name, shape in avatar_shapes(h, w, p.shape[3], p.shape[5]).items():
             object.__setattr__(self, name, _frozen(getattr(self, name), shape, name))
         if np.any(self.radii <= 0):
             raise InvalidArgumentError("radii must be positive everywhere")

@@ -17,8 +17,8 @@ from .core import RenderConfig, UVAvatar, init_from_anchors
 from .errors import InvalidArgumentError, NumericFailureError
 from .grad import adamw_state, adamw_step, gradients
 from .losses import total_loss
-from .render import (BACKGROUND, RenderMLP, march_rays_core, random_mlp,
-                     sample_distances)
+from .render import (BACKGROUND, MLP_SHAPES, RenderMLP, march_rays_core,
+                     mlp_arrays, random_mlp, sample_distances)
 
 Z_DIM = 512
 CHANNELS = 8          # payload channels, the features the shading head reads
@@ -28,6 +28,7 @@ DECODER_HIDDEN = 128
 # free-payload rate of direct mode, which the recipe does not name (it has
 # no free payloads)
 LR_Z, LR_DECODER, LR_GAUSSIANS, LR_MLP, LR_PAYLOAD = 0.05, 0.0025, 1e-5, 5e-2, 2e-2
+_POSE = ("centers", "rotations", "radii")   # the avatar fields fit at LR_GAUSSIANS
 
 
 @dataclass(frozen=True)
@@ -176,11 +177,8 @@ def fit_params(avatar: UVAvatar, mlp: RenderMLP, decoder: dict | None) -> dict:
     """The objective's parameter groups, copied: the avatar's pose grids,
     the shading head, then either the avatar's payloads as free entries
     (decoder None) or the decoder's groups."""
-    groups = {"centers": avatar.centers.copy(),
-              "rotations": avatar.rotations.copy(),
-              "radii": avatar.radii.copy()}
-    for name in ("w1", "b1", "w2", "b2"):
-        groups[name] = getattr(mlp, name).copy()
+    groups = {k: getattr(avatar, k).copy() for k in _POSE}
+    groups.update((k, v.copy()) for k, v in mlp_arrays(mlp).items())
     if decoder is None:
         groups["payloads"] = avatar.payloads.copy()
     else:
@@ -280,8 +278,8 @@ def fit_scene(
     decoder0 = (random_decoder(rng, plane_size, CHANNELS)
                 if mode == "latent" else None)
     params = fit_params(avatar0, mlp0, decoder0)
-    lrs = dict.fromkeys(("centers", "rotations", "radii"), LR_GAUSSIANS)
-    lrs.update(dict.fromkeys(("w1", "b1", "w2", "b2"), LR_MLP),
+    lrs = dict.fromkeys(_POSE, LR_GAUSSIANS)
+    lrs.update(dict.fromkeys(MLP_SHAPES, LR_MLP),
                **dict.fromkeys(decoder0 or (), LR_DECODER))
     lrs.update(payloads=LR_PAYLOAD, z=LR_Z)
     state = adamw_state(params)
@@ -333,18 +331,9 @@ def fit_scene(
         payloads = decode_payloads(decoder, grid_h, grid_w, plane_size, CHANNELS)
     else:
         payloads = params["payloads"]
-    avatar = UVAvatar(
-        centers=params["centers"],
-        rotations=params["rotations"],
-        radii=params["radii"],
-        payloads=payloads,
-        anchors=avatar0.anchors,
-        anchor_normals=avatar0.anchor_normals,
-        anchor_scales=avatar0.anchor_scales,
-    )
     return FitResult(
-        avatar=avatar,
-        mlp=RenderMLP(**{k: params[k] for k in ("w1", "b1", "w2", "b2")}),
+        avatar=avatar0.replace(**{k: params[k] for k in _POSE}, payloads=payloads),
+        mlp=RenderMLP(**{k: params[k] for k in MLP_SHAPES}),
         decoder=decoder,
         loss_history=np.asarray(history, dtype=np.float64),
         final_breakdown=captured["breakdown"],

@@ -23,13 +23,14 @@ import os
 import struct
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import (Camera, RenderConfig, UVAvatar, _check_rest_grid, _take,
-                   align_z_to_normals, euler_from_matrix, init_from_anchors)
+                   align_z_to_normals, avatar_shapes, euler_from_matrix,
+                   init_from_anchors)
 from .diffusion import (DiffusionSchedule, UVTensor, _check_plane_size,
                         _posterior_coefs, analytic_gauss_denoiser, channel_mask,
                         cosine_schedule, denormalize_avatar, inpaint_sample,
@@ -40,7 +41,8 @@ from .errors import (CheckFailureError, FormatError, GuvError,
 from .fit import (Batch, FitConfig, PosedView, fit_params, fit_scene, objective,
                   random_decoder)
 from .grad import fd_check
-from .render import RenderMLP, psnr, render_image, sample_distances
+from .render import (MLP_SHAPES, RenderMLP, mlp_arrays, psnr, render_image,
+                     sample_distances)
 from .spatial import _knn_for_samples, _sample_d2
 
 AVATAR_MAGIC = b"GUV1"
@@ -74,11 +76,13 @@ def _f32(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pack_container(magic: bytes, header: dict, arrays: dict) -> bytearray:
+def _pack_container(magic: bytes, header: dict, arrays: dict, rest: tuple
+                    ) -> bytearray:
     """The file image: magic, header and each named array as float32. A
     field that its loader would refuse once rounded is refused here, before
-    anything is written: a value past float32 range, or a radius or scale
-    that rounds to 0."""
+    anything is written: a value past float32 range, a radius or scale
+    that rounds to 0, or a rest grid (the three arrays rest names) that
+    core._check_rest_grid refuses."""
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     head = magic + struct.pack("<I", len(hb)) + hb
     sizes = [np.size(a) for a in arrays.values()]
@@ -86,19 +90,22 @@ def _pack_container(magic: bytes, header: dict, arrays: dict) -> bytearray:
     body = np.frombuffer(data, dtype="<f4", offset=len(head))   # writes go to data
     with np.errstate(over="ignore"):   # refused below, naming the field
         np.concatenate([np.ravel(a) for a in arrays.values()], out=body)
-    for name, part in zip(arrays, np.split(body, np.cumsum(sizes)[:-1])):
+    parts = dict(zip(arrays, np.split(body, np.cumsum(sizes)[:-1])))
+    for name, part in parts.items():
         # a float64 sum of float32 values is finite just when each value is
         if not math.isfinite(part.sum(dtype=np.float64)):
             raise InvalidArgumentError(f"{name}: a value is not finite in float32")
         if name in ("radii", "anchor_scales", "scales") and not np.all(part > 0):
             raise InvalidArgumentError(f"{name}: a positive value rounds to 0 in float32")
+    _check_rest_grid(*(parts[k].astype(np.float64).reshape(np.shape(arrays[k]))
+                       for k in rest))
     return data
 
 
-def _read_container(path, magic: bytes, dim_keys: tuple
-                    ) -> tuple[list[int], np.ndarray, int]:
-    """(header dims, float32 body, body offset) of a .guv/.guva file; the
-    header must hold dim_keys as positive integers and the current version."""
+def _read_container(path, magic: bytes, dim_keys: tuple, shapes) -> dict:
+    """The named arrays of a .guv/.guva file, each cast once to float64:
+    the header must hold dim_keys as positive integers and the current
+    version, and the body the arrays of shapes(*dims), in order."""
     data = Path(path).read_bytes()
     if data[:4] != magic:
         raise FormatError(
@@ -114,49 +121,38 @@ def _read_container(path, magic: bytes, dim_keys: tuple
         raise FormatError(f"{path}: header is not valid JSON: {e}") from e
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header must be a JSON object")
-    if (len(data) - 8 - hlen) % 4:
+    body_off = 8 + hlen
+    if (len(data) - body_off) % 4:
         raise FormatError(
-            f"{path}: body has {len(data) - 8 - hlen} bytes at offset "
-            f"{8 + hlen}, not a whole number of float32 values")
-    _require_keys(header, dim_keys + ("version",), path)
-    _check_version(header, path)
-    body = np.frombuffer(data, dtype="<f4", offset=8 + hlen)
-    return _header_dims(header, dim_keys, path), body, 8 + hlen
-
-
-def _split_body(body: np.ndarray, body_off: int, counts: list[int], path
-                ) -> list[np.ndarray]:
-    """The body as float64 arrays of the given sizes, in order, each its own
-    array."""
+            f"{path}: body has {len(data) - body_off} bytes at offset "
+            f"{body_off}, not a whole number of float32 values")
+    _check_keys(header, dim_keys + ("version",), path)
+    for k in dim_keys:
+        v = header[k]
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise FormatError(
+                f"{path}: header {k} must be a positive integer, got {v!r}")
+    layout = shapes(*(header[k] for k in dim_keys))
+    counts = [math.prod(v) for v in layout.values()]
+    body = np.frombuffer(data, dtype="<f4", offset=body_off)
     if body.size != sum(counts):
         raise FormatError(
             f"{path}: body has {body.size * 4} bytes at offset {body_off}, "
             f"expected {sum(counts) * 4}")
     with np.errstate(invalid="ignore"):   # a signalling NaN warns on the cast
-        return [p.astype(np.float64)
-                for p in np.split(body, np.cumsum(counts)[:-1])]
+        return {k: p.astype(np.float64).reshape(layout[k])
+                for k, p in zip(layout, np.split(body, np.cumsum(counts)[:-1]))}
 
 
-def _check_version(doc: dict, path) -> None:
+def _check_keys(doc: dict, keys: tuple, path) -> None:
+    """Refuse a document that lacks one of keys, "version" among them, or
+    whose version this build does not read."""
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise FormatError(f"{path}: header missing keys {missing}")
     if doc["version"] != FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"{path}: version {doc['version']}, this build reads {FORMAT_VERSION}")
-
-
-def _require_keys(header: dict, keys: tuple, path) -> None:
-    missing = [k for k in keys if k not in header]
-    if missing:
-        raise FormatError(f"{path}: header missing keys {missing}")
-
-
-def _header_dims(header: dict, keys: tuple, path) -> list[int]:
-    """The named header values, each required to be a positive JSON integer."""
-    for k in keys:
-        v = header[k]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise FormatError(
-                f"{path}: header {k} must be a positive integer, got {v!r}")
-    return [header[k] for k in keys]
 
 
 def _read_json(path):
@@ -167,56 +163,50 @@ def _read_json(path):
         raise FormatError(f"{path}: not valid JSON: {e}") from e
 
 
+def _write_json(path, doc) -> None:
+    _atomic_write(path, json.dumps(doc, sort_keys=True).encode("utf-8"))
+
+
 def save_avatar(avatar: UVAvatar, path) -> None:
     """Write the avatar as float32; values not exactly representable in
     float32 are rounded (load returns the rounded values)."""
-    h, w = avatar.height, avatar.width
-    s, c = avatar.plane_size, avatar.channels
-    header = {"H": h, "W": w, "Sx": s, "Sy": s, "C": c,
-              "version": FORMAT_VERSION}
-    arrays = {k: getattr(avatar, k) for k in (
-        "centers", "rotations", "radii", "payloads", "anchors", "anchor_normals",
-        "anchor_scales")}
-    _atomic_write(path, _pack_container(AVATAR_MAGIC, header, arrays))
+    h, w, s, c = avatar.height, avatar.width, avatar.plane_size, avatar.channels
+    header = {"H": h, "W": w, "Sx": s, "Sy": s, "C": c, "version": FORMAT_VERSION}
+    arrays = {k: getattr(avatar, k) for k in avatar_shapes(h, w, s, c)}
+    rest = ("anchors", "anchor_normals", "anchor_scales")
+    _atomic_write(path, _pack_container(AVATAR_MAGIC, header, arrays, rest))
 
 
 def load_avatar(path) -> UVAvatar:
-    (h, w, sx, sy, c), body, body_off = _read_container(
-        path, AVATAR_MAGIC, ("H", "W", "Sx", "Sy", "C"))
-    if sx != sy:
-        raise FormatError(f"{path}: non-square planes Sx={sx} Sy={sy} unsupported")
-    shapes = {"centers": (h, w, 3), "rotations": (h, w, 3), "radii": (h, w, 3),
-              "payloads": (h, w, 3, sx, sy, c), "anchors": (h, w, 3),
-              "anchor_normals": (h, w, 3), "anchor_scales": (h, w)}
-    parts = _split_body(body, body_off, [math.prod(v) for v in shapes.values()],
-                        path)
-    del body   # frees the file's bytes before the avatar takes the parts
-    return UVAvatar(**{k: _take(p.reshape(shapes[k]), k)
-                       for k, p in zip(shapes, parts)})
+    def shapes(h, w, sx, sy, c):
+        if sx != sy:
+            raise FormatError(f"{path}: non-square planes Sx={sx} Sy={sy} unsupported")
+        return avatar_shapes(h, w, sx, c)
+
+    arrays = _read_container(path, AVATAR_MAGIC, ("H", "W", "Sx", "Sy", "C"), shapes)
+    return UVAvatar(**{k: _take(a, k) for k, a in arrays.items()})
 
 
 def save_anchor_grid(anchors, normals, scales, path) -> None:
-    anchors = np.asarray(anchors, dtype=np.float64)
-    h, w = anchors.shape[:2]
+    """Write the rest grid as float32. A grid that load_anchor_grid would
+    refuse once rounded is an InvalidArgumentError naming the field or
+    the texel, and nothing is written."""
+    h, w = np.shape(anchors)[:2]
+    grid = {"anchors": anchors, "normals": normals, "scales": scales}
     header = {"H": h, "W": w, "version": FORMAT_VERSION}
-    _atomic_write(path, _pack_container(ANCHOR_MAGIC, header, {
-        "anchors": anchors, "normals": normals, "scales": scales}))
+    _atomic_write(path, _pack_container(ANCHOR_MAGIC, header, grid, tuple(grid)))
 
 
 def load_anchor_grid(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(anchors, normals, scales) grids; a grid that core._check_rest_grid
     rejects is a FormatError naming the file and the texel."""
-    (h, w), body, body_off = _read_container(path, ANCHOR_MAGIC, ("H", "W"))
-    n = h * w
-    anchors, normals, scales = _split_body(body, body_off, [3 * n, 3 * n, n], path)
-    anchors = anchors.reshape(h, w, 3)
-    normals = normals.reshape(h, w, 3)
-    scales = scales.reshape(h, w)
+    grid = _read_container(path, ANCHOR_MAGIC, ("H", "W"), lambda h, w: {
+        "anchors": (h, w, 3), "normals": (h, w, 3), "scales": (h, w)})
     try:
-        _check_rest_grid(anchors, normals, scales)
+        _check_rest_grid(*grid.values())
     except InvalidArgumentError as e:
         raise FormatError(f"{path}: {e}") from e
-    return anchors, normals, scales
+    return tuple(grid.values())
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +215,17 @@ def load_anchor_grid(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def save_mlp(mlp: RenderMLP, path) -> None:
-    doc = {"version": FORMAT_VERSION, "w1": mlp.w1.tolist(), "b1": mlp.b1.tolist(),
-           "w2": mlp.w2.tolist(), "b2": mlp.b2.tolist()}
-    _atomic_write(path, json.dumps(doc, sort_keys=True).encode("utf-8"))
+    _write_json(path, {"version": FORMAT_VERSION,
+                       **{k: a.tolist() for k, a in mlp_arrays(mlp).items()}})
 
 
 def load_mlp(path) -> RenderMLP:
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object")
-    _require_keys(doc, ("version", "w1", "b1", "w2", "b2"), path)
-    _check_version(doc, path)
+    _check_keys(doc, ("version", *MLP_SHAPES), path)
     try:
-        return RenderMLP(**{k: doc[k] for k in ("w1", "b1", "w2", "b2")})
+        return RenderMLP(**{k: doc[k] for k in MLP_SHAPES})
     except (InvalidArgumentError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: {e}") from e
 
@@ -288,7 +276,9 @@ def write_alpha_pgm(alpha, path) -> None:
     _write_pgm(alpha, path, "alpha", 1.0, 255)
 
 
-def _read_pnm(path) -> tuple[str, int, int, int, np.ndarray, list[str]]:
+def _read_pnm(path, expected: str, what: str) -> tuple[int, np.ndarray, list[str]]:
+    """(maxval, raster, comments) of a binary PNM whose magic must be
+    expected, "P6" for a color image or "P5" for a grayscale one."""
     data = Path(path).read_bytes()
     magic = data[:2].decode("ascii", "replace")
     if magic not in ("P5", "P6"):
@@ -332,9 +322,11 @@ def _read_pnm(path) -> tuple[str, int, int, int, np.ndarray, list[str]]:
         raise FormatError(
             f"{path}: raster has {len(data) - i} bytes at offset {i}, "
             f"expected {want}")
+    if magic != expected:
+        raise FormatError(f"{path}: expected {expected} {what}, got {magic}")
     raster = np.frombuffer(data, dtype=dtype, offset=i).astype(np.int64)
     shape = (h, w, 3) if channels == 3 else (h, w)
-    return magic, w, h, maxval, raster.reshape(shape), comments
+    return maxval, raster.reshape(shape), comments
 
 
 def _comment_scale(comments: list[str], path) -> float:
@@ -353,26 +345,20 @@ def _comment_scale(comments: list[str], path) -> float:
 
 def read_ppm(path) -> np.ndarray:
     """Color image as float64 (H, W, 3) in [0, 1]."""
-    magic, _, _, maxval, raster, _ = _read_pnm(path)
-    if magic != "P6":
-        raise FormatError(f"{path}: expected P6 color image, got {magic}")
+    maxval, raster, _ = _read_pnm(path, "P6", "color image")
     return raster.astype(np.float64) / maxval
 
 
 def read_pgm(path) -> tuple[np.ndarray, float]:
     """(values, scale): grayscale rescaled so maxval maps to scale."""
-    magic, _, _, maxval, raster, comments = _read_pnm(path)
-    if magic != "P5":
-        raise FormatError(f"{path}: expected P5 grayscale image, got {magic}")
+    maxval, raster, comments = _read_pnm(path, "P5", "grayscale image")
     scale = _comment_scale(comments, path)
     return raster.astype(np.float64) / maxval * scale, scale
 
 
 def read_mask(path) -> np.ndarray:
     """Boolean mask: grayscale thresholded at half intensity (128 for 8-bit)."""
-    magic, _, _, maxval, raster, _ = _read_pnm(path)
-    if magic != "P5":
-        raise FormatError(f"{path}: expected P5 grayscale mask, got {magic}")
+    maxval, raster, _ = _read_pnm(path, "P5", "grayscale mask")
     return raster >= (maxval + 1) // 2
 
 
@@ -380,8 +366,8 @@ def read_mask(path) -> np.ndarray:
 # Camera JSON
 # ---------------------------------------------------------------------------
 
-_CAMERA_KEYS = ("fx", "fy", "cx", "cy", "width", "height", "near", "far",
-                "cam_to_world")
+# each cameras.json field and its type, as Camera declares them
+_CAMERA_KEYS = {f.name: f.type for f in fields(Camera)}
 
 
 def _is_number(v) -> bool:
@@ -391,10 +377,9 @@ def _is_number(v) -> bool:
 
 
 def save_cameras(cameras, path) -> None:
-    docs = [{**{k: getattr(cam, k) for k in _CAMERA_KEYS[:-1]},
-             "cam_to_world": [float(v) for v in cam.cam_to_world.reshape(16)]}
-            for cam in cameras]
-    _atomic_write(path, json.dumps(docs, sort_keys=True).encode("utf-8"))
+    _write_json(path, [{**{k: getattr(cam, k) for k in _CAMERA_KEYS},
+                        "cam_to_world": [float(v) for v in cam.cam_to_world.reshape(16)]}
+                       for cam in cameras])
 
 
 def load_cameras(path) -> list[Camera]:
@@ -413,22 +398,21 @@ def load_cameras(path) -> list[Camera]:
             raise FormatError(f"{path}: camera {i} missing fields {missing}")
         if unknown:
             raise FormatError(f"{path}: camera {i} has unknown fields {unknown}")
-        fields = {}
-        for k in _CAMERA_KEYS[:-1]:
+        values = {}
+        for k, kind in _CAMERA_KEYS.items():
             v = doc[k]
-            integer = k in ("width", "height")
-            if not _is_number(v) or (integer and not isinstance(v, int)):
-                kind = "an integer" if integer else "a finite number"
+            if kind == "np.ndarray":   # cam_to_world, 4x4 row-major
+                if not isinstance(v, list) or len(v) != 16 or not all(map(_is_number, v)):
+                    raise FormatError(f"{path}: camera {i} {k} must be 16 numbers")
+                values[k] = np.asarray(v, dtype=np.float64).reshape(4, 4)
+                continue
+            if not _is_number(v) or (kind == "int" and not isinstance(v, int)):
+                want = "an integer" if kind == "int" else "a finite number"
                 raise FormatError(
-                    f"{path}: camera {i} field {k} must be {kind}, got {v!r}")
-            fields[k] = v if integer else float(v)
-        m = doc["cam_to_world"]
-        if not isinstance(m, list) or len(m) != 16 or not all(map(_is_number, m)):
-            raise FormatError(
-                f"{path}: camera {i} cam_to_world must be 16 numbers")
-        m = np.asarray(m, dtype=np.float64).reshape(4, 4)
+                    f"{path}: camera {i} field {k} must be {want}, got {v!r}")
+            values[k] = v if kind == "int" else float(v)
         try:
-            cams.append(Camera(**fields, cam_to_world=m))
+            cams.append(Camera(**values))
         except InvalidArgumentError as e:
             raise FormatError(f"{path}: camera {i}: {e}") from e
     return cams
@@ -608,8 +592,7 @@ def generate_toy_dataset(kind: str, out_dir, views: int, resolution: int,
         write_alpha_pgm(frame.alpha, out / f"mask_{i:03d}.pgm")
     manifest = {"grid": grid, "kind": kind, "resolution": resolution,
                 "seed": seed, "version": FORMAT_VERSION, "views": views}
-    _atomic_write(out / "manifest.json",
-                  json.dumps(manifest, sort_keys=True).encode("utf-8"))
+    _write_json(out / "manifest.json", manifest)
     return str(out)
 
 

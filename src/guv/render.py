@@ -54,6 +54,9 @@ TAU = 1.0
 EPSILON = 1e-6   # the smooth-decay term in the blend-weight normalizer
 BACKGROUND = (1.0, 1.0, 1.0)   # white, composited behind every ray
 _CHUNK = 128     # rays per chunk of render_image
+# the shape of each RenderMLP field, in field order, which is also the
+# order grad.shading_mlp takes them in
+MLP_SHAPES = {"w1": (8, 32), "b1": (32,), "w2": (32, 4), "b2": (4,)}
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,8 @@ class RenderMLP:
     b2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "w1", _frozen(self.w1, (8, 32), "w1"))
-        object.__setattr__(self, "b1", _frozen(self.b1, (32,), "b1"))
-        object.__setattr__(self, "w2", _frozen(self.w2, (32, 4), "w2"))
-        object.__setattr__(self, "b2", _frozen(self.b2, (4,), "b2"))
+        for name, shape in MLP_SHAPES.items():
+            object.__setattr__(self, name, _frozen(getattr(self, name), shape, name))
 
 
 def random_mlp(rng: np.random.Generator, alpha_bias: float) -> RenderMLP:
@@ -113,7 +114,7 @@ def mlp_forward(arrays: dict, feature):
     during fitting. One grad.shading_mlp op; its fixed-loop products make
     results independent of batch shape.
     """
-    return g.shading_mlp(feature, *(arrays[k] for k in ("w1", "b1", "w2", "b2")))
+    return g.shading_mlp(feature, *(arrays[k] for k in MLP_SHAPES))
 
 
 def _triplane_features(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
@@ -188,7 +189,7 @@ def avatar_arrays(avatar: UVAvatar) -> dict:
 
 
 def mlp_arrays(mlp: RenderMLP) -> dict:
-    return {"w1": mlp.w1, "b1": mlp.b1, "w2": mlp.w2, "b2": mlp.b2}
+    return {k: getattr(mlp, k) for k in MLP_SHAPES}
 
 
 def stratified_jitter(height: int, width: int, samples: int,

@@ -12,6 +12,13 @@ trials on a JSON file instead swap the value of one object member (a
 weight matrix, a camera's field, a manifest entry) for null, -1, 0, 1e308,
 NaN, a string, a list, an object or true: byte-level mutations of JSON text
 mostly stop at the parser.
+
+A second test gives `edit --expr` and `edit --transfer` pairs of valid
+files instead: avatars and anchor grids that the savers wrote, with centers
+and anchors moved to float32's extremes (such as +-3e38), payloads set to
+them and radii scaled by 1e+-30. The exit must again be 0, 2, 3 or 4; a
+non-zero exit prints an `error: ...` line and writes no output, and an exit
+0 writes an avatar that `load_avatar` reads back.
 """
 import json
 import math
@@ -22,7 +29,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from guv.io_cli import generate_toy_dataset, main, write_alpha_pgm
+from guv.io_cli import (generate_toy_dataset, load_avatar, main,
+                        save_anchor_grid, save_avatar, write_alpha_pgm)
 
 TRIALS = 40   # per case
 JSON_VALUES = (None, -1, 0, 1e308, math.nan, "text", [1.0, 2.0], {"k": 1}, True)
@@ -143,3 +151,60 @@ def test_mutated_file_ends_in_a_documented_exit(case, workspace, tmp_path,
                        for line in err.splitlines()), (case, trial, kind, err)
         exits.add(code)
     assert exits - {0}, f"{case}: every mutation was accepted"
+
+
+PAIR_TRIALS = 16   # per case
+# values float32 holds: near its largest magnitude, huge, its smallest
+# normal and subnormal magnitudes, and 0
+EXTREMES = (3.4e38, -3.4e38, 3e38, -3e38, 1e30, 1.2e-38, 1e-45, 0.0)
+PAIR_CASES = {
+    "expr-guva": ["edit", "a.guv", "--expr", "b.guva", "--out", "out/e.guv"],
+    "expr-guv": ["edit", "a.guv", "--expr", "b.guv", "--out", "out/e.guv"],
+    "transfer": ["edit", "a.guv", "--transfer", "b.guv", "--mask", "m.pgm",
+                 "--out", "out/t.guv"],
+}
+
+
+def _extreme(avatar, rng: random.Random):
+    """A valid avatar: avatar with its centers and anchors moved by, and its
+    payloads set to, values drawn from EXTREMES, and its radii scaled."""
+    return avatar.replace(
+        centers=avatar.centers + rng.choice(EXTREMES),
+        anchors=avatar.anchors + rng.choice(EXTREMES),
+        radii=avatar.radii * rng.choice((1.0, 1e-30, 1e30)),
+        payloads=np.full_like(avatar.payloads, rng.choice(EXTREMES)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow past float32
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_valid_file_pairs_at_extremes_end_in_a_documented_exit(
+        case, workspace, tmp_path, monkeypatch, capsys):
+    root = tmp_path / "w"
+    shutil.copytree(workspace, root)
+    (root / "out").mkdir()
+    monkeypatch.chdir(root)
+    fitted = load_avatar("a.guv")
+    out = Path(PAIR_CASES[case][-1])
+    exits = set()
+    for trial in range(PAIR_TRIALS):
+        rng = random.Random(f"{case}/{trial}")
+        save_avatar(_extreme(fitted, rng), "a.guv")
+        source = _extreme(fitted, rng)
+        save_avatar(source, "b.guv")
+        save_anchor_grid(source.anchors, source.anchor_normals,
+                         source.anchor_scales, "b.guva")
+        argv = PAIR_CASES[case]
+        if case == "transfer":
+            argv = argv + ["--channels", rng.choice(("geo", "tex", "both"))]
+        out.unlink(missing_ok=True)
+        code = _run(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (case, trial, code, err)
+        if code:
+            assert any(line.startswith("error: ") for line in err.splitlines()), (
+                case, trial, err)
+            assert not out.exists(), (case, trial)
+        else:
+            load_avatar(out)
+        exits.add(code)
+    assert 0 in exits, f"{case}: no pair was edited"

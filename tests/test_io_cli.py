@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from guv import grad as g
 from guv import io_cli
-from guv.core import Camera, RenderConfig
+from guv.core import Camera, RenderConfig, UVAvatar, avatar_shapes
 from guv.errors import (FormatError, GuvError, InvalidArgumentError,
                         UnsupportedVersionError)
 from guv.io_cli import (
@@ -46,7 +47,7 @@ from guv.io_cli import (
     write_depth_pgm,
     write_ppm,
 )
-from guv.render import RenderMLP, render_image
+from guv.render import MLP_SHAPES, RenderMLP, render_image
 
 from conftest import make_avatar, make_render_mlp
 
@@ -91,7 +92,10 @@ class TestAvatarContainer:
     @pytest.mark.parametrize("field, value, message", [
         ("centers", 1e39, "centers: a value is not finite in float32"),
         ("payloads", 1e308, "payloads: a value is not finite in float32"),
-        ("radii", 1e-300, "radii: a positive value rounds to 0 in float32")])
+        ("radii", 1e-300, "radii: a positive value rounds to 0 in float32"),
+        # normals (c, c, c) of norm 1 + 0.99e-6, 1 + 1.014e-6 once rounded
+        ("anchor_normals", 0.57735084,
+         r"normal at texel \(0, 0\) has norm 1\.000001014")])
     def test_a_field_the_loader_would_refuse_is_not_written(
             self, tmp_path, random_avatar, field, value, message):
         avatar = random_avatar.replace(
@@ -99,6 +103,25 @@ class TestAvatarContainer:
         with pytest.raises(InvalidArgumentError, match=message):
             save_avatar(avatar, tmp_path / "a.guv")
         assert list(tmp_path.iterdir()) == []
+
+    def test_field_tables_follow_the_types(self):
+        assert list(avatar_shapes(2, 3, 4, 5)) == [
+            f.name for f in dataclasses.fields(UVAvatar)]
+        assert list(MLP_SHAPES) == [f.name for f in dataclasses.fields(RenderMLP)]
+
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        # built by hand from the module docstring: magic, u32-LE header
+        # length, the header as compact JSON with sorted keys, then each
+        # field as float32-LE in the documented order, W fastest
+        avatar = make_avatar(np.random.default_rng(4), h=2, w=3, plane_size=2,
+                             channels=3)
+        hb = b'{"C":3,"H":2,"Sx":2,"Sy":2,"W":3,"version":1}'
+        body = b"".join(getattr(avatar, k).astype("<f4").tobytes() for k in (
+            "centers", "rotations", "radii", "payloads", "anchors",
+            "anchor_normals", "anchor_scales"))
+        save_avatar(avatar, tmp_path / "a.guv")
+        assert (tmp_path / "a.guv").read_bytes() == (
+            AVATAR_MAGIC + struct.pack("<I", len(hb)) + hb + body)
 
     def test_header_layout(self, tmp_path, random_avatar):
         p = tmp_path / "a.guv"
@@ -246,13 +269,15 @@ class TestAnchorContainer:
     @pytest.mark.parametrize("field, value, message", [
         ("anchors", -1e39, "anchors: a value is not finite in float32"),
         ("normals", np.nan, "normals: a value is not finite in float32"),
-        ("scales", 1e-300, "scales: a positive value rounds to 0 in float32")])
+        ("scales", 1e-300, "scales: a positive value rounds to 0 in float32"),
+        ("normals", (1.5, 0.0, 0.0),
+         r"normal at texel \(1, 0\) has norm 1\.500000000")])
     def test_a_field_the_loader_would_refuse_is_not_written(
             self, tmp_path, random_avatar, field, value, message):
-        grid = {"anchors": random_avatar.anchors,
-                "normals": random_avatar.anchor_normals,
-                "scales": random_avatar.anchor_scales}
-        grid[field] = np.full_like(grid[field], value)
+        grid = {"anchors": random_avatar.anchors.copy(),
+                "normals": random_avatar.anchor_normals.copy(),
+                "scales": random_avatar.anchor_scales.copy()}
+        grid[field][1, 0] = value   # one texel
         with pytest.raises(InvalidArgumentError, match=message):
             save_anchor_grid(**grid, path=tmp_path / "g.guva")
         assert list(tmp_path.iterdir()) == []
