@@ -352,30 +352,48 @@ def _row_blocks(shape: tuple) -> tuple:
 
 
 def _reverse_steps(schedule: DiffusionSchedule, denoiser, step_count,
-                   draw, pin=None) -> np.ndarray:
-    """The ancestral chain t = T -> 0 from G = draw()[0]. draw() gives one
-    step's arrays: the posterior noise, then any arrays pin uses to rewrite
-    part of G. Each draw runs one step ahead on a worker thread: a step
-    takes its draw once the denoiser has returned and submits the next at
-    once, so the step's G, G_0_hat and draw and the next draw are all that
-    is alive, and no draw is made past the last step.
+                   draw, known=None, mask=None) -> np.ndarray:
+    """The ancestral chain t = T -> 0 from G = draw()[0], pinned to known
+    where mask is set if known is given. draw() gives one step's arrays:
+    the posterior noise, then the pin's noise if there is a pin. Each draw
+    runs one step ahead on a worker thread: a step takes its draw once the
+    denoiser has returned and submits the next at once, so the step's G,
+    G_0_hat and draw and the next draw are all that is alive, and no draw
+    is made past the last step.
 
     A step is posterior_params' arithmetic, with the same ufunc calls per
     element, in one pass over row blocks of about _BLOCK elements:
     clip(G_0_hat) * coef_0 + coef_t * G into a scratch block, then
     noise * std + that in the noise's own buffer, which becomes the next G,
-    then pin(G, *extra, t, rows, tmp), which rewrites G[rows] from the
-    extra arrays' rows with tmp, a scratch array shaped like G[rows], to
-    write into. The first G is pinned block by block too. G_0_hat may be
-    anything that broadcasts to G's shape; the denoiser's input and output
-    are only read, and no array of G's size is made."""
+    then the pin, q_sample(known, s) made in the pin noise's buffer and
+    copied where mask is set. Each block is sorted once by its part of
+    mask: an unset block skips the pin, and a block set throughout skips
+    the posterior and takes the pin straight into its rows. The first G is
+    pinned, and the last set to known, by the same kinds. The draws, bits
+    and generator states are those of a full pass. G_0_hat may be anything
+    that broadcasts to G's shape; the denoiser's input and output are only
+    read, and no array of G's size is made."""
     ts = [int(t) for t in _timesteps(schedule, step_count)]
     g_t, *extra = draw()
     scratch, blocks = _row_blocks(g_t.shape)
     mean, tmp = np.empty(scratch), np.empty(scratch)
-    if pin is not None:
-        for rows, part in blocks:
-            pin(g_t, *extra, ts[0], rows, tmp[part])
+
+    def kind(m):   # None: no pin; True: pinned throughout; else the block's mask
+        n = np.count_nonzero(m)
+        return None if n == 0 else True if n == m.size else m
+
+    kinds = [None if mask is None else kind(mask[rows]) for rows, _ in blocks]
+
+    def pin(g, noise, t, rows, work, where):
+        b = g[rows] if where is True else noise[rows]
+        np.multiply(noise[rows], float(schedule.sigmas[t]), out=b)
+        b += np.multiply(known[rows], float(schedule.alphas[t]), out=work)
+        if where is not True:
+            np.copyto(g[rows], b, where=where)
+
+    for (rows, part), where in zip(blocks, kinds):
+        if where is not None:
+            pin(g_t, *extra, ts[0], rows, tmp[part], where)
     del extra
     with ThreadPoolExecutor(1) as pool:
         ahead = pool.submit(draw)
@@ -385,17 +403,21 @@ def _reverse_steps(schedule: DiffusionSchedule, denoiser, step_count,
             g_s, *extra = ahead.result()
             if lo != ts[-1]:
                 ahead = pool.submit(draw)
-            for rows, part in blocks:
-                m = np.clip(g0_hat[rows], -1.0, 1.0, out=mean[part])
-                m *= coef_0
-                m += np.multiply(g_t[rows], coef_t, out=tmp[part])
-                b = g_s[rows]
-                b *= std
-                b += m
-                if pin is not None:
-                    pin(g_s, *extra, lo, rows, tmp[part])
+            for (rows, part), where in zip(blocks, kinds):
+                if where is not True:
+                    m = np.clip(g0_hat[rows], -1.0, 1.0, out=mean[part])
+                    m *= coef_0
+                    m += np.multiply(g_t[rows], coef_t, out=tmp[part])
+                    b = g_s[rows]
+                    b *= std
+                    b += m
+                if where is not None:
+                    pin(g_s, *extra, lo, rows, tmp[part], where)
             g_t = g_s
             del g0_hat, extra
+    for (rows, _), where in zip(blocks, kinds):
+        if where is not None:
+            np.copyto(g_t[rows], known[rows], where=where)
     return g_t
 
 
@@ -468,9 +490,9 @@ def inpaint_sample(schedule: DiffusionSchedule, denoiser, known: np.ndarray,
     at t=0 the known region is the input itself, bit-exact. Each step's two
     noise arrays (rng's, then the spawned stream's) are drawn one step ahead
     on a worker thread, so the denoiser must not draw from rng. The pin runs
-    inside the step's pass over row blocks: each block's
-    sigma_s * noise + alpha_s * known is made in the spawned noise's own
-    buffer and copied into the block where mask is set. The output and both
+    inside the step's pass over row blocks, where a block does only the
+    work its part of mask leaves live: an unset block skips the pin, and a
+    block set throughout takes only the pin. The draws, the output and both
     generators' final states equal the serial order's, bit for bit. A
     denoiser error reaches the caller unchanged, with both generators one
     step's draw past where the serial loop would stop.
@@ -482,14 +504,4 @@ def inpaint_sample(schedule: DiffusionSchedule, denoiser, known: np.ndarray,
     def draw():
         return rng.standard_normal(known.shape), mask_rng.standard_normal(known.shape)
 
-    def pin(g, noise, t, rows, tmp):
-        """g[rows]'s known region := q_sample(known, t, noise)[rows],
-        computed in noise's buffer with tmp as scratch."""
-        b = noise[rows]
-        b *= float(schedule.sigmas[t])
-        b += np.multiply(known[rows], float(schedule.alphas[t]), out=tmp)
-        np.copyto(g[rows], b, where=mask[rows])
-
-    g_t = _reverse_steps(schedule, denoiser, step_count, draw, pin)
-    np.copyto(g_t, known, where=mask)
-    return g_t
+    return _reverse_steps(schedule, denoiser, step_count, draw, known, mask)

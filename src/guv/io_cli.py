@@ -76,29 +76,38 @@ def _f32(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pack_container(magic: bytes, header: dict, arrays: dict, rest: tuple
+def _pack_container(magic: bytes, dims: dict, layout: dict, arrays: dict
                     ) -> bytearray:
-    """The file image: magic, header and each named array as float32. A
-    field that its loader would refuse once rounded is refused here, before
-    anything is written: a value past float32 range, a radius or scale
-    that rounds to 0, or a rest grid (the three arrays rest names) that
-    core._check_rest_grid refuses."""
+    """The file image: magic, the header (dims and the version) and each
+    array of layout, in its order, as float32. What its loader would
+    refuse is refused here, naming the field, before anything is written:
+    an array not of its layout's shape, a dimension below 1, a value past
+    float32 range, a radius or scale that rounds to 0, or a rest grid (the
+    layout's last three arrays) that core._check_rest_grid refuses."""
+    for name, shape in layout.items():
+        if np.shape(arrays[name]) != shape:
+            raise InvalidArgumentError(
+                f"{name}: expected shape {shape}, got {np.shape(arrays[name])}")
+    for k, v in dims.items():
+        if v < 1:
+            raise InvalidArgumentError(f"header {k} must be a positive integer, got {v}")
+    header = {**dims, "version": FORMAT_VERSION}
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     head = magic + struct.pack("<I", len(hb)) + hb
-    sizes = [np.size(a) for a in arrays.values()]
+    sizes = [math.prod(shape) for shape in layout.values()]
     data = bytearray(head).ljust(len(head) + 4 * sum(sizes))
     body = np.frombuffer(data, dtype="<f4", offset=len(head))   # writes go to data
     with np.errstate(over="ignore"):   # refused below, naming the field
-        np.concatenate([np.ravel(a) for a in arrays.values()], out=body)
-    parts = dict(zip(arrays, np.split(body, np.cumsum(sizes)[:-1])))
+        np.concatenate([np.ravel(arrays[k]) for k in layout], out=body)
+    parts = dict(zip(layout, np.split(body, np.cumsum(sizes)[:-1])))
     for name, part in parts.items():
         # a float64 sum of float32 values is finite just when each value is
         if not math.isfinite(part.sum(dtype=np.float64)):
             raise InvalidArgumentError(f"{name}: a value is not finite in float32")
         if name in ("radii", "anchor_scales", "scales") and not np.all(part > 0):
             raise InvalidArgumentError(f"{name}: a positive value rounds to 0 in float32")
-    _check_rest_grid(*(parts[k].astype(np.float64).reshape(np.shape(arrays[k]))
-                       for k in rest))
+    _check_rest_grid(*(parts[k].astype(np.float64).reshape(layout[k])
+                       for k in list(layout)[-3:]))
     return data
 
 
@@ -171,10 +180,10 @@ def save_avatar(avatar: UVAvatar, path) -> None:
     """Write the avatar as float32; values not exactly representable in
     float32 are rounded (load returns the rounded values)."""
     h, w, s, c = avatar.height, avatar.width, avatar.plane_size, avatar.channels
-    header = {"H": h, "W": w, "Sx": s, "Sy": s, "C": c, "version": FORMAT_VERSION}
-    arrays = {k: getattr(avatar, k) for k in avatar_shapes(h, w, s, c)}
-    rest = ("anchors", "anchor_normals", "anchor_scales")
-    _atomic_write(path, _pack_container(AVATAR_MAGIC, header, arrays, rest))
+    layout = avatar_shapes(h, w, s, c)
+    arrays = {k: getattr(avatar, k) for k in layout}
+    _atomic_write(path, _pack_container(
+        AVATAR_MAGIC, {"H": h, "W": w, "Sx": s, "Sy": s, "C": c}, layout, arrays))
 
 
 def load_avatar(path) -> UVAvatar:
@@ -187,21 +196,25 @@ def load_avatar(path) -> UVAvatar:
     return UVAvatar(**{k: _take(a, k) for k, a in arrays.items()})
 
 
+def anchor_grid_shapes(h: int, w: int) -> dict:
+    """The shape of each array of a .guva file at grid H x W, in file order."""
+    return {"anchors": (h, w, 3), "normals": (h, w, 3), "scales": (h, w)}
+
+
 def save_anchor_grid(anchors, normals, scales, path) -> None:
     """Write the rest grid as float32. A grid that load_anchor_grid would
     refuse once rounded is an InvalidArgumentError naming the field or
     the texel, and nothing is written."""
-    h, w = np.shape(anchors)[:2]
+    h, w = (np.shape(anchors) + (0, 0))[:2]   # a short shape is refused by name
     grid = {"anchors": anchors, "normals": normals, "scales": scales}
-    header = {"H": h, "W": w, "version": FORMAT_VERSION}
-    _atomic_write(path, _pack_container(ANCHOR_MAGIC, header, grid, tuple(grid)))
+    _atomic_write(path, _pack_container(ANCHOR_MAGIC, {"H": h, "W": w},
+                                        anchor_grid_shapes(h, w), grid))
 
 
 def load_anchor_grid(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(anchors, normals, scales) grids; a grid that core._check_rest_grid
     rejects is a FormatError naming the file and the texel."""
-    grid = _read_container(path, ANCHOR_MAGIC, ("H", "W"), lambda h, w: {
-        "anchors": (h, w, 3), "normals": (h, w, 3), "scales": (h, w)})
+    grid = _read_container(path, ANCHOR_MAGIC, ("H", "W"), anchor_grid_shapes)
     try:
         _check_rest_grid(*grid.values())
     except InvalidArgumentError as e:

@@ -909,14 +909,42 @@ def _inpaint_inputs(shape: tuple) -> tuple:
     return known, mask_rng.random(shape[-1:] if len(shape) > 1 else shape) < 0.5
 
 
+def _half_mask(selector: str) -> np.ndarray:
+    """The top half of a 32 x 32 grid under selector, unfolded at S = C = 8."""
+    half = np.zeros((32, 32), dtype=bool)
+    half[:16] = True
+    return channel_mask(half, selector, 8, 8)
+
+
+def _rows_mask(shape: tuple, n: int) -> np.ndarray:
+    mask = np.zeros(shape, dtype=bool)
+    mask[:n] = True
+    return mask
+
+
+# name -> (shape, step_count, mask): masks whose row blocks are set
+# throughout, nowhere, or in part. At 256 x 256 x 33 a block is three rows:
+# the half "both" mask has all three kinds (rows 126..128 are mixed), the
+# half "texture" mask only mixed and unset blocks. At (7, 5, 1200) a block
+# is five rows, so six set rows make one block set throughout and one mixed.
+_BLOCK_KIND_MASKS = {
+    "half_both": ((256, 256, 33), 3, _half_mask("both")),
+    "half_texture": ((256, 256, 33), 3, _half_mask("texture")),
+    "rows_edge_in_a_block": ((7, 5, 1200), 7, _rows_mask((7, 5, 1200), 6)),
+    "empty": ((7, 5, 1200), 7, np.zeros((7, 5, 1200), dtype=bool)),
+    "full": ((7, 5, 1200), 7, np.ones((7, 5, 1200), dtype=bool)),
+}
+
+
 def _sample(impl, sampler: str, denoiser, seed: int, step_count,
-            shape: tuple = _SHAPE):
+            shape: tuple = _SHAPE, mask=None):
     rng = _Recorder(seed)
     if sampler == "reverse":
         out = impl.reverse_sample(SCHEDULE, denoiser, shape, rng,
                                   step_count=step_count)
     else:
-        known, mask = _inpaint_inputs(shape)
+        known, random_mask = _inpaint_inputs(shape)
+        mask = random_mask if mask is None else mask
         out = impl.inpaint_sample(SCHEDULE, denoiser, known, mask, rng,
                                   step_count=step_count)
     return out, rng
@@ -959,6 +987,29 @@ class TestSamplersMatchSerialOracle:
         known, _ = _inpaint_inputs(shape)
         np.testing.assert_array_equal(known, np.random.default_rng(11).uniform(
             -1.0, 1.0, size=shape))
+
+    @pytest.mark.parametrize("name", ["neighbour", "returns_constant"])
+    @pytest.mark.parametrize("case", sorted(_BLOCK_KIND_MASKS))
+    def test_each_block_kind_equals_the_serial_loop(self, case, name):
+        """Blocks set throughout take only the pin and unset blocks skip
+        it; the G each step hands the denoiser, the output and both
+        generators' states are still the serial loop's."""
+        shape, step_count, mask = _BLOCK_KIND_MASKS[case]
+        denoiser = _DENOISERS[name](shape)
+        runs = []
+        for impl in (diffusion, reference):
+            inputs = []
+
+            def watched(g_t, t):
+                inputs.append(_digest(g_t))
+                return denoiser(g_t, t)
+
+            runs.append(_sample(impl, "inpaint", watched, 17, step_count,
+                                shape, mask) + (inputs,))
+        (out, rng, inputs), (ref, ref_rng, ref_inputs) = runs
+        np.testing.assert_array_equal(out, ref)
+        assert rng.states() == ref_rng.states()
+        assert inputs == ref_inputs
 
     @pytest.mark.parametrize("sampler", ["reverse", "inpaint"])
     @pytest.mark.parametrize("k", [0, 3, 6])

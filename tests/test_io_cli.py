@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from guv import grad as g
 from guv import io_cli
-from guv.core import Camera, RenderConfig, UVAvatar, avatar_shapes
+from guv.core import (Camera, RenderConfig, UVAvatar, avatar_shapes,
+                      init_from_anchors)
 from guv.errors import (FormatError, GuvError, InvalidArgumentError,
                         UnsupportedVersionError)
 from guv.io_cli import (
@@ -95,10 +96,19 @@ class TestAvatarContainer:
         ("radii", 1e-300, "radii: a positive value rounds to 0 in float32"),
         # normals (c, c, c) of norm 1 + 0.99e-6, 1 + 1.014e-6 once rounded
         ("anchor_normals", 0.57735084,
-         r"normal at texel \(0, 0\) has norm 1\.000001014")])
+         r"normal at texel \(0, 0\) has norm 1\.000001014"),
+        # dimensions the loader reads only as positive integers: an empty
+        # grid, planes of size 0 and no payload channels
+        ("H", lambda a: init_from_anchors(a.anchors[:0], a.anchor_normals[:0],
+                                          a.anchor_scales[:0], 4, 8),
+         "header H must be a positive integer, got 0"),
+        ("Sx", lambda a: a.replace(payloads=np.zeros((4, 4, 3, 0, 0, 8))),
+         "header Sx must be a positive integer, got 0"),
+        ("C", lambda a: a.replace(payloads=np.zeros((4, 4, 3, 4, 4, 0))),
+         "header C must be a positive integer, got 0")])
     def test_a_field_the_loader_would_refuse_is_not_written(
             self, tmp_path, random_avatar, field, value, message):
-        avatar = random_avatar.replace(
+        avatar = value(random_avatar) if callable(value) else random_avatar.replace(
             **{field: np.full_like(getattr(random_avatar, field), value)})
         with pytest.raises(InvalidArgumentError, match=message):
             save_avatar(avatar, tmp_path / "a.guv")
@@ -271,13 +281,24 @@ class TestAnchorContainer:
         ("normals", np.nan, "normals: a value is not finite in float32"),
         ("scales", 1e-300, "scales: a positive value rounds to 0 in float32"),
         ("normals", (1.5, 0.0, 0.0),
-         r"normal at texel \(1, 0\) has norm 1\.500000000")])
+         r"normal at texel \(1, 0\) has norm 1\.500000000"),
+        # shapes the loader's layout would not fit, and an empty grid
+        ("scales", lambda g: g[:, :3],
+         r"scales: expected shape \(4, 4\), got \(4, 3\)"),
+        ("normals", lambda g: g[..., :2],
+         r"normals: expected shape \(4, 4, 3\), got \(4, 4, 2\)"),
+        ("anchors", lambda g: g[0, 0],
+         r"anchors: expected shape \(3, 0, 3\), got \(3,\)"),
+        ("all", lambda g: g[:0], "header H must be a positive integer, got 0")])
     def test_a_field_the_loader_would_refuse_is_not_written(
             self, tmp_path, random_avatar, field, value, message):
         grid = {"anchors": random_avatar.anchors.copy(),
                 "normals": random_avatar.anchor_normals.copy(),
                 "scales": random_avatar.anchor_scales.copy()}
-        grid[field][1, 0] = value   # one texel
+        if callable(value):
+            grid.update({k: value(v) for k, v in grid.items() if field in (k, "all")})
+        else:
+            grid[field][1, 0] = value   # one texel
         with pytest.raises(InvalidArgumentError, match=message):
             save_anchor_grid(**grid, path=tmp_path / "g.guva")
         assert list(tmp_path.iterdir()) == []
@@ -925,6 +946,26 @@ class TestCli:
         assert rc in (2, 3)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "centers" in err[0]
+        assert not out.exists()
+
+    def test_edit_expr_grid_of_another_shape_writes_nothing(self, tmp_path,
+                                                            capsys):
+        # a 2 x 2 grid saves and loads, but no 4 x 4 avatar takes it, and
+        # a grid whose fields disagree in shape is not saved at all
+        target, expr, out = (tmp_path / n for n in ("a.guv", "t.guva", "e.guv"))
+        save_avatar(make_avatar(np.random.default_rng(0)), target)
+        small = make_avatar(np.random.default_rng(1), h=2, w=2)
+        with pytest.raises(InvalidArgumentError, match=r"scales: expected shape"):
+            save_anchor_grid(small.anchors, small.anchor_normals,
+                             small.anchor_scales[:, :1], expr)
+        assert not expr.exists()
+        save_anchor_grid(small.anchors, small.anchor_normals,
+                         small.anchor_scales, expr)
+        rc = main(["edit", str(target), "--expr", str(expr), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: target vertices (2, 2, 3) do not match anchors "
+                       "(4, 4, 3)"]
         assert not out.exists()
 
     def test_edit_transfer_requires_mask(self, cli_fit, tmp_path, capsys):
