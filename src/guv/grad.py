@@ -261,22 +261,27 @@ def concatenate(xs):
 # ---------------------------------------------------------------------------
 
 
-def shading_mlp(feat, w1, b1, w2, b2):
+def shading_mlp(feat, w1, b1, w2, b2, idx):
     """sigmoid(relu(feat w1 + b1) w2 + b2) for (..., i) features, the
     shading head as one op, returned as its parts: the color channels
-    (..., o - 1) and the opacity (...,), the last channel.
+    (..., o - 1) and the opacity (...,), the last channel. With idx, (...)
+    row ids into (n, i) features, the head runs once per feature row and
+    the parts are its outputs gathered at idx; with None, at every row.
 
     Both products run feature-major, einsum "in,io->on" on the contiguous
     transposes: the same sequential fixed-loop sum over i as the row-major
-    "ni,io->no", so the same bits, with the long row axis innermost. The
-    VJPs make the row-major einsum calls of the chain matmul, bias, relu,
-    matmul, bias, sigmoid; _add_grad unbroadcasts the bias gradients.
-    Kept for the backward: the features, the output and the row-major
-    hidden layer h, which the forward transposes once, and only when an
-    input is a Var.
+    "ni,io->no", so the same bits row by row, with the long row axis
+    innermost. The VJPs make the row-major einsum calls of the chain matmul,
+    bias, relu, matmul, bias, sigmoid, one row per output; _add_grad
+    unbroadcasts the bias gradients, and idx's feature gradient is one
+    bincount per channel. Kept for the backward: the features, the output
+    and the row-major hidden layer h, which the forward transposes once,
+    and only when an input is a Var; with idx, the features and h gathered
+    at idx, the rows that ga, gw1 and gw2 read.
     """
     vf, vw1, vb1, vw2, vb2 = (value(x) for x in (feat, w1, b1, w2, b2))
-    lead, (i, m), o = vf.shape[:-1], vw1.shape, vw2.shape[1]
+    lead = vf.shape[:-1] if idx is None else idx.shape
+    (i, m), o = vw1.shape, vw2.shape[1]
     f2 = vf.reshape(-1, i)
     # bias and relu in place: the same ufunc calls, fewer (m, rows) buffers
     h_t = np.einsum("in,io->on", np.ascontiguousarray(f2.T), vw1, optimize=False)
@@ -284,15 +289,22 @@ def shading_mlp(feat, w1, b1, w2, b2):
     np.maximum(h_t, 0.0, out=h_t)
     a2_t = np.einsum("in,io->on", h_t, vw2, optimize=False)
     a2_t += vb2.reshape(-1, 1)
-    out = _sigmoid_val(np.ascontiguousarray(a2_t.T)).reshape(lead + (o,))
+    out = _sigmoid_val(np.ascontiguousarray(a2_t.T))
     live = any(isinstance(x, Var) for x in (feat, w1, b1, w2, b2))
     h = np.ascontiguousarray(h_t.T) if live else None   # for the backward
+    if idx is not None:   # each row's output is its own: gather the samples'
+        out = np.take(out, idx, axis=0)
+        if live:
+            h, f2 = (np.take(x, idx.reshape(-1), axis=0) for x in (h, f2))
+    out = out.reshape(lead + (o,))
 
     def grads(g):
         go = np.concatenate([g[0], g[1][..., None]], axis=-1) * out * (1.0 - out)
         ga = np.einsum("no,io->ni", go.reshape(-1, o), vw2, optimize=False)
         ga *= h > 0
-        return (np.einsum("no,io->ni", ga, vw1, optimize=False).reshape(vf.shape),
+        gf = np.einsum("no,io->ni", ga, vw1, optimize=False)
+        return (gf.reshape(vf.shape) if idx is None else
+                _bincount_rows(idx.reshape(-1), gf.T, len(vf)),
                 np.einsum("ni,no->io", f2, ga, optimize=False), ga.reshape(lead + (m,)),
                 np.einsum("ni,no->oi", h, go.reshape(-1, o), optimize=False).T, go)
 

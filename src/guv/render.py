@@ -107,14 +107,15 @@ class RenderOutput:
             raise InvalidArgumentError("alpha must lie in [0, 1]")
 
 
-def mlp_forward(arrays: dict, feature):
-    """(color in (0,1)^3, opacity in (0,1)) for (..., 8) features.
+def mlp_forward(arrays: dict, feature, idx):
+    """(color in (0,1)^3, opacity in (0,1)) for (..., 8) features, or with
+    idx, (...) row ids into (n, 8) features, for the rows at idx.
 
     arrays holds w1/b1/w2/b2: mlp_arrays of a RenderMLP, or tape variables
     during fitting. One grad.shading_mlp op; its fixed-loop products make
     results independent of batch shape.
     """
-    return g.shading_mlp(feature, *(arrays[k] for k in MLP_SHAPES))
+    return g.shading_mlp(feature, *(arrays[k] for k in MLP_SHAPES), idx)
 
 
 def _triplane_features(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
@@ -129,13 +130,19 @@ def _shade(arrays: dict, mlp_arrays: dict, origin: np.ndarray, tdir: np.ndarray,
 
     arrays: centers/rotations/radii/payload_flat (tape variables or ndarrays).
     tdir: (..., 3) point-minus-origin offsets. idx: (..., K) neighbor ids.
-    Returns (color (..., 3), alpha (...,), influence_sum (...,)).
+    Returns (color (..., 3), alpha (...,), influence_sum (...,)). With
+    s == 1 a feature depends on the Gaussian only: the head shades each
+    Gaussian idx names once, and its outputs are gathered at idx.
     """
     influence, u0, u1, u2 = g.gaussian_frame(
         arrays["centers"], arrays["rotations"], arrays["radii"], origin, tdir, idx,
         ETA, TAU)
-    feat = _triplane_features(arrays["payload_flat"], s, idx, u0, u1, u2)
-    color_k, opacity_k = mlp_forward(mlp_arrays, feat)
+    rows, at = idx, None
+    if s == 1:   # the Gaussians idx names, and each id's place among them
+        named = np.bincount(idx.reshape(-1)) > 0
+        rows, at = np.flatnonzero(named), (np.cumsum(named) - 1)[idx]
+    feat = _triplane_features(arrays["payload_flat"], s, rows, u0, u1, u2)
+    color_k, opacity_k = mlp_forward(mlp_arrays, feat, at)
     gsum = g.sum(influence, axis=-1)
     ghat = g.div(influence, g.reshape(g.add(gsum, EPSILON),
                                       g.value(gsum).shape + (1,)))

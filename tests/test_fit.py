@@ -25,7 +25,7 @@ from guv.losses import mesh_loss, tv_loss, volume_loss
 from guv.render import random_mlp, render_image, sample_distances
 
 from conftest import make_avatar, make_render_mlp, random_unit
-from reference import gaussian_frame_chain, mlp_chain, triplane_chain
+from reference import gaussian_frame_chain, mlp_chain, take, triplane_chain
 
 
 def _ring_cameras(count, size, distance=1.2):
@@ -460,9 +460,12 @@ class TestObjective:
         fused = grads()
         calls = []
 
-        def chain_mlp_forward(arrays, feature):
+        def chain_mlp_forward(arrays, feature, idx):
+            # at plane size 1 the features are one row per Gaussian named:
+            # the chain gathers each sample's row, then runs the head on it
             calls.append("mlp")
-            return mlp_chain(feature, *(arrays[k] for k in ("w1", "b1", "w2", "b2")))
+            rows = feature if idx is None else take(feature, idx)
+            return mlp_chain(rows, *(arrays[k] for k in ("w1", "b1", "w2", "b2")))
 
         def chain_triplane(*args):
             calls.append("triplane")

@@ -261,7 +261,7 @@ _OPS = {
     "reshape": lambda x: g.reshape(x, (3, 2)),
     "broadcast_to": lambda x: g.broadcast_to(x, (4, 2, 3)),
     "concatenate": lambda x: g.concatenate([_Y, x]),
-    "shading_mlp": lambda x: g.shading_mlp(x, *_MLP),
+    "shading_mlp": lambda x: g.shading_mlp(x, *_MLP, None),
     "triplane_sample": lambda x: g.triplane_sample(_PAYLOAD, 2, _IDX, x,
                                                    -0.5 * _Y, _Y - 1.0),
     "gaussian_frame": lambda x: g.gaussian_frame(x, *_POSE, _Y[0], _TDIR, _IDX,
@@ -379,6 +379,11 @@ def _mlp_inputs(rng, lead, kinks=True):
             "b2": 0.1 * rng.standard_normal(4)}
 
 
+def _rows_mlp(feat, w1, b1, w2, b2):
+    """shading_mlp on every feature row, no ids, called by leaf names."""
+    return g.shading_mlp(feat, w1, b1, w2, b2, None)
+
+
 def _triplane_inputs(rng, lead, s, n=5, c=8, kinks=True):
     """Tri-plane inputs; with kinks, coordinates include u = -1, u = +1 and
     every cell edge (u = 2j/(s-1) - 1 lands exactly on node j)."""
@@ -454,7 +459,30 @@ class TestFusedOps:
         a1 = inputs["feat"] @ inputs["w1"] + inputs["b1"]
         assert np.any(a1 == 0.0)
         m = rng.standard_normal((4, 5, k, 4))
-        _assert_same(g.shading_mlp, mlp_chain, inputs, (m[..., :3], m[..., 3]))
+        _assert_same(_rows_mlp, mlp_chain, inputs, (m[..., :3], m[..., 3]))
+
+    @pytest.mark.parametrize("lead", [(4, 5, 3), (3,)])
+    def test_indexed_shading_mlp_is_the_gathered_head(self, rng, lead):
+        """With ids, the head on 7 feature rows equals the head on the rows
+        gathered at the ids, bit for bit: both parts, every weight gradient,
+        and the feature gradient as the row scatter (take's VJP) of the
+        gathered head's. The ids repeat, row 3 of zero features puts hidden
+        units on the ReLU kink, rows 5 and 6 are never picked and get zero
+        gradient, and a (K,) id array is blend_point's shape."""
+        inputs = _mlp_inputs(rng, (7,))
+        idx = rng.integers(0, 5, size=lead)
+        idx[..., 0] = idx[..., -1] = 3   # a repeated row of zero features
+        m = rng.standard_normal(lead + (4,))
+
+        def gathered(feat, **w):
+            return _rows_mlp(take(feat, idx), **w)
+
+        _assert_same(lambda **leaves: g.shading_mlp(**leaves, idx=idx), gathered,
+                     inputs, (m[..., :3], m[..., 3]))
+        grads = gradients(lambda leaves: _weighted_sum(
+            g.shading_mlp(**leaves, idx=idx), (m[..., :3], m[..., 3])), inputs)
+        assert np.all(grads["feat"][5:] == 0.0)
+        assert np.all(np.any(grads["feat"][np.unique(idx)] != 0.0, axis=-1))
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("s", [1, 2, 8])
@@ -526,7 +554,7 @@ class TestFusedOps:
         m_tri = rng.standard_normal((n, 8))
 
         def mlp_op(feat):
-            return g.shading_mlp(feat, *(mlp[k] for k in ("w1", "b1", "w2", "b2")))
+            return g.shading_mlp(feat, *(mlp[k] for k in ("w1", "b1", "w2", "b2")), None)
 
         def tri_op(rows):
             return lambda u0, u1, u2: g.triplane_sample(tri["payload_flat"], 8,
@@ -551,9 +579,18 @@ class TestFusedOps:
     def test_shading_mlp_fd_check(self, rng):
         inputs = _mlp_inputs(rng, (3, 2, 3), kinks=False)
         m = rng.standard_normal((3, 2, 3, 4))
-        report = fd_check(lambda leaves: _weighted_sum(g.shading_mlp(**leaves),
+        report = fd_check(lambda leaves: _weighted_sum(_rows_mlp(**leaves),
                                                        (m[..., :3], m[..., 3])),
                           inputs)
+        for name, rep in report.items():
+            assert rep.failures == [] and rep.checked > 0, name
+
+    def test_indexed_shading_mlp_fd_check(self, rng):
+        inputs = _mlp_inputs(rng, (5,), kinks=False)
+        idx = rng.integers(0, 4, size=(3, 2, 3))
+        m = rng.standard_normal((3, 2, 3, 4))
+        report = fd_check(lambda leaves: _weighted_sum(
+            g.shading_mlp(**leaves, idx=idx), (m[..., :3], m[..., 3])), inputs)
         for name, rep in report.items():
             assert rep.failures == [] and rep.checked > 0, name
 
@@ -654,7 +691,7 @@ class TestGradients:
         mlp["w2"][:, 3] = np.nan
         with pytest.raises(NumericFailureError,
                            match="first bad op: shading_mlp at tape position 0"):
-            gradients(lambda leaves: g.sum(g.shading_mlp(**leaves)[1]), mlp)
+            gradients(lambda leaves: g.sum(_rows_mlp(**leaves)[1]), mlp)
 
     def test_rejects_non_scalar_and_non_var_losses(self):
         params = {"x": np.ones(3)}

@@ -20,9 +20,9 @@ from guv.render import (RenderMLP, RenderOutput, avatar_arrays, march_ray,
                         random_mlp, render_image, sample_distances,
                         stratified_jitter)
 
-from reference import (TriPlanePayload, blend_point, composite_ray,
-                       point_influences, pose_at, rbf_influence,
-                       sample_triplane)
+from reference import (TriPlanePayload, blend_point, brute_force_knn,
+                       composite_ray, payload_at, point_influences, pose_at,
+                       rbf_influence, sample_triplane, world_to_local)
 
 
 def _single_gaussian_avatar(center=(0.0, 0.0, 0.0), radii=(1.0, 1.0, 1.0),
@@ -88,13 +88,13 @@ class TestSampleTriplane:
 
 class TestMlpForward:
     def test_zero_network_outputs_half(self):
-        color, opacity = mlp_forward(mlp_arrays(_zero_mlp()), np.zeros(8))
+        color, opacity = mlp_forward(mlp_arrays(_zero_mlp()), np.zeros(8), None)
         np.testing.assert_array_equal(color, [0.5, 0.5, 0.5])
         assert opacity == 0.5
 
     def test_saturated_alpha_bias(self):
         color, opacity = mlp_forward(mlp_arrays(_zero_mlp(alpha_logit=20.0)),
-                                     np.zeros(8))
+                                     np.zeros(8), None)
         assert abs(opacity - 1.0) < 1e-8
         np.testing.assert_array_equal(color, [0.5, 0.5, 0.5])
 
@@ -103,24 +103,24 @@ class TestMlpForward:
         mlp = RenderMLP(w1=w1, b1=np.zeros(32), w2=rng.standard_normal((32, 4)),
                         b2=np.zeros(4))
         # positive features, negative w1
-        got = mlp_forward(mlp_arrays(mlp), np.full(8, 2.0))
+        got = mlp_forward(mlp_arrays(mlp), np.full(8, 2.0), None)
         bias_only = RenderMLP(w1=np.zeros((8, 32)), b1=np.zeros(32), w2=mlp.w2,
                               b2=np.zeros(4))
-        want = mlp_forward(mlp_arrays(bias_only), np.zeros(8))
+        want = mlp_forward(mlp_arrays(bias_only), np.zeros(8), None)
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
 
     def test_batch_result_independent_of_batch_shape(self, rng, random_render_mlp):
         feats = rng.standard_normal((6, 8))
-        colors, opacities = mlp_forward(mlp_arrays(random_render_mlp), feats)
+        colors, opacities = mlp_forward(mlp_arrays(random_render_mlp), feats, None)
         for i in range(6):
-            c, o = mlp_forward(mlp_arrays(random_render_mlp), feats[i])
+            c, o = mlp_forward(mlp_arrays(random_render_mlp), feats[i], None)
             np.testing.assert_array_equal(colors[i], c)
             assert opacities[i] == o
 
     def test_outputs_in_open_unit_interval(self, rng, random_render_mlp):
         colors, opacities = mlp_forward(mlp_arrays(random_render_mlp),
-                                        rng.standard_normal((50, 8)))
+                                        rng.standard_normal((50, 8)), None)
         assert np.all(colors > 0) and np.all(colors < 1)
         assert np.all(opacities > 0) and np.all(opacities < 1)
 
@@ -162,6 +162,36 @@ class TestBlendPoint:
         assert abs(alpha - min(2.0 * gval * 0.5, 1.0 - 1e-4)) < 1e-12
         np.testing.assert_allclose(color, 0.5 * 2 * gval / (2 * gval + 1e-6),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("plane_size", [4, 1])
+    def test_matches_the_per_gaussian_references(self, rng, random_render_mlp,
+                                                 plane_size):
+        """blend_point equals the blend of its K neighbours, each one's
+        influence, local point, tri-plane feature and head output made
+        alone by the scalar references; at plane size 1 the kernel shades
+        each Gaussian once and gathers the outputs at the neighbour ids."""
+        from conftest import make_avatar
+        avatar = make_avatar(rng, plane_size=plane_size)
+        cfg = RenderConfig(knn_k=3)
+        marrays, w = mlp_arrays(random_render_mlp), avatar.width
+        centers = avatar.centers.reshape(-1, 3)
+        for x in centers[:6] + 0.03 * rng.standard_normal((6, 3)):
+            infl, colors, opacities = [], [], []
+            for nid in brute_force_knn(avatar, x, cfg.knn_k):
+                pose = pose_at(avatar, nid // w, nid % w)
+                feat = sample_triplane(payload_at(avatar, nid // w, nid % w),
+                                       world_to_local(pose, x))
+                c, o = mlp_forward(marrays, feat, None)
+                infl.append(rbf_influence(pose, x))
+                colors.append(c)
+                opacities.append(o)
+            infl = np.array(infl)
+            color, alpha = blend_point(avatar, random_render_mlp, x, cfg)
+            np.testing.assert_allclose(
+                color, infl / (infl.sum() + render.EPSILON) @ np.array(colors),
+                rtol=1e-9, atol=1e-12)
+            assert alpha == pytest.approx(min(infl @ opacities, 1.0 - 1e-4),
+                                          rel=1e-9, abs=1e-12)
 
     def test_blend_weights_sum_below_one(self, rng, random_avatar,
                                          random_render_mlp):
@@ -289,17 +319,19 @@ class TestMarchRay:
 
 
 class TestRenderImage:
-    def _setup(self, rng, h=6, w=5):
+    def _setup(self, rng, h=6, w=5, plane_size=4):
         from conftest import make_avatar
-        avatar = make_avatar(rng)
+        avatar = make_avatar(rng, plane_size=plane_size)
         mlp = random_mlp(rng, alpha_bias=1.5)
         camera = lookat_camera(np.array([0.1, -0.9, 0.2]), np.zeros(3),
                                width=w, height=h, fx=7.0, near=0.4, far=1.6)
         return avatar, mlp, camera
 
-    def test_pixels_bit_equal_single_ray_march(self, rng):
-        # 12 x 11 = 132 rays: a chunk of 128 and one of 4
-        avatar, mlp, camera = self._setup(rng, h=12, w=11)
+    @pytest.mark.parametrize("plane_size", [4, 1])
+    def test_pixels_bit_equal_single_ray_march(self, rng, plane_size):
+        # 12 x 11 = 132 rays: a chunk of 128 and one of 4; at plane size 1
+        # the head shades each Gaussian once per chunk or ray
+        avatar, mlp, camera = self._setup(rng, h=12, w=11, plane_size=plane_size)
         cfg = RenderConfig(knn_k=3, samples_per_ray=16)
         out = render_image(avatar, mlp, camera, cfg, seed=11)
         jit = stratified_jitter(camera.height, camera.width,
@@ -313,8 +345,9 @@ class TestRenderImage:
             assert out.depth[i, j] == depth
             assert out.alpha[i, j] == alpha
 
-    def test_bit_identical_under_joint_translation(self, rng):
-        avatar, mlp, camera = self._setup(rng)
+    @pytest.mark.parametrize("plane_size", [4, 1])
+    def test_bit_identical_under_joint_translation(self, rng, plane_size):
+        avatar, mlp, camera = self._setup(rng, plane_size=plane_size)
         cfg = RenderConfig(knn_k=2, samples_per_ray=8)
         # positions snapped to a 2^-20 grid so position + shift is exact:
         # the kernel only sees (center - origin), which is then bit-stable
