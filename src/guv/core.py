@@ -10,6 +10,8 @@ frozen; an array the library made is frozen in place and shared as is).
 """
 from __future__ import annotations
 
+import math
+import os
 import weakref
 from dataclasses import dataclass, replace
 
@@ -29,6 +31,19 @@ def _frozen(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:
     if arr.shape != shape:
         raise InvalidArgumentError(f"{name}: expected shape {shape}, got {arr.shape}")
     return _take(arr, name)
+
+
+def _check_fits_memory(what: str, shape: tuple) -> None:
+    """Refuse a float64 array of `shape` larger than this machine's memory (or
+    numpy's index range where the OS does not say) before numpy fails part way."""
+    need = 8 * math.prod(int(n) for n in shape)
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        have = np.iinfo(np.intp).max
+    if need > have:
+        raise InvalidArgumentError(f"{what}: a {tuple(shape)} array needs {need:.3g} "
+                                   f"bytes, more than this machine's {have:.3g}")
 
 
 def _take(arr: np.ndarray, name: str) -> np.ndarray:
@@ -229,7 +244,7 @@ class RenderConfig:
 
 def _rotation_entries(ca, sa, cb, sb, cc, sc) -> list:
     """The 9 entries of Rx(a) @ Ry(b) @ Rz(c), row-major, from the angles'
-    cos/sin ndarrays: rotation_matrices and grad.gaussian_frame's forward
+    cos/sin ndarrays: rotation_matrix and grad.gaussian_frame's forward
     both compute them here."""
     return [
         cb * cc, -(cb * sc), sb,
@@ -244,23 +259,18 @@ def _wrap_angle(theta: np.ndarray) -> np.ndarray:
     return -np.remainder(-theta + np.pi, 2.0 * np.pi) + np.pi
 
 
-def rotation_matrices(angles: np.ndarray) -> np.ndarray:
-    """Batched rotation matrices for (..., 3) Euler angles, intrinsic XYZ."""
+def rotation_matrix(angles) -> np.ndarray:
+    """Rotation matrices, shape (..., 3, 3), for (..., 3) Euler angles
+    (a, b, c), intrinsic XYZ order."""
     angles = np.asarray(angles, dtype=np.float64)
+    if angles.shape[-1:] != (3,):
+        raise InvalidArgumentError(f"angles must be (..., 3), got {angles.shape}")
     if not np.all(np.isfinite(angles)):
         raise InvalidArgumentError("rotation angles must be finite")
     a, b, c = angles[..., 0], angles[..., 1], angles[..., 2]
     e = _rotation_entries(np.cos(a), np.sin(a), np.cos(b), np.sin(b),
                           np.cos(c), np.sin(c))
     return np.stack(e, axis=-1).reshape(angles.shape[:-1] + (3, 3))
-
-
-def rotation_matrix(angles) -> np.ndarray:
-    """3x3 orthonormal matrix for Euler angles (a, b, c), intrinsic XYZ order."""
-    angles = np.asarray(angles, dtype=np.float64)
-    if angles.shape != (3,):
-        raise InvalidArgumentError(f"angles must be a 3-vector, got {angles.shape}")
-    return rotation_matrices(angles)
 
 
 def euler_from_matrix(r: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UVAvatar, _frozen, _take, _wrap_angle
+from .core import UVAvatar, _check_fits_memory, _frozen, _take, _wrap_angle
 from .errors import InvalidArgumentError
 
 GEOMETRY_CHANNELS = 9  # center 3 + rotation 3 + radii 3, in pack order
@@ -67,6 +67,7 @@ def cosine_schedule(steps: int) -> DiffusionSchedule:
     alpha_bar(0) = 1."""
     if steps < 1:
         raise InvalidArgumentError("steps must be >= 1")
+    _check_fits_memory(f"steps {steps}", (steps + 1,))
     t = np.arange(steps + 1, dtype=np.float64)
     theta = (t / steps + _COSINE_OFFSET) / (1.0 + _COSINE_OFFSET) * (math.pi / 2.0)
     abar = np.cos(theta) ** 2
@@ -294,23 +295,6 @@ def _posterior_coefs(schedule: DiffusionSchedule, s: int, t: int
     return coef_t, coef_0, math.sqrt(s_ts * s_ts * var_s / var_t)
 
 
-def posterior_params(schedule: DiffusionSchedule, s: int, t: int, g_t, g0_hat):
-    """Mean and std of q(G_s | G_t, G_0 = g0_hat) for s <= t:
-    mean = (alpha_ts sigma_s^2 / sigma_t^2) G_t
-         + (alpha_s sigma_ts^2 / sigma_t^2) G_0;
-    var = sigma_ts^2 sigma_s^2 / sigma_t^2."""
-    _check_t(schedule, s)
-    _check_t(schedule, t)
-    if t < s:
-        raise InvalidArgumentError(f"posterior requires t >= s, got s={s}, t={t}")
-    g_t = np.asarray(g_t, dtype=np.float64)
-    g0_hat = np.asarray(g0_hat, dtype=np.float64)
-    if s == t:
-        return g_t.copy(), 0.0
-    coef_t, coef_0, std = _posterior_coefs(schedule, s, t)
-    return coef_t * g_t + coef_0 * g0_hat, std
-
-
 def ddpm_weight(schedule: DiffusionSchedule, t: int) -> float:
     """w_t = sigmoid(SNR(t)), SNR = alpha_t^2 / sigma_t^2; w_0 = 1 (no noise)."""
     _check_t(schedule, t)
@@ -361,14 +345,14 @@ def _reverse_steps(schedule: DiffusionSchedule, denoiser, step_count,
     G_0_hat and draw and the next draw are all that is alive, and no draw
     is made past the last step.
 
-    A step is posterior_params' arithmetic, with the same ufunc calls per
-    element, in one pass over row blocks of about _BLOCK elements:
-    clip(G_0_hat) * coef_0 + coef_t * G into a scratch block, then
+    A step is the posterior of _posterior_coefs, with the serial loop's
+    ufunc calls per element, in one pass over row blocks of about _BLOCK
+    elements: clip(G_0_hat) * coef_0 + coef_t * G into a scratch block, then
     noise * std + that in the noise's own buffer, which becomes the next G,
     then the pin, q_sample(known, s) made in the pin noise's buffer and
-    copied where mask is set. Each block is sorted once by its part of
-    mask: an unset block skips the pin, and a block set throughout skips
-    the posterior and takes the pin straight into its rows. The first G is
+    copied where mask is set. Each block is sorted once by its part of mask:
+    an unset block skips the pin, and a block set throughout skips the
+    posterior and takes the pin straight into its rows. The first G is
     pinned, and the last set to known, by the same kinds. The draws, bits
     and generator states are those of a full pass. G_0_hat may be anything
     that broadcasts to G's shape; the denoiser's input and output are only
@@ -436,6 +420,7 @@ def reverse_sample(schedule: DiffusionSchedule, denoiser, shape, rng,
     the caller unchanged, with rng one step's draw past where the serial
     loop would stop.
     """
+    _check_fits_memory("sample shape", shape)
     return _reverse_steps(schedule, denoiser, step_count,
                           lambda: (rng.standard_normal(shape),))
 

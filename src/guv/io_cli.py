@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (Camera, RenderConfig, UVAvatar, _check_rest_grid, _take,
-                   align_z_to_normals, avatar_shapes, euler_from_matrix,
-                   init_from_anchors)
+from .core import (Camera, RenderConfig, UVAvatar, _check_fits_memory,
+                   _check_rest_grid, _take, align_z_to_normals, avatar_shapes,
+                   euler_from_matrix, init_from_anchors)
 from .diffusion import (DiffusionSchedule, UVTensor, _check_plane_size,
                         _posterior_coefs, analytic_gauss_denoiser, channel_mask,
                         cosine_schedule, denormalize_avatar, inpaint_sample,
@@ -532,6 +532,7 @@ def toy_reference_scene(kind: str, grid: int, seed: int
     if grid < 1 or (kind == "two-lobe" and grid % 2):
         raise InvalidArgumentError(
             f"grid must be >= 1 (and even for two-lobe), got {grid}")
+    _check_fits_memory(f"grid {grid}", (grid, grid, 3, 8, 8, 8))
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
     if kind == "two-lobe":
@@ -588,6 +589,9 @@ def generate_toy_dataset(kind: str, out_dir, views: int, resolution: int,
     """
     if views < 1:
         raise InvalidArgumentError("views must be >= 1")
+    cfg = RenderConfig()
+    _check_fits_memory(f"frame {resolution}x{resolution}",
+                       (resolution, resolution, cfg.samples_per_ray))
     avatar, mlp = toy_reference_scene(kind, grid=grid, seed=seed)
     cams = camera_ring(views, resolution)
     out = Path(out_dir)
@@ -597,7 +601,6 @@ def generate_toy_dataset(kind: str, out_dir, views: int, resolution: int,
     save_cameras(cams, out / "cameras.json")
     save_avatar(avatar, out / "reference.guv")
     save_mlp(mlp, out / "reference.mlp.json")
-    cfg = RenderConfig()
     for i, cam in enumerate(cams):
         frame = render_image(avatar, mlp, cam, cfg, seed=i)
         write_ppm(frame.color, out / f"img_{i:03d}.ppm")
@@ -796,17 +799,16 @@ def check_knn(seed: int = 0) -> list[str]:
             f"{n_centers} centers, k={k}, exact)"]
 
 
-def _chain_moments(schedule: DiffusionSchedule, data_mean: float,
-                   data_std: float) -> tuple[float, float]:
-    """Closed-form (mean, std) of reverse_sample's output under
-    analytic_gauss_denoiser(schedule, data_mean, data_std), the clip aside:
-    each step maps G_t to coef_t G_t + coef_0 (k G_t + b) + std z, with the
-    denoiser's slope k and intercept b at t."""
-    mean, var, s2 = 0.0, 1.0, data_std * data_std
+def _chain_moments(schedule: DiffusionSchedule, denoiser, data_std: float
+                   ) -> tuple[float, float]:
+    """Closed-form (mean, std) of reverse_sample's output under the analytic
+    denoiser of data with std data_std, the clip aside: each step maps G_t
+    to coef_t G_t + coef_0 (k G_t + b) + std z, where the slope k is
+    analytic_gauss_denoiser's at mean 0 and the intercept b = denoiser(0, t)."""
+    mean, var = 0.0, 1.0
+    slope = analytic_gauss_denoiser(schedule, 0.0, data_std)
     for hi in range(schedule.steps, 0, -1):
-        a, sig2 = float(schedule.alphas[hi]), float(schedule.sigmas[hi] ** 2)
-        k = a * s2 / (a * a * s2 + sig2)
-        b = sig2 * data_mean / (a * a * s2 + sig2)
+        k, b = float(slope(1.0, hi)), float(denoiser(0.0, hi))
         coef_t, coef_0, std = _posterior_coefs(schedule, hi - 1, hi)
         gain = coef_t + coef_0 * k
         mean = gain * mean + coef_0 * b
@@ -839,7 +841,7 @@ def check_diffusion(seed: int = 7) -> list[str]:
     den = analytic_gauss_denoiser(sampler, *data)
     samples = reverse_sample(sampler, den, (n,), np.random.default_rng(seed))
     mean, std = float(samples.mean()), float(samples.std())
-    want_mean, want_std = _chain_moments(sampler, *data)
+    want_mean, want_std = _chain_moments(sampler, den, data[1])
     tol_mean = 5.0 * want_std / math.sqrt(n)
     tol_std = 5.0 * want_std / math.sqrt(2 * n)
     band = (f"mean {mean:.4f}, want {want_mean:.4f} +- {tol_mean:.4f}; "

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad as g
-from .core import Camera, RenderConfig, UVAvatar, _frozen, _unit_directions
+from .core import (Camera, RenderConfig, UVAvatar, _check_fits_memory, _frozen,
+                   _unit_directions)
 from .errors import InvalidArgumentError, NumericFailureError
 from .spatial import _knn_for_samples
 
@@ -248,6 +249,7 @@ def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
     before the call returns and run under the caller's np.errstate, changes
     no bit. A non-finite pixel is a NumericFailureError of the shading."""
     h, w = camera.height, camera.width
+    _check_fits_memory(f"frame {w}x{h}", (h, w, cfg.samples_per_ray))
     dirs = camera.ray_directions().reshape(-1, 3)
     jit = stratified_jitter(h, w, cfg.samples_per_ray, seed).reshape(-1, cfg.samples_per_ray)
     arrays = avatar_arrays(avatar)

@@ -3,7 +3,8 @@ workload enters.
 
 Run from anywhere (pytest does not collect this file):
 
-    python tests/reach.py
+    python tests/reach.py            # the functions no run entered
+    python tests/reach.py --lines    # and each src/guv line no run executed
 
 It builds a tiny checker-sphere dataset in a temporary directory and runs,
 in process through guv.io_cli.main, every command the README shows:
@@ -19,8 +20,11 @@ Every call is recorded by a `sys.settrace` / `threading.settrace` hook,
 so the threads of the renderer and of the benchmark's phases count too.
 The report lists each module-level function and each method defined in
 src/guv that no run entered; nested functions and lambdas are not listed.
-Exit status 1 if a command or a workload failed, since its functions then
-show as unreached.
+With --lines, frames of src/guv files are also traced line by line, and
+the report goes on to list each line of src/guv that holds code (a line of
+some code object's line table, less each function's own `def` line) and
+that no run executed, with its text. Exit status 1 if a command or a
+workload failed, since its functions then show as unreached.
 """
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "guv"
 BENCH = ROOT / "perfbench"
+_SRC_PREFIX = os.path.realpath(SRC) + os.sep
 WORKLOADS = ("fit-checker", "render-scale", "uv-diffuse")
 
 sys.dont_write_bytecode = True
@@ -46,17 +51,29 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(BENCH))
 
 _entered: set[tuple[str, int]] = set()
+_executed: set[tuple[str, int]] = set()
 _real: dict[str, str] = {}
+_trace_lines = False
 
 
 def _trace(frame, event, arg):
-    """Records (file, first line) of every code object called; returns None
-    so no line events are traced."""
+    """Records (file, first line) of every code object called; returns the
+    line tracer for a src/guv frame under --lines, else None so no line
+    events are traced."""
     code = frame.f_code
     name = _real.get(code.co_filename)
     if name is None:
         name = _real[code.co_filename] = os.path.realpath(code.co_filename)
     _entered.add((name, code.co_firstlineno))
+    if _trace_lines and name.startswith(_SRC_PREFIX):
+        return _line
+
+
+def _line(frame, event, arg):
+    """Records (file, line) of every line event of a src/guv frame."""
+    if event == "line":
+        _executed.add((_real[frame.f_code.co_filename], frame.f_lineno))
+    return _line
 
 
 def defined_functions() -> dict[tuple[str, int], str]:
@@ -75,6 +92,25 @@ def defined_functions() -> dict[tuple[str, int], str]:
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
                     found[(real, first)] = f"{path.stem}.{prefix}{fn.name}"
+    return found
+
+
+def code_lines() -> dict[tuple[str, int], str]:
+    """(file, line) -> text of every src/guv line that holds code: a line
+    of some code object's line table, less each function's own first line,
+    which holds no statement of the function and gets no line event."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        real, text = os.path.realpath(path), path.read_text(encoding="utf-8")
+        rows = text.splitlines()
+        codes = [compile(text, str(path), "exec")]
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if hasattr(c, "co_lines")]
+            own = code.co_firstlineno if code.co_name != "<module>" else None
+            for *_, line in code.co_lines():
+                if line and line != own:   # a module starts at line 0
+                    found[(real, line)] = f"{path.name}:{line}: {rows[line - 1].strip()}"
     return found
 
 
@@ -129,7 +165,9 @@ def _write_edit_inputs(io_cli, work: Path) -> None:
     io_cli.save_anchor_grid(anchors + 0.01, normals, scales, work / "smile.guva")
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    global _trace_lines
+    _trace_lines = "--lines" in argv
     failed = []
     sys.settrace(_trace)
     threading.settrace(_trace)
@@ -164,10 +202,16 @@ def main() -> int:
     print(f"{len(unreached)} src/guv functions no run entered:")
     for name in unreached:
         print(f"  {name}")
+    if _trace_lines:
+        missed = [text for key, text in sorted(code_lines().items())
+                  if key not in _executed]
+        print(f"{len(missed)} src/guv lines no run executed:")
+        for text in missed:
+            print(f"  {text}")
     if failed:
         print("failed: " + ", ".join(failed))
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -18,9 +18,11 @@ Gaussian or one scalar at a time, with direct x - mu arithmetic:
   gaussian_frame_chain, triplane_chain and mlp_chain, the primitive
   compositions that grad.gaussian_frame, grad.triplane_sample and
   grad.shading_mlp fuse: their oracle, value and gradient, bit for bit;
-- reverse_sample and inpaint_sample, the diffusion samplers as one serial
-  loop over posterior_params and q_sample: the oracle of the library's
-  samplers, which draw their noise one step ahead on a worker thread;
+- posterior_params, the mean and std of q(G_s | G_t, G_0) from
+  diffusion._posterior_coefs, and reverse_sample and inpaint_sample, the
+  diffusion samplers as one serial loop over it and q_sample: the oracle
+  of the library's samplers, which draw their noise one step ahead on a
+  worker thread;
 - normalize_channels, denormalize_channels, unfold and fold, the UV round
   trip's channel maps and layout changes written as allocate-then-copy
   numpy: the library writes each into one preallocated output, and must
@@ -37,8 +39,8 @@ from guv.core import (RenderConfig, UVAvatar, _frozen, _wrap_angle,
                       rotation_matrix)
 from guv.errors import InvalidArgumentError
 from guv import grad as g
-from guv.diffusion import (GEOMETRY_CHANNELS, _check_plane_size, _timesteps,
-                           posterior_params, q_sample)
+from guv.diffusion import (GEOMETRY_CHANNELS, _check_plane_size, _check_t,
+                           _posterior_coefs, _timesteps, q_sample)
 from guv.grad import default_step, value
 from guv.render import (BACKGROUND, ETA, TAU, RenderMLP, _shade, avatar_arrays,
                         mlp_arrays)
@@ -334,6 +336,20 @@ def gaussian_frame_chain(centers, rotations, radii, origin, tdir, idx, eta, tau)
     influence = mul(g.exp(mul(maha, -1.0 / (2.0 * tau))), eta)
     us = [g.clip(g.div(yi, mul(ri, 3.0)), -1.0, 1.0) for yi, ri in zip(y, r)]
     return (influence, *us)
+
+
+def posterior_params(schedule, s: int, t: int, g_t, g0_hat):
+    """Mean and std of q(G_s | G_t, G_0 = g0_hat) for s <= t:
+    mean = (alpha_ts sigma_s^2 / sigma_t^2) G_t
+         + (alpha_s sigma_ts^2 / sigma_t^2) G_0;
+    var = sigma_ts^2 sigma_s^2 / sigma_t^2. At s == t it is G_t itself."""
+    g_t = np.asarray(g_t, dtype=np.float64)
+    g0_hat = np.asarray(g0_hat, dtype=np.float64)
+    if s == t:
+        _check_t(schedule, t)
+        return g_t.copy(), 0.0
+    coef_t, coef_0, std = _posterior_coefs(schedule, s, t)   # refuses t < s
+    return coef_t * g_t + coef_0 * g0_hat, std
 
 
 def reverse_sample(schedule, denoiser, shape, rng, step_count=None):

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from guv import render
 from guv.core import (Camera, RenderConfig, UVAvatar, _take, align_z_to_normals,
-                      euler_from_matrix, init_from_anchors, rotation_matrices,
-                      rotation_matrix)
+                      euler_from_matrix, init_from_anchors, rotation_matrix)
 from guv.errors import InvalidArgumentError
 
 from reference import (GaussianPose, TriPlanePayload, payload_at, pose_at,
@@ -37,7 +36,7 @@ class TestRotationMatrix:
 
     def test_batched_matches_single(self, rng):
         angles = rng.uniform(-math.pi, math.pi, size=(4, 5, 3))
-        batched = rotation_matrices(angles)
+        batched = rotation_matrix(angles)
         for i in range(4):
             for j in range(5):
                 np.testing.assert_array_equal(batched[i, j],
@@ -58,10 +57,13 @@ class TestRotationMatrix:
         np.testing.assert_allclose(rotation_matrix(back), r, atol=1e-9)
 
     def test_non_finite_angles_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            rotation_matrix([np.nan, 0.0, 0.0])
-        with pytest.raises(InvalidArgumentError):
-            rotation_matrix([0.0, 0.0])
+        for angles in ([np.nan, 0.0, 0.0], np.full((4, 5, 3), np.inf)):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                rotation_matrix(angles)
+        # a last axis other than 3: a pair, a batch of pairs, a 0-d angle
+        for angles in ([0.0, 0.0], np.zeros((4, 2)), np.float64(0.5)):
+            with pytest.raises(InvalidArgumentError, match="angles must be"):
+                rotation_matrix(angles)
 
 
 class TestAlignZToNormals:

@@ -7,11 +7,12 @@ import pytest
 
 import reference
 from guv import diffusion
-from guv.core import rotation_matrices
+from guv.core import rotation_matrix
 from guv.diffusion import (
     GEOMETRY_CHANNELS,
     DiffusionSchedule,
     UVTensor,
+    _posterior_coefs,
     analytic_gauss_denoiser,
     channel_mask,
     cosine_schedule,
@@ -24,7 +25,6 @@ from guv.diffusion import (
     normalize_avatar,
     normalize_channels,
     pack_avatar_tensor,
-    posterior_params,
     q_sample,
     reverse_sample,
     transition_params,
@@ -293,8 +293,8 @@ class TestRoundTrips:
         assert np.max(np.abs(n[..., 3:6])) <= 1.0
         np.testing.assert_array_equal(n[..., 4], x[..., 4] / math.pi)
         back = denormalize_channels(n)
-        np.testing.assert_allclose(rotation_matrices(back[..., 3:6]),
-                                   rotation_matrices(x[..., 3:6]), atol=1e-15)
+        np.testing.assert_allclose(rotation_matrix(back[..., 3:6]),
+                                   rotation_matrix(x[..., 3:6]), atol=1e-15)
 
     def test_toy_reference_avatar_normalizes(self):
         avatar, _ = toy_reference_scene("checker-sphere", grid=4, seed=0)
@@ -581,43 +581,50 @@ class TestTransitionParams:
             transition_params(SCHEDULE, 10, 5)
 
 
-class TestPosteriorParams:
-    def test_s_equals_t_returns_state(self, rng):
-        g_t = rng.standard_normal(5)
-        mean, std = posterior_params(SCHEDULE, 30, 30, g_t, np.zeros(5))
-        np.testing.assert_array_equal(mean, g_t)
-        assert mean is not g_t
-        assert std == 0.0
+class TestPosteriorCoefs:
+    """The laws of q(G_s | G_t, G_0), on the coefficients the samplers run."""
 
     def test_endpoint_returns_estimate(self, rng):
         g_t = rng.standard_normal(5)
         g0 = rng.standard_normal(5)
-        mean, std = posterior_params(SCHEDULE, 0, 120, g_t, g0)
-        np.testing.assert_allclose(mean, g0, rtol=1e-12, atol=1e-15)
+        coef_t, coef_0, std = _posterior_coefs(SCHEDULE, 0, 120)
+        np.testing.assert_allclose(coef_t * g_t + coef_0 * g0, g0,
+                                   rtol=1e-12, atol=1e-15)
         assert std == 0.0
 
     def test_coefficient_sum_identity(self, rng):
         sch = cosine_schedule(50)
         g0 = rng.standard_normal(4)
         for s in range(0, 51, 5):
-            for t in range(s, 51, 5):
-                mean, _ = posterior_params(sch, s, t, sch.alphas[t] * g0, g0)
-                np.testing.assert_allclose(mean, sch.alphas[s] * g0,
-                                           atol=1e-12)
+            for t in range(s + 5, 51, 5):
+                coef_t, coef_0, _ = _posterior_coefs(sch, s, t)
+                mean = coef_t * (sch.alphas[t] * g0) + coef_0 * g0
+                np.testing.assert_allclose(mean, sch.alphas[s] * g0, atol=1e-12)
 
     def test_bridge_recovers_marginal(self):
         rng = np.random.default_rng(3)
         n = 100_000
         s, t, g0 = 40, 120, 0.4
         z_t = q_sample(SCHEDULE, g0, t, rng.standard_normal(n))
-        mean, std = posterior_params(SCHEDULE, s, t, z_t, g0)
-        z_s = mean + std * rng.standard_normal(n)
+        coef_t, coef_0, std = _posterior_coefs(SCHEDULE, s, t)
+        z_s = coef_t * z_t + coef_0 * g0 + std * rng.standard_normal(n)
         assert np.mean(z_s) == pytest.approx(SCHEDULE.alphas[s] * g0, abs=0.01)
         assert np.std(z_s) == pytest.approx(SCHEDULE.sigmas[s], rel=0.015)
 
+
+class TestReferencePosteriorParams:
+    """reference.posterior_params, the serial oracle's posterior."""
+
+    def test_s_equals_t_returns_state(self, rng):
+        g_t = rng.standard_normal(5)
+        mean, std = reference.posterior_params(SCHEDULE, 30, 30, g_t, np.zeros(5))
+        np.testing.assert_array_equal(mean, g_t)
+        assert mean is not g_t
+        assert std == 0.0
+
     def test_order_enforced(self):
         with pytest.raises(InvalidArgumentError, match="t >= s"):
-            posterior_params(SCHEDULE, 10, 5, np.zeros(2), np.zeros(2))
+            reference.posterior_params(SCHEDULE, 10, 5, np.zeros(2), np.zeros(2))
 
 
 class TestMarginalConsistency:
@@ -738,9 +745,7 @@ class TestReverseSample:
             s2 = s * s
             slope = a * s2 / (a * a * s2 + sig2)
             intercept = sig2 * m / (a * a * s2 + sig2)
-            coef_t = float(posterior_params(sch, lo, hi, 1.0, 0.0)[0])
-            coef_0 = float(posterior_params(sch, lo, hi, 0.0, 1.0)[0])
-            std = posterior_params(sch, lo, hi, 0.0, 0.0)[1]
+            coef_t, coef_0, std = _posterior_coefs(sch, lo, hi)
             gain = coef_t + coef_0 * slope
             mean = gain * mean + coef_0 * intercept
             var = gain * gain * var + std * std

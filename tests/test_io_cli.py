@@ -1180,10 +1180,11 @@ class TestCli:
         assert "want 0.3000 +- 0.0096; std" in out and "want 0.1918 +- 0.0068)" in out
 
     def test_check_diffusion_fails_a_wrong_data_std(self, capsys, monkeypatch):
-        # a denoiser of N(0.3, 0.21) data: closed-form std 0.2018, not 0.1918
-        exact = io_cli.analytic_gauss_denoiser
-        monkeypatch.setattr(io_cli, "analytic_gauss_denoiser",
-                            lambda schedule, m, s: exact(schedule, m, 0.21))
+        # the band is read off the checked N(0.3, 0.2) denoiser; a sampler
+        # that runs one of N(0.3, 0.21) data has std 0.2018, not 0.1918
+        exact = io_cli.reverse_sample
+        monkeypatch.setattr(io_cli, "reverse_sample", lambda schedule, den, *rest: exact(
+            schedule, io_cli.analytic_gauss_denoiser(schedule, 0.3, 0.21), *rest))
         assert main(["check", "diffusion"]) == 4
         assert "sampler moments off" in capsys.readouterr().err
 
@@ -1232,6 +1233,36 @@ class TestCli:
             main(argv + ["--out", str(out)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    # every size here needs more than 2**60 bytes, so no machine makes it
+    @pytest.mark.parametrize("argv", [
+        ["diffuse", "sample", "--anchors", "{ds}/anchors.guva",
+         "--plane-size", str(2 ** 32)],
+        ["diffuse", "sample", "--anchors", "{ds}/anchors.guva",
+         "--payload-channels", str(2 ** 62)],
+        ["diffuse", "sample", "--anchors", "{ds}/anchors.guva", "--steps", str(2 ** 62)],
+        ["dataset", "sphere", "--resolution", str(2 ** 32)],
+        ["dataset", "sphere", "--grid", str(2 ** 32)],
+        ["render", "{fit}", "--camera", "{wide}"],
+        ["render", "{fit}", "--camera", "{large}"],
+    ], ids=["plane-size", "payload-channels", "steps", "resolution", "grid",
+            "width-1e30", "width-height-2**40"])
+    def test_size_the_machine_cannot_hold_exits_two(self, cli_dataset, cli_fit,
+                                                    tmp_path, capsys, argv):
+        cams = load_cameras(cli_dataset / "cameras.json")
+        for name, width, height in (("wide", 10 ** 30, cams[0].height),
+                                    ("large", 2 ** 40, 2 ** 40)):
+            save_cameras([dataclasses.replace(cams[0], width=width, height=height)],
+                         tmp_path / f"{name}.json")
+        out = tmp_path / "out"
+        argv = [a.format(ds=cli_dataset, fit=cli_fit, wide=tmp_path / "wide.json",
+                         large=tmp_path / "large.json") for a in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "bytes, more than this machine's" in captured.err
         assert not out.exists()
 
     def test_check_negative_seed_exits_two(self, capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import guv
 
-MAX_LINES = 3769
+MAX_LINES = 3768
 
 
 def test_library_lines_at_most_max():

@@ -12,8 +12,10 @@ from guv.io_cli import camera_ring, toy_reference_scene
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# hooks whose targets left guv.spatial; their spatial.knn metric reads 0
-STALE = {("guv.spatial", "nearest_k_batch"), ("guv.spatial", "knn_query")}
+# hooks whose targets left the library; their metrics (spatial.knn and
+# diffusion.posterior) read 0
+STALE = {("guv.spatial", "nearest_k_batch"), ("guv.spatial", "knn_query"),
+         ("guv.diffusion", "posterior_params")}
 
 
 def _tracing():
