@@ -46,6 +46,11 @@ def _check_fits_memory(what: str, shape: tuple) -> None:
                                    f"bytes, more than this machine's {have:.3g}")
 
 
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _take(arr: np.ndarray, name: str) -> np.ndarray:
     """arr, a float64 array no caller holds, checked and frozen in place: a
     view of arr, read-only until arr itself is made writable again."""

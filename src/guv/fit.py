@@ -8,12 +8,13 @@ representation. Pose parameters and the shading head are optimized in both.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grad as g
-from .core import RenderConfig, UVAvatar, init_from_anchors
+from .core import RenderConfig, UVAvatar, _usable_cpus, init_from_anchors
 from .errors import InvalidArgumentError, NumericFailureError
 from .grad import adamw_state, adamw_step, gradients
 from .losses import total_loss
@@ -255,6 +256,12 @@ def fit_scene(
     Fixed config.seed gives a bit-identical loss history; in latent mode
     only at a fixed BLAS thread count, since the decoder's matmul rounds
     differently with the thread count.
+
+    One thread pool of the usable CPUs lives for the call: each
+    iteration's gradient evaluation splits the fused kernel ops' rows and
+    the KNN's rays over it (grad._splitting), with the serial bits at any
+    CPU count, and its threads are joined before fit_scene returns or
+    raises.
     """
     if mode not in ("direct", "latent"):
         raise InvalidArgumentError(f"mode must be 'direct' or 'latent', got {mode!r}")
@@ -288,42 +295,45 @@ def fit_scene(
     captured: dict = {}
 
     history: list[float] = []
-    for it in range(config.iterations):
-        view_i, top, left = sample_patch(views, config.patch_size, rng)
-        view = views[view_i]
-        window = (slice(top, top + config.patch_size),
-                  slice(left, left + config.patch_size))
-        dirs = dir_grids[view_i][window].reshape(-1, 3)
-        jitter = rng.uniform(size=(dirs.shape[0], render_cfg.samples_per_ray))
-        t = sample_distances(view.camera.near, view.camera.far, jitter)
+    cpus = _usable_cpus()
+    with ThreadPoolExecutor(cpus) as pool:
+        for it in range(config.iterations):
+            view_i, top, left = sample_patch(views, config.patch_size, rng)
+            view = views[view_i]
+            window = (slice(top, top + config.patch_size),
+                      slice(left, left + config.patch_size))
+            dirs = dir_grids[view_i][window].reshape(-1, 3)
+            jitter = rng.uniform(size=(dirs.shape[0], render_cfg.samples_per_ray))
+            t = sample_distances(view.camera.near, view.camera.far, jitter)
 
-        mask = view.mask[window]
-        tgts = {"color": composite_background(view.image[window], mask,
-                                              BACKGROUND).reshape(-1, 3),
-                "depth": view.depth[window].reshape(-1),
-                "mask": mask.reshape(-1)}
+            mask = view.mask[window]
+            tgts = {"color": composite_background(view.image[window], mask,
+                                                  BACKGROUND).reshape(-1, 3),
+                    "depth": view.depth[window].reshape(-1),
+                    "mask": mask.reshape(-1)}
 
-        batch = Batch(origin=view.camera.origin, dirs=dirs, t=t, cfg=render_cfg,
-                      targets=tgts, anchors=anchors, plane_size=plane_size)
+            batch = Batch(origin=view.camera.origin, dirs=dirs, t=t, cfg=render_cfg,
+                          targets=tgts, anchors=anchors, plane_size=plane_size)
 
-        def evaluator(leaves: dict):
-            tot, breakdown = objective(leaves, batch)
-            captured["loss"] = float(g.value(tot))
-            captured["breakdown"] = {k: float(g.value(v))
-                                     for k, v in breakdown.items()}
-            return tot
+            def evaluator(leaves: dict):
+                tot, breakdown = objective(leaves, batch)
+                captured["loss"] = float(g.value(tot))
+                captured["breakdown"] = {k: float(g.value(v))
+                                         for k, v in breakdown.items()}
+                return tot
 
-        try:
-            grads = gradients(evaluator, params)
-        except NumericFailureError as e:
-            raise NumericFailureError(f"iteration {it}: {e}") from e
-        lr_scale = config.decay_factor if it >= config.decay_step else 1.0
-        adamw_step(params, grads, state, lrs, lr_scale)
-        # keep radii strictly positive; the influence kernel divides by them
-        np.maximum(params["radii"], 1e-4, out=params["radii"])
-        history.append(captured["loss"])
-        if callback is not None:
-            callback(it, captured["loss"], params)
+            try:
+                with g._splitting(pool, cpus):
+                    grads = gradients(evaluator, params)
+            except NumericFailureError as e:
+                raise NumericFailureError(f"iteration {it}: {e}") from e
+            lr_scale = config.decay_factor if it >= config.decay_step else 1.0
+            adamw_step(params, grads, state, lrs, lr_scale)
+            # keep radii strictly positive; the influence kernel divides by them
+            np.maximum(params["radii"], 1e-4, out=params["radii"])
+            history.append(captured["loss"])
+            if callback is not None:
+                callback(it, captured["loss"], params)
 
     decoder = None
     if mode == "latent":

@@ -564,7 +564,9 @@ def toy_reference_scene(kind: str, grid: int, seed: int
 
 def camera_ring(views: int, resolution: int) -> list[Camera]:
     """Cameras on a ring of alternating elevations, all looking at the
-    origin from a fixed distance."""
+    origin from a fixed distance; refused when their RGB frames could not
+    all be held."""
+    _check_fits_memory(f"--views {views}", (views, resolution, resolution, 3))
     elevations = (25.0, -10.0, 10.0, -25.0)
     cams = []
     for i in range(views):

@@ -35,15 +35,15 @@ releases the GIL in the einsum, ufunc, argsort and matmul calls of a chunk.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import grad as g
 from .core import (Camera, RenderConfig, UVAvatar, _check_fits_memory, _frozen,
-                   _unit_directions)
+                   _unit_directions, _usable_cpus)
 from .errors import InvalidArgumentError, NumericFailureError
 from .spatial import _knn_for_samples
 
@@ -164,8 +164,14 @@ def march_rays_core(arrays: dict, mlp_arrays: dict, origin: np.ndarray,
     """
     r_count, j_count = t.shape
     centers_val = g.value(arrays["centers"])
-    if idx is None:
-        idx = _knn_for_samples(centers_val, origin, dirs, t, cfg.knn_k)
+    if idx is None:   # each ray's choice is its own: split by rays
+        idx = np.empty((r_count, j_count, cfg.knn_k), dtype=np.int64)
+
+        def knn(rays):
+            idx[rays] = _knn_for_samples(centers_val, origin, dirs[rays], t[rays],
+                                         cfg.knn_k)
+        parts = g._row_parts(r_count, j_count * cfg.knn_k)
+        g._each([partial(knn, rays) for rays in parts])
     tdir = t[:, :, None] * dirs[:, None, :]            # (R, J, 3) constant
     color_j, alpha_j, gsum = _shade(arrays, mlp_arrays, origin, tdir, idx, s)
     log_t = g.cumsum(g.log1p(g.neg(alpha_j)))          # (R, J)
@@ -234,11 +240,6 @@ def march_ray(avatar: UVAvatar, mlp: RenderMLP, origin, direction,
         t, cfg, avatar.plane_size,
     )
     return color[0], float(depth[0]), float(alpha[0])
-
-
-def _usable_cpus() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,

@@ -241,8 +241,11 @@ def take(x, indices):
     """Gather rows along axis 0; indices may have any shape."""
     idx = np.asarray(indices)
     vx = value(x)
-    return g._op("take", np.take(vx, idx, axis=0), (x, lambda gr: g._bincount_rows(
-        idx.reshape(-1), gr.reshape(idx.size, -1).T, vx.shape[0]).reshape(vx.shape)))
+    def vjp(gr):
+        cols = gr.reshape(idx.size, -1).T
+        return g._bincount_rows(idx.reshape(-1), vx.shape[0], len(cols),
+                                cols.__getitem__).reshape(vx.shape)
+    return g._op("take", np.take(vx, idx, axis=0), (x, vjp))
 
 
 def matmul_last(x, w):

@@ -102,6 +102,13 @@ REQUIRED = {
     (("diffuse", "inpaint"), "--mask"): ("{mask2}", "{junk}"),
 }
 
+# a run whose flag asks for more than any machine holds: it exits 2 at once,
+# naming the flag and writing nothing
+TOO_LARGE = {
+    (("dataset",), "--views"): ["dataset", "sphere", "--views", str(2 ** 62),
+                                "--resolution", "4", "--grid", "2", "--out", "o"],
+}
+
 # a run in which each optional flag that reads a file is given the file
 # {bad}: a file of junk, a missing one or the empty path
 FILE_FLAGS = {
@@ -228,3 +235,13 @@ def test_bad_file_flag_exits_two_naming_itself(toy, tmp_path, capsys, path, flag
     code, _, err, files = _run(argv, toy, tmp_path / "run", capsys)
     assert code == 2 and files == {}
     assert f"argument {flag}: " in err and toy["paths"][bad] in err
+
+
+@pytest.mark.parametrize("path, flag", sorted(TOO_LARGE),
+                         ids=[" ".join(path + (flag,)) for path, flag in sorted(TOO_LARGE)])
+def test_size_no_machine_holds_exits_two_naming_itself(toy, tmp_path, capsys, path,
+                                                       flag):
+    code, out, err, files = _run(TOO_LARGE[(path, flag)], toy, tmp_path / "run",
+                                 capsys)
+    assert code == 2 and out == "" and files == {}
+    assert err.startswith(f"error: {flag} ") and "more than this machine's" in err

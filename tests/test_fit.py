@@ -1,4 +1,6 @@
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -239,6 +241,52 @@ class TestCompositeBackground:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidArgumentError, match="mask"):
             composite_background(np.zeros((2, 2, 3)), np.zeros((3, 3)), (1, 1, 1))
+
+
+@pytest.mark.filterwarnings("ignore:depth_loss")
+class TestFitOnWorkers:
+    """fit_scene's pool: a fit at two workers, with parts of a few rows so
+    that every split op splits, is the fit at one, bit for bit."""
+
+    def _fit(self, monkeypatch, workers, plane_size, knn_k=2):
+        submitted = []
+
+        class Counted(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(guv_fit, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(guv_fit, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(g, "_PART_ENTRIES", 8)
+        rng = np.random.default_rng(4)
+        views = _toy_views(rng)
+        anchors, normals, scales = _sphere_anchors(rng, 2, 2)
+        cfg = FitConfig(iterations=12, patch_size=4, seed=3, decay_step=6)
+        res = fit_scene(views, anchors, normals, scales, cfg, mode="direct",
+                        render_cfg=RenderConfig(knn_k=knn_k, samples_per_ray=4),
+                        plane_size=plane_size)
+        return res, len(submitted)
+
+    @pytest.mark.parametrize("plane_size, knn_k", [(2, 2), (1, 2), (2, 1)],
+                             ids=["triplane", "vector", "k1"])
+    def test_two_workers_fit_the_same_bits(self, monkeypatch, plane_size, knn_k):
+        one, none_submitted = self._fit(monkeypatch, 1, plane_size, knn_k)
+        two, submitted = self._fit(monkeypatch, 2, plane_size, knn_k)
+        assert none_submitted == 0 and submitted > 0
+        assert one.loss_history.tobytes() == two.loss_history.tobytes()
+        for name in ("centers", "rotations", "radii", "payloads"):
+            assert (getattr(one.avatar, name).tobytes()
+                    == getattr(two.avatar, name).tobytes()), name
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(one.mlp, name).tobytes() == getattr(two.mlp, name).tobytes()
+        assert one.final_breakdown == two.final_breakdown
+
+    def test_the_pool_ends_with_the_call(self, monkeypatch):
+        before = threading.active_count()
+        _, submitted = self._fit(monkeypatch, 2, 2)
+        assert submitted > 0
+        assert threading.active_count() == before
 
 
 @pytest.mark.filterwarnings("ignore:depth_loss")

@@ -1,5 +1,8 @@
 """Tape autodiff against central differences, op by op, plus AdamW."""
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -627,6 +630,158 @@ class TestFusedOps:
         u[1, 2] = np.nan
         with pytest.raises(NumericFailureError, match="NaN local coordinate"):
             g.triplane_sample(_PAYLOAD, 2, _IDX, -0.5 * _Y, u, _Y - 1.0)
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """Two workers that count the calls submitted to them."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.calls = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.calls += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@contextmanager
+def _split():
+    """The fused ops on this thread split over two workers, as in fit_scene."""
+    with _CountingPool() as pool, g._splitting(pool, 2):
+        yield pool
+
+
+def _split_rows(width: int) -> int:
+    """An odd row count of width entries per row that two workers split in
+    two uneven parts, each above the fewest a part takes."""
+    return (2 * g._PART_ENTRIES // width + 7) | 1
+
+
+def _assert_same_bits(a, b, name=""):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+    assert a.tobytes() == b.tobytes(), name
+
+
+def _assert_split_same(op, inputs, m):
+    """op's taped values and every input gradient, made serially and split
+    over two workers: the same bits, and the split ran on the pool."""
+    y, grads = _run(op, inputs, m)
+    with _split() as pool:
+        y_split, grads_split = _run(op, inputs, m)
+    assert pool.calls > 0
+    for part, part_split in zip(y, y_split, strict=True):
+        _assert_same_bits(part, part_split)
+    for name in inputs:
+        _assert_same_bits(grads[name], grads_split[name], name)
+
+
+class TestSplitRows:
+    """The fused ops split their rows over the workers of a fit's pool:
+    every bit as made serially, errors raised as serially, and no split
+    inside the pool's own tasks."""
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_shading_mlp_keeps_every_bit(self, rng, indexed):
+        # with ids, the scatter's bincounts split too: as many rows again
+        rows = _split_rows(1 if indexed else 32)
+        inputs = _mlp_inputs(rng, (7,) if indexed else (rows,))
+        idx = rng.integers(0, 5, size=rows) if indexed else None
+        m = rng.standard_normal((rows, 4))
+        _assert_split_same(lambda **leaves: g.shading_mlp(**leaves, idx=idx), inputs,
+                           (m[:, :3], m[:, 3]))
+
+    @pytest.mark.parametrize("s", [8, 1])
+    def test_triplane_sample_keeps_every_bit(self, rng, s):
+        lead = (_split_rows(12 if s > 1 else 3),)
+        inputs, idx = _triplane_inputs(rng, lead, s)
+        if s == 1:
+            inputs = {"payload_flat": inputs["payload_flat"]}
+        zeros = {f"u{j}": np.zeros(lead) for j in range(3)}
+        _assert_split_same(
+            lambda payload_flat, **us: g.triplane_sample(payload_flat, s, idx,
+                                                         **{**zeros, **us}),
+            inputs, rng.standard_normal(lead + (8,)))
+
+    def test_gaussian_frame_keeps_every_bit(self, rng):
+        lead = (_split_rows(3),)
+        inputs, (origin, tdir, idx) = _frame_inputs(rng, lead)
+        _assert_split_same(
+            lambda **pose: g.gaussian_frame(**pose, origin=origin, tdir=tdir, idx=idx,
+                                            eta=5.0, tau=1.0),
+            inputs, tuple(rng.standard_normal((4,) + lead + (3,))))
+
+    def test_more_workers_than_cores_keep_every_bit(self, rng):
+        """Four parts on two cores, switching threads every microsecond:
+        each part still writes only its own rows."""
+        lead = (4 * g._PART_ENTRIES // 3 + 5,)
+        inputs, (origin, tdir, idx) = _frame_inputs(rng, lead)
+        m = tuple(rng.standard_normal((4,) + lead + (3,)))
+
+        def op(**pose):
+            return g.gaussian_frame(**pose, origin=origin, tdir=tdir, idx=idx,
+                                    eta=5.0, tau=1.0)
+        y, grads = _run(op, inputs, m)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool, g._splitting(pool, 4):
+                assert len(g._row_parts(lead[0], 3)) == 4
+                y_split, grads_split = _run(op, inputs, m)
+        finally:
+            sys.setswitchinterval(interval)
+        for part, part_split in zip(y, y_split, strict=True):
+            _assert_same_bits(part, part_split)
+        for name in inputs:
+            _assert_same_bits(grads[name], grads_split[name], name)
+
+    def _lookup(self, rng, bad):
+        """triplane_sample on rows split in two, with bad(u0, u1) applied."""
+        lead = (_split_rows(12),)
+        inputs, idx = _triplane_inputs(rng, lead, 8, kinks=False)
+        bad(inputs["u0"], inputs["u1"])
+        return lambda: g.triplane_sample(inputs["payload_flat"], 8, idx, inputs["u0"],
+                                         inputs["u1"], inputs["u2"])
+
+    def test_the_callers_errstate_reaches_a_worker_part(self, rng):
+        # (u + 1) 0.5 7 overflows at u = 1e308, in the pool's part only
+        lookup = self._lookup(rng, lambda u0, u1: u0.__setitem__(-1, 1e308))
+        with _split() as pool, np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                lookup()
+        assert pool.calls == 1
+
+    def test_the_nan_guard_reaches_the_caller_unchanged(self, rng):
+        lookup = self._lookup(rng, lambda u0, u1: u1.__setitem__(-1, np.nan))
+        with pytest.raises(NumericFailureError) as serial:
+            lookup()
+        with _split() as pool:
+            with pytest.raises(NumericFailureError) as split:
+                lookup()
+        assert pool.calls == 1
+        assert type(split.value) is NumericFailureError
+        assert str(split.value) == str(serial.value) == (
+            "tri-plane lookup: NaN local coordinate")
+
+    @pytest.mark.parametrize("first, last, raised", [
+        (1e308, np.nan, FloatingPointError), (np.nan, 1e308, NumericFailureError)])
+    def test_the_first_failing_part_is_raised(self, rng, first, last, raised):
+        def bad(u0, u1):
+            u0[0], u0[-1] = first, last
+        lookup = self._lookup(rng, bad)
+        with _split(), np.errstate(over="raise"):
+            with pytest.raises(raised):
+                lookup()
+
+    def test_an_op_inside_a_pool_task_runs_serially(self, rng):
+        lookup = self._lookup(rng, lambda u0, u1: None)
+        serial = lookup()
+        with _split() as pool:
+            inside = pool.submit(lookup).result(timeout=60)
+            assert pool.calls == 1
+            lookup()
+            assert pool.calls == 2
+        _assert_same_bits(serial, inside)
 
 
 class TestGradients:

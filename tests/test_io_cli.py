@@ -1265,6 +1265,10 @@ class TestCli:
         assert "bytes, more than this machine's" in captured.err
         assert not out.exists()
 
+    def test_camera_ring_refuses_views_no_machine_holds(self):
+        with pytest.raises(InvalidArgumentError, match="--views 4611686018427387904"):
+            camera_ring(2 ** 62, 4)
+
     def test_check_negative_seed_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "knn", "--seed", "-1"])
