@@ -165,13 +165,11 @@ def march_rays_core(arrays: dict, mlp_arrays: dict, origin: np.ndarray,
     r_count, j_count = t.shape
     centers_val = g.value(arrays["centers"])
     if idx is None:   # each ray's choice is its own: split by rays
-        idx = np.empty((r_count, j_count, cfg.knn_k), dtype=np.int64)
-
         def knn(rays):
-            idx[rays] = _knn_for_samples(centers_val, origin, dirs[rays], t[rays],
-                                         cfg.knn_k)
+            return (_knn_for_samples(centers_val, origin, dirs[rays], t[rays],
+                                     cfg.knn_k),)
         parts = g._row_parts(r_count, j_count * cfg.knn_k)
-        g._each([partial(knn, rays) for rays in parts])
+        idx, = g._joined(g._each([partial(knn, rays) for rays in parts]))
     tdir = t[:, :, None] * dirs[:, None, :]            # (R, J, 3) constant
     color_j, alpha_j, gsum = _shade(arrays, mlp_arrays, origin, tdir, idx, s)
     log_t = g.cumsum(g.log1p(g.neg(alpha_j)))          # (R, J)
