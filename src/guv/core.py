@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,6 +51,31 @@ def _check_fits_memory(what: str, shape: tuple) -> None:
 def _usable_cpus() -> int:
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+_WORKER = threading.local()   # .on is set on the threads of the library's pool
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The library's one thread pool, of _usable_cpus() threads, built on
+    first use, and again in a forked child, which has none of its threads."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="guv-pool",
+                                       initializer=setattr, initargs=(_WORKER, "on", True))
+        return _POOL
+
+
+def _drop_pool() -> None:
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()   # the parent may have held it
+
+
+if hasattr(os, "register_at_fork"):   # POSIX only
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _take(arr: np.ndarray, name: str) -> np.ndarray:

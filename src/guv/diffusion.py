@@ -10,11 +10,12 @@ Gaussian denoiser serves as the sampling oracle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import UVAvatar, _check_fits_memory, _frozen, _take, _wrap_angle
 from .errors import InvalidArgumentError
 
@@ -340,10 +341,10 @@ def _reverse_steps(schedule: DiffusionSchedule, denoiser, step_count,
     """The ancestral chain t = T -> 0 from G = draw()[0], pinned to known
     where mask is set if known is given. draw() gives one step's arrays:
     the posterior noise, then the pin's noise if there is a pin. Each draw
-    runs one step ahead on a worker thread: a step takes its draw once the
+    runs one step ahead on core._pool: a step takes its draw once the
     denoiser has returned and submits the next at once, so the step's G,
     G_0_hat and draw and the next draw are all that is alive, and no draw
-    is made past the last step.
+    is made past the last step or left running on return.
 
     A step is the posterior of _posterior_coefs, with the serial loop's
     ufunc calls per element, in one pass over row blocks of about _BLOCK
@@ -379,8 +380,9 @@ def _reverse_steps(schedule: DiffusionSchedule, denoiser, step_count,
         if where is not None:
             pin(g_t, *extra, ts[0], rows, tmp[part], where)
     del extra
-    with ThreadPoolExecutor(1) as pool:
-        ahead = pool.submit(draw)
+    pool = core._pool()
+    ahead = pool.submit(draw)
+    try:
         for hi, lo in zip(ts[:-1], ts[1:]):
             coef_t, coef_0, std = _posterior_coefs(schedule, lo, hi)
             g0_hat = np.broadcast_to(denoiser(g_t, hi), g_t.shape)
@@ -399,6 +401,8 @@ def _reverse_steps(schedule: DiffusionSchedule, denoiser, step_count,
                     pin(g_s, *extra, lo, rows, tmp[part], where)
             g_t = g_s
             del g0_hat, extra
+    finally:
+        wait([ahead])   # never cancelled: the draws stay the serial loop's
     for (rows, _), where in zip(blocks, kinds):
         if where is not None:
             np.copyto(g_t[rows], known[rows], where=where)
@@ -411,9 +415,9 @@ def reverse_sample(schedule: DiffusionSchedule, denoiser, shape, rng,
 
     The posterior noise array is drawn every step (even when the step std is
     0) so rng consumption does not depend on the schedule's endpoints. It is
-    drawn one step ahead on a worker thread while the step's denoiser runs,
-    so the denoiser must not draw from rng. Each step is one pass over row
-    blocks of the tensor that writes the posterior draw into the noise's
+    drawn one step ahead on the library's pool while the step's denoiser
+    runs, so the denoiser must not draw from rng. Each step is one pass over
+    row blocks of the tensor that writes the posterior draw into the noise's
     own buffer, with no full-size temporary; the denoiser's output may be
     any array or float that broadcasts to shape. The output and rng's final
     state equal the serial order's, bit for bit. A denoiser error reaches
@@ -474,8 +478,8 @@ def inpaint_sample(schedule: DiffusionSchedule, denoiser, known: np.ndarray,
     so with the same rng an empty mask reproduces reverse_sample bit-exactly;
     at t=0 the known region is the input itself, bit-exact. Each step's two
     noise arrays (rng's, then the spawned stream's) are drawn one step ahead
-    on a worker thread, so the denoiser must not draw from rng. The pin runs
-    inside the step's pass over row blocks, where a block does only the
+    on the library's pool, so the denoiser must not draw from rng. The pin
+    runs inside the step's pass over row blocks, where a block does only the
     work its part of mask leaves live: an unset block skips the pin, and a
     block set throughout takes only the pin. The draws, the output and both
     generators' final states equal the serial order's, bit for bit. A

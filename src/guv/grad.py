@@ -26,13 +26,14 @@ backward and what the backward rebuilds: a gather is cheaper to repeat.
 
 Inside fit_scene's gradient evaluations (_splitting), and only on the
 fitting thread, the fused ops cut their per-row forward work and their
-backward's per-row products into one part per worker of the fit's pool,
-each part writing its rows of the outputs, and march_rays_core
-cuts the KNN by rays. Every reduction stays one numpy call over all rows in
-the serial order (the weight-gradient einsums, the bias sums, each
-channel's bincount), independent ones side by side. Each row's value is
-made alone, by elementwise ufuncs and fixed-loop einsums, so a cut moves no
-bit. Elsewhere, the pool's own workers included, everything runs serially.
+backward's per-row products into one part per usable CPU, each part
+writing its rows of the outputs, and march_rays_core cuts the KNN by rays.
+Every reduction stays one numpy call over all rows in the serial order
+(the weight-gradient einsums, the bias sums, each channel's bincount),
+independent ones side by side. Each row's value is made alone, by
+elementwise ufuncs and fixed-loop einsums, so a cut moves no bit. _each,
+the library's one fan-out, runs the parts on core._pool, and serially on
+the pool's own threads.
 
 Non-differentiable points use fixed subgradients: clip and relu take 0 at
 their kinks, absolute uses sign with sign(0) = 0. Every op but matmul
@@ -50,7 +51,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import _rotation_entries
+from . import core
+from .core import _rotation_entries, _usable_cpus
 from .errors import InvalidArgumentError, NumericFailureError
 
 
@@ -231,7 +233,7 @@ def _bincount_rows(rows: np.ndarray, n: int, count: int, column) -> np.ndarray:
     column c holds, at each row r, the sum of column(c)'s entries at the
     positions where rows == r. One bincount per column: each bin adds its
     entries in the order of rows. The columns go in interleaved groups, one
-    per worker of this thread's split pool (_each)."""
+    per part of a split (_each)."""
     out = np.empty((n, count))
 
     def group(cs):
@@ -289,48 +291,49 @@ _PART_ENTRIES = 8192
 
 
 class _Split(threading.local):
-    pool, workers = None, 1   # fit_scene's pool and its size, on its thread
+    parts = 1   # the parts of a split op: _usable_cpus() on the fitting thread
 
 
 _SPLIT = _Split()
 
 
 @contextmanager
-def _splitting(pool, workers: int):
+def _splitting():
     """Within the block, the fused ops and march_rays_core's KNN called on
-    this thread split their row work over pool's workers (fit_scene's
-    gradient evaluations). Other threads, the pool's own included, run
-    serially."""
-    before = _SPLIT.pool, _SPLIT.workers
-    _SPLIT.pool, _SPLIT.workers = pool, workers
+    this thread split their row work into one part per usable CPU
+    (fit_scene's gradient evaluations). Other threads make one part."""
+    before = _SPLIT.parts
+    _SPLIT.parts = _usable_cpus()
     try:
         yield
     finally:
-        _SPLIT.pool, _SPLIT.workers = before
+        _SPLIT.parts = before
 
 
 def _row_parts(n: int, width: int) -> list:
-    """Slices cutting n rows of width entries each into one part per split
-    worker, as even as can be, with no part under _PART_ENTRIES entries;
-    one slice when this thread does not split."""
-    k = max(1, min(_SPLIT.workers, n * width // _PART_ENTRIES))
+    """Slices cutting n rows of width entries each into _SPLIT.parts parts,
+    as even as can be, with no part under _PART_ENTRIES entries; one slice
+    when this thread does not split."""
+    k = max(1, min(_SPLIT.parts, n * width // _PART_ENTRIES))
     cuts = [n * p // k for p in range(k + 1)]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _each(calls: list) -> list:
     """The results of the calls, in order: the first runs on this thread,
-    the others on its split pool under this thread's np.errstate, or all
-    here in order when it does not split. Every call ends before _each
-    returns or raises, and the first failing call's exception is raised."""
-    if _SPLIT.pool is None or len(calls) < 2:
+    the others on the library's pool under this thread's np.errstate. On a
+    pool thread, or for one call, all run here in order, so a pool task
+    never waits on the pool. Every call ends before _each returns or
+    raises, and the first failing call's exception is raised."""
+    if len(calls) < 2 or getattr(core._WORKER, "on", False):
         return [c() for c in calls]
     err = np.geterr()   # numpy's error state is per thread
 
     def under(c):
         with np.errstate(**err):
             return c()
-    futures = [_SPLIT.pool.submit(under, c) for c in calls[1:]]
+    submit = core._pool().submit
+    futures = [submit(under, c) for c in calls[1:]]
     try:
         first = calls[0]()
     finally:
@@ -363,7 +366,7 @@ def shading_mlp(feat, w1, b1, w2, b2, idx):
     read.
 
     Split (_row_parts): the forward by feature rows and the backward's
-    per-row products by sample rows, one part per worker, each part
+    per-row products by sample rows, one part per usable CPU, each part
     writing its rows of the full outputs; every row's
     value is made alone, so any cut keeps its bits. The weight gradients
     stay one einsum each over all rows, gw1 beside gw2, the bias sums one
@@ -447,7 +450,7 @@ def triplane_sample(payload_flat, s: int, idx: np.ndarray, u0, u1, u2):
     gradients gather each plane's corners again, _REGATHER_ROWS at a time.
 
     Split (_row_parts): the forward and the u gradients go by rows of idx,
-    one part per worker, each part writing its rows of the full outputs;
+    one part per usable CPU, each part writing its rows of the full outputs;
     every row is made alone, so any cut keeps its bits. The payload
     gradient stays one bincount per channel over all rows, channels in
     groups side by side.
@@ -562,7 +565,7 @@ def gaussian_frame(centers, rotations, radii, origin, tdir, idx: np.ndarray,
     which the backward gathers at idx again.
 
     Split (_row_parts): the forward and the backward's per-element terms go
-    by points, one part per worker, and the parts' arrays are joined in
+    by points, one part per usable CPU, and the parts' arrays are joined in
     point order; every element is made alone, so any cut keeps its bits.
     The nine pose-gradient bincounts stay one call each over all points,
     in groups side by side. Unsplit, the one part's arrays are used as

@@ -1162,6 +1162,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:   # a size the checks passed but the process cannot hold
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
     except GuvError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

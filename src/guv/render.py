@@ -27,15 +27,15 @@ contracts shape the implementation:
   never origin + t * direction - center, so jointly translating scene and
   camera by a float-exact vector leaves every intermediate bit-identical.
 
-render_image marches a frame's ray chunks on min(usable CPUs, chunks)
-threads: by the first contract each pixel keeps its own ray's bits on any
-thread, the KNN prefilter's bound holds at any BLAS thread count, and numpy
+render_image marches a frame's ray chunks in min(usable CPUs, chunks)
+groups through grad._each, each taking the next chunk as it finishes one:
+by the first contract each pixel keeps its own ray's bits on any thread,
+the KNN prefilter's bound holds at any BLAS thread count, and numpy
 releases the GIL in the einsum, ufunc, argsort and matmul calls of a chunk.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -244,9 +244,10 @@ def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
                  cfg: RenderConfig, seed: int) -> RenderOutput:
     """Full-frame render; pixel (i, j) bit-equals march_ray of that pixel's
     ray with jitter stratified_jitter(H, W, J, seed)[i, j], so marching the
-    chunks of _CHUNK rays on min(usable CPUs, chunks) threads, which end
-    before the call returns and run under the caller's np.errstate, changes
-    no bit. A non-finite pixel is a NumericFailureError of the shading."""
+    chunks of _CHUNK rays in min(usable CPUs, chunks) groups that take the
+    chunks in turn (grad._each: under the caller's np.errstate, all ended
+    on return) changes no bit. A non-finite pixel is a NumericFailureError
+    of the shading."""
     h, w = camera.height, camera.width
     _check_fits_memory(f"frame {w}x{h}", (h, w, cfg.samples_per_ray))
     dirs = camera.ray_directions().reshape(-1, 3)
@@ -257,17 +258,16 @@ def render_image(avatar: UVAvatar, mlp: RenderMLP, camera: Camera,
     color = np.empty((h * w, 3))
     depth = np.empty(h * w)
     alpha = np.empty(h * w)
-    err = np.geterr()    # numpy's error state is per thread
-    def march_chunk(start: int) -> None:
-        sl = slice(start, start + _CHUNK)
-        with np.errstate(**err):
+    def march(chunks) -> None:
+        for start in chunks:
+            sl = slice(start, start + _CHUNK)
             t = sample_distances(camera.near, camera.far, jit[sl])
             c, d, a, _ = march_rays_core(arrays, marrays, origin, dirs[sl], t,
                                          cfg, avatar.plane_size)
-        color[sl], depth[sl], alpha[sl] = c, d, a
+            color[sl], depth[sl], alpha[sl] = c, d, a
     starts = range(0, h * w, _CHUNK)
-    with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
-        list(pool.map(march_chunk, starts))    # re-raises a chunk's error
+    chunks = iter(starts)   # shared by the groups: next() is one C call, under the GIL
+    g._each([partial(march, chunks)] * min(_usable_cpus(), len(starts)))
     if not all(np.isfinite(a).all() for a in (color, depth, alpha)):
         raise NumericFailureError("shading: the frame holds non-finite values")
     return RenderOutput(

@@ -1,4 +1,8 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,3 +84,43 @@ def takes(monkeypatch):
         monkeypatch.setattr(module, "_take", recorded)
         return taken
     return take
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A stand-in for the library's pool (core._pool): threads marked as
+    the pool's, two by default, that count the calls submitted to them."""
+
+    def __init__(self, workers=2):
+        super().__init__(workers, initializer=setattr,
+                         initargs=(core._WORKER, "on", True))
+        self.calls = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.calls += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@contextmanager
+def pooled(workers=2):
+    """core._pool() is a new CountingPool within the block, shut down after."""
+    with CountingPool(workers) as pool, mock.patch.object(core, "_pool", lambda: pool):
+        yield pool
+
+
+@contextmanager
+def only_pool_threads_start():
+    """Asserts that the block starts no thread but the library pool's, and
+    that the pool, with the threads it held before, never holds more than
+    _usable_cpus(): after a warm call, calls start no thread once the pool
+    is full, and a pool built per call would overrun the bound."""
+    started = []
+    start = threading.Thread.start
+
+    def recorded(self):
+        started.append(self.name)
+        return start(self)
+    held = sum(t.name.startswith("guv-pool") for t in threading.enumerate())
+    with mock.patch.object(threading.Thread, "start", recorded):
+        yield
+    assert all(name.startswith("guv-pool") for name in started), started
+    assert held + len(started) <= core._usable_cpus(), started

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from guv.diffusion import (
 from guv.errors import InvalidArgumentError
 from guv.io_cli import toy_reference_scene
 
-from conftest import make_avatar
+from conftest import make_avatar, only_pool_threads_start
 
 
 class TestCosineSchedule:
@@ -1019,8 +1018,10 @@ class TestSamplersMatchSerialOracle:
     @pytest.mark.parametrize("sampler", ["reverse", "inpaint"])
     @pytest.mark.parametrize("k", [0, 3, 6])
     def test_denoiser_error_reaches_the_caller(self, sampler, k):
-        """The error is the denoiser's own object, the worker is joined, and
-        each generator is one step's draw past the serial loop's k + 1."""
+        """The error is the denoiser's own object, no thread but the
+        library pool's starts, and each generator is one step's draw past
+        the serial loop's k + 1: the outstanding draw was waited on, not
+        cancelled."""
         err = RuntimeError("denoiser failed")
         calls = []
 
@@ -1030,17 +1031,17 @@ class TestSamplersMatchSerialOracle:
             calls.append(t)
             return g_t
 
-        before = threading.active_count()
-        rng = _Recorder(5)
-        with pytest.raises(RuntimeError) as info:
+        def run(denoiser, rng):
             if sampler == "reverse":
-                diffusion.reverse_sample(SCHEDULE, failing, _SHAPE, rng,
-                                         step_count=7)
-            else:
-                diffusion.inpaint_sample(SCHEDULE, failing, _KNOWN, _MASK, rng,
-                                         step_count=7)
+                return diffusion.reverse_sample(SCHEDULE, denoiser, _SHAPE, rng,
+                                                step_count=7)
+            return diffusion.inpaint_sample(SCHEDULE, denoiser, _KNOWN, _MASK, rng,
+                                            step_count=7)
+        run(lambda g_t, t: g_t, np.random.default_rng(0))   # warm
+        rng = _Recorder(5)
+        with only_pool_threads_start(), pytest.raises(RuntimeError) as info:
+            run(failing, rng)
         assert info.value is err
-        assert threading.active_count() == before
         want = _Recorder(5)
         if sampler == "inpaint":
             want.spawn(1)

@@ -1,10 +1,12 @@
+import multiprocessing
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
 
+from guv import core
 from guv import fit as guv_fit
 from guv import grad as g
 from guv import render
@@ -26,7 +28,8 @@ from guv.io_cli import (camera_ring, lookat_camera, run_gradient_oracle,
 from guv.losses import mesh_loss, tv_loss, volume_loss
 from guv.render import random_mlp, render_image, sample_distances
 
-from conftest import make_avatar, make_render_mlp, random_unit
+from conftest import (make_avatar, make_render_mlp, only_pool_threads_start, pooled,
+                      random_unit)
 from reference import gaussian_frame_chain, mlp_chain, take, triplane_chain
 
 
@@ -245,34 +248,31 @@ class TestCompositeBackground:
 
 @pytest.mark.filterwarnings("ignore:depth_loss")
 class TestFitOnWorkers:
-    """fit_scene's pool: a fit at two workers, with parts of a few rows so
-    that every split op splits, is the fit at one, bit for bit."""
+    """fit_scene's parts: a fit at two workers, with parts of a few rows so
+    that every split op splits, is the fit at one, bit for bit, and runs on
+    the library's one pool, which a forked child builds anew."""
 
-    def _fit(self, monkeypatch, workers, plane_size, knn_k=2):
-        submitted = []
-
-        class Counted(ThreadPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                submitted.append(fn)
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(guv_fit, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(guv_fit, "ThreadPoolExecutor", Counted)
-        monkeypatch.setattr(g, "_PART_ENTRIES", 8)
+    @staticmethod
+    def _fit(plane_size=2, knn_k=2, iterations=12, callback=None):
         rng = np.random.default_rng(4)
         views = _toy_views(rng)
         anchors, normals, scales = _sphere_anchors(rng, 2, 2)
-        cfg = FitConfig(iterations=12, patch_size=4, seed=3, decay_step=6)
-        res = fit_scene(views, anchors, normals, scales, cfg, mode="direct",
-                        render_cfg=RenderConfig(knn_k=knn_k, samples_per_ray=4),
-                        plane_size=plane_size)
-        return res, len(submitted)
+        cfg = FitConfig(iterations=iterations, patch_size=4, seed=3, decay_step=6)
+        return fit_scene(views, anchors, normals, scales, cfg, mode="direct",
+                         render_cfg=RenderConfig(knn_k=knn_k, samples_per_ray=4),
+                         plane_size=plane_size, callback=callback)
+
+    def _counted(self, monkeypatch, workers, plane_size, knn_k):
+        monkeypatch.setattr(g, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(g, "_PART_ENTRIES", 8)
+        with pooled() as pool:
+            return self._fit(plane_size, knn_k), pool.calls
 
     @pytest.mark.parametrize("plane_size, knn_k", [(2, 2), (1, 2), (2, 1)],
                              ids=["triplane", "vector", "k1"])
     def test_two_workers_fit_the_same_bits(self, monkeypatch, plane_size, knn_k):
-        one, none_submitted = self._fit(monkeypatch, 1, plane_size, knn_k)
-        two, submitted = self._fit(monkeypatch, 2, plane_size, knn_k)
+        one, none_submitted = self._counted(monkeypatch, 1, plane_size, knn_k)
+        two, submitted = self._counted(monkeypatch, 2, plane_size, knn_k)
         assert none_submitted == 0 and submitted > 0
         assert one.loss_history.tobytes() == two.loss_history.tobytes()
         for name in ("centers", "rotations", "radii", "payloads"):
@@ -282,11 +282,51 @@ class TestFitOnWorkers:
             assert getattr(one.mlp, name).tobytes() == getattr(two.mlp, name).tobytes()
         assert one.final_breakdown == two.final_breakdown
 
-    def test_the_pool_ends_with_the_call(self, monkeypatch):
-        before = threading.active_count()
-        _, submitted = self._fit(monkeypatch, 2, 2)
-        assert submitted > 0
-        assert threading.active_count() == before
+    def test_fits_after_a_warm_one_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(g, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(g, "_PART_ENTRIES", 8)
+        err = RuntimeError("stop")
+
+        def failing(it, loss, params):
+            if it == 1:
+                raise err
+        self._fit(iterations=2)
+        with only_pool_threads_start():
+            for _ in range(3):
+                self._fit(iterations=2)
+                with pytest.raises(RuntimeError) as info:
+                    self._fit(iterations=3, callback=failing)
+                assert info.value is err
+
+    def test_a_forked_child_builds_its_own_pool(self, rng, monkeypatch):
+        """The parent's pool is built and every thread of it started; a
+        fork-context child gets the parent's frame and fits with split ops.
+        Kept in the child, the parent's pool would queue the child's parts
+        for threads that do not exist there, and the child would hang."""
+        monkeypatch.setattr(render, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(g, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(g, "_PART_ENTRIES", 8)
+        avatar, mlp = make_avatar(rng), make_render_mlp(rng)
+        camera = lookat_camera(np.array([0.1, -0.9, 0.2]), np.zeros(3), width=20,
+                               height=13, fx=22.0, near=0.4, far=1.6)
+        frame = render_image(avatar, mlp, camera, RenderConfig(), seed=0)
+        barrier = threading.Barrier(core._usable_cpus())
+        filled = [core._pool().submit(barrier.wait, 30) for _ in range(barrier.parties)]
+        assert not wait(filled, timeout=60).not_done
+
+        def child():
+            again = render_image(avatar, mlp, camera, RenderConfig(), seed=0)
+            for name in ("color", "depth", "alpha"):
+                assert getattr(again, name).tobytes() == getattr(frame, name).tobytes()
+            assert len(self._fit(iterations=2).loss_history) == 2
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=120)
+        hung = proc.is_alive()
+        if hung:
+            proc.kill()
+            proc.join()
+        assert not hung and proc.exitcode == 0
 
 
 @pytest.mark.filterwarnings("ignore:depth_loss")

@@ -1,17 +1,24 @@
 """Tape autodiff against central differences, op by op, plus AdamW."""
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import wait
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from guv import core
 from guv import grad as g
+from guv.core import RenderConfig
 from guv.errors import InvalidArgumentError, NumericFailureError
 from guv.grad import (AdamWState, FDGroupReport, adamw_state,
                       adamw_step, fd_check, gradients)
+from guv.io_cli import lookat_camera
+from guv.render import render_image
 
+from conftest import make_avatar, make_render_mlp, pooled
 from reference import (cos, finite_diff, gaussian_frame_chain, matmul_last,
                        mlp_chain, sigmoid, sin, stack, take, triplane_chain)
 
@@ -632,22 +639,12 @@ class TestFusedOps:
             g.triplane_sample(_PAYLOAD, 2, _IDX, -0.5 * _Y, u, _Y - 1.0)
 
 
-class _CountingPool(ThreadPoolExecutor):
-    """Two workers that count the calls submitted to them."""
-
-    def __init__(self):
-        super().__init__(2)
-        self.calls = 0
-
-    def submit(self, fn, /, *args, **kwargs):
-        self.calls += 1
-        return super().submit(fn, *args, **kwargs)
-
-
 @contextmanager
-def _split():
-    """The fused ops on this thread split over two workers, as in fit_scene."""
-    with _CountingPool() as pool, g._splitting(pool, 2):
+def _split(workers=2):
+    """The fused ops on this thread split into workers parts, as in
+    fit_scene, run on a counting stand-in for the library's pool."""
+    with (pooled(workers) as pool, mock.patch.object(g, "_usable_cpus", lambda: workers),
+          g._splitting()):
         yield pool
 
 
@@ -725,9 +722,10 @@ class TestSplitRows:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(4) as pool, g._splitting(pool, 4):
+            with _split(4) as pool:
                 assert len(g._row_parts(lead[0], 3)) == 4
                 y_split, grads_split = _run(op, inputs, m)
+            assert pool.calls > 0
         finally:
             sys.setswitchinterval(interval)
         for part, part_split in zip(y, y_split, strict=True):
@@ -782,6 +780,28 @@ class TestSplitRows:
             lookup()
             assert pool.calls == 2
         _assert_same_bits(serial, inside)
+
+        # on the library's pool, every other thread held busy, a task that
+        # fanned out would wait forever: its split op and its frame run here
+        avatar, mlp = make_avatar(rng), make_render_mlp(rng)
+        camera = lookat_camera(np.array([0.1, -0.9, 0.2]), np.zeros(3), width=20,
+                               height=13, fx=22.0, near=0.4, far=1.6)
+        frame = render_image(avatar, mlp, camera, RenderConfig(), seed=0)
+
+        def task():
+            with g._splitting():
+                assert len(g._row_parts(_split_rows(12), 12)) == min(core._usable_cpus(), 2)
+                return lookup(), render_image(avatar, mlp, camera, RenderConfig(), seed=0)
+        pool, release = core._pool(), threading.Event()
+        held = [pool.submit(release.wait) for _ in range(core._usable_cpus() - 1)]
+        try:
+            split, rendered = pool.submit(task).result(timeout=60)
+        finally:
+            release.set()
+            assert not wait(held, timeout=60).not_done
+        _assert_same_bits(serial, split)
+        for name in ("color", "depth", "alpha"):
+            _assert_same_bits(getattr(frame, name), getattr(rendered, name), name)
 
 
 class TestGradients:

@@ -5,6 +5,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -1263,6 +1265,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "bytes, more than this machine's" in captured.err
+        assert not out.exists()
+
+    def test_running_out_of_memory_exits_two_with_one_line(self, cli_dataset, tmp_path):
+        # 1e8 steps pass the size check, but under a 1.5 GB address-space
+        # limit, which the child sets on itself before it imports numpy, the
+        # schedule's arrays do not fit
+        out = tmp_path / "o.guv"
+        src = Path(io_cli.__file__).resolve().parent.parent
+        limited = ("import resource, sys\n"
+                   "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)\n"
+                   "from guv.io_cli import main\nsys.exit(main())")
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, "diffuse", "sample", "--anchors",
+             str(cli_dataset / "anchors.guva"), "--steps", str(10 ** 8), "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: out of memory: ")
+        assert proc.stderr.count("\n") == 1
         assert not out.exists()
 
     def test_camera_ring_refuses_views_no_machine_holds(self):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import guv
 
-MAX_LINES = 3941
+MAX_LINES = 3974
 
 
 def test_library_lines_at_most_max():

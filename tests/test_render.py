@@ -20,6 +20,7 @@ from guv.render import (RenderMLP, RenderOutput, avatar_arrays, march_ray,
                         random_mlp, render_image, sample_distances,
                         stratified_jitter)
 
+from conftest import only_pool_threads_start, pooled
 from reference import (TriPlanePayload, blend_point, brute_force_knn,
                        composite_ray, payload_at, point_influences, pose_at,
                        rbf_influence, sample_triplane, world_to_local)
@@ -419,8 +420,9 @@ class TestRenderImage:
 
 
 class TestRenderPool:
-    """render_image's chunk threads: the frame, errors and thread lifetime
-    do not depend on how many threads march the chunks."""
+    """render_image's chunk groups: the frame and errors do not depend on
+    how many threads march the chunks, and the groups run on the library's
+    one pool."""
 
     def _setup(self, rng, w=20, h=13):
         """A scene and a camera of w x h rays: 260, three chunks, by
@@ -546,14 +548,15 @@ class TestRenderPool:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "x.ppm").exists()
 
-    def test_no_thread_outlives_the_call(self, rng):
+    def test_calls_after_a_warm_one_start_no_thread(self, rng):
         avatar, mlp, camera = self._setup(rng)
-        before = threading.active_count()
         render_image(avatar, mlp, camera, RenderConfig(), seed=0)
-        with pytest.raises(InvalidArgumentError):
-            render_image(avatar, mlp, camera,
-                         RenderConfig(knn_k=avatar.count + 1), seed=0)
-        assert threading.active_count() == before
+        with only_pool_threads_start():
+            for _ in range(3):
+                render_image(avatar, mlp, camera, RenderConfig(), seed=0)
+                with pytest.raises(InvalidArgumentError):
+                    render_image(avatar, mlp, camera,
+                                 RenderConfig(knn_k=avatar.count + 1), seed=0)
 
     @pytest.mark.parametrize("cpus,size,workers", [
         (64, (20, 13), 3), (64, (43, 3), 2), (64, (16, 8), 1), (64, (8, 7), 1),
@@ -562,27 +565,10 @@ class TestRenderPool:
     def test_workers_never_exceed_chunks(self, rng, monkeypatch, cpus, size,
                                          workers):
         avatar, mlp, camera = self._setup(rng, *size)    # chunks of 128 rays
-        seen = []
-
-        class Recorder:
-            """Runs the chunks in order on this thread, starting none."""
-
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(render, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(render, "_usable_cpus", lambda: cpus)
-        render_image(avatar, mlp, camera, RenderConfig(knn_k=2), seed=0)
-        assert seen == [workers]
+        with pooled() as pool:
+            render_image(avatar, mlp, camera, RenderConfig(knn_k=2), seed=0)
+        assert pool.calls == workers - 1    # the caller marches one group
 
 
 class TestSampling:
